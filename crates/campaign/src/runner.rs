@@ -23,7 +23,7 @@
 
 use crate::runlog::{self, RunLogConfig, SpanOutcome};
 use crate::spec::{Campaign, Coords};
-use experiments::engine::{PointRun, ScenarioEngine, ScenarioSpec};
+use experiments::engine::{PointRun, ScenarioEngine};
 use experiments::report::Report;
 use netsim::sim::RunGuards;
 use std::io::Write;
@@ -417,10 +417,15 @@ fn run_points_with<F: FnMut(&[PointOutcome])>(
     skip: &std::collections::HashSet<usize>,
     mut on_chunk: F,
 ) -> Vec<PointOutcome> {
-    let points: Vec<_> = points
+    let mut points: Vec<_> = points
         .into_iter()
         .filter(|p| !skip.contains(&p.ordinal))
         .collect();
+    if opts.telemetry_dir.is_some() {
+        for p in &mut points {
+            p.spec.telemetry.get_or_insert_with(Default::default);
+        }
+    }
     let engine = opts.engine();
     let total = points.len();
     let start = Instant::now();
@@ -480,26 +485,16 @@ fn run_points_with<F: FnMut(&[PointOutcome])>(
     // `(elapsed, done)` checkpoints of recent waves for the ETA window.
     let mut recent: std::collections::VecDeque<(f64, usize)> = std::collections::VecDeque::new();
     for (wave_index, chunk) in points.chunks(opts.chunk.max(1)).enumerate() {
-        let specs: Vec<ScenarioSpec> = chunk
-            .iter()
-            .map(|p| {
-                let mut spec = p.spec.clone();
-                if opts.telemetry_dir.is_some() && spec.telemetry.is_none() {
-                    spec.telemetry = Some(netsim::telemetry::TelemetryConfig::default());
-                }
-                spec
-            })
-            .collect();
         let wave_start_ns = start.elapsed().as_nanos() as u64;
         // The boundary must sit *inside* the worker closure: a panic that
         // escapes it would poison the pool's result slots and abort the
         // whole process instead of failing one point.
-        let results = engine.run_batch_map_indexed(&specs, |e, s, worker| {
+        let results = engine.run_batch_map_indexed(chunk, |e, point, worker| {
             let mut attempts: Vec<AttemptLog> = Vec::new();
             loop {
                 let t0 = start.elapsed().as_nanos() as u64;
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    e.run_point(s, guards, profile_on)
+                    e.run_point(&point.spec, guards, profile_on)
                 }));
                 let t1 = start.elapsed().as_nanos() as u64;
                 match run {
@@ -757,8 +752,8 @@ pub fn run_campaign_streaming_sharded<W: std::io::Write>(
 ) -> std::io::Result<StreamTally> {
     use crate::store;
     // One expansion serves the header count, the shard slice, and the
-    // execution itself (points carry cloned specs — traces included — so
-    // re-expanding per use would triple that cost).
+    // execution itself: the three must agree on the point list, and a
+    // point (an owned spec sharing its trace) is built exactly once.
     let points = campaign.expand();
     let in_shard_count = match shard {
         Some(s) => points.iter().filter(|p| in_shard(p.ordinal, s)).count(),
@@ -859,6 +854,7 @@ pub fn find<'a>(records: &'a [RunRecord], at: &[(&str, &str)]) -> Option<&'a Run
 mod tests {
     use super::*;
     use crate::spec::Axis;
+    use experiments::engine::ScenarioSpec;
     use experiments::scenario::LinkSpec;
     use experiments::Scheme;
     use netsim::rate::Rate;

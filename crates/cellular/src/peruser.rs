@@ -12,6 +12,7 @@
 
 use crate::trace::CellTrace;
 use netsim::event::EventKind;
+use netsim::link::{next_opportunity, TraceCursor};
 use netsim::metrics::Metrics;
 use netsim::node::{Context, Node};
 use netsim::packet::FlowId;
@@ -25,6 +26,8 @@ const TOK_OPP: u64 = 1;
 /// A base-station downlink with per-user queues over one shared trace.
 pub struct PerUserLink {
     trace: CellTrace,
+    /// Where in the trace the opportunity timer chain is.
+    opp_cursor: TraceCursor,
     /// One qdisc per registered user, in registration order.
     queues: Vec<Box<dyn Qdisc>>,
     user_of_flow: HashMap<FlowId, usize>,
@@ -49,6 +52,7 @@ impl PerUserLink {
     pub fn new(trace: CellTrace) -> Self {
         PerUserLink {
             trace,
+            opp_cursor: TraceCursor::default(),
             queues: Vec::new(),
             user_of_flow: HashMap::new(),
             cursor: 0,
@@ -85,19 +89,6 @@ impl PerUserLink {
         &*self.queues[idx]
     }
 
-    fn next_opportunity(&self, t: SimTime) -> SimTime {
-        let period = self.trace.period.as_nanos();
-        let tn = t.as_nanos();
-        let cycle = tn / period;
-        let offset = SimDuration::from_nanos(tn % period);
-        let idx = self.trace.opportunities.partition_point(|&o| o < offset);
-        if idx < self.trace.opportunities.len() {
-            SimTime::from_nanos(cycle * period + self.trace.opportunities[idx].as_nanos())
-        } else {
-            SimTime::from_nanos((cycle + 1) * period + self.trace.opportunities[0].as_nanos())
-        }
-    }
-
     /// Users that were backlogged recently (drives the per-user µ share).
     fn active_users(&self, now: SimTime) -> usize {
         let cutoff = now.saturating_sub(self.activity_window);
@@ -125,7 +116,12 @@ impl PerUserLink {
         if self.queues.iter().all(|q| q.is_empty()) {
             return; // idle: future opportunities are wasted, per Mahimahi
         }
-        let at = self.next_opportunity(ctx.now() + SimDuration::from_nanos(1));
+        let at = next_opportunity(
+            &self.trace.opportunities,
+            self.trace.period,
+            ctx.now() + SimDuration::from_nanos(1),
+            &self.opp_cursor,
+        );
         self.armed_for = Some(at);
         self.timer_gen += 1;
         ctx.set_timer_at(at, TOK_OPP | (self.timer_gen << 8));
@@ -178,16 +174,7 @@ impl PerUserLink {
 
     /// Total opportunity bits over `[a, b]` (utilization denominator).
     pub fn opportunity_bits(&self, a: SimTime, b: SimTime) -> f64 {
-        let period = self.trace.period.as_nanos();
-        let count_before = |t: u64| -> u64 {
-            let cycles = t / period;
-            let off = SimDuration::from_nanos(t % period);
-            let within = self.trace.opportunities.partition_point(|&o| o < off) as u64;
-            cycles * self.trace.opportunities.len() as u64 + within
-        };
-        (count_before(b.as_nanos()) - count_before(a.as_nanos())) as f64
-            * netsim::packet::MTU_BYTES as f64
-            * 8.0
+        self.trace.opportunities_between(a, b) as f64 * netsim::packet::MTU_BYTES as f64 * 8.0
     }
 
     pub fn finalize_opportunity(&self, end: SimTime) {

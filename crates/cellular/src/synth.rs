@@ -88,7 +88,7 @@ impl SynthSpec {
         );
         CellTrace {
             name: self.name.to_string(),
-            opportunities,
+            opportunities: opportunities.into(),
             period: self.duration,
         }
     }

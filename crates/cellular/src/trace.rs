@@ -5,27 +5,34 @@
 //! replays the list cyclically; an opportunity that finds the queue empty
 //! is wasted. [`CellTrace`] carries the parsed opportunities plus the
 //! repeat period and converts into a [`netsim::link::TraceLink`].
+//!
+//! A trace is an immutable shared value: cloning a [`CellTrace`] or
+//! building a link from it hands out another pointer to the same
+//! opportunity list, never a copy of it.
 
 use netsim::link::TraceLink;
 use netsim::rate::Rate;
 use netsim::time::{SimDuration, SimTime};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 
-/// A parsed (or synthesized) cellular trace.
+/// A parsed (or synthesized) cellular trace. `Clone` is O(name).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellTrace {
     pub name: String,
     /// Delivery opportunities within one period, sorted.
-    pub opportunities: Vec<SimDuration>,
+    pub opportunities: Arc<[SimDuration]>,
     pub period: SimDuration,
 }
 
-/// Errors from parsing a Mahimahi trace.
+/// Errors from parsing a Mahimahi trace. `OutOfRange` is a timestamp whose
+/// trace period (`ms + 1`) overflows the simulator's u64 nanosecond clock.
 #[derive(Debug)]
 pub enum TraceError {
     Io(std::io::Error),
     Parse { line: usize, content: String },
+    OutOfRange { line: usize, content: String },
     Empty,
     Unsorted { line: usize },
 }
@@ -36,6 +43,12 @@ impl fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "I/O error: {e}"),
             TraceError::Parse { line, content } => {
                 write!(f, "line {line}: not a millisecond timestamp: {content:?}")
+            }
+            TraceError::OutOfRange { line, content } => {
+                write!(
+                    f,
+                    "line {line}: timestamp beyond the simulator clock: {content:?}"
+                )
             }
             TraceError::Empty => write!(f, "trace has no delivery opportunities"),
             TraceError::Unsorted { line } => write!(f, "line {line}: timestamps out of order"),
@@ -58,6 +71,7 @@ impl CellTrace {
     pub fn parse_mahimahi(name: &str, reader: impl Read) -> Result<CellTrace, TraceError> {
         let mut opportunities = Vec::new();
         let mut last: u64 = 0;
+        let mut period = SimDuration::ZERO;
         for (i, line) in BufReader::new(reader).lines().enumerate() {
             let line = line?;
             let t = line.trim();
@@ -71,23 +85,29 @@ impl CellTrace {
             if ms < last {
                 return Err(TraceError::Unsorted { line: i + 1 });
             }
+            // The trace is sorted, so the period any line implies bounds
+            // every timestamp before it: checking it here positions the
+            // error and keeps `from_millis` below from wrapping.
+            period = period_after(ms).ok_or_else(|| TraceError::OutOfRange {
+                line: i + 1,
+                content: t.to_string(),
+            })?;
             last = ms;
             opportunities.push(SimDuration::from_millis(ms));
         }
         if opportunities.is_empty() {
             return Err(TraceError::Empty);
         }
-        let period = SimDuration::from_millis(last + 1);
         Ok(CellTrace {
             name: name.to_string(),
-            opportunities,
+            opportunities: opportunities.into(),
             period,
         })
     }
 
     /// Serialize back to the Mahimahi line format.
     pub fn write_mahimahi(&self, mut w: impl Write) -> std::io::Result<()> {
-        for o in &self.opportunities {
+        for o in self.opportunities.iter() {
             writeln!(w, "{}", o.as_nanos() / 1_000_000)?;
         }
         Ok(())
@@ -103,20 +123,19 @@ impl CellTrace {
 
     /// Capacity averaged over `[t, t+window)`, for plotting µ(t) curves.
     pub fn rate_in_window(&self, t: SimTime, window: SimDuration) -> Rate {
-        let period = self.period.as_nanos();
-        let count_before = |tn: u64| -> u64 {
-            let cycles = tn / period;
-            let off = SimDuration::from_nanos(tn % period);
-            let within = self.opportunities.partition_point(|&o| o < off) as u64;
-            cycles * self.opportunities.len() as u64 + within
-        };
-        let a = t.as_nanos();
-        let b = a + window.as_nanos();
-        let n = count_before(b) - count_before(a);
-        Rate::from_bytes_per(n * netsim::packet::MTU_BYTES as u64, window)
+        Rate::from_bytes_per(
+            self.opportunities_between(t, t + window) * netsim::packet::MTU_BYTES as u64,
+            window,
+        )
     }
 
-    /// Build the simulator link for this trace.
+    /// Delivery opportunities in `[a, b)` of the repeating trace.
+    pub fn opportunities_between(&self, a: SimTime, b: SimTime) -> u64 {
+        netsim::link::opportunities_between(&self.opportunities, self.period, a, b)
+    }
+
+    /// Build the simulator link for this trace; the link shares the
+    /// opportunity list.
     pub fn to_link(&self) -> TraceLink {
         TraceLink::new(self.opportunities.clone(), self.period)
     }
@@ -125,6 +144,15 @@ impl CellTrace {
     pub fn duration(&self) -> SimDuration {
         self.period
     }
+}
+
+/// The repeat period of a trace whose last timestamp is `last_ms`: the
+/// next full millisecond. `None` if that overflows the nanosecond clock.
+fn period_after(last_ms: u64) -> Option<SimDuration> {
+    last_ms
+        .checked_add(1)?
+        .checked_mul(1_000_000)
+        .map(SimDuration::from_nanos)
 }
 
 #[cfg(test)]
@@ -159,6 +187,29 @@ mod tests {
     fn parse_rejects_unsorted() {
         let err = CellTrace::parse_mahimahi("t", "5\n3\n".as_bytes()).unwrap_err();
         assert!(matches!(err, TraceError::Unsorted { line: 2 }));
+    }
+
+    #[test]
+    fn parse_rejects_timestamps_beyond_the_clock() {
+        // each of these wrapped silently in release (and panicked in debug)
+        let max_ms = u64::MAX / 1_000_000;
+        for bad in [u64::MAX, max_ms + 1, max_ms] {
+            let input = format!("0\n{bad}\n");
+            let err = CellTrace::parse_mahimahi("t", input.as_bytes()).unwrap_err();
+            match err {
+                TraceError::OutOfRange { line: 2, content } => {
+                    assert_eq!(content, bad.to_string())
+                }
+                other => panic!("{bad}: expected OutOfRange at line 2, got {other:?}"),
+            }
+        }
+        // the largest timestamp whose period still fits parses
+        let input = format!("0\n{}\n", max_ms - 1);
+        let tr = CellTrace::parse_mahimahi("t", input.as_bytes()).unwrap();
+        assert_eq!(tr.period, SimDuration::from_millis(max_ms));
+        // one past u64 is not a number at all
+        let err = CellTrace::parse_mahimahi("t", "18446744073709551616\n".as_bytes());
+        assert!(matches!(err, Err(TraceError::Parse { line: 1, .. })));
     }
 
     #[test]

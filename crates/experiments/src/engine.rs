@@ -1329,13 +1329,16 @@ impl ScenarioEngine {
     /// slot (`0..workers`) passed to `f` — the campaign runner attributes
     /// each point span to a worker track in its run ledger. Slot
     /// assignment is wall-clock-dependent scheduling noise; results are
-    /// still returned in spec order and bit-identical across pool sizes.
-    pub fn run_batch_map_indexed<T, F>(&self, specs: &[ScenarioSpec], f: F) -> Vec<T>
+    /// still returned in item order and bit-identical across pool sizes.
+    /// Items are whatever carries the caller's spec (the runner passes its
+    /// campaign points), so nothing is copied out to dispatch a wave.
+    pub fn run_batch_map_indexed<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
+        I: Sync,
         T: Send,
-        F: Fn(&ScenarioEngine, &ScenarioSpec, usize) -> T + Sync,
+        F: Fn(&ScenarioEngine, &I, usize) -> T + Sync,
     {
-        parallel_map_indexed(specs, self.threads, |spec, worker| f(self, spec, worker))
+        parallel_map_indexed(items, self.threads, |item, worker| f(self, item, worker))
     }
 
     /// The qdisc for a scheme-controlled hop with `buffer` packets of

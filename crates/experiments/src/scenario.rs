@@ -49,21 +49,27 @@ impl LinkSpec {
 
     /// Capacity curve for plotting, sampled per `step`.
     pub fn capacity_series(&self, until: SimDuration, step: SimDuration) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        while t < SimTime::ZERO + until {
-            let r = match self {
-                LinkSpec::Trace(tr) => tr.rate_in_window(t, step),
-                LinkSpec::Constant(r) => *r,
-                LinkSpec::Square { a, b, half_period } => {
-                    SquareWave::new(*a, *b, *half_period).rate_at(t)
-                }
-                LinkSpec::Steps(steps) => StepSchedule::new(steps.clone()).rate_at(t),
-            };
-            out.push((t.as_secs_f64(), r.mbps()));
-            t += step;
+        let sample = |rate_at: &dyn Fn(SimTime) -> Rate| {
+            let mut out = Vec::new();
+            let mut t = SimTime::ZERO;
+            while t < SimTime::ZERO + until {
+                out.push((t.as_secs_f64(), rate_at(t).mbps()));
+                t += step;
+            }
+            out
+        };
+        match self {
+            LinkSpec::Trace(tr) => sample(&|t| tr.rate_in_window(t, step)),
+            LinkSpec::Constant(r) => sample(&|_| *r),
+            LinkSpec::Square { a, b, half_period } => {
+                let wave = SquareWave::new(*a, *b, *half_period);
+                sample(&|t| wave.rate_at(t))
+            }
+            LinkSpec::Steps(steps) => {
+                let schedule = StepSchedule::new(steps.clone());
+                sample(&|t| schedule.rate_at(t))
+            }
         }
-        out
     }
 
     /// A single representative rate — the reference for offered-load

@@ -14,6 +14,8 @@
 
 use crate::rate::Rate;
 use crate::time::{SimDuration, SimTime};
+use std::cell::Cell;
+use std::sync::Arc;
 
 /// A deterministic capacity curve.
 pub trait RateProcess {
@@ -275,6 +277,83 @@ impl<P: RateProcess> Transmitter for SerialLink<P> {
     }
 }
 
+/// A remembered position in one period's sorted opportunity offsets.
+///
+/// A link's queries are monotone in sim time, so the answer to the next
+/// lookup is almost always the previous answer or a slot or two past it.
+/// The cursor checks that first and falls back to the binary search on a
+/// miss (a backwards jump, the period wrap, a long idle gap), so any query
+/// sequence gets the exact `partition_point` answer. A fresh cursor is a
+/// plain binary search.
+#[derive(Debug, Default)]
+pub struct TraceCursor(Cell<usize>);
+
+impl TraceCursor {
+    /// Slots walked forward before giving up and searching the rest.
+    const WALK: usize = 8;
+
+    /// Number of `opps` strictly below `offset` (equivalently, the index
+    /// of the first opportunity at or after it).
+    fn rank(&self, opps: &[SimDuration], offset: SimDuration) -> usize {
+        let mut i = self.0.get().min(opps.len());
+        if i > 0 && opps[i - 1] >= offset {
+            i = opps.partition_point(|&o| o < offset);
+        } else {
+            let stop = (i + Self::WALK).min(opps.len());
+            while i < stop && opps[i] < offset {
+                i += 1;
+            }
+            if i == stop {
+                i += opps[i..].partition_point(|&o| o < offset);
+            }
+        }
+        self.0.set(i);
+        i
+    }
+}
+
+/// Opportunities of the endlessly repeating trace (`opps` sorted, each
+/// `< period`) that fall in `[0, t)` — the one lookup every trace-driven
+/// capacity query in the workspace goes through.
+pub fn opportunities_before(
+    opps: &[SimDuration],
+    period: SimDuration,
+    t: SimTime,
+    cursor: &TraceCursor,
+) -> u64 {
+    let (tn, period) = (t.as_nanos(), period.as_nanos());
+    let within = cursor.rank(opps, SimDuration::from_nanos(tn % period));
+    tn / period * opps.len() as u64 + within as u64
+}
+
+/// Opportunities of the repeating trace in `[a, b)` — a one-off query
+/// (end-of-run accounting, plotting) that remembers nothing.
+pub fn opportunities_between(
+    opps: &[SimDuration],
+    period: SimDuration,
+    a: SimTime,
+    b: SimTime,
+) -> u64 {
+    let cursor = TraceCursor::default();
+    opportunities_before(opps, period, b, &cursor)
+        .saturating_sub(opportunities_before(opps, period, a, &cursor))
+}
+
+/// First opportunity of the repeating trace at time ≥ `t`.
+pub fn next_opportunity(
+    opps: &[SimDuration],
+    period: SimDuration,
+    t: SimTime,
+    cursor: &TraceCursor,
+) -> SimTime {
+    let (tn, period) = (t.as_nanos(), period.as_nanos());
+    let cycle = tn / period;
+    match opps.get(cursor.rank(opps, SimDuration::from_nanos(tn % period))) {
+        Some(o) => SimTime::from_nanos(cycle * period + o.as_nanos()),
+        None => SimTime::from_nanos((cycle + 1) * period + opps[0].as_nanos()),
+    }
+}
+
 /// Mahimahi-style trace-driven link: the trace is a sorted list of delivery
 /// opportunities (times at which up to `bytes_per_opp` bytes may leave the
 /// queue). The trace repeats with period `period`. Opportunities that find
@@ -283,7 +362,8 @@ impl<P: RateProcess> Transmitter for SerialLink<P> {
 /// 1500-byte opportunity, as in Mahimahi).
 pub struct TraceLink {
     /// Opportunity offsets within one period, sorted, each < period.
-    opportunities: Vec<SimDuration>,
+    /// Shared with whoever built the link: a trace is never copied.
+    opportunities: Arc<[SimDuration]>,
     period: SimDuration,
     bytes_per_opp: u32,
     /// `Some((t, bytes))`: the opportunity at `t` has been claimed and has
@@ -291,12 +371,19 @@ pub struct TraceLink {
     credit: Option<(SimTime, u32)>,
     /// Smoothing window for [`Transmitter::rate_at`].
     rate_window: SimDuration,
+    /// One cursor per monotone query stream: transmissions, and the two
+    /// edges of the sliding rate window.
+    tx_cursor: TraceCursor,
+    window_start_cursor: TraceCursor,
+    window_end_cursor: TraceCursor,
 }
 
 impl TraceLink {
+    /// A link over the shared opportunity list `opportunities`.
+    ///
     /// # Panics
     /// If the trace is empty, unsorted, or has opportunities ≥ `period`.
-    pub fn new(opportunities: Vec<SimDuration>, period: SimDuration) -> Self {
+    pub fn new(opportunities: Arc<[SimDuration]>, period: SimDuration) -> Self {
         assert!(!opportunities.is_empty(), "empty trace");
         assert!(
             opportunities.windows(2).all(|w| w[0] <= w[1]),
@@ -312,6 +399,9 @@ impl TraceLink {
             bytes_per_opp: crate::packet::MTU_BYTES,
             credit: None,
             rate_window: SimDuration::from_millis(40),
+            tx_cursor: TraceCursor::default(),
+            window_start_cursor: TraceCursor::default(),
+            window_end_cursor: TraceCursor::default(),
         }
     }
 
@@ -347,34 +437,9 @@ impl TraceLink {
         )
     }
 
-    /// First opportunity at time ≥ `t` (the trace repeats forever).
-    fn next_opportunity(&self, t: SimTime) -> SimTime {
-        let period = self.period.as_nanos();
-        let tn = t.as_nanos();
-        let cycle = tn / period;
-        let offset = SimDuration::from_nanos(tn % period);
-        // binary search for first opportunity >= offset in this cycle
-        let idx = self.opportunities.partition_point(|&o| o < offset);
-        if idx < self.opportunities.len() {
-            SimTime::from_nanos(cycle * period + self.opportunities[idx].as_nanos())
-        } else {
-            SimTime::from_nanos((cycle + 1) * period + self.opportunities[0].as_nanos())
-        }
-    }
-
-    /// Count of opportunities in `[a, b)`.
-    fn opportunities_between(&self, a: SimTime, b: SimTime) -> u64 {
-        if b <= a {
-            return 0;
-        }
-        let period = self.period.as_nanos();
-        let count_before = |t: u64| -> u64 {
-            let cycles = t / period;
-            let offset = SimDuration::from_nanos(t % period);
-            let within = self.opportunities.partition_point(|&o| o < offset) as u64;
-            cycles * self.opportunities.len() as u64 + within
-        };
-        count_before(b.as_nanos()) - count_before(a.as_nanos())
+    /// Opportunities in `[0, t)`, looked up from `cursor`.
+    fn before(&self, t: SimTime, cursor: &TraceCursor) -> u64 {
+        opportunities_before(&self.opportunities, self.period, t, cursor)
     }
 }
 
@@ -399,7 +464,7 @@ impl Transmitter for TraceLink {
         }
         let mut t = search_from;
         loop {
-            let opp = self.next_opportunity(t);
+            let opp = next_opportunity(&self.opportunities, self.period, t, &self.tx_cursor);
             if remaining <= self.bytes_per_opp {
                 self.credit = Some((opp, self.bytes_per_opp - remaining));
                 return opp;
@@ -411,12 +476,15 @@ impl Transmitter for TraceLink {
 
     fn rate_at(&self, t: SimTime) -> Rate {
         let from = t.saturating_sub(self.rate_window);
-        let n = self.opportunities_between(from, t + SimDuration::from_nanos(1));
+        let n = self.before(t + SimDuration::from_nanos(1), &self.window_end_cursor)
+            - self.before(from, &self.window_start_cursor);
         Rate::from_bytes_per(n * self.bytes_per_opp as u64, self.rate_window)
     }
 
     fn opportunity_bits(&self, a: SimTime, b: SimTime) -> f64 {
-        self.opportunities_between(a, b) as f64 * self.bytes_per_opp as f64 * 8.0
+        opportunities_between(&self.opportunities, self.period, a, b) as f64
+            * self.bytes_per_opp as f64
+            * 8.0
     }
 }
 
@@ -531,7 +599,7 @@ mod tests {
     #[test]
     fn trace_link_spans_periods() {
         let opps = vec![ms(0), ms(500)];
-        let mut l = TraceLink::new(opps, SimDuration::from_secs(1));
+        let mut l = TraceLink::new(opps.into(), SimDuration::from_secs(1));
         let d = l.schedule_tx(at(600), 1500);
         assert_eq!(d, at(1000)); // wraps into the next period
         let d2 = l.schedule_tx(at(1100), 1500);
@@ -559,5 +627,143 @@ mod tests {
         // 3000B needs two opportunities: 0ms and 1ms
         let d = l.schedule_tx(at(0), 3000);
         assert_eq!(d, at(1));
+    }
+
+    /// The oracle the cursor is held to: [`TraceLink`] as it was before it
+    /// remembered anything — every lookup a `partition_point` over the
+    /// whole period.
+    struct SearchLink {
+        opps: Vec<SimDuration>,
+        period: SimDuration,
+        credit: Option<(SimTime, u32)>,
+    }
+
+    impl SearchLink {
+        const BYTES_PER_OPP: u32 = crate::packet::MTU_BYTES;
+        const RATE_WINDOW: SimDuration = SimDuration::from_millis(40);
+
+        fn rank(&self, t: SimTime) -> (u64, usize) {
+            let (tn, period) = (t.as_nanos(), self.period.as_nanos());
+            let offset = SimDuration::from_nanos(tn % period);
+            (tn / period, self.opps.partition_point(|&o| o < offset))
+        }
+
+        fn before(&self, t: SimTime) -> u64 {
+            let (cycle, within) = self.rank(t);
+            cycle * self.opps.len() as u64 + within as u64
+        }
+
+        fn next_opportunity(&self, t: SimTime) -> SimTime {
+            let (cycle, idx) = self.rank(t);
+            let period = self.period.as_nanos();
+            match self.opps.get(idx) {
+                Some(o) => SimTime::from_nanos(cycle * period + o.as_nanos()),
+                None => SimTime::from_nanos((cycle + 1) * period + self.opps[0].as_nanos()),
+            }
+        }
+
+        fn schedule_tx(&mut self, now: SimTime, size: u32) -> SimTime {
+            let mut remaining = size;
+            let mut t = now;
+            if let Some((ct, cb)) = self.credit.filter(|&(ct, _)| ct >= now) {
+                let used = remaining.min(cb);
+                remaining -= used;
+                if remaining == 0 {
+                    self.credit = Some((ct, cb - used));
+                    return ct;
+                }
+                t = ct + SimDuration::from_nanos(1);
+            }
+            loop {
+                let opp = self.next_opportunity(t);
+                if remaining <= Self::BYTES_PER_OPP {
+                    self.credit = Some((opp, Self::BYTES_PER_OPP - remaining));
+                    return opp;
+                }
+                remaining -= Self::BYTES_PER_OPP;
+                t = opp + SimDuration::from_nanos(1);
+            }
+        }
+
+        fn rate_at(&self, t: SimTime) -> Rate {
+            let n = self.before(t + SimDuration::from_nanos(1))
+                - self.before(t.saturating_sub(Self::RATE_WINDOW));
+            Rate::from_bytes_per(n * Self::BYTES_PER_OPP as u64, Self::RATE_WINDOW)
+        }
+
+        fn opportunity_bits(&self, a: SimTime, b: SimTime) -> f64 {
+            self.before(b).saturating_sub(self.before(a)) as f64 * Self::BYTES_PER_OPP as f64 * 8.0
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Cursor ≡ search: over random sorted traces (duplicates, gaps,
+        /// single-entry) and query sequences that step forward, jump
+        /// backwards, skip whole periods, land exactly on an opportunity
+        /// and straddle the period wrap, every answer equals the
+        /// `partition_point` oracle's.
+        #[test]
+        fn cursor_lookups_equal_the_search(
+            period_us in 1u64..400_000,
+            raw in proptest::collection::vec(0u64..u64::MAX, 1..120),
+            moves in proptest::collection::vec((0u8..8, 0u64..u64::MAX, 40u32..4000), 1..250),
+        ) {
+            let period = SimDuration::from_micros(period_us);
+            // coarse offsets so several opportunities share an instant
+            let mut opps: Vec<SimDuration> = raw
+                .iter()
+                .map(|r| SimDuration::from_nanos(r % period.as_nanos() / 1000 * 1000))
+                .collect();
+            opps.sort();
+            let mut link = TraceLink::new(opps.clone().into(), period);
+            let mut oracle = SearchLink { opps: opps.clone(), period, credit: None };
+
+            let (before_cursor, next_cursor) = (TraceCursor::default(), TraceCursor::default());
+            let mut now = SimTime::ZERO;
+            for &(kind, r, size) in &moves {
+                let pn = period.as_nanos();
+                let cycle = now.as_nanos() / pn;
+                now = match kind {
+                    // the common case: a step of about one opportunity gap
+                    0..=2 => now + SimDuration::from_nanos(r % (2 * pn / opps.len() as u64 + 2)),
+                    // anywhere within a period ahead
+                    3 => now + SimDuration::from_nanos(r % pn),
+                    // multi-period skip
+                    4 => now + SimDuration::from_nanos(r % (5 * pn)),
+                    // backwards jump (never asked of a live link, still exact)
+                    5 => SimTime::from_nanos(now.as_nanos().saturating_sub(r % (3 * pn))),
+                    // exactly on an opportunity next to the last answer (or
+                    // one nanosecond past it), a slot or two either side
+                    6 => SimTime::from_nanos(
+                        cycle * pn
+                            + opps[(oracle.rank(now).1 + r as usize % 5).saturating_sub(2)
+                                % opps.len()]
+                            .as_nanos()
+                            + (r >> 32) % 2,
+                    ),
+                    // the period wrap: last nanosecond, or first of the next
+                    _ => SimTime::from_nanos((cycle + 1) * pn - 1 + (r >> 32) % 2),
+                };
+                prop_assert_eq!(
+                    opportunities_before(&opps, period, now, &before_cursor),
+                    oracle.before(now)
+                );
+                prop_assert_eq!(
+                    next_opportunity(&opps, period, now, &next_cursor),
+                    oracle.next_opportunity(now)
+                );
+                prop_assert_eq!(link.schedule_tx(now, size), oracle.schedule_tx(now, size));
+                prop_assert_eq!(link.rate_at(now).bps(), oracle.rate_at(now).bps());
+                let earlier = SimTime::from_nanos(r % (now.as_nanos() + 1));
+                prop_assert_eq!(
+                    link.opportunity_bits(earlier, now),
+                    oracle.opportunity_bits(earlier, now)
+                );
+            }
+        }
     }
 }

@@ -93,7 +93,7 @@ fn run_mixed_scenario(
     let opps: Vec<SimDuration> = (0..80)
         .map(|i| SimDuration::from_millis(if i < 60 { i * 3 } else { 240 + (i - 60) * 3 }))
         .collect();
-    let trace = TraceLink::new(opps, SimDuration::from_millis(300));
+    let trace = TraceLink::new(opps.into(), SimDuration::from_millis(300));
     sim.install_node(
         trace_hop,
         Box::new(

@@ -40,7 +40,7 @@ proptest! {
     ) {
         let opps: Vec<SimDuration> =
             (0..1000).map(SimDuration::from_millis).collect();
-        let mut link = TraceLink::new(opps, SimDuration::from_secs(1));
+        let mut link = TraceLink::new(opps.into(), SimDuration::from_secs(1));
         let mut now = SimTime::ZERO;
         let mut last_done = SimTime::ZERO;
         for (g, s) in gaps.iter().zip(sizes.iter().cycle()) {
