@@ -45,6 +45,45 @@ fn bench_components(c: &mut Criterion) {
         })
     });
 
+    // The sparse regime of a single-flow cellular run, which the bulk
+    // kernel above cannot see: three live events rescheduled 1–2 ms
+    // (15–30 wheel slots) past their own firing time, plus one far timer
+    // — an RTO — cancelled and re-armed 200 ms out every 64 pops. 100 k
+    // pops, so the cost is the cursor's walk between events.
+    g.bench_function("event_queue_sparse_gap", |b| {
+        use netsim::event::{EventKind, EventQueue};
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            let far_ns = 200_000_000;
+            let mut far = q.push(SimTime::from_nanos(far_ns), NodeId(1), EventKind::Timer(0));
+            for i in 1..=3u64 {
+                q.push(
+                    SimTime::from_nanos(i * 400_000),
+                    NodeId(0),
+                    EventKind::Timer(i),
+                );
+            }
+            for pops in 1..=100_000u64 {
+                let now = q.pop().expect("three events are always live").time;
+                let gap = 1_000_000 + (pops * 7919) % 1_000_000;
+                q.push(
+                    now + SimDuration::from_nanos(gap),
+                    NodeId(0),
+                    EventKind::Timer(pops),
+                );
+                if pops % 64 == 0 {
+                    q.cancel(far);
+                    far = q.push(
+                        now + SimDuration::from_nanos(far_ns),
+                        NodeId(1),
+                        EventKind::Timer(0),
+                    );
+                }
+            }
+            black_box(q.len())
+        })
+    });
+
     g.bench_function("abc_router_mark_10k", |b| {
         let cfg = abc_core::router::AbcRouterConfig::default();
         b.iter(|| {

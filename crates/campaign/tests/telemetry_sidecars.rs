@@ -93,3 +93,54 @@ fn runner_writes_one_sidecar_per_point_into_the_telemetry_dir() {
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// FNV-1a 64 of the tiny preset's sidecars, concatenated in file-name
+/// order, recorded at the commit before the event core was rebuilt. The
+/// sidecars carry the `wheel_near`/`wheel_slots`/`wheel_overflow` tier
+/// samples and the `pool_hit`/`pool_miss` counters, so this pins the
+/// telemetry-on path — queue tier membership included — not only the
+/// results store.
+const TINY_SIDECARS_FNV64: u64 = 0x1c4f4ca51b0cfd01;
+
+#[test]
+fn tiny_sidecars_match_the_recorded_digest_at_one_and_four_workers() {
+    let campaign = presets::tiny(Scale::Tiny);
+    for jobs in [1usize, 4] {
+        let dir = std::env::temp_dir().join(format!(
+            "abc-telemetry-golden-{}-{jobs}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunOptions::quiet()
+            .with_jobs(Some(jobs))
+            .with_telemetry_dir(Some(dir.clone()));
+        let records = run_campaign(&campaign, &opts);
+
+        // Every `<ordinal>.jsonl`; the wall-clock `runlog.jsonl` the
+        // runner drops beside them is not a deterministic artifact.
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("telemetry dir exists")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8 name")
+            })
+            .filter(|n| n != "runlog.jsonl")
+            .collect();
+        names.sort();
+        assert_eq!(names.len(), records.len(), "one sidecar per point");
+
+        let mut digest: u64 = 0xcbf29ce484222325;
+        for name in &names {
+            for byte in std::fs::read(dir.join(name)).expect("sidecar readable") {
+                digest = (digest ^ byte as u64).wrapping_mul(0x100000001b3);
+            }
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        assert_eq!(
+            digest, TINY_SIDECARS_FNV64,
+            "tiny sidecars changed at {jobs} workers (digest {digest:#018x})"
+        );
+    }
+}

@@ -7,10 +7,21 @@
 //! * **near** — a small binary heap holding every event whose slot is at or
 //!   before the cursor slot. Pops come from here, so intra-slot ordering is
 //!   exact `(time, seq)` — bit-identical to a global comparison heap.
-//! * **wheel** — `WHEEL_SLOTS` unsorted buckets of `SLOT_NS`-wide slots
-//!   covering the next ~67 ms. Push and bucket-drain are O(1) amortized.
+//! * **wheel** — `WHEEL_SLOTS` unsorted buckets of `2^slot_shift` ns
+//!   covering the next ~67 ms. Every bucket is a singly linked list threaded
+//!   through one shared cell arena (drained cells go on a free list), so a
+//!   sparse simulation's whole queue is a few KB, not 1024 separate buffers.
+//!   Order inside a bucket is whatever linking produced: a bucket is only
+//!   ever drained whole into `near`, which re-sorts by the strict
+//!   `(time, seq)` order, so intra-slot order costs nothing to ignore.
 //! * **overflow** — a heap for events beyond the wheel horizon (RTO timers,
 //!   long trace gaps); refilled into the wheel as the cursor advances.
+//!
+//! An occupancy bitmap (one bit per bucket) lets the cursor jump straight
+//! to the next non-empty bucket with `trailing_zeros`: it never visits an
+//! empty slot. Jumping ends in the same state as stepping would, because
+//! every overflow event sits at least a full wheel turn past the cursor and
+//! so can only migrate into buckets beyond the one jumped to.
 //!
 //! Cancellation is lazy: cancelled sequence numbers go into a tombstone set
 //! and are skipped (and forgotten) when their event surfaces. The queue
@@ -123,17 +134,29 @@ pub const SLOT_SHIFT_RANGE: std::ops::RangeInclusive<u32> = 10..=26;
 /// only RTO-scale timers ever touch the overflow heap.
 const WHEEL_SLOTS: u64 = 1024;
 
+/// End-of-list / empty-list marker in the wheel's cell arena.
+const NIL: u32 = u32::MAX;
+
 /// The timer-wheel backend.
 #[derive(Debug)]
 struct Wheel {
     near: BinaryHeap<Event>,
-    slots: Vec<Vec<Event>>,
-    /// Events currently held in `slots`.
+    /// The arena every bucket lives in: `(event, next cell)`. Cells
+    /// holding an event are chained from `heads`, vacant ones from `free`.
+    cells: Vec<(Option<Event>, u32)>,
+    /// Head of the vacant-cell list.
+    free: u32,
+    /// Per-bucket list head into `cells`.
+    heads: Box<[u32; WHEEL_SLOTS as usize]>,
+    /// Bit `b` set ⇔ bucket `b` is non-empty.
+    occupied: [u64; WHEEL_SLOTS as usize / 64],
+    /// Events currently held in the buckets.
     wheel_len: usize,
     overflow: BinaryHeap<Event>,
     /// All events with `slot <= cur_slot` live in `near`; slots in
-    /// `(cur_slot, cur_slot + WHEEL_SLOTS)` map to `slots[slot % WHEEL_SLOTS]`;
-    /// later ones wait in `overflow`.
+    /// `(cur_slot, cur_slot + WHEEL_SLOTS)` map to bucket `slot % WHEEL_SLOTS`
+    /// (so the cursor's own bucket is always empty); later ones wait in
+    /// `overflow`.
     cur_slot: u64,
     /// Slot width exponent: a slot spans `2^slot_shift` ns. Wider slots
     /// trade per-push wheel precision for larger intra-slot batches —
@@ -148,7 +171,10 @@ impl Wheel {
     fn new(slot_shift: u32) -> Self {
         Wheel {
             near: BinaryHeap::new(),
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            cells: Vec::new(),
+            free: NIL,
+            heads: Box::new([NIL; WHEEL_SLOTS as usize]),
+            occupied: [0; WHEEL_SLOTS as usize / 64],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             cur_slot: 0,
@@ -166,61 +192,99 @@ impl Wheel {
         if s <= self.cur_slot {
             self.near.push(ev);
         } else if s < self.cur_slot + WHEEL_SLOTS {
-            self.slots[(s % WHEEL_SLOTS) as usize].push(ev);
-            self.wheel_len += 1;
+            self.link((s % WHEEL_SLOTS) as usize, ev);
         } else {
             self.overflow.push(ev);
         }
     }
 
-    /// Advance the cursor until `near` holds the globally earliest event
-    /// (or everything is empty).
-    fn ensure_near(&mut self) {
-        while self.near.is_empty() {
-            if self.wheel_len == 0 {
-                // Jump straight to the next overflow event's slot.
-                let Some(head) = self.overflow.peek() else {
-                    return;
-                };
-                self.cur_slot = self.slot_of(head.time);
-            } else {
-                self.cur_slot += 1;
-            }
-            let bucket = (self.cur_slot % WHEEL_SLOTS) as usize;
-            if !self.slots[bucket].is_empty() {
-                self.wheel_len -= self.slots[bucket].len();
-                self.near.extend(self.slots[bucket].drain(..));
-            }
-            // The horizon moved: migrate overflow events that now fit.
-            while let Some(head) = self.overflow.peek() {
-                let s = self.slot_of(head.time);
-                if s >= self.cur_slot + WHEEL_SLOTS {
-                    break;
-                }
-                let ev = self.overflow.pop().expect("peeked overflow vanished");
-                if s <= self.cur_slot {
-                    self.near.push(ev);
-                } else {
-                    self.slots[(s % WHEEL_SLOTS) as usize].push(ev);
-                    self.wheel_len += 1;
-                }
-            }
+    /// Prepend `ev` to `bucket`'s list, reusing a vacant cell if any.
+    fn link(&mut self, bucket: usize, ev: Event) {
+        let cell = (Some(ev), self.heads[bucket]);
+        if self.free == NIL {
+            assert!(
+                self.cells.len() < NIL as usize,
+                "wheel arena outgrew its u32 links"
+            );
+            self.heads[bucket] = self.cells.len() as u32;
+            self.cells.push(cell);
+        } else {
+            self.heads[bucket] = self.free;
+            let vacant = &mut self.cells[self.free as usize];
+            self.free = vacant.1;
+            *vacant = cell;
         }
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
+        self.wheel_len += 1;
     }
 
-    fn pop_min(&mut self) -> Option<Event> {
-        self.ensure_near();
-        self.near.pop()
+    /// Move every event of `bucket` into `near`, freeing its cells.
+    fn drain(&mut self, bucket: usize) {
+        let mut at = std::mem::replace(&mut self.heads[bucket], NIL);
+        while at != NIL {
+            let cell = &mut self.cells[at as usize];
+            self.near
+                .push(cell.0.take().expect("linked wheel cell is vacant"));
+            let next = std::mem::replace(&mut cell.1, self.free);
+            self.free = at;
+            self.wheel_len -= 1;
+            at = next;
+        }
+        self.occupied[bucket / 64] &= !(1 << (bucket % 64));
     }
 
-    fn peek_min(&mut self) -> Option<&Event> {
-        self.ensure_near();
-        self.near.peek()
+    /// The slot of the first non-empty bucket in cursor order. The
+    /// cursor's own bucket is always empty, so the circular scan may start
+    /// on it: whatever it finds lies 1..WHEEL_SLOTS slots ahead. Requires
+    /// `wheel_len > 0`.
+    fn next_occupied_slot(&self) -> u64 {
+        let cur = self.cur_slot % WHEEL_SLOTS;
+        let mut word = (cur / 64) as usize;
+        let mut bits = self.occupied[word] & (!0 << (cur % 64));
+        // The last round is the cursor's word again, unmasked: any bit
+        // still set there lies below the cursor, almost a full turn ahead.
+        for _ in 0..=self.occupied.len() {
+            if bits != 0 {
+                let bucket = word as u64 * 64 + bits.trailing_zeros() as u64;
+                return self.cur_slot + (bucket + WHEEL_SLOTS - cur) % WHEEL_SLOTS;
+            }
+            word = (word + 1) % self.occupied.len();
+            bits = self.occupied[word];
+        }
+        unreachable!("wheel_len > 0 but the occupancy bitmap is empty")
+    }
+
+    /// With `near` empty, move the cursor so that `near` holds the
+    /// globally earliest event (or everything is empty): one jump to the
+    /// next occupied bucket, or to the overflow head's slot when the wheel
+    /// is empty.
+    fn advance(&mut self) {
+        if self.wheel_len == 0 {
+            let Some(head) = self.overflow.peek() else {
+                return;
+            };
+            self.cur_slot = self.slot_of(head.time);
+        } else {
+            self.cur_slot = self.next_occupied_slot();
+            self.drain((self.cur_slot % WHEEL_SLOTS) as usize);
+        }
+        // The horizon moved: migrate overflow events that now fit.
+        while let Some(head) = self.overflow.peek() {
+            if self.slot_of(head.time) >= self.cur_slot + WHEEL_SLOTS {
+                break;
+            }
+            let ev = self.overflow.pop().expect("peeked overflow vanished");
+            self.push(ev);
+        }
+        debug_assert!(!self.near.is_empty(), "cursor advanced onto nothing");
     }
 }
 
 /// Queue implementation selector: the production wheel, or the original
 /// comparison heap kept as a reference for ordering tests.
+// One queue per simulator, and the large variant is the production one:
+// boxing it would put a pointer chase on every queue operation.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Backend {
     Wheel(Wheel),
@@ -236,20 +300,30 @@ impl Backend {
         }
     }
 
-    #[inline]
-    fn pop_min(&mut self) -> Option<Event> {
-        match self {
-            Backend::Wheel(w) => w.pop_min(),
-            Backend::Naive(h) => h.pop(),
-        }
-    }
-
+    /// The earliest event, tombstones included; the wheel advances its
+    /// cursor to expose it.
     #[inline]
     fn peek_min(&mut self) -> Option<&Event> {
         match self {
-            Backend::Wheel(w) => w.peek_min(),
+            Backend::Wheel(w) => {
+                if w.near.is_empty() {
+                    w.advance();
+                }
+                w.near.peek()
+            }
             Backend::Naive(h) => h.peek(),
         }
+    }
+
+    /// Pop the event the preceding `peek_min` returned — no second cursor
+    /// advance.
+    #[inline]
+    fn pop_peeked(&mut self) -> Event {
+        match self {
+            Backend::Wheel(w) => w.near.pop(),
+            Backend::Naive(h) => h.pop(),
+        }
+        .expect("peeked event vanished")
     }
 }
 
@@ -311,15 +385,6 @@ impl EventQueue {
     pub fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_with_seq(time, node, kind, seq);
-        seq
-    }
-
-    /// Schedule an event under an externally-assigned sequence number (the
-    /// simulator assigns them eagerly so nodes can hold cancellation
-    /// handles before the effect queue is flushed).
-    pub(crate) fn push_with_seq(&mut self, time: SimTime, node: NodeId, kind: EventKind, seq: u64) {
-        self.next_seq = self.next_seq.max(seq + 1);
         self.live += 1;
         self.backend.push(Event {
             time,
@@ -327,6 +392,7 @@ impl EventQueue {
             kind,
             seq,
         });
+        seq
     }
 
     /// Cancel a pending event by its sequence number. The caller must only
@@ -340,16 +406,34 @@ impl EventQueue {
         }
     }
 
+    /// Whether `seq` is tombstoned. The set is almost always empty (a
+    /// sender keeps one lazily re-armed RTO timer), so the common case is
+    /// a length check, not a hash probe.
+    #[inline]
+    fn is_cancelled(&self, seq: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.contains(&seq)
+    }
+
+    /// Pop the head the preceding `peek_min` exposed; `None` if it was a
+    /// tombstone, which is thereby skipped and forgotten.
+    #[inline]
+    fn take_peeked(&mut self) -> Option<Event> {
+        let ev = self.backend.pop_peeked();
+        if !self.cancelled.is_empty() && self.cancelled.remove(&ev.seq) {
+            return None;
+        }
+        self.live -= 1;
+        Some(ev)
+    }
+
     /// Remove and return the earliest live event (time, then insertion
     /// order); cancelled tombstones are skipped.
     pub fn pop(&mut self) -> Option<Event> {
         loop {
-            let ev = self.backend.pop_min()?;
-            if self.cancelled.remove(&ev.seq) {
-                continue; // tombstone — skip and forget
+            self.backend.peek_min()?;
+            if let Some(ev) = self.take_peeked() {
+                return Some(ev);
             }
-            self.live -= 1;
-            return Some(ev);
         }
     }
 
@@ -359,12 +443,9 @@ impl EventQueue {
             if self.backend.peek_min()?.time > deadline {
                 return None;
             }
-            let ev = self.backend.pop_min().expect("peeked event vanished");
-            if self.cancelled.remove(&ev.seq) {
-                continue; // tombstone — skip and forget
+            if let Some(ev) = self.take_peeked() {
+                return Some(ev);
             }
-            self.live -= 1;
-            return Some(ev);
         }
     }
 
@@ -382,18 +463,17 @@ impl EventQueue {
     pub fn pop_if_deliver_matching(&mut self, time: SimTime, node: NodeId) -> Option<Event> {
         loop {
             let head = self.backend.peek_min()?;
-            if self.cancelled.contains(&head.seq) {
-                let ev = self.backend.pop_min().expect("peeked event vanished");
-                self.cancelled.remove(&ev.seq);
-                continue; // tombstone — skip and forget
-            }
-            if head.time != time || head.node != node || !matches!(head.kind, EventKind::Deliver(_))
-            {
+            let wanted = head.time == time
+                && head.node == node
+                && matches!(head.kind, EventKind::Deliver(_));
+            let seq = head.seq;
+            // A tombstoned head is skipped whatever it is.
+            if !wanted && !self.is_cancelled(seq) {
                 return None;
             }
-            let ev = self.backend.pop_min().expect("peeked event vanished");
-            self.live -= 1;
-            return Some(ev);
+            if let Some(ev) = self.take_peeked() {
+                return Some(ev);
+            }
         }
     }
 
@@ -401,15 +481,12 @@ impl EventQueue {
     /// its cursor and discards tombstones to find the head.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            let cancelled = {
-                let ev = self.backend.peek_min()?;
-                if !self.cancelled.contains(&ev.seq) {
-                    return Some(ev.time);
-                }
-                ev.seq
-            };
-            self.cancelled.remove(&cancelled);
-            self.backend.pop_min();
+            let head = self.backend.peek_min()?;
+            let (time, seq) = (head.time, head.seq);
+            if !self.is_cancelled(seq) {
+                return Some(time);
+            }
+            self.take_peeked();
         }
     }
 
@@ -537,41 +614,157 @@ mod tests {
         assert_eq!(q.pop().unwrap().time, t(200));
     }
 
-    #[test]
-    fn slot_shift_never_changes_pop_order() {
-        // The slot width is a pure performance knob: every configured
-        // shift must reproduce the reference heap's exact (time, seq)
-        // pop order on a dense mixed-horizon schedule.
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut times = Vec::new();
-        for i in 0..3_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let ns = match i % 4 {
-                0 => x % 1_000,
-                1 => x % 1_000_000,
-                2 => x % 100_000_000,
-                _ => x % 10_000_000_000,
+    impl Wheel {
+        /// The structural invariants behind the bitmap skip and the
+        /// arena: bit set ⇔ bucket list non-empty, `wheel_len` = Σ list
+        /// lengths, lists and free list partition the arena, and every
+        /// event sits in the tier (and bucket) its slot says it should.
+        fn check_invariants(&self) {
+            let mut seen = vec![false; self.cells.len()];
+            let mut visit = |at: u32| {
+                assert!(
+                    !std::mem::replace(&mut seen[at as usize], true),
+                    "cell {at} is on two lists"
+                );
             };
-            times.push(ns);
-        }
-        for shift in [10u32, 16, 20, 26] {
-            let mut wheel = EventQueue::with_slot_shift(shift);
-            let mut naive = EventQueue::new_reference();
-            for (i, &ns) in times.iter().enumerate() {
-                let tm = SimTime::from_nanos(ns);
-                wheel.push(tm, NodeId(0), EventKind::Timer(i as u64));
-                naive.push(tm, NodeId(0), EventKind::Timer(i as u64));
-            }
-            loop {
-                match (wheel.pop(), naive.pop()) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.time, a.seq), (b.time, b.seq), "shift {shift}")
-                    }
-                    (None, None) => break,
-                    _ => panic!("shift {shift}: queues drained at different lengths"),
+            let mut linked = 0;
+            for (b, &head) in self.heads.iter().enumerate() {
+                let (mut at, mut n) = (head, 0);
+                while at != NIL {
+                    visit(at);
+                    let (ev, next) = &self.cells[at as usize];
+                    let s = self.slot_of(ev.as_ref().expect("linked cell is vacant").time);
+                    assert_eq!((s % WHEEL_SLOTS) as usize, b, "event in the wrong bucket");
+                    assert!(self.cur_slot < s && s < self.cur_slot + WHEEL_SLOTS);
+                    n += 1;
+                    at = *next;
                 }
+                let bit = self.occupied[b / 64] >> (b % 64) & 1;
+                assert_eq!(bit == 1, n > 0, "bitmap bit {b} disagrees with its list");
+                linked += n;
+            }
+            assert_eq!(self.wheel_len, linked);
+            let mut at = self.free;
+            while at != NIL {
+                visit(at);
+                assert!(
+                    self.cells[at as usize].0.is_none(),
+                    "free cell holds an event"
+                );
+                at = self.cells[at as usize].1;
+            }
+            assert!(seen.iter().all(|&v| v), "arena cell on no list");
+            assert!(self
+                .near
+                .iter()
+                .all(|e| self.slot_of(e.time) <= self.cur_slot));
+            assert!(self
+                .overflow
+                .iter()
+                .all(|e| self.slot_of(e.time) >= self.cur_slot + WHEEL_SLOTS));
+        }
+    }
+
+    /// Wheel ≡ reference heap under the operations the run loop really
+    /// issues, interleaved from a seeded generator: pushes at or after the
+    /// clock (same slot, in-wheel, 0.1–5 s gaps that send the cursor
+    /// through many wheel turns, and the exact horizon-boundary slots),
+    /// `cancel`, `pop_before` with deadlines that often fall before the
+    /// head, the batch probe `pop_if_deliver_matching`, `pop` and
+    /// `peek_time`. The queue is kept sparse so it drains and jumps often.
+    /// Every result, `len()` and the wheel's invariants are checked after
+    /// every operation, at every slot width.
+    #[test]
+    fn wheel_matches_reference_under_loop_operations_at_every_shift() {
+        let key = |e: Option<Event>| e.map(|e| (e.time, e.seq));
+        for shift in [10u32, 16, 20, 26] {
+            for seed in 0..8u64 {
+                let mut x = 0x9E37_79B9_7F4A_7C15 ^ (seed << 32 | shift as u64);
+                let mut next = move || {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    x >> 16
+                };
+                let mut wheel = EventQueue::with_slot_shift(shift);
+                let mut naive = EventQueue::new_reference();
+                let mut timers: Vec<u64> = Vec::new();
+                let (mut now, mut last_node) = (SimTime::ZERO, NodeId(0));
+                for _ in 0..4_000 {
+                    let r = next();
+                    // A full-enough queue gets no pushes: it stays sparse.
+                    match if wheel.len() < 6 { r % 16 } else { 6 + r % 10 } {
+                        0..=5 => {
+                            let Backend::Wheel(w) = &wheel.backend else {
+                                unreachable!()
+                            };
+                            let slot_ns = 1u64 << shift;
+                            let ns = match next() % 9 {
+                                0 | 1 => now.as_nanos() + next() % slot_ns,
+                                2 | 3 => now.as_nanos() + next() % (1023 * slot_ns),
+                                4 => now.as_nanos() + 100_000_000 + next() % 4_900_000_000,
+                                5 => now.as_nanos(),
+                                // the last wheel slot and the first two beyond it
+                                k => ((w.cur_slot + 1017 + k) << shift) + next() % slot_ns,
+                            };
+                            let time = SimTime::from_nanos(ns.max(now.as_nanos()));
+                            let node = NodeId((next() % 3) as u32);
+                            let deliver = next() % 2 == 0;
+                            let kind = || match deliver {
+                                true => EventKind::Deliver(crate::queue::test_packet(0, 100)),
+                                false => EventKind::Timer(r),
+                            };
+                            let seq = wheel.push(time, node, kind());
+                            assert_eq!(seq, naive.push(time, node, kind()));
+                            if !deliver {
+                                timers.push(seq);
+                            }
+                        }
+                        6 if !timers.is_empty() => {
+                            let victim = timers.swap_remove(next() as usize % timers.len());
+                            wheel.cancel(victim);
+                            naive.cancel(victim);
+                        }
+                        7..=10 => {
+                            let reach = [1_000, 1_000_000, 100_000_000, 10_000_000_000];
+                            let deadline = SimTime::from_nanos(
+                                now.as_nanos() + next() % reach[next() as usize % 4],
+                            );
+                            let got = wheel.pop_before(deadline);
+                            if let Some(e) = &got {
+                                assert!(e.time >= now && e.time <= deadline);
+                                (now, last_node) = (e.time, e.node);
+                                timers.retain(|&s| s != e.seq);
+                            }
+                            assert_eq!(key(got), key(naive.pop_before(deadline)));
+                        }
+                        11..=13 => {
+                            let got = wheel.pop_if_deliver_matching(now, last_node);
+                            assert_eq!(
+                                key(got),
+                                key(naive.pop_if_deliver_matching(now, last_node))
+                            );
+                        }
+                        14 => {
+                            let got = wheel.pop();
+                            if let Some(e) = &got {
+                                (now, last_node) = (e.time, e.node);
+                                timers.retain(|&s| s != e.seq);
+                            }
+                            assert_eq!(key(got), key(naive.pop()));
+                        }
+                        _ => assert_eq!(wheel.peek_time(), naive.peek_time()),
+                    }
+                    assert_eq!(wheel.len(), naive.len());
+                    let Backend::Wheel(w) = &wheel.backend else {
+                        unreachable!()
+                    };
+                    w.check_invariants();
+                }
+                while let Some(e) = wheel.pop() {
+                    assert_eq!(key(Some(e)), key(naive.pop()));
+                }
+                assert!(naive.pop().is_none() && wheel.is_empty());
             }
         }
     }
@@ -598,8 +791,6 @@ mod tests {
 
     #[test]
     fn wheel_matches_reference_on_dense_schedule() {
-        let mut wheel = EventQueue::new();
-        let mut naive = EventQueue::new_reference();
         // deterministic LCG: a mix of near, mid, and far times with ties
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         let mut times = Vec::new();
@@ -615,26 +806,24 @@ mod tests {
             };
             times.push(ns);
         }
-        for (i, &ns) in times.iter().enumerate() {
-            wheel.push(
-                SimTime::from_nanos(ns),
-                NodeId(0),
-                EventKind::Timer(i as u64),
-            );
-            naive.push(
-                SimTime::from_nanos(ns),
-                NodeId(0),
-                EventKind::Timer(i as u64),
-            );
-        }
-        loop {
-            let (a, b) = (wheel.pop(), naive.pop());
-            match (&a, &b) {
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.time, x.seq), (y.time, y.seq));
+        // The slot width is a pure performance knob: every shift must
+        // reproduce the reference heap's exact (time, seq) pop order.
+        for shift in [10u32, 16, 20, 26] {
+            let mut wheel = EventQueue::with_slot_shift(shift);
+            let mut naive = EventQueue::new_reference();
+            for (i, &ns) in times.iter().enumerate() {
+                let tm = SimTime::from_nanos(ns);
+                wheel.push(tm, NodeId(0), EventKind::Timer(i as u64));
+                naive.push(tm, NodeId(0), EventKind::Timer(i as u64));
+            }
+            loop {
+                match (wheel.pop(), naive.pop()) {
+                    (Some(a), Some(b)) => {
+                        assert_eq!((a.time, a.seq), (b.time, b.seq), "shift {shift}")
+                    }
+                    (None, None) => break,
+                    _ => panic!("shift {shift}: queues drained at different lengths"),
                 }
-                (None, None) => break,
-                _ => panic!("queues drained at different lengths"),
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The `Node` trait and the `Context` through which nodes act on the world.
 
-use crate::event::EventKind;
+use crate::event::{EventKind, EventQueue};
 use crate::packet::{NodeId, Packet};
 use crate::telemetry::{PoolStats, Scope, Signal, TelemetrySink};
 use crate::time::{SimDuration, SimTime};
@@ -17,30 +17,18 @@ pub(crate) const PACKET_POOL_CAP: usize = 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerId(u64);
 
-/// A deferred effect a node produces while handling an event. The simulator
-/// drains these into the event queue after the handler returns, so nodes
-/// never borrow the queue (or each other) directly. Ordering within one
-/// handler invocation is preserved, so scheduling and then cancelling the
-/// same timer in one handler is well-defined.
-#[derive(Debug)]
-pub(crate) enum Effect {
-    Schedule {
-        time: SimTime,
-        node: NodeId,
-        kind: EventKind,
-        seq: u64,
-    },
-    Cancel(u64),
-}
-
 /// The capability handed to a node while it handles an event.
+///
+/// Scheduling is direct: [`Context::set_timer`], [`Context::forward`] and
+/// [`Context::cancel_timer`] act on the event queue as they are called, in
+/// program order, so scheduling and then cancelling the same timer in one
+/// handler is well-defined. Nothing aliases — the simulator takes the
+/// handling node out of its registry for the duration of the call, and
+/// the loop pops nothing until the handler returns.
 pub struct Context<'a> {
     now: SimTime,
     self_id: NodeId,
-    out: &'a mut Vec<Effect>,
-    /// The simulator's event sequence counter; assigned eagerly so the
-    /// effects carry their final queue order (and cancellation handles).
-    next_seq: &'a mut u64,
+    queue: &'a mut EventQueue,
     /// Recycled `Deliver` boxes — steady-state traffic reuses them instead
     /// of allocating per packet. The boxes are the pooled resource, not an
     /// indirection.
@@ -51,8 +39,9 @@ pub struct Context<'a> {
     pool_stats: &'a mut PoolStats,
     /// The telemetry sink probes record through.
     sink: &'a mut dyn TelemetrySink,
-    /// `sink.is_enabled()`, cached once per dispatch so each probe site
-    /// costs a predictable branch instead of a virtual call.
+    /// `sink.is_enabled()`, cached by the simulator when the sink is
+    /// installed so each probe site costs a predictable branch instead of
+    /// a virtual call.
     telemetry_on: bool,
 }
 
@@ -61,18 +50,16 @@ impl<'a> Context<'a> {
     pub(crate) fn new(
         now: SimTime,
         self_id: NodeId,
-        out: &'a mut Vec<Effect>,
-        next_seq: &'a mut u64,
+        queue: &'a mut EventQueue,
         pool: &'a mut Vec<Box<Packet>>,
         pool_stats: &'a mut PoolStats,
         sink: &'a mut dyn TelemetrySink,
+        telemetry_on: bool,
     ) -> Self {
-        let telemetry_on = sink.is_enabled();
         Context {
             now,
             self_id,
-            out,
-            next_seq,
+            queue,
             pool,
             pool_stats,
             sink,
@@ -91,13 +78,6 @@ impl<'a> Context<'a> {
     }
 
     #[inline]
-    fn take_seq(&mut self) -> u64 {
-        let seq = *self.next_seq;
-        *self.next_seq += 1;
-        seq
-    }
-
-    #[inline]
     fn boxed(&mut self, pkt: Packet) -> Box<Packet> {
         match self.pool.pop() {
             Some(mut b) => {
@@ -110,18 +90,6 @@ impl<'a> Context<'a> {
                 Box::new(pkt)
             }
         }
-    }
-
-    #[inline]
-    fn schedule(&mut self, time: SimTime, node: NodeId, kind: EventKind) -> u64 {
-        let seq = self.take_seq();
-        self.out.push(Effect::Schedule {
-            time,
-            node,
-            kind,
-            seq,
-        });
-        seq
     }
 
     /// Forward `pkt` along its route: deliver it to the next hop after that
@@ -139,7 +107,7 @@ impl<'a> Context<'a> {
             Some((next, delay)) => {
                 pkt.hop += 1;
                 let time = self.now + delay;
-                self.schedule(time, next, EventKind::Deliver(pkt));
+                self.queue.push(time, next, EventKind::Deliver(pkt));
             }
             None => {
                 debug_assert!(false, "forward() on exhausted route");
@@ -152,7 +120,7 @@ impl<'a> Context<'a> {
     pub fn deliver(&mut self, to: NodeId, delay: SimDuration, pkt: Packet) {
         let boxed = self.boxed(pkt);
         let time = self.now + delay;
-        self.schedule(time, to, EventKind::Deliver(boxed));
+        self.queue.push(time, to, EventKind::Deliver(boxed));
     }
 
     /// Return a spent `Deliver` box to the packet pool. Terminal nodes
@@ -169,14 +137,14 @@ impl<'a> Context<'a> {
     /// cancels the timer while it is still pending.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         let time = self.now + delay;
-        TimerId(self.schedule(time, self.self_id, EventKind::Timer(token)))
+        TimerId(self.queue.push(time, self.self_id, EventKind::Timer(token)))
     }
 
     /// Fire `Timer(token)` on this node at absolute time `at` (clamped to
     /// be no earlier than now).
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) -> TimerId {
         let at = at.max(self.now);
-        TimerId(self.schedule(at, self.self_id, EventKind::Timer(token)))
+        TimerId(self.queue.push(at, self.self_id, EventKind::Timer(token)))
     }
 
     /// Cancel a pending timer. The event is unlinked from the queue (lazily,
@@ -184,7 +152,7 @@ impl<'a> Context<'a> {
     /// contract violation — callers clear their stored [`TimerId`] when the
     /// timer's event arrives.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.out.push(Effect::Cancel(id.0));
+        self.queue.cancel(id.0);
     }
 
     /// Whether a live telemetry sink is attached. Probe sites that need

@@ -1,15 +1,12 @@
 //! The simulator: node registry, virtual clock, and the run loop.
 
 use crate::event::{EventKind, EventQueue};
-use crate::node::{Context, Effect, PACKET_POOL_CAP};
+use crate::node::{Context, PACKET_POOL_CAP};
 use crate::packet::{NodeId, Packet};
 use crate::telemetry::{
-    new_hub, Off, Phase, PoolStats, ProfileReport, Profiler, Scope, Shared, Signal,
-    TelemetryConfig, TelemetryHub, TelemetrySink,
+    Off, Phase, PoolStats, ProfileReport, Profiler, Scope, Signal, TelemetrySink,
 };
-use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::time::SimTime;
 
 /// A deterministic discrete-event simulator.
 ///
@@ -47,8 +44,6 @@ pub struct Simulator {
     queue: EventQueue,
     nodes: Vec<Option<Box<dyn Node>>>,
     started: bool,
-    scratch: Vec<Effect>,
-    next_seq: u64,
     // Boxes are the pooled resource itself (reused Deliver allocations),
     // not an indirection — hence the suppressed lint.
     #[allow(clippy::vec_box)]
@@ -67,8 +62,6 @@ pub struct Simulator {
     /// `telemetry.is_enabled()`, cached at install time so per-event
     /// accounting pays one predictable branch, not a virtual call.
     telemetry_on: bool,
-    /// Hub backing the deprecated `enable_event_trace` wrapper.
-    legacy_trace: Option<Rc<RefCell<TelemetryHub>>>,
     /// Opt-in wall-clock event-loop profiler.
     profiler: Option<Profiler>,
     /// Cooperative run budgets; all `None` by default (no overhead
@@ -170,8 +163,6 @@ impl Simulator {
             queue,
             nodes: Vec::new(),
             started: false,
-            scratch: Vec::new(),
-            next_seq: 0,
             pool: Vec::new(),
             events_processed: 0,
             fingerprint: FNV_OFFSET,
@@ -179,7 +170,6 @@ impl Simulator {
             pool_flushed: PoolStats::default(),
             telemetry: Box::new(Off),
             telemetry_on: false,
-            legacy_trace: None,
             profiler: None,
             guards: RunGuards::default(),
             aborted: None,
@@ -254,29 +244,19 @@ impl Simulator {
         self.pool_stats
     }
 
-    /// Start recording `(time, node, seq)` for every processed event.
-    #[deprecated(note = "use `set_telemetry` with a hub selecting the `events` signal")]
-    pub fn enable_event_trace(&mut self) {
-        let cfg = TelemetryConfig {
-            signals: vec![Signal::Events],
-            sample_every: SimDuration::ZERO,
-        };
-        let hub = new_hub(cfg);
-        self.set_telemetry(Box::new(Shared(hub.clone())));
-        self.legacy_trace = Some(hub);
-    }
-
-    /// Take the recorded event trace (empty unless
-    /// [`Simulator::enable_event_trace`] was called before running).
-    #[deprecated(note = "use `set_telemetry` and read the hub's `events` rows instead")]
-    pub fn take_event_trace(&mut self) -> Vec<(SimTime, NodeId, u64)> {
-        match self.legacy_trace.take() {
-            Some(hub) => {
-                self.set_telemetry(Box::new(Off));
-                hub.borrow_mut().take_events()
-            }
-            None => Vec::new(),
-        }
+    /// The capability `node_id`'s handler acts through. It borrows the
+    /// whole simulator, so the caller must first take the handling node
+    /// out of the registry.
+    fn context(&mut self, node_id: NodeId) -> Context<'_> {
+        Context::new(
+            self.clock,
+            node_id,
+            &mut self.queue,
+            &mut self.pool,
+            &mut self.pool_stats,
+            &mut *self.telemetry,
+            self.telemetry_on,
+        )
     }
 
     fn start_all(&mut self) {
@@ -285,36 +265,9 @@ impl Simulator {
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            let id = NodeId(i as u32);
             if let Some(mut node) = self.nodes[i].take() {
-                {
-                    let mut ctx = Context::new(
-                        self.clock,
-                        id,
-                        &mut self.scratch,
-                        &mut self.next_seq,
-                        &mut self.pool,
-                        &mut self.pool_stats,
-                        &mut *self.telemetry,
-                    );
-                    node.start(&mut ctx);
-                }
+                node.start(&mut self.context(NodeId(i as u32)));
                 self.nodes[i] = Some(node);
-                self.flush_scratch();
-            }
-        }
-    }
-
-    fn flush_scratch(&mut self) {
-        for effect in self.scratch.drain(..) {
-            match effect {
-                Effect::Schedule {
-                    time,
-                    node,
-                    kind,
-                    seq,
-                } => self.queue.push_with_seq(time, node, kind, seq),
-                Effect::Cancel(seq) => self.queue.cancel(seq),
             }
         }
     }
@@ -343,7 +296,7 @@ impl Simulator {
     /// Adjacent same-instant `Deliver` events to one node are dispatched
     /// as a single [`Node::handle_batch`] call. This is order-equivalent
     /// to one-at-a-time dispatch: batch members were already queued ahead
-    /// of anything a batch handler can schedule (new effects always get
+    /// of anything a batch handler can schedule (new events always get
     /// higher sequence numbers at times ≥ now), and `Deliver` events can
     /// never be cancelled, so nothing a handler does can invalidate or
     /// reorder the collected batch.
@@ -382,18 +335,7 @@ impl Simulator {
                 // One peek decides singleton vs batch; the common
                 // singleton case dispatches directly, no Vec traffic.
                 match self.queue.pop_if_deliver_matching(time, node_id) {
-                    None => {
-                        let mut ctx = Context::new(
-                            self.clock,
-                            node_id,
-                            &mut self.scratch,
-                            &mut self.next_seq,
-                            &mut self.pool,
-                            &mut self.pool_stats,
-                            &mut *self.telemetry,
-                        );
-                        node.handle(&mut ctx, ev.kind);
-                    }
+                    None => node.handle(&mut self.context(node_id), ev.kind),
                     Some(second) => {
                         phase = Phase::Batch;
                         dispatched = 2;
@@ -406,21 +348,11 @@ impl Simulator {
                             batch.push(next.kind);
                             dispatched += 1;
                         }
-                        let mut ctx = Context::new(
-                            self.clock,
-                            node_id,
-                            &mut self.scratch,
-                            &mut self.next_seq,
-                            &mut self.pool,
-                            &mut self.pool_stats,
-                            &mut *self.telemetry,
-                        );
-                        node.handle_batch(&mut ctx, &mut batch);
+                        node.handle_batch(&mut self.context(node_id), &mut batch);
                         debug_assert!(batch.is_empty(), "handle_batch must drain the batch");
                     }
                 }
                 self.nodes[idx] = Some(node);
-                self.flush_scratch();
                 if let (Some(p), Some(t0)) = (&mut self.profiler, prof_t0) {
                     p.note_dispatch(phase, dispatched, t0.elapsed().as_nanos() as u64);
                 }

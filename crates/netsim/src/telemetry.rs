@@ -65,9 +65,8 @@ pub enum Signal {
     RtoCancel = 10,
     /// RTO timer actually fired (counter, per flow).
     RtoFire = 11,
-    /// Raw `(time, node, seq)` event-order trace — the telemetry-layer
-    /// form of the old ad-hoc `enable_event_trace`. Off by default:
-    /// one row per processed event is bulky.
+    /// Raw `(time, node, seq)` event-order trace. Off by default: one
+    /// row per processed event is bulky.
     Events = 12,
     /// Packets an impairment wire forwarded untouched (counter, per
     /// impairment kind — see [`crate::fault`]).
@@ -500,8 +499,7 @@ impl TelemetryHub {
         }
     }
 
-    /// Drain the recorded `events` rows (the legacy
-    /// `take_event_trace` envelope).
+    /// Drain the recorded `events` rows.
     pub fn take_events(&mut self) -> Vec<(SimTime, NodeId, u64)> {
         std::mem::take(&mut self.events)
     }

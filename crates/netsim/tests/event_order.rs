@@ -11,11 +11,6 @@
 //! * a **property test** driving the wheel and the reference heap through
 //!   arbitrary push/cancel/pop interleavings.
 
-// The golden test exercises the deprecated `enable_event_trace` wrappers
-// on purpose — they must keep returning the same trace envelope now that
-// the telemetry layer's `events` signal backs them.
-#![allow(deprecated)]
-
 use netsim::event::{EventKind, EventQueue};
 use netsim::flow::{AckEvent, CongestionControl, Pacing, Sender, Sink, TrafficSource};
 use netsim::link::{SerialLink, SquareWave, TraceLink};
@@ -25,7 +20,7 @@ use netsim::packet::{FlowId, NodeId, Route};
 use netsim::queue::DropTail;
 use netsim::rate::Rate;
 use netsim::sim::Simulator;
-use netsim::telemetry::{new_hub as new_telemetry_hub, Shared, TelemetryConfig};
+use netsim::telemetry::{new_hub as new_telemetry_hub, Shared, Signal, TelemetryConfig};
 use netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -71,15 +66,18 @@ fn run_mixed_scenario(
     mut sim: Simulator,
     full_telemetry: bool,
 ) -> (Vec<(SimTime, NodeId, u64)>, u64) {
-    if full_telemetry {
+    let telemetry = new_telemetry_hub(if full_telemetry {
         // All default signals recording through a live hub: every probe
         // site fires, and the event order must not move by one event.
-        sim.set_telemetry(Box::new(Shared(new_telemetry_hub(
-            TelemetryConfig::default(),
-        ))));
+        TelemetryConfig::default()
     } else {
-        sim.enable_event_trace();
-    }
+        // Only the raw `(time, node, seq)` row of every processed event.
+        TelemetryConfig {
+            signals: vec![Signal::Events],
+            sample_every: SimDuration::ZERO,
+        }
+    });
+    sim.set_telemetry(Box::new(Shared(telemetry.clone())));
     let hub = new_hub();
 
     let s1 = sim.reserve_node();
@@ -165,7 +163,7 @@ fn run_mixed_scenario(
     );
 
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-    let trace = sim.take_event_trace();
+    let trace = telemetry.borrow_mut().take_events();
     (trace, sim.events_fingerprint())
 }
 
