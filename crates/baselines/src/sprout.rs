@@ -8,7 +8,7 @@
 //! delay-budgeted window — without Sprout's full Bayesian inference over
 //! Poisson draws (the behavioral consequences, conservatism and
 //! low-delay/low-utilization operation, are what the ABC paper compares
-//! against; see DESIGN.md).
+//! against; `docs/ARCHITECTURE.md` lists it among the compared schemes).
 
 use netsim::flow::{AckEvent, CongestionControl};
 use netsim::stats::WindowedRate;

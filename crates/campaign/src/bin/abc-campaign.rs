@@ -9,7 +9,6 @@
 //! abc-campaign export tiny.jsonl
 //! abc-campaign export tiny.jsonl --csv
 //! abc-campaign diff baseline.jsonl candidate.jsonl
-//! abc-campaign bench-diff BENCH_netsim.json
 //! abc-campaign run tiny --runlog runlog.jsonl --profile
 //! abc-campaign trace-export runlog.jsonl -o trace.json
 //! abc-campaign report runlog.jsonl --telemetry-dir telemetry/
@@ -54,12 +53,6 @@ USAGE:
   abc-campaign merge <shard.jsonl>... [--out F]  stitch shard stores into one
   abc-campaign diff <baseline.jsonl> <candidate.jsonl> [options]
                                                  regression gate (exit 1 on regression)
-  abc-campaign bench-diff <BENCH_*.json> [--threshold X] [--json]
-                                                 gate a bench trajectory's newest entry
-                                                 against the previous one (exit 1 when a
-                                                 *_per_sec / *_ns_per_op metric moves more
-                                                 than X in the bad direction; default 0.2;
-                                                 --json prints a machine-readable report)
   abc-campaign dynamics <sidecar.jsonl>          render the control-law timeline (marks,
                                                  token level, qdelay, cwnd) from a
                                                  telemetry sidecar — no re-simulation
@@ -116,7 +109,7 @@ RUN OPTIONS:
   --quiet                  no progress on stderr
 
 EXIT CODES:
-  0  success        1  diff/bench-diff regression found
+  0  success        1  diff regression found
   2  malformed input (flags, campaign files, stores)
   3  run completed but one or more points failed (see the store's
      error records; rerun with --resume once the cause is fixed)
@@ -154,7 +147,7 @@ fn main() {
                 if a.starts_with("--") || a.as_str() == "-o" {
                     skip_next = !matches!(
                         a.as_str(),
-                        "--csv" | "--quiet" | "--resume" | "--json" | "--keep-going" | "--profile"
+                        "--csv" | "--quiet" | "--resume" | "--keep-going" | "--profile"
                     );
                     return false;
                 }
@@ -379,44 +372,6 @@ fn main() {
             print!("{}", report.render());
             if report.has_regressions() {
                 std::process::exit(1);
-            }
-        }
-        "bench-diff" => {
-            let Some(path) = positional.get(1) else {
-                usage()
-            };
-            let threshold = get("--threshold").map_or(0.2, |x| match x.parse::<f64>() {
-                Ok(t) => t,
-                Err(_) => fail(format!("--threshold needs a number, got {x:?}")),
-            });
-            let text = match std::fs::read_to_string(path.as_str()) {
-                Ok(t) => t,
-                Err(e) => fail(format!("cannot read {path}: {e}")),
-            };
-            let trajectory = match campaign::json::parse(&text) {
-                Ok(v) => v,
-                Err(e) => fail(format!("{path}: {e}")),
-            };
-            let as_json = args.iter().any(|a| a == "--json");
-            match campaign::bench_diff::bench_diff(&trajectory, threshold) {
-                Ok(Some(report)) => {
-                    if as_json {
-                        println!("{}", report.render_json());
-                    } else {
-                        print!("{}", report.render());
-                    }
-                    if report.has_regressions() {
-                        std::process::exit(1);
-                    }
-                }
-                Ok(None) => {
-                    if as_json {
-                        println!("{{\"threshold\":{threshold},\"regressed\":false,\"deltas\":[]}}");
-                    } else {
-                        println!("bench-diff: {path} has fewer than two entries; nothing to gate");
-                    }
-                }
-                Err(e) => fail(format!("{path}: {e}")),
             }
         }
         "trace-export" => {

@@ -42,7 +42,6 @@
 //! trips.
 
 pub mod aggregate;
-pub mod bench_diff;
 pub mod diff;
 pub mod dynamics;
 pub mod figures;

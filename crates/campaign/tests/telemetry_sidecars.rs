@@ -11,6 +11,7 @@ use campaign::runner::{run_campaign, RunOptions};
 use campaign::store::ResultsStore;
 use experiments::engine::ScenarioEngine;
 use experiments::figures::Scale;
+use netsim::sim::RunGuards;
 use netsim::telemetry::{TelemetryConfig, SIDECAR_SCHEMA};
 
 #[test]
@@ -39,12 +40,12 @@ fn sidecars_are_bit_identical_across_worker_pool_sizes() {
     );
 
     let sidecars_at = |threads: usize| -> Vec<String> {
-        let engine = ScenarioEngine::with_threads(threads);
-        engine
-            .run_batch_map(&specs, |e, s| e.run_instrumented(s))
-            .into_iter()
-            .map(|(_, _, sidecar)| sidecar.expect("telemetry was attached to every spec"))
-            .collect()
+        ScenarioEngine::with_threads(threads).run_batch_map_indexed(&specs, |e, s, _| {
+            e.run_point(s, RunGuards::default(), false)
+                .expect("unguarded run cannot be aborted")
+                .sidecar
+                .expect("telemetry was attached to every spec")
+        })
     };
 
     let golden = sidecars_at(1);

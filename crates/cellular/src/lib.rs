@@ -5,8 +5,8 @@
 //! * [`trace`] — the Mahimahi packet-delivery-trace format (parser/writer)
 //!   and conversion into the simulator's trace-driven link;
 //! * [`synth`] — seeded synthetic traces with the published statistical
-//!   character of the paper's eight carrier captures (see DESIGN.md for
-//!   the substitution rationale).
+//!   character of the paper's eight carrier captures (see the crate map
+//!   in `docs/ARCHITECTURE.md`).
 
 pub mod peruser;
 pub mod synth;

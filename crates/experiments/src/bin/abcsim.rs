@@ -8,9 +8,10 @@
 //! abcsim --list
 //! ```
 
-use experiments::{sparkline, CellScenario, LinkSpec, ScenarioEngine, Scheme};
+use experiments::{sparkline, LinkSpec, ScenarioEngine, ScenarioSpec, Scheme};
 use netsim::flow::TrafficSource;
 use netsim::rate::Rate;
+use netsim::sim::RunGuards;
 use netsim::time::SimDuration;
 
 fn parse_scheme(s: &str) -> Option<Scheme> {
@@ -107,30 +108,30 @@ fn main() {
         LinkSpec::Constant(Rate::from_mbps(mbps))
     };
 
-    let mut sc = CellScenario::new(scheme, link);
+    let mut spec = ScenarioSpec::single(scheme, link);
     if let Some(x) = get("--rtt-ms").and_then(|x| x.parse().ok()) {
-        sc.rtt = SimDuration::from_millis(x);
+        spec.rtt = SimDuration::from_millis(x);
     }
     if let Some(x) = get("--buffer").and_then(|x| x.parse().ok()) {
-        sc.buffer_pkts = x;
+        spec.buffer_pkts = x;
     }
     if let Some(x) = get("--flows").and_then(|x| x.parse().ok()) {
-        sc.n_flows = x;
+        spec = spec.flows(x);
     }
     if let Some(x) = get("--secs").and_then(|x| x.parse().ok()) {
-        sc.duration = SimDuration::from_secs(x);
+        spec.duration = SimDuration::from_secs(x);
     }
     if let Some(x) = get("--warmup").and_then(|x| x.parse().ok()) {
-        sc.warmup = SimDuration::from_secs(x);
+        spec.warmup = SimDuration::from_secs(x);
     }
     if let Some(x) = get("--app-mbps").and_then(|x: String| x.parse::<f64>().ok()) {
-        sc.app = TrafficSource::RateLimited {
+        spec = spec.app(TrafficSource::RateLimited {
             rate: Rate::from_mbps(x),
             burst_bytes: 6000.0,
-        };
+        });
     }
     if let Some(x) = get("--pk-ms").and_then(|x| x.parse().ok()) {
-        sc.oracle_lookahead = Some(SimDuration::from_millis(x));
+        spec.oracle_lookahead = Some(SimDuration::from_millis(x));
     }
 
     let engine = match get("--jobs") {
@@ -144,12 +145,14 @@ fn main() {
         None => ScenarioEngine::new(), // honors $ABC_JOBS
     };
     let telemetry_out = get("--telemetry");
-    let mut spec = sc.spec();
     if telemetry_out.is_some() {
         spec = spec.telemetry(netsim::telemetry::TelemetryConfig::default());
     }
-    let (r, _events, sidecar) = engine.run_instrumented(&spec);
-    if let (Some(path), Some(sidecar)) = (&telemetry_out, &sidecar) {
+    let point = engine
+        .run_point(&spec, RunGuards::default(), false)
+        .expect("unguarded run cannot be aborted");
+    let r = point.report;
+    if let (Some(path), Some(sidecar)) = (&telemetry_out, &point.sidecar) {
         if let Err(e) = std::fs::write(path, sidecar) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);

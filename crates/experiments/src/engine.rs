@@ -64,9 +64,7 @@
 //! single-threaded and deterministic), so N cores regenerate an
 //! N×-scenario sweep in roughly the time of its slowest cell. The pool is
 //! implemented with `std::thread::scope` because this workspace builds
-//! offline with zero external crates; the work-queue shape is exactly
-//! rayon's `par_iter().map().collect()`, so swapping rayon in (where
-//! crates.io is reachable) is a three-line change in `parallel_map`.
+//! offline with zero external crates.
 //!
 //! Determinism is per-spec, not per-batch: a scenario's result depends
 //! only on its spec (including `seed`), never on which thread ran it or
@@ -725,7 +723,7 @@ impl ScenarioSpec {
 
     /// Record a telemetry sidecar for this scenario (signals and sample
     /// cadence per `cfg`). Retrieve it with [`BuiltScenario::sidecar`] or
-    /// [`ScenarioEngine::run_instrumented`].
+    /// [`ScenarioEngine::run_point`].
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
         self
@@ -1253,30 +1251,12 @@ impl ScenarioEngine {
         b.finish()
     }
 
-    /// Like [`run`](Self::run), but also return the number of simulator
-    /// events processed and the rendered telemetry sidecar (when the spec
-    /// enabled one). The campaign runner uses the event count for its
-    /// live events/sec readout and the sidecar for `--telemetry-dir`.
-    pub fn run_instrumented(&self, spec: &ScenarioSpec) -> (Report, u64, Option<String>) {
-        self.run_instrumented_guarded(spec, RunGuards::default())
-            .expect("unguarded run cannot be aborted")
-    }
-
-    /// [`run_instrumented`](Self::run_instrumented) under cooperative
-    /// [`RunGuards`]: if a budget trips mid-run, the partial results are
-    /// discarded and the deterministic abort description is returned
-    /// instead. This is the campaign watchdog's entry point.
-    pub fn run_instrumented_guarded(
-        &self,
-        spec: &ScenarioSpec,
-        guards: RunGuards,
-    ) -> Result<(Report, u64, Option<String>), String> {
-        self.run_point(spec, guards, false)
-            .map(|p| (p.report, p.events, p.sidecar))
-    }
-
-    /// The campaign runner's entry point: one guarded point execution
-    /// returning everything the run ledger records. With `profile` set
+    /// One point execution under cooperative [`RunGuards`], returning
+    /// everything the campaign runner's run ledger records: the report,
+    /// the number of simulator events processed and the rendered
+    /// telemetry sidecar (when the spec enabled one). If a budget trips
+    /// mid-run, the partial results are discarded and the deterministic
+    /// abort description is returned instead. With `profile` set
     /// the wall-clock event-loop profiler runs too and its report rides
     /// along — wall-clock data the caller must keep out of the results
     /// store (the runlog is its quarantine zone).
@@ -1310,26 +1290,16 @@ impl ScenarioEngine {
     /// `specs[i]`. Results are bit-identical to running each spec with
     /// [`run`](Self::run) serially.
     pub fn run_batch(&self, specs: &[ScenarioSpec]) -> Vec<Report> {
-        self.run_batch_map(specs, |engine, spec| engine.run(spec))
+        self.run_batch_map_indexed(specs, |engine, spec, _| engine.run(spec))
     }
 
     /// The generic parallel sweep under [`run_batch`](Self::run_batch):
-    /// applies `f` to every spec on the worker pool and collects results
-    /// in spec order. Use it when a harness's per-scenario output is
-    /// richer than a [`Report`].
-    pub fn run_batch_map<T, F>(&self, specs: &[ScenarioSpec], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&ScenarioEngine, &ScenarioSpec) -> T + Sync,
-    {
-        parallel_map(specs, self.threads, |spec| f(self, spec))
-    }
-
-    /// [`run_batch_map`](Self::run_batch_map) with the executing worker
-    /// slot (`0..workers`) passed to `f` — the campaign runner attributes
-    /// each point span to a worker track in its run ledger. Slot
-    /// assignment is wall-clock-dependent scheduling noise; results are
-    /// still returned in item order and bit-identical across pool sizes.
+    /// applies `f` to every item on the worker pool and collects results
+    /// in item order. `f` is also passed the executing worker slot
+    /// (`0..workers`) — the campaign runner attributes each point span
+    /// to a worker track in its run ledger. Slot assignment is
+    /// wall-clock-dependent scheduling noise; results are still returned
+    /// in item order and bit-identical across pool sizes.
     /// Items are whatever carries the caller's spec (the runner passes its
     /// campaign points), so nothing is copied out to dispatch a wave.
     pub fn run_batch_map_indexed<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
@@ -1381,19 +1351,9 @@ pub fn jobs_from_env() -> Option<usize> {
         .filter(|&n| n >= 1)
 }
 
-/// Order-preserving parallel map over a scoped worker pool. Swap the body
-/// for `items.par_iter().map(f).collect()` to use rayon instead.
-fn parallel_map<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    parallel_map_indexed(items, threads, |item, _| f(item))
-}
-
-/// [`parallel_map`] with the worker slot (`0..workers`) passed to `f`.
-/// The serial fast path is worker 0.
+/// Order-preserving parallel map over a scoped worker pool, with the
+/// worker slot (`0..workers`) passed to `f`. The serial fast path is
+/// worker 0.
 fn parallel_map_indexed<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -1810,7 +1770,7 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map(&items, 8, |&x| x * 2);
+        let out = parallel_map_indexed(&items, 8, |&x, _| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -3,9 +3,11 @@
 //! deterministic-vs-probabilistic marking comparison (Algorithm 1).
 
 use super::Scale;
+use crate::engine::{FlowSchedule, ScenarioEngine, ScenarioSpec};
 use crate::report::sparkline;
-use crate::scenario::{CellScenario, LinkSpec};
+use crate::scenario::LinkSpec;
 use crate::scheme::Scheme;
+use netsim::flow::TrafficSource;
 use netsim::rate::Rate;
 use netsim::time::{SimDuration, SimTime};
 use std::fmt::Write;
@@ -22,9 +24,8 @@ pub fn fig2(scale: Scale) -> String {
         ("dequeue (ABC)", Scheme::Abc),
         ("enqueue", Scheme::AbcEnqueue),
     ] {
-        let mut sc = CellScenario::new(scheme, LinkSpec::Trace(trace.clone()));
-        sc.duration = dur;
-        let r = sc.run();
+        let spec = ScenarioSpec::single(scheme, LinkSpec::Trace(trace.clone())).duration(dur);
+        let r = ScenarioEngine::new().run(&spec);
         writeln!(
             out,
             "{:<16} util {:>5.1}%  qdelay p50/p95 {:>6.0}/{:>6.0} ms",
@@ -57,13 +58,16 @@ pub fn fig3(scale: Scale) -> String {
     )
     .unwrap();
     for (panel, scheme) in [("a (no AI)", Scheme::AbcNoAi), ("b (with AI)", Scheme::Abc)] {
-        let mut sc = CellScenario::new(scheme, LinkSpec::Constant(Rate::from_mbps(24.0)));
-        sc.n_flows = 5;
-        sc.duration = SimDuration::from_secs(dur_s);
-        sc.stagger = SimDuration::from_secs(stagger_s);
-        sc.stagger_departures = true; // flows also leave one by one (Fig. 3)
-        sc.warmup = SimDuration::ZERO;
-        let mut b = sc.build();
+        let mut spec = ScenarioSpec::single(scheme, LinkSpec::Constant(Rate::from_mbps(24.0)))
+            .duration_secs(dur_s)
+            .warmup(SimDuration::ZERO);
+        spec.flows = FlowSchedule::Uniform {
+            n: 5,
+            app: TrafficSource::Backlogged,
+            stagger: SimDuration::from_secs(stagger_s),
+            stagger_departures: true, // flows also leave one by one (Fig. 3)
+        };
+        let mut b = ScenarioEngine::new().build(&spec);
         b.run_to_end();
         let hub = b.hub.clone();
         let report = b.finish();
@@ -113,10 +117,10 @@ pub fn pk_abc(scale: Scale) -> String {
         ("ABC", None),
         ("PK-ABC", Some(SimDuration::from_millis(100))),
     ] {
-        let mut sc = CellScenario::new(Scheme::Abc, LinkSpec::Trace(trace.clone()));
-        sc.duration = dur;
-        sc.oracle_lookahead = look;
-        let r = sc.run();
+        let mut spec =
+            ScenarioSpec::single(Scheme::Abc, LinkSpec::Trace(trace.clone())).duration(dur);
+        spec.oracle_lookahead = look;
+        let r = ScenarioEngine::new().run(&spec);
         writeln!(
             out,
             "{:<8} util {:>5.1}%  qdelay p95 {:>6.1} ms",
@@ -144,11 +148,11 @@ pub fn jain(scale: Scale) -> String {
     )
     .unwrap();
     for &n in counts {
-        let mut sc = CellScenario::new(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(24.0)));
-        sc.n_flows = n;
-        sc.duration = scale.secs(120, 60, 2);
-        sc.warmup = scale.secs(60, 20, 0);
-        let r = sc.run();
+        let spec = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(24.0)))
+            .flows(n)
+            .duration(scale.secs(120, 60, 2))
+            .warmup(scale.secs(60, 20, 0));
+        let r = ScenarioEngine::new().run(&spec);
         writeln!(out, "{n:>3} flows: Jain {:.4}", r.jain).unwrap();
     }
     out

@@ -3,8 +3,9 @@
 //! `campaign::figures`.
 
 use super::Scale;
+use crate::engine::{ScenarioEngine, ScenarioSpec};
 use crate::report::sparkline;
-use crate::scenario::{CellScenario, LinkSpec};
+use crate::scenario::LinkSpec;
 use crate::scheme::Scheme;
 use netsim::rate::Rate;
 use netsim::time::SimDuration;
@@ -17,17 +18,17 @@ pub fn fig17(scale: Scale) -> String {
     let mut out = String::new();
     writeln!(out, "# Fig 17 — square-wave link 12↔24 Mbit/s every 500 ms").unwrap();
     for scheme in [Scheme::Abc, Scheme::Rcp, Scheme::Xcpw] {
-        let mut sc = CellScenario::new(
+        let spec = ScenarioSpec::single(
             scheme,
             LinkSpec::Square {
                 a: Rate::from_mbps(12.0),
                 b: Rate::from_mbps(24.0),
                 half_period: SimDuration::from_millis(500),
             },
-        );
-        sc.duration = dur;
-        sc.warmup = scale.secs(2, 2, 0);
-        let r = sc.run();
+        )
+        .duration(dur)
+        .warmup(scale.secs(2, 2, 0));
+        let r = ScenarioEngine::new().run(&spec);
         writeln!(out, "\n## {}", scheme.name()).unwrap();
         writeln!(out, "goodput: {}", sparkline(&r.tput_series, 60)).unwrap();
         writeln!(out, "qdelay : {}", sparkline(&r.qdelay_series, 60)).unwrap();

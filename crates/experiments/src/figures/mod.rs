@@ -1,6 +1,6 @@
 //! One module per table/figure of the paper's evaluation. Every module
 //! exposes `run(scale) -> String`: the rendered rows/series the paper
-//! reports, at [`Scale::Full`] (what EXPERIMENTS.md records),
+//! reports, at [`Scale::Full`] (paper scale, `figgen`'s default),
 //! [`Scale::Fast`] (reduced, for benches and local iteration), or
 //! [`Scale::Tiny`] (≤ 2 s of simulated time per scenario, for smoke
 //! tests and CI wiring checks).
@@ -24,7 +24,7 @@ pub mod wifi_figs;
 /// How much simulated time a figure run spends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Paper scale — the numbers EXPERIMENTS.md records.
+    /// Paper scale — what `figgen` renders by default (see the README).
     Full,
     /// Reduced scale for benches and quick local runs.
     Fast,

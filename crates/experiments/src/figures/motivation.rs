@@ -2,8 +2,9 @@
 //! oscillation, Cubic+CoDel underutilization, ABC tracking.
 
 use super::Scale;
+use crate::engine::{ScenarioEngine, ScenarioSpec};
 use crate::report::sparkline;
-use crate::scenario::{CellScenario, LinkSpec};
+use crate::scenario::LinkSpec;
 use crate::scheme::Scheme;
 use std::fmt::Write;
 
@@ -23,10 +24,10 @@ pub fn fig1(scale: Scale) -> String {
         ("c", Scheme::CubicCodel),
         ("d", Scheme::Abc),
     ] {
-        let mut sc = CellScenario::new(scheme, LinkSpec::Trace(trace.clone()));
-        sc.duration = dur;
-        sc.warmup = scale.secs(2, 2, 0);
-        let r = sc.run();
+        let spec = ScenarioSpec::single(scheme, LinkSpec::Trace(trace.clone()))
+            .duration(dur)
+            .warmup(scale.secs(2, 2, 0));
+        let r = ScenarioEngine::new().run(&spec);
         writeln!(out, "\n## Fig 1{panel} — {}", scheme.name()).unwrap();
         writeln!(out, "capacity : {}", sparkline(&r.capacity_series, 60)).unwrap();
         writeln!(out, "goodput  : {}", sparkline(&r.tput_series, 60)).unwrap();

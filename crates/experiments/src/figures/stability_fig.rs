@@ -2,8 +2,8 @@
 //! sweep showing the same boundary empirically.
 
 use super::Scale;
-use crate::engine::{QdiscSpec, ScenarioEngine};
-use crate::scenario::{CellScenario, LinkSpec};
+use crate::engine::{QdiscSpec, ScenarioEngine, ScenarioSpec};
+use crate::scenario::LinkSpec;
 use crate::scheme::Scheme;
 use abc_core::router::AbcRouterConfig;
 use abc_core::stability::{fluid_a, integrate_fluid, is_stable};
@@ -66,14 +66,14 @@ pub fn stability(scale: Scale) -> String {
     let specs: Vec<_> = deltas
         .iter()
         .map(|&dms| {
-            let mut sc = CellScenario::new(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)));
-            sc.n_flows = 20;
-            sc.duration = scale.secs(60, 30, 2);
-            sc.warmup = scale.secs(10, 10, 0);
-            sc.spec().qdisc(QdiscSpec::AbcWith(AbcRouterConfig {
-                delta: SimDuration::from_millis(dms),
-                ..Default::default()
-            }))
+            ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)))
+                .flows(20)
+                .duration(scale.secs(60, 30, 2))
+                .warmup(scale.secs(10, 10, 0))
+                .qdisc(QdiscSpec::AbcWith(AbcRouterConfig {
+                    delta: SimDuration::from_millis(dms),
+                    ..Default::default()
+                }))
         })
         .collect();
     let reports = ScenarioEngine::new().run_batch(&specs);

@@ -3,9 +3,9 @@
 //! (Brownian MCS).
 
 use super::Scale;
-use crate::engine::ScenarioEngine;
+use crate::engine::{ScenarioEngine, ScenarioSpec};
 use crate::scheme::{Scheme, WIFI_LINEUP};
-use crate::wifi::{estimator_accuracy, McsSpec, WifiScenario};
+use crate::wifi::{estimator_accuracy, McsSpec};
 use netsim::time::SimDuration;
 use std::fmt::Write;
 
@@ -14,15 +14,15 @@ use std::fmt::Write;
 /// size occurs.
 pub fn fig4(scale: Scale) -> String {
     use netsim::flow::TrafficSource;
-    let mut sc = WifiScenario::new(Scheme::Cubic, 1, McsSpec::Fixed(1));
-    sc.duration = scale.secs(45, 10, 2);
-    sc.warmup = scale.secs(5, 5, 0);
-    sc.app = TrafficSource::RateLimited {
-        rate: netsim::rate::Rate::from_mbps(8.0),
-        burst_bytes: 40_000.0,
-    };
+    let spec = ScenarioSpec::wifi(Scheme::Cubic, 1, McsSpec::Fixed(1))
+        .duration(scale.secs(45, 10, 2))
+        .warmup(scale.secs(5, 5, 0))
+        .app(TrafficSource::RateLimited {
+            rate: netsim::rate::Rate::from_mbps(8.0),
+            burst_bytes: 40_000.0,
+        });
     // build (not run) so the AP's batch log is reachable afterwards
-    let mut b = ScenarioEngine::new().build(&sc.spec());
+    let mut b = ScenarioEngine::new().build(&spec);
     b.run_to_end();
     let ap = b.wifi_ap("wifi");
     let log = ap.estimator().batch_log();
@@ -154,10 +154,9 @@ fn wifi_panel(title: &str, mcs: McsSpec, scale: Scale) -> String {
         let specs: Vec<_> = schemes
             .iter()
             .map(|&s| {
-                let mut sc = WifiScenario::new(s, users, mcs);
-                sc.duration = scale.secs(45, 15, 2);
-                sc.warmup = scale.secs(5, 5, 0);
-                sc.spec()
+                ScenarioSpec::wifi(s, users, mcs)
+                    .duration(scale.secs(45, 15, 2))
+                    .warmup(scale.secs(5, 5, 0))
             })
             .collect();
         let mut rows = Vec::new();

@@ -1,15 +1,9 @@
-//! The single-bottleneck scenario preset behind most figures: N flows of
-//! one scheme over one (emulated cellular or synthetic) link.
-//!
-//! [`CellScenario`] is a convenience builder — all construction and
-//! execution happens in [`crate::engine`]; [`CellScenario::spec`] shows
-//! exactly which [`ScenarioSpec`] a preset denotes.
+//! The bottleneck link of a scenario: an emulated cellular trace or a
+//! synthetic rate process. Scenarios themselves are
+//! [`ScenarioSpec`](crate::engine::ScenarioSpec)s — all construction and
+//! execution happens in [`crate::engine`].
 
-use crate::engine::{BuiltScenario, FlowSchedule, ScenarioEngine, ScenarioSpec};
-use crate::report::Report;
-use crate::scheme::Scheme;
 use cellular::CellTrace;
-use netsim::flow::TrafficSource;
 use netsim::link::{ConstantRate, RateProcess, SerialLink, SquareWave, StepSchedule, Transmitter};
 use netsim::rate::Rate;
 use netsim::time::{SimDuration, SimTime};
@@ -92,96 +86,27 @@ impl LinkSpec {
     }
 }
 
-/// A single-bottleneck scenario.
-#[derive(Clone)]
-pub struct CellScenario {
-    /// The scheme every flow runs.
-    pub scheme: Scheme,
-    /// The bottleneck link.
-    pub link: LinkSpec,
-    /// Path round-trip propagation delay.
-    pub rtt: SimDuration,
-    /// Bottleneck buffer (packets).
-    pub buffer_pkts: usize,
-    /// Number of flows.
-    pub n_flows: u32,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Measurements before this offset are discarded.
-    pub warmup: SimDuration,
-    /// Flow i starts at `i × stagger` (Fig. 3's joins).
-    pub stagger: SimDuration,
-    /// Also stop flows one by one: flow i stops at
-    /// `duration − (n−1−i)·stagger` (Fig. 3's departures).
-    pub stagger_departures: bool,
-    /// Per-flow application pattern.
-    pub app: TrafficSource,
-    /// PK-ABC: let the router control law see µ(t + lookahead).
-    pub oracle_lookahead: Option<SimDuration>,
-}
-
-impl CellScenario {
-    /// The single-bottleneck defaults: 100 ms RTT, 250-pkt buffer, one
-    /// backlogged flow, 60 s + 5 s warmup.
-    pub fn new(scheme: Scheme, link: LinkSpec) -> Self {
-        CellScenario {
-            scheme,
-            link,
-            rtt: SimDuration::from_millis(100),
-            buffer_pkts: 250,
-            n_flows: 1,
-            duration: SimDuration::from_secs(60),
-            warmup: SimDuration::from_secs(5),
-            stagger: SimDuration::ZERO,
-            stagger_departures: false,
-            app: TrafficSource::Backlogged,
-            oracle_lookahead: None,
-        }
-    }
-
-    /// The [`ScenarioSpec`] this preset denotes.
-    pub fn spec(&self) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::single(self.scheme, self.link.clone());
-        spec.flows = FlowSchedule::Uniform {
-            n: self.n_flows,
-            app: self.app,
-            stagger: self.stagger,
-            stagger_departures: self.stagger_departures,
-        };
-        spec.rtt = self.rtt;
-        spec.buffer_pkts = self.buffer_pkts;
-        spec.duration = self.duration;
-        spec.warmup = self.warmup;
-        spec.oracle_lookahead = self.oracle_lookahead;
-        spec
-    }
-
-    /// Build the simulator without running it (callers that need to sample
-    /// state mid-run use this, then `run_chunk`/`finish`).
-    pub fn build(&self) -> BuiltScenario {
-        ScenarioEngine::new().build(&self.spec())
-    }
-
-    /// Build, run to completion, and report.
-    pub fn run(&self) -> Report {
-        ScenarioEngine::new().run(&self.spec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ScenarioEngine, ScenarioSpec};
+    use crate::report::Report;
+    use crate::scheme::Scheme;
+
+    fn run(scheme: Scheme, link: LinkSpec) -> Report {
+        ScenarioEngine::new().run(&ScenarioSpec::single(scheme, link))
+    }
 
     #[test]
     fn abc_on_constant_link_reaches_eta() {
-        let r = CellScenario::new(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0))).run();
+        let r = run(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)));
         assert!(r.utilization > 0.9, "{}", r.row());
         assert!(r.qdelay_ms.p95 < 60.0, "{}", r.row());
     }
 
     #[test]
     fn cubic_fills_droptail_buffer() {
-        let r = CellScenario::new(Scheme::Cubic, LinkSpec::Constant(Rate::from_mbps(12.0))).run();
+        let r = run(Scheme::Cubic, LinkSpec::Constant(Rate::from_mbps(12.0)));
         assert!(r.utilization > 0.9, "{}", r.row());
         // 250-pkt buffer at 12 Mbit/s = 250 ms of queuing when full
         assert!(
@@ -193,13 +118,11 @@ mod tests {
 
     #[test]
     fn cubic_codel_cuts_delay() {
-        let cubic =
-            CellScenario::new(Scheme::Cubic, LinkSpec::Constant(Rate::from_mbps(12.0))).run();
-        let codel = CellScenario::new(
+        let cubic = run(Scheme::Cubic, LinkSpec::Constant(Rate::from_mbps(12.0)));
+        let codel = run(
             Scheme::CubicCodel,
             LinkSpec::Constant(Rate::from_mbps(12.0)),
-        )
-        .run();
+        );
         assert!(
             codel.qdelay_ms.p95 < cubic.qdelay_ms.p95 / 2.0,
             "codel {} vs cubic {}",
@@ -211,15 +134,15 @@ mod tests {
     #[test]
     fn trace_link_scenario_runs() {
         let trace = cellular::builtin("Verizon1").unwrap();
-        let r = CellScenario::new(Scheme::Abc, LinkSpec::Trace(trace)).run();
+        let r = run(Scheme::Abc, LinkSpec::Trace(trace));
         assert!(r.utilization > 0.3, "{}", r.row());
         assert!(r.total_tput_mbps > 0.5, "{}", r.row());
     }
 
     #[test]
     fn sampling_interface_exposes_windows() {
-        let sc = CellScenario::new(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)));
-        let mut b = sc.build();
+        let spec = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)));
+        let mut b = ScenarioEngine::new().build(&spec);
         b.run_chunk(SimDuration::from_secs(5));
         let s = b.sender(0);
         assert!(s.cwnd_pkts() > 1.0);

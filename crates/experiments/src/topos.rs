@@ -1,9 +1,8 @@
-//! Beyond-single-bottleneck presets: the two-hop cellular path (Fig. 8c),
-//! the wireless+wired mixed-bottleneck path (Figs. 6, 11), and the
-//! dual-queue coexistence router (Figs. 7, 12).
+//! Beyond-single-bottleneck presets that sample mid-run state: the
+//! wireless+wired mixed-bottleneck path (Figs. 6, 11) and the dual-queue
+//! coexistence router (Figs. 7, 12).
 //!
-//! Like [`CellScenario`](crate::scenario::CellScenario), these are
-//! builders over [`crate::engine`]: each preset denotes a
+//! These are builders over [`crate::engine`]: each preset denotes a
 //! [`ScenarioSpec`], and every simulator is constructed by the
 //! [`ScenarioEngine`].
 
@@ -19,56 +18,6 @@ use netsim::packet::FlowId;
 use netsim::queue::Qdisc;
 use netsim::rate::Rate;
 use netsim::time::{SimDuration, SimTime};
-
-/// Fig. 8c: a flow traversing *two* potential bottlenecks in series (the
-/// cellular uplink then downlink); both run the scheme's qdisc. ACKs
-/// return over plain propagation.
-pub struct TwoHopScenario {
-    /// The scheme the flow (and both hops' qdiscs) run.
-    pub scheme: Scheme,
-    /// The uplink bottleneck.
-    pub up: LinkSpec,
-    /// The downlink bottleneck.
-    pub down: LinkSpec,
-    /// Path round-trip propagation delay.
-    pub rtt: SimDuration,
-    /// Buffer at each hop.
-    pub buffer_pkts: usize,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Measurements before this offset are discarded.
-    pub warmup: SimDuration,
-}
-
-impl TwoHopScenario {
-    /// The Fig. 8c defaults: 100 ms RTT, 250-pkt buffers, 60 s + 5 s
-    /// warmup.
-    pub fn new(scheme: Scheme, up: LinkSpec, down: LinkSpec) -> Self {
-        TwoHopScenario {
-            scheme,
-            up,
-            down,
-            rtt: SimDuration::from_millis(100),
-            buffer_pkts: 250,
-            duration: SimDuration::from_secs(60),
-            warmup: SimDuration::from_secs(5),
-        }
-    }
-
-    /// The [`ScenarioSpec`] this preset denotes.
-    pub fn spec(&self) -> ScenarioSpec {
-        ScenarioSpec::two_hop(self.scheme, self.up.clone(), self.down.clone())
-            .rtt(self.rtt)
-            .buffer_pkts(self.buffer_pkts)
-            .duration(self.duration)
-            .warmup(self.warmup)
-    }
-
-    /// Build, run to completion, and report.
-    pub fn run(&self) -> Report {
-        ScenarioEngine::new().run(&self.spec())
-    }
-}
 
 /// Cross-traffic pattern on the wired hop of [`MixedPathScenario`].
 #[derive(Debug, Clone, Copy)]
@@ -378,12 +327,11 @@ mod tests {
 
     #[test]
     fn two_hop_abc_tracks_tighter_link() {
-        let r = TwoHopScenario::new(
+        let r = ScenarioEngine::new().run(&ScenarioSpec::two_hop(
             Scheme::Abc,
             LinkSpec::Constant(Rate::from_mbps(24.0)),
             LinkSpec::Constant(Rate::from_mbps(12.0)),
-        )
-        .run();
+        ));
         // bottleneck is the 12 Mbit/s downlink
         assert!(r.total_tput_mbps > 10.0, "{}", r.row());
         assert!(r.total_tput_mbps < 12.5, "{}", r.row());

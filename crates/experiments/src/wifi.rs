@@ -2,13 +2,13 @@
 //! estimator-accuracy studies of Figs. 4-5): flows through the 802.11n
 //! A-MPDU access-point model with a time-varying MCS index.
 //!
-//! Presets over [`crate::engine`]: the AP topology is
-//! [`Topology::Wifi`](crate::engine::Topology), and harnesses that reach
+//! Everything runs on [`crate::engine`]: the AP topology is
+//! [`Topology::Wifi`](crate::engine::Topology) (built by
+//! [`ScenarioSpec::wifi`]), and harnesses that reach
 //! into the AP (batch logs, the link-rate estimator) use
 //! [`ScenarioEngine::build`] plus [`BuiltScenario::wifi_ap_mut`].
 
 use crate::engine::{BuiltScenario, ScenarioEngine, ScenarioSpec, Topology};
-use crate::report::Report;
 use crate::scheme::Scheme;
 use netsim::flow::TrafficSource;
 use netsim::stats::summarize_in_place;
@@ -34,55 +34,6 @@ impl McsSpec {
             McsSpec::Alternating(a, b, p) => Box::new(AlternatingMcs { a, b, period: p }),
             McsSpec::Brownian(lo, hi, p, seed) => Box::new(BrownianMcs::new(lo, hi, p, seed)),
         }
-    }
-}
-
-/// Flows of one scheme through the 802.11n A-MPDU access point
-/// (Figs. 4/5/10/14).
-pub struct WifiScenario {
-    /// The scheme every user runs.
-    pub scheme: Scheme,
-    /// Number of stations (one backlogged flow each by default).
-    pub users: u32,
-    /// How the MCS index varies over time.
-    pub mcs: McsSpec,
-    /// Path round-trip propagation delay.
-    pub rtt: SimDuration,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Measurements before this offset are discarded.
-    pub warmup: SimDuration,
-    /// Per-flow application pattern.
-    pub app: TrafficSource,
-}
-
-impl WifiScenario {
-    /// The Wi-Fi defaults: 100 ms RTT, 45 s + 5 s warmup, backlogged
-    /// users.
-    pub fn new(scheme: Scheme, users: u32, mcs: McsSpec) -> Self {
-        WifiScenario {
-            scheme,
-            users,
-            mcs,
-            rtt: SimDuration::from_millis(100),
-            duration: SimDuration::from_secs(45),
-            warmup: SimDuration::from_secs(5),
-            app: TrafficSource::Backlogged,
-        }
-    }
-
-    /// The [`ScenarioSpec`] this preset denotes.
-    pub fn spec(&self) -> ScenarioSpec {
-        ScenarioSpec::wifi(self.scheme, self.users, self.mcs)
-            .app(self.app)
-            .rtt(self.rtt)
-            .duration(self.duration)
-            .warmup(self.warmup)
-    }
-
-    /// Build, run to completion, and report.
-    pub fn run(&self) -> Report {
-        ScenarioEngine::new().run(&self.spec())
     }
 }
 
@@ -132,8 +83,9 @@ mod tests {
     #[test]
     fn abc_beats_cubic_delay_on_wifi() {
         let mcs = McsSpec::Alternating(1, 7, SimDuration::from_secs(2));
-        let abc = WifiScenario::new(Scheme::AbcDt(60), 1, mcs).run();
-        let cubic = WifiScenario::new(Scheme::Cubic, 1, mcs).run();
+        let engine = ScenarioEngine::new();
+        let abc = engine.run(&ScenarioSpec::wifi(Scheme::AbcDt(60), 1, mcs));
+        let cubic = engine.run(&ScenarioSpec::wifi(Scheme::Cubic, 1, mcs));
         assert!(
             abc.delay_ms.p95 < cubic.delay_ms.p95 / 1.5,
             "ABC p95 {:.0} vs Cubic p95 {:.0}",
@@ -151,7 +103,7 @@ mod tests {
     #[test]
     fn two_user_scenario_shares() {
         let mcs = McsSpec::Fixed(5);
-        let r = WifiScenario::new(Scheme::AbcDt(60), 2, mcs).run();
+        let r = ScenarioEngine::new().run(&ScenarioSpec::wifi(Scheme::AbcDt(60), 2, mcs));
         assert_eq!(r.flow_tputs_mbps.len(), 2);
         assert!(r.jain > 0.85, "jain {}", r.jain);
     }

@@ -296,15 +296,9 @@ pub struct ImpairmentWire {
     metrics: Option<(Metrics, usize)>,
 }
 
-/// Back-compat name for the Bernoulli middlebox wire; construct with
-/// [`ImpairmentWire::new`], which keeps the historical
-/// `(p, Impairment, seed)` signature and draw sequence.
-pub type LossyWire = ImpairmentWire;
-
 impl ImpairmentWire {
     /// A Bernoulli wire applying `what` with probability `p`, randomized
-    /// by `seed` — the legacy [`LossyWire`] constructor, draw-for-draw
-    /// compatible with it.
+    /// by `seed`.
     pub fn new(p: f64, what: Impairment, seed: u64) -> Self {
         ImpairmentWire::from_kind(ImpairmentKind::from((p, what)), seed)
     }

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 
-pub use fault::{Direction, Impairment, ImpairmentKind, ImpairmentSpec, ImpairmentWire, LossyWire};
+pub use fault::{Direction, Impairment, ImpairmentKind, ImpairmentSpec, ImpairmentWire};
 pub use flow::{AckEvent, CongestionControl, Pacing, Sender, Sink, TrafficSource};
 pub use link::{ConstantRate, SerialLink, SquareWave, StepSchedule, TraceLink, Transmitter};
 pub use linkqueue::LinkQueue;

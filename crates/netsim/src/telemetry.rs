@@ -940,20 +940,6 @@ impl ProfileReport {
         }
         out
     }
-
-    /// Context key/values for embedding next to bench metrics. None of
-    /// these keys end in `_per_sec` or `_ns_per_op`, so `bench-diff`
-    /// treats them as context, never as gated metrics.
-    pub fn context_kv(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("profile_deliver_frac", self.phase_frac(Phase::Deliver)),
-            ("profile_timer_frac", self.phase_frac(Phase::Timer)),
-            ("profile_batch_frac", self.phase_frac(Phase::Batch)),
-            ("profile_pool_hit_rate", self.pool.hit_rate()),
-            ("profile_wheel_near_avg", self.avg_near),
-            ("profile_wheel_overflow_avg", self.avg_overflow),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -1071,8 +1057,5 @@ mod tests {
         assert_eq!(r.events, 6);
         assert!((r.pool.hit_rate() - 0.9).abs() < 1e-12);
         assert!(r.render().contains("event-loop profile"));
-        for (k, _) in r.context_kv() {
-            assert!(!k.ends_with("_per_sec") && !k.ends_with("_ns_per_op"));
-        }
     }
 }

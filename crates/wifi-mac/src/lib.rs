@@ -1,7 +1,7 @@
 //! # wifi-mac — 802.11n MAC model and ABC's Wi-Fi link-rate estimator
 //!
 //! The substrate standing in for the paper's OpenWrt/NETGEAR testbed
-//! (§4.1, §6.1; see DESIGN.md for the substitution argument):
+//! (§4.1, §6.1; see the crate map in `docs/ARCHITECTURE.md`):
 //!
 //! * [`mcs`] — the 802.11n MCS↔bitrate table and the index-variation
 //!   schedules used in the evaluation (alternating 1↔7, Brownian \[3,7\]);

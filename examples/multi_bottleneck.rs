@@ -8,24 +8,23 @@
 //! cargo run --release --example multi_bottleneck
 //! ```
 //!
-//! `TwoHopScenario` and `MixedPathScenario` are presets over the scenario
-//! engine (`experiments::engine`): each denotes a `ScenarioSpec`, and the
-//! `ScenarioEngine` does all simulator wiring.
+//! `ScenarioSpec::two_hop` is a spec builder and `MixedPathScenario` a
+//! preset that denotes a `ScenarioSpec`; the `ScenarioEngine`
+//! (`experiments::engine`) does all simulator wiring.
 
 use abc_repro::experiments::{
-    sparkline, CrossTraffic, LinkSpec, MixedPathScenario, Scheme, TwoHopScenario,
+    sparkline, CrossTraffic, LinkSpec, MixedPathScenario, ScenarioEngine, ScenarioSpec, Scheme,
 };
 use abc_repro::netsim::rate::Rate;
 use abc_repro::netsim::time::{SimDuration, SimTime};
 
 fn main() {
     println!("== two ABC bottlenecks in series (uplink 24, downlink 12 Mbit/s) ==");
-    let r = TwoHopScenario::new(
+    let r = ScenarioEngine::new().run(&ScenarioSpec::two_hop(
         Scheme::Abc,
         LinkSpec::Constant(Rate::from_mbps(24.0)),
         LinkSpec::Constant(Rate::from_mbps(12.0)),
-    )
-    .run();
+    ));
     println!(
         "goodput {:.2} Mbit/s (the 12 Mbit/s hop binds), 95p delay {:.0} ms\n",
         r.total_tput_mbps, r.delay_ms.p95

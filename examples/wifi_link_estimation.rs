@@ -7,11 +7,11 @@
 //! cargo run --release --example wifi_link_estimation
 //! ```
 //!
-//! `WifiScenario` and `estimator_accuracy` run on the scenario engine's
-//! Wi-Fi topology; the estimator internals are reached through
+//! `ScenarioSpec::wifi` and `estimator_accuracy` run on the scenario
+//! engine's Wi-Fi topology; the estimator internals are reached through
 //! `BuiltScenario::wifi_ap_mut`.
 
-use abc_repro::experiments::{estimator_accuracy, McsSpec, Scheme, WifiScenario};
+use abc_repro::experiments::{estimator_accuracy, McsSpec, ScenarioEngine, ScenarioSpec, Scheme};
 use abc_repro::netsim::time::SimDuration;
 
 fn main() {
@@ -39,12 +39,11 @@ fn main() {
     // and the end-to-end effect: ABC with the estimator in the loop vs Cubic
     println!("\nEnd-to-end on an alternating-MCS link (1↔7 every 2 s), 45 s:");
     for scheme in [Scheme::AbcDt(60), Scheme::Cubic] {
-        let r = WifiScenario::new(
+        let r = ScenarioEngine::new().run(&ScenarioSpec::wifi(
             scheme,
             1,
             McsSpec::Alternating(1, 7, SimDuration::from_secs(2)),
-        )
-        .run();
+        ));
         println!(
             "  {:<10} tput {:>6.2} Mbit/s   95p delay {:>6.0} ms",
             r.scheme, r.total_tput_mbps, r.delay_ms.p95

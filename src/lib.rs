@@ -16,8 +16,9 @@
 //! * [`campaign`] — declarative sweep orchestration, the JSONL results
 //!   store, aggregation, and regression gating.
 //!
-//! Start with `examples/quickstart.rs`, then DESIGN.md for the system
-//! inventory and EXPERIMENTS.md for the paper-vs-measured results.
+//! Start with `examples/quickstart.rs`, then `docs/ARCHITECTURE.md` for
+//! the system inventory and the README for how to regenerate and verify
+//! the paper's figures.
 
 pub use abc_core;
 pub use aqm;

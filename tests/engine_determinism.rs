@@ -115,13 +115,14 @@ fn run_batch_executes_scenarios_concurrently() {
         .into_iter()
         .collect();
 
-    let reports = ScenarioEngine::with_threads(N).run_batch_map(&specs, |engine, spec| {
-        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-        peak.fetch_max(now, Ordering::SeqCst);
-        barrier.wait();
-        inside.fetch_sub(1, Ordering::SeqCst);
-        engine.run(spec)
-    });
+    let reports =
+        ScenarioEngine::with_threads(N).run_batch_map_indexed(&specs, |engine, spec, _| {
+            let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            barrier.wait();
+            inside.fetch_sub(1, Ordering::SeqCst);
+            engine.run(spec)
+        });
 
     assert_eq!(reports.len(), N);
     assert!(

@@ -4,7 +4,7 @@
 //! degrades to its Cubic window); XCP's multi-bit custom header does not.
 
 use abc_repro::experiments::Scheme;
-use abc_repro::netsim::fault::{Impairment, LossyWire};
+use abc_repro::netsim::fault::{Impairment, ImpairmentWire};
 use abc_repro::netsim::flow::{Sender, Sink, TrafficSource};
 use abc_repro::netsim::link::{ConstantRate, SerialLink};
 use abc_repro::netsim::linkqueue::LinkQueue;
@@ -28,7 +28,7 @@ fn through_middlebox(scheme: Scheme, what: Impairment) -> f64 {
     let fwd = Route::new(vec![(wire_id, q), (link_id, q), (sink_id, q)]);
     let back = Route::new(vec![(sender_id, SimDuration::from_millis(40))]);
     // the middlebox impairs every packet (probability 1.0)
-    sim.install_node(wire_id, Box::new(LossyWire::new(1.0, what, 7)));
+    sim.install_node(wire_id, Box::new(ImpairmentWire::new(1.0, what, 7)));
     sim.install_node(
         sink_id,
         Box::new(Sink::new(FlowId(1), back).with_metrics(hub.clone())),

@@ -2,7 +2,7 @@
 //! (§5.1.2), multi-bottleneck minimum-rate selection (§3.1.2), legacy-AQM
 //! interop, and robustness to outages.
 
-use abc_repro::experiments::{CellScenario, LinkSpec, Scheme, TwoHopScenario};
+use abc_repro::experiments::{LinkSpec, ScenarioEngine, ScenarioSpec, Scheme};
 use abc_repro::netsim::flow::{Sender, Sink, TrafficSource};
 use abc_repro::netsim::link::{ConstantRate, SerialLink};
 use abc_repro::netsim::linkqueue::LinkQueue;
@@ -92,12 +92,11 @@ fn abc_through_legacy_ecn_aqm_behaves_like_cubic() {
 #[test]
 fn two_abc_hops_feedback_is_path_minimum() {
     // tight hop 6 Mbit/s behind a loose 24 Mbit/s hop
-    let r = TwoHopScenario::new(
+    let r = ScenarioEngine::new().run(&ScenarioSpec::two_hop(
         Scheme::Abc,
         LinkSpec::Constant(Rate::from_mbps(24.0)),
         LinkSpec::Constant(Rate::from_mbps(6.0)),
-    )
-    .run();
+    ));
     assert!(
         (r.total_tput_mbps - 5.8).abs() < 0.6,
         "should converge to the 6 Mbit/s hop: {}",
@@ -106,12 +105,11 @@ fn two_abc_hops_feedback_is_path_minimum() {
     assert!(r.qdelay_ms.p95 < 60.0, "{}", r.row());
 
     // reversed order must behave the same
-    let r2 = TwoHopScenario::new(
+    let r2 = ScenarioEngine::new().run(&ScenarioSpec::two_hop(
         Scheme::Abc,
         LinkSpec::Constant(Rate::from_mbps(6.0)),
         LinkSpec::Constant(Rate::from_mbps(24.0)),
-    )
-    .run();
+    ));
     assert!(
         (r2.total_tput_mbps - r.total_tput_mbps).abs() < 0.8,
         "order should not matter: {} vs {}",
@@ -124,12 +122,11 @@ fn two_abc_hops_feedback_is_path_minimum() {
 /// converge to the tighter one without a standing queue at the loose hop.
 #[test]
 fn rcp_two_hops_takes_min_rate() {
-    let r = TwoHopScenario::new(
+    let r = ScenarioEngine::new().run(&ScenarioSpec::two_hop(
         Scheme::Rcp,
         LinkSpec::Constant(Rate::from_mbps(24.0)),
         LinkSpec::Constant(Rate::from_mbps(8.0)),
-    )
-    .run();
+    ));
     assert!(
         r.total_tput_mbps < 8.5,
         "RCP must not exceed the tight hop: {}",
@@ -142,12 +139,11 @@ fn rcp_two_hops_takes_min_rate() {
 /// flow is governed by the tight hop.
 #[test]
 fn xcp_two_hops_takes_min_feedback() {
-    let r = TwoHopScenario::new(
+    let r = ScenarioEngine::new().run(&ScenarioSpec::two_hop(
         Scheme::Xcp,
         LinkSpec::Constant(Rate::from_mbps(8.0)),
         LinkSpec::Constant(Rate::from_mbps(24.0)),
-    )
-    .run();
+    ));
     assert!(r.total_tput_mbps < 8.5, "{}", r.row());
     assert!(r.total_tput_mbps > 6.0, "{}", r.row());
 }
@@ -169,10 +165,10 @@ fn abc_survives_outage_and_recovers() {
             Rate::from_mbps(12.0),
         ),
     ];
-    let mut sc = CellScenario::new(Scheme::Abc, LinkSpec::Steps(steps));
-    sc.duration = SimDuration::from_secs(30);
-    sc.warmup = SimDuration::ZERO;
-    let mut b = sc.build();
+    let spec = ScenarioSpec::single(Scheme::Abc, LinkSpec::Steps(steps))
+        .duration_secs(30)
+        .warmup(SimDuration::ZERO);
+    let mut b = ScenarioEngine::new().build(&spec);
     b.run_to_end();
     let hub = b.hub.clone();
     let _ = b.finish();
@@ -191,12 +187,12 @@ fn abc_survives_outage_and_recovers() {
 /// Finite flows complete and report sane completion accounting.
 #[test]
 fn short_flows_complete() {
-    let mut sc = CellScenario::new(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)));
-    sc.app = TrafficSource::Finite { bytes: 30_000 };
-    sc.n_flows = 4;
-    sc.duration = SimDuration::from_secs(10);
-    sc.warmup = SimDuration::ZERO;
-    let mut b = sc.build();
+    let spec = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)))
+        .flows(4)
+        .app(TrafficSource::Finite { bytes: 30_000 })
+        .duration_secs(10)
+        .warmup(SimDuration::ZERO);
+    let mut b = ScenarioEngine::new().build(&spec);
     b.run_to_end();
     let hub = b.hub.clone();
     let _ = b.finish();
@@ -211,8 +207,8 @@ fn short_flows_complete() {
 /// and brake echoes at the sender and zero CE (no legacy marker present).
 #[test]
 fn ecn_echo_faithful_end_to_end() {
-    let sc = CellScenario::new(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)));
-    let mut b = sc.build();
+    let spec = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)));
+    let mut b = ScenarioEngine::new().build(&spec);
     b.run_chunk(SimDuration::from_secs(20));
     let s = b.sender(0);
     let st = s.stats();
@@ -355,7 +351,7 @@ fn abc_robust_to_ack_compression() {
 /// outages): ABC must keep working with 10% of ACKs dropped.
 #[test]
 fn abc_robust_to_ack_loss() {
-    use abc_repro::netsim::fault::{Impairment, LossyWire};
+    use abc_repro::netsim::fault::{Impairment, ImpairmentWire};
 
     let mut sim = Simulator::new();
     let hub = new_hub();
@@ -374,7 +370,7 @@ fn abc_robust_to_ack_loss() {
     ]);
     sim.install_node(
         wire_id,
-        Box::new(LossyWire::new(0.10, Impairment::Drop, 99)),
+        Box::new(ImpairmentWire::new(0.10, Impairment::Drop, 99)),
     );
     sim.install_node(
         sink_id,

@@ -90,15 +90,13 @@ fn trace_file_on_disk_round_trips() {
 
 #[test]
 fn parsed_trace_runs_in_simulator() {
-    use abc_repro::experiments::{CellScenario, LinkSpec, Scheme};
-    use abc_repro::netsim::time::SimDuration;
+    use abc_repro::experiments::{LinkSpec, ScenarioEngine, ScenarioSpec, Scheme};
 
     let trace = cellular::builtin("ATT2").unwrap();
     let mut buf = Vec::new();
     trace.write_mahimahi(&mut buf).unwrap();
     let parsed = CellTrace::parse_mahimahi("ATT2", Cursor::new(&buf)).unwrap();
-    let mut sc = CellScenario::new(Scheme::Abc, LinkSpec::Trace(parsed));
-    sc.duration = SimDuration::from_secs(20);
-    let r = sc.run();
+    let spec = ScenarioSpec::single(Scheme::Abc, LinkSpec::Trace(parsed)).duration_secs(20);
+    let r = ScenarioEngine::new().run(&spec);
     assert!(r.utilization > 0.3, "{}", r.row());
 }
