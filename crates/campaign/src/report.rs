@@ -7,7 +7,7 @@
 //! the numbers).
 
 use crate::json::{self, Value};
-use crate::runlog::{stats, RunLedger};
+use crate::runlog::{stats, PointSpan, RunLedger};
 use netsim::telemetry::LogHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -88,6 +88,17 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
+/// `{events} ev · {ns/event} ns/ev` for one attempt, so a straggler with
+/// more events reads apart from one with dearer events. A failed attempt
+/// records no events and prints `-` for the ratio.
+fn event_cost(p: &PointSpan) -> String {
+    let wall_ns = p.end_ns.saturating_sub(p.start_ns);
+    match wall_ns.checked_div(p.events) {
+        Some(per_event) => format!("{} ev · {per_event} ns/ev", p.events),
+        None => "0 ev · - ns/ev".to_string(),
+    }
+}
+
 /// Render the run-health report. With `sidecar_dir` set, sidecars named
 /// `<ordinal>.jsonl` are read for every completed ordinal and their
 /// counters/histograms aggregated per axis value.
@@ -162,10 +173,11 @@ pub fn render_report(ledger: &RunLedger, sidecar_dir: Option<&Path>) -> Result<S
     for p in slowest.iter().take(5) {
         writeln!(
             out,
-            "  {:>8.1} ms  #{} {} (worker {}, attempt {}, {})",
+            "  {:>8.1} ms  #{} {} · {} (worker {}, attempt {}, {})",
             ms(p.end_ns.saturating_sub(p.start_ns)),
             p.ordinal,
             p.coords.key(),
+            event_cost(p),
             p.worker,
             p.attempt,
             p.outcome.name()

@@ -236,6 +236,23 @@ fn report_aggregates_sidecars_from_the_default_ledger_path() {
     let report = campaign::report::render_report(&ledger, Some(&dir)).expect("report renders");
     assert!(report.contains("# run report: tiny"));
     assert!(report.contains("## stragglers"));
+    // each of the five straggler lines names its point's event count and
+    // wall ns per event, straight from the ledger
+    let listed = ledger
+        .points
+        .iter()
+        .filter(|p| {
+            let wall_ns = p.end_ns - p.start_ns;
+            report.contains(&format!(
+                "#{} {} · {} ev · {} ns/ev (",
+                p.ordinal,
+                p.coords.key(),
+                p.events,
+                wall_ns / p.events
+            ))
+        })
+        .count();
+    assert_eq!(listed, 5, "straggler lines lack events · ns/ev:\n{report}");
     assert!(report.contains("## telemetry aggregation"));
     for axis in ["scheme", "link", "seed"] {
         assert!(

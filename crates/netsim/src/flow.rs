@@ -9,7 +9,8 @@ use crate::packet::{AckData, Ecn, Feedback, FlowId, Packet, Route, MTU_BYTES};
 use crate::rate::Rate;
 use crate::telemetry::{Scope, Signal};
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 /// Everything a congestion controller may want to know about an ACK.
@@ -187,81 +188,269 @@ pub struct SenderStats {
     pub brake_acks: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One transmission of one sequence number.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SentRecord {
     sent_at: SimTime,
     size: u32,
     retransmit: bool,
-    /// Cumulative ACK passes observed; 3 ⇒ inferred lost.
-    passed: u32,
+    /// ACKs that passed this transmission; [`DUPACK_THRESHOLD`] ⇒
+    /// inferred lost.
+    passed: u8,
     /// Sender's delivered-bytes counter when this packet left (for
     /// delivery-rate sampling).
     delivered_at_send: u64,
 }
 
-/// The in-flight window, ordered by sequence number. Sends append at the
-/// back (seqs are monotone), ACKs pop at the front, so the common case is
-/// O(1) ring-buffer traffic instead of B-tree rebalancing; retransmissions
-/// and loss holes fall back to binary search.
-#[derive(Debug, Default)]
-struct SentWindow {
-    items: VecDeque<(u64, SentRecord)>,
+/// Where one sequence number stands. Every seq the sender has handed out
+/// is in exactly one state: a seq is never in flight and queued at once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Slot {
+    /// Delivered: ACKed, or credited by the receiver's cumulative point.
+    Done,
+    /// Sent and not yet ACKed or written off.
+    InFlight(SentRecord),
+    /// Written off (dup-ACK inference or RTO), waiting in the
+    /// retransmit queue.
+    Queued,
 }
 
-impl SentWindow {
-    fn len(&self) -> usize {
-        self.items.len()
+/// ACK bookkeeping for records the receiver's cumulative point covered
+/// without their own ACK.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Credit {
+    pkts: u64,
+    bytes: u32,
+}
+
+/// The sender's loss-recovery state: the in-flight window, the
+/// retransmit queue and the loss-episode guard, with every ACK costing
+/// O(1) amortised plus O(log n) per record it passes.
+///
+/// * **Slots.** One [`Slot`] per seq in `[base, next_seq)`, in seq
+///   order; the front slot is never `Done`. A fresh send is one
+///   `push_back` and an in-order ACK one `pop_front`; a retransmission or
+///   an out-of-order ACK indexes its slot directly.
+/// * **Pass walk.** An ACK for seq `a`, whose transmission left at
+///   `t_a`, passes every in-flight record with `seq < a` and
+///   `sent_at < t_a`. Records become *eligible* as ACKs reveal they were
+///   sent before an ACKed packet: fresh sends are in seq order and in
+///   send order at once, so a cursor over the slots releases them;
+///   retransmissions are released from their own send-order log. The
+///   eligible records sit in a min-heap by seq, so an ACK visits only the
+///   records below `a` — one that has not yet been passed three times
+///   goes back — and the lost batch comes out in seq order, the order
+///   the retransmit queue has always had. With no loss nothing becomes
+///   eligible and neither the log nor the heap is touched.
+/// * **Watermark.** Only the running maximum of the cumulative point
+///   matters: nothing below it is ever in flight or queued again, so the
+///   retransmit queue drops entries below it lazily, at pop.
+///
+/// Heap and log entries are `(seq, sent_at)` pairs checked against the
+/// slot when they are read; a pair whose transmission has since been
+/// ACKed, credited or written off is stale and skipped. A seq's
+/// retransmission always leaves strictly after its previous
+/// transmission, so the pair names one transmission.
+#[derive(Debug, Default)]
+struct Scoreboard {
+    slots: VecDeque<Slot>,
+    /// The seq of `slots[0]`.
+    base: u64,
+    /// How many slots are `InFlight`: the sender's window occupancy.
+    in_flight: usize,
+    /// Fresh sends below this seq have been released to `eligible`, or
+    /// had left flight when the cursor reached them.
+    fresh_cursor: u64,
+    /// Retransmissions not yet released to `eligible`, in send order.
+    retx_sent: VecDeque<(u64, SimTime)>,
+    /// In-flight records sent before some ACKed packet, least seq first.
+    eligible: BinaryHeap<Reverse<(u64, SimTime)>>,
+    /// Seqs awaiting retransmission, in order; entries below `cum` are
+    /// stale.
+    retx: VecDeque<u64>,
+    /// Running maximum of the receiver's cumulative point.
+    cum: u64,
+    /// Loss-episode guard: losses on seqs below this were already
+    /// reacted to.
+    recovery_until: u64,
+    /// Reused per-ACK scratch: eligible records the pass walk visited
+    /// and kept, pushed back onto `eligible` once the walk ends.
+    held: Vec<(u64, SimTime)>,
+}
+
+impl Scoreboard {
+    /// The seq a fresh send takes.
+    fn next_seq(&self) -> u64 {
+        self.base + self.slots.len() as u64
     }
 
-    fn is_empty(&self) -> bool {
-        self.items.is_empty()
+    fn slot_mut(&mut self, seq: u64) -> Option<&mut Slot> {
+        let at = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(at)
     }
 
-    fn insert(&mut self, seq: u64, rec: SentRecord) {
-        match self.items.back() {
-            Some(&(last, _)) if last >= seq => {
-                // retransmission re-entering the window out of order
-                let idx = self.items.partition_point(|&(s, _)| s < seq);
-                debug_assert!(self.items.get(idx).map(|&(s, _)| s) != Some(seq));
-                self.items.insert(idx, (seq, rec));
-            }
-            _ => self.items.push_back((seq, rec)),
+    /// `seq`'s in-flight record, if it is still the transmission that
+    /// left at `sent_at`.
+    fn transmission_mut(&mut self, seq: u64, sent_at: SimTime) -> Option<&mut SentRecord> {
+        match self.slot_mut(seq)? {
+            Slot::InFlight(r) if r.sent_at == sent_at => Some(r),
+            _ => None,
         }
     }
 
-    fn remove(&mut self, seq: u64) -> Option<SentRecord> {
-        match self.items.front() {
-            Some(&(s, _)) if s == seq => self.items.pop_front().map(|(_, r)| r),
-            _ => {
-                let idx = self.items.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
-                self.items.remove(idx).map(|(_, r)| r)
+    /// Record a transmission of `seq`: `next_seq()` for a fresh send, a
+    /// seq just popped off the retransmit queue otherwise.
+    fn on_send(&mut self, seq: u64, rec: SentRecord) {
+        if rec.retransmit {
+            let slot = self.slot_mut(seq).expect("retransmitted seq has a slot");
+            debug_assert_eq!(
+                *slot,
+                Slot::Queued,
+                "seq {seq} retransmitted while not queued"
+            );
+            *slot = Slot::InFlight(rec);
+            self.retx_sent.push_back((seq, rec.sent_at));
+        } else {
+            debug_assert_eq!(seq, self.next_seq(), "fresh send out of sequence");
+            self.slots.push_back(Slot::InFlight(rec));
+        }
+        self.in_flight += 1;
+    }
+
+    /// The next seq to retransmit, if any.
+    fn pop_retransmit(&mut self) -> Option<u64> {
+        while let Some(seq) = self.retx.pop_front() {
+            if seq >= self.cum {
+                return Some(seq);
             }
         }
+        None
     }
 
-    /// Sequence numbers strictly below `seq`, in order.
-    fn seqs_below(&self, seq: u64) -> impl Iterator<Item = u64> + '_ {
-        self.items
-            .iter()
-            .take_while(move |&&(s, _)| s < seq)
-            .map(|&(s, _)| s)
+    /// An ACK for `seq` reporting cumulative point `cum`: everything
+    /// below `cum` but `seq` itself is delivered (in-flight records are
+    /// credited, queued ones need no retransmission), then `seq`'s own
+    /// in-flight record is taken — `None` for a duplicate, or for an
+    /// ACK of a transmission already written off.
+    fn on_ack(&mut self, seq: u64, cum: u64) -> (Credit, Option<SentRecord>) {
+        self.cum = self.cum.max(cum);
+        let mut credit = Credit::default();
+        let below = cum.saturating_sub(self.base).min(self.slots.len() as u64);
+        for i in 0..below as usize {
+            let slot = &mut self.slots[i];
+            match *slot {
+                Slot::InFlight(r) if self.base + i as u64 != seq => {
+                    credit.pkts += 1;
+                    credit.bytes += r.size;
+                    self.in_flight -= 1;
+                }
+                Slot::Queued => {}
+                _ => continue,
+            }
+            *slot = Slot::Done;
+        }
+        let rec = self.slot_mut(seq).and_then(|slot| match *slot {
+            Slot::InFlight(r) => {
+                *slot = Slot::Done;
+                Some(r)
+            }
+            _ => None,
+        });
+        if rec.is_some() {
+            self.in_flight -= 1;
+        }
+        while self.slots.front() == Some(&Slot::Done) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        (credit, rec)
     }
 
-    /// Mutable records with sequence strictly below `seq`, in order.
-    fn iter_mut_below(&mut self, seq: u64) -> impl Iterator<Item = (u64, &mut SentRecord)> {
-        self.items
-            .iter_mut()
-            .take_while(move |&&mut (s, _)| s < seq)
-            .map(|&mut (s, ref mut r)| (s, r))
+    /// Dup-ACK-equivalent loss inference for an ACK of `acked`, whose
+    /// transmission left at `acked_sent_at`. On a FIFO path every packet
+    /// *transmitted before* the ACKed one that is still in flight was
+    /// passed. The transmission-time check matters for
+    /// retransmissions: a fresh retransmit sits behind a full queue, and
+    /// ACKs of packets sent before it must not count against it (else it
+    /// is spuriously retransmitted every 3 ACKs). Records passed
+    /// [`DUPACK_THRESHOLD`] times move to the retransmit queue in seq
+    /// order. Returns how many did, and whether one of them opens a new
+    /// loss episode (the guard then moves to `next_seq()`).
+    fn pass(&mut self, acked: u64, acked_sent_at: SimTime) -> (u64, bool) {
+        self.fresh_cursor = self.fresh_cursor.max(self.base);
+        while let Some(&slot) = self.slots.get((self.fresh_cursor - self.base) as usize) {
+            if let Slot::InFlight(r) = slot {
+                if !r.retransmit {
+                    if r.sent_at >= acked_sent_at {
+                        break;
+                    }
+                    self.eligible.push(Reverse((self.fresh_cursor, r.sent_at)));
+                }
+            }
+            self.fresh_cursor += 1;
+        }
+        while let Some(&(seq, at)) = self.retx_sent.front() {
+            if at >= acked_sent_at {
+                break;
+            }
+            self.retx_sent.pop_front();
+            if self.transmission_mut(seq, at).is_some() {
+                self.eligible.push(Reverse((seq, at)));
+            }
+        }
+
+        let (mut lost, mut last_lost) = (0, 0);
+        while let Some(&Reverse((seq, at))) = self.eligible.peek() {
+            if seq >= acked {
+                break;
+            }
+            self.eligible.pop();
+            let Some(r) = self.transmission_mut(seq, at) else {
+                continue; // stale
+            };
+            if at < acked_sent_at {
+                r.passed += 1;
+                if r.passed >= DUPACK_THRESHOLD {
+                    *self.slot_mut(seq).expect("in flight") = Slot::Queued;
+                    self.in_flight -= 1;
+                    self.retx.push_back(seq);
+                    (lost, last_lost) = (lost + 1, seq);
+                    continue;
+                }
+            }
+            self.held.push((seq, at));
+        }
+        for &entry in &self.held {
+            self.eligible.push(Reverse(entry));
+        }
+        self.held.clear();
+
+        let new_episode = lost > 0 && last_lost >= self.recovery_until;
+        if new_episode {
+            self.recovery_until = self.next_seq();
+        }
+        (lost, new_episode)
     }
 
-    /// All in-flight sequence numbers, in order.
-    fn all_seqs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.items.iter().map(|&(s, _)| s)
-    }
-
-    fn clear(&mut self) {
-        self.items.clear();
+    /// Retransmission timeout, conservative go-back-N: everything in
+    /// flight is presumed lost and queued in seq order.
+    fn on_rto(&mut self) {
+        let mut left = self.in_flight;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if left == 0 {
+                break;
+            }
+            if let Slot::InFlight(_) = slot {
+                *slot = Slot::Queued;
+                self.retx.push_back(self.base + i as u64);
+                left -= 1;
+            }
+        }
+        self.in_flight = 0;
+        self.eligible.clear();
+        self.retx_sent.clear();
+        self.fresh_cursor = self.next_seq();
+        self.recovery_until = self.next_seq();
     }
 }
 
@@ -269,9 +458,11 @@ const TOK_RTO: u64 = 1;
 const TOK_PACE: u64 = 2;
 const TOK_APP: u64 = 3;
 
-/// Duplicate-ACK threshold for loss inference (no reordering in the
-/// simulator, so 3 is conservative and faithful).
-const DUPACK_THRESHOLD: u32 = 3;
+/// Passes before a packet is inferred lost: the classic three duplicate
+/// ACKs. Paths can reorder (the `Reorder` impairment holds packets
+/// back), and a packet overtaken by fewer than three later
+/// transmissions is not written off.
+const DUPACK_THRESHOLD: u8 = 3;
 const MIN_RTO: SimDuration = SimDuration::from_millis(200);
 const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
 
@@ -285,11 +476,7 @@ pub struct Sender {
     start_at: SimTime,
     stop_at: Option<SimTime>,
 
-    next_seq: u64,
-    outstanding: SentWindow,
-    retx_queue: VecDeque<u64>,
-    /// Loss-episode guard: losses on seqs below this were already reacted to.
-    recovery_until: u64,
+    board: Scoreboard,
 
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
@@ -330,8 +517,6 @@ pub struct Sender {
     delivered_bytes: u64,
     stats: SenderStats,
     started: bool,
-    /// Reused per-ACK scratch (implicitly-covered and inferred-lost seqs).
-    scratch_seqs: Vec<u64>,
 }
 
 impl Sender {
@@ -351,10 +536,7 @@ impl Sender {
             pkt_size: MTU_BYTES,
             start_at: SimTime::ZERO,
             stop_at: None,
-            next_seq: 0,
-            outstanding: SentWindow::default(),
-            retx_queue: VecDeque::new(),
-            recovery_until: 0,
+            board: Scoreboard::default(),
             srtt: None,
             rttvar: SimDuration::ZERO,
             min_rtt: SimDuration::MAX,
@@ -373,7 +555,6 @@ impl Sender {
             delivered_bytes: 0,
             stats: SenderStats::default(),
             started: false,
-            scratch_seqs: Vec::new(),
         }
     }
 
@@ -440,7 +621,7 @@ impl Sender {
 
     /// Packets currently in flight (sent, not yet acked or written off).
     pub fn inflight(&self) -> usize {
-        self.outstanding.len()
+        self.board.in_flight
     }
 
     fn app_has_data(&mut self, now: SimTime) -> bool {
@@ -509,7 +690,7 @@ impl Sender {
     }
 
     fn window_allows(&self) -> bool {
-        (self.outstanding.len() as f64) < self.cc.cwnd_pkts().floor().max(1.0)
+        (self.board.in_flight as f64) < self.cc.cwnd_pkts().floor().max(1.0)
     }
 
     fn send_one(&mut self, ctx: &mut Context, seq: u64, retransmit: bool) {
@@ -528,7 +709,7 @@ impl Sender {
             hop: 0,
             enqueued_at: now,
         };
-        self.outstanding.insert(
+        self.board.on_send(
             seq,
             SentRecord {
                 sent_at: now,
@@ -556,13 +737,12 @@ impl Sender {
         match self.cc.pacing() {
             Pacing::AckClocked => {
                 while self.window_allows() {
-                    if let Some(seq) = self.retx_queue.pop_front() {
+                    if let Some(seq) = self.board.pop_retransmit() {
                         self.send_one(ctx, seq, true);
                         continue;
                     }
                     if self.app_has_data(ctx.now()) {
-                        let seq = self.next_seq;
-                        self.next_seq += 1;
+                        let seq = self.board.next_seq();
                         self.consume_app(self.pkt_size);
                         self.send_one(ctx, seq, false);
                     } else {
@@ -601,11 +781,10 @@ impl Sender {
             return;
         }
         if self.window_allows() {
-            if let Some(seq) = self.retx_queue.pop_front() {
+            if let Some(seq) = self.board.pop_retransmit() {
                 self.send_one(ctx, seq, true);
             } else if self.app_has_data(ctx.now()) {
-                let seq = self.next_seq;
-                self.next_seq += 1;
+                let seq = self.board.next_seq();
                 self.consume_app(self.pkt_size);
                 self.send_one(ctx, seq, false);
             }
@@ -631,7 +810,7 @@ impl Sender {
     /// is pending no later than `rto_deadline` (a pending timer at or
     /// before the deadline defers itself at fire time).
     fn sync_rto_timer(&mut self, ctx: &mut Context) {
-        if self.outstanding.is_empty() {
+        if self.board.in_flight == 0 {
             // quiesce: unlink the RTO timer from the queue entirely
             if let Some(id) = self.rto_timer.take() {
                 ctx.cancel_timer(id);
@@ -688,27 +867,13 @@ impl Sender {
         // They are removed silently — no loss inference, no retransmission
         // — and their bytes are credited to this ACK (§3.1.1's byte
         // counting, which makes window updates robust to lost ACKs).
-        let mut implicit_bytes: u32 = 0;
-        let mut covered = std::mem::take(&mut self.scratch_seqs);
-        covered.clear();
-        covered.extend(self.outstanding.seqs_below(ack.cumulative_before));
-        for &s in &covered {
-            if s == ack.seq {
-                continue; // handled explicitly below
-            }
-            if let Some(r) = self.outstanding.remove(s) {
-                implicit_bytes += r.size;
-                self.delivered_bytes += r.size as u64;
-                self.stats.acked_pkts += 1;
-                self.stats.acked_bytes += r.size as u64;
-            }
-        }
-        self.scratch_seqs = covered;
-        if !self.retx_queue.is_empty() {
-            self.retx_queue.retain(|&s| s >= ack.cumulative_before);
-        }
+        let (credit, rec) = self.board.on_ack(ack.seq, ack.cumulative_before);
+        let implicit_bytes = credit.bytes;
+        self.delivered_bytes += implicit_bytes as u64;
+        self.stats.acked_pkts += credit.pkts;
+        self.stats.acked_bytes += implicit_bytes as u64;
 
-        let Some(rec) = self.outstanding.remove(ack.seq) else {
+        let Some(rec) = rec else {
             // duplicate / already-retransmitted ACK; the cumulative credit
             // above still applied. Resume sending if window opened.
             if implicit_bytes > 0 {
@@ -742,37 +907,10 @@ impl Sender {
             Rate::from_bytes_per(self.delivered_bytes - rec.delivered_at_send, interval)
         };
 
-        // Dupack-equivalent loss inference. The path is FIFO, so if the
-        // acked packet arrived, every packet *transmitted before it* that
-        // is still outstanding was passed. The transmission-time check
-        // matters for retransmissions: a fresh retransmit sits behind a
-        // full queue, and ACKs of packets sent before it must not count
-        // against it (else it is spuriously retransmitted every 3 ACKs).
-        let acked_tx_time = rec.sent_at;
-        let mut lost = std::mem::take(&mut self.scratch_seqs);
-        lost.clear();
-        for (seq, r) in self.outstanding.iter_mut_below(ack.seq) {
-            if r.sent_at < acked_tx_time {
-                r.passed += 1;
-                if r.passed >= DUPACK_THRESHOLD {
-                    lost.push(seq);
-                }
-            }
-        }
-        let mut new_episode = false;
-        for &seq in &lost {
-            self.outstanding.remove(seq);
-            if !self.retx_queue.contains(&seq) {
-                self.retx_queue.push_back(seq);
-            }
-            self.stats.losses_detected += 1;
-            if seq >= self.recovery_until {
-                new_episode = true;
-            }
-        }
-        self.scratch_seqs = lost;
+        // dup-ACK-equivalent loss inference over the records this ACK passed
+        let (lost, new_episode) = self.board.pass(ack.seq, rec.sent_at);
+        self.stats.losses_detected += lost;
         if new_episode {
-            self.recovery_until = self.next_seq;
             self.cc.on_loss(now);
         }
 
@@ -788,7 +926,7 @@ impl Sender {
             acked_bytes: rec.size + implicit_bytes,
             ecn_echo: ack.ecn_echo,
             feedback: ack.feedback,
-            inflight_pkts: self.outstanding.len(),
+            inflight_pkts: self.board.in_flight,
             delivery_rate,
             one_way_delay: ack.one_way_delay,
         };
@@ -796,7 +934,7 @@ impl Sender {
         if ctx.telemetry_on() {
             let scope = Scope::Flow(self.flow.0);
             ctx.sample(Signal::Cwnd, scope, self.cc.cwnd_pkts());
-            ctx.sample(Signal::Inflight, scope, self.outstanding.len() as f64);
+            ctx.sample(Signal::Inflight, scope, self.board.in_flight as f64);
             ctx.sample(
                 Signal::SrttMs,
                 scope,
@@ -809,7 +947,7 @@ impl Sender {
         if let Some(d) = &mut self.driver {
             d.on_progress(now, self.delivered_bytes);
         }
-        if self.outstanding.is_empty() {
+        if self.board.in_flight == 0 {
             // quiesce: unlink the RTO timer from the queue entirely (in
             // batched dispatch, the end-of-batch sync does it once)
             if !self.batch_rto_defer {
@@ -822,7 +960,7 @@ impl Sender {
     }
 
     fn on_rto_fire(&mut self, ctx: &mut Context) {
-        if self.outstanding.is_empty() {
+        if self.board.in_flight == 0 {
             return;
         }
         let now = ctx.now();
@@ -830,15 +968,7 @@ impl Sender {
         self.rto_backoff += 1;
         ctx.count(Signal::RtoFire, Scope::Flow(self.flow.0), 1);
         self.cc.on_rto(now);
-        // conservative go-back-N: everything outstanding is presumed lost
-        let seqs: Vec<u64> = self.outstanding.all_seqs().collect();
-        self.outstanding.clear();
-        for s in seqs {
-            if !self.retx_queue.contains(&s) {
-                self.retx_queue.push_back(s);
-            }
-        }
-        self.recovery_until = self.next_seq;
+        self.board.on_rto();
         self.try_send(ctx);
     }
 }
@@ -870,7 +1000,7 @@ impl Node for Sender {
             EventKind::Timer(tok) => match tok {
                 TOK_RTO => {
                     self.rto_timer = None;
-                    if self.outstanding.is_empty() {
+                    if self.board.in_flight == 0 {
                         // already quiesced between arm and fire
                     } else if ctx.now() < self.rto_deadline {
                         // sends pushed the deadline since this was armed:
@@ -1065,6 +1195,404 @@ impl Node for Sink {
             self.flush(ctx);
         } else if self.pending.len() == 1 && !self.max_delay.is_zero() {
             self.flush_timer = Some(ctx.set_timer(self.max_delay, TOK_FLUSH));
+        }
+    }
+}
+
+/// The sender's loss bookkeeping before [`Scoreboard`]: a seq-sorted
+/// window, a retransmit `VecDeque` and the episode guard, with every ACK
+/// walking every older in-flight record. Kept, with the `Sender` code
+/// that drove it, as the oracle for `scoreboard_matches_reference`.
+#[cfg(test)]
+mod reference {
+    use super::{SentRecord, DUPACK_THRESHOLD};
+    use crate::time::SimTime;
+    use std::collections::VecDeque;
+
+    /// The in-flight window, ordered by sequence number. Sends append at the
+    /// back (seqs are monotone), ACKs pop at the front, so the common case is
+    /// O(1) ring-buffer traffic instead of B-tree rebalancing; retransmissions
+    /// and loss holes fall back to binary search.
+    #[derive(Debug, Default)]
+    struct SentWindow {
+        items: VecDeque<(u64, SentRecord)>,
+    }
+
+    impl SentWindow {
+        fn len(&self) -> usize {
+            self.items.len()
+        }
+
+        fn insert(&mut self, seq: u64, rec: SentRecord) {
+            match self.items.back() {
+                Some(&(last, _)) if last >= seq => {
+                    // retransmission re-entering the window out of order
+                    let idx = self.items.partition_point(|&(s, _)| s < seq);
+                    debug_assert!(self.items.get(idx).map(|&(s, _)| s) != Some(seq));
+                    self.items.insert(idx, (seq, rec));
+                }
+                _ => self.items.push_back((seq, rec)),
+            }
+        }
+
+        fn remove(&mut self, seq: u64) -> Option<SentRecord> {
+            match self.items.front() {
+                Some(&(s, _)) if s == seq => self.items.pop_front().map(|(_, r)| r),
+                _ => {
+                    let idx = self.items.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
+                    self.items.remove(idx).map(|(_, r)| r)
+                }
+            }
+        }
+
+        /// Sequence numbers strictly below `seq`, in order.
+        fn seqs_below(&self, seq: u64) -> impl Iterator<Item = u64> + '_ {
+            self.items
+                .iter()
+                .take_while(move |&&(s, _)| s < seq)
+                .map(|&(s, _)| s)
+        }
+
+        /// Mutable records with sequence strictly below `seq`, in order.
+        fn iter_mut_below(&mut self, seq: u64) -> impl Iterator<Item = (u64, &mut SentRecord)> {
+            self.items
+                .iter_mut()
+                .take_while(move |&&mut (s, _)| s < seq)
+                .map(|&mut (s, ref mut r)| (s, r))
+        }
+
+        /// All in-flight sequence numbers, in order.
+        fn all_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+            self.items.iter().map(|&(s, _)| s)
+        }
+
+        fn clear(&mut self) {
+            self.items.clear();
+        }
+    }
+
+    /// The `Sender` fields the scoreboard replaced, and the parts of
+    /// `on_ack`/`on_rto_fire`/`try_send` that touched them.
+    #[derive(Debug, Default)]
+    pub(super) struct Reference {
+        pub(super) next_seq: u64,
+        outstanding: SentWindow,
+        pub(super) retx_queue: VecDeque<u64>,
+        pub(super) recovery_until: u64,
+        scratch_seqs: Vec<u64>,
+    }
+
+    impl Reference {
+        pub(super) fn inflight(&self) -> usize {
+            self.outstanding.len()
+        }
+
+        pub(super) fn in_flight_records(&self) -> impl Iterator<Item = (u64, SentRecord)> + '_ {
+            self.outstanding.items.iter().copied()
+        }
+
+        pub(super) fn on_send(&mut self, seq: u64, rec: SentRecord) {
+            if !rec.retransmit {
+                self.next_seq += 1;
+            }
+            self.outstanding.insert(seq, rec);
+        }
+
+        pub(super) fn pop_retransmit(&mut self) -> Option<u64> {
+            self.retx_queue.pop_front()
+        }
+
+        /// Cumulative credit, then the ACKed record: `(pkts, bytes, rec)`.
+        pub(super) fn on_ack(&mut self, seq: u64, cum: u64) -> (u64, u32, Option<SentRecord>) {
+            let (mut pkts, mut implicit_bytes) = (0, 0u32);
+            let mut covered = std::mem::take(&mut self.scratch_seqs);
+            covered.clear();
+            covered.extend(self.outstanding.seqs_below(cum));
+            for &s in &covered {
+                if s == seq {
+                    continue; // handled explicitly below
+                }
+                if let Some(r) = self.outstanding.remove(s) {
+                    implicit_bytes += r.size;
+                    pkts += 1;
+                }
+            }
+            self.scratch_seqs = covered;
+            if !self.retx_queue.is_empty() {
+                self.retx_queue.retain(|&s| s >= cum);
+            }
+            (pkts, implicit_bytes, self.outstanding.remove(seq))
+        }
+
+        /// Loss inference: the lost seqs in queue order, and whether a
+        /// new episode began.
+        pub(super) fn pass(&mut self, seq: u64, acked_tx_time: SimTime) -> (Vec<u64>, bool) {
+            let mut lost = std::mem::take(&mut self.scratch_seqs);
+            lost.clear();
+            for (seq, r) in self.outstanding.iter_mut_below(seq) {
+                if r.sent_at < acked_tx_time {
+                    r.passed += 1;
+                    if r.passed >= DUPACK_THRESHOLD {
+                        lost.push(seq);
+                    }
+                }
+            }
+            let mut new_episode = false;
+            for &seq in &lost {
+                self.outstanding.remove(seq);
+                if !self.retx_queue.contains(&seq) {
+                    self.retx_queue.push_back(seq);
+                }
+                if seq >= self.recovery_until {
+                    new_episode = true;
+                }
+            }
+            let batch = lost.clone();
+            self.scratch_seqs = lost;
+            if new_episode {
+                self.recovery_until = self.next_seq;
+            }
+            (batch, new_episode)
+        }
+
+        pub(super) fn on_rto(&mut self) {
+            // conservative go-back-N: everything outstanding is presumed lost
+            let seqs: Vec<u64> = self.outstanding.all_seqs().collect();
+            self.outstanding.clear();
+            for s in seqs {
+                if !self.retx_queue.contains(&s) {
+                    self.retx_queue.push_back(s);
+                }
+            }
+            self.recovery_until = self.next_seq;
+        }
+    }
+}
+
+#[cfg(test)]
+mod scoreboard_tests {
+    use super::reference::Reference;
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    impl Scoreboard {
+        /// The structure behind O(1) ACKs: the front slot is never
+        /// `Done`, `in_flight` counts the in-flight slots, the live
+        /// retransmit entries are exactly the queued slots (each once),
+        /// and every in-flight record is reachable by the pass walk
+        /// exactly once — as a fresh send at or past the cursor, in the
+        /// retransmission log, or in the eligible heap.
+        fn check_invariants(&self) {
+            assert_ne!(self.slots.front(), Some(&Slot::Done), "front slot is Done");
+            assert!(self.cum <= self.base, "a slot below the cumulative point");
+            assert!(self.fresh_cursor <= self.next_seq());
+            assert!(self.recovery_until <= self.next_seq());
+
+            let mut live: Vec<u64> = self
+                .retx
+                .iter()
+                .copied()
+                .filter(|&s| s >= self.cum)
+                .collect();
+            live.sort_unstable();
+            let queued: Vec<u64> = (self.base..self.next_seq())
+                .filter(|&s| self.slots[(s - self.base) as usize] == Slot::Queued)
+                .collect();
+            assert_eq!(live, queued, "retransmit queue and queued slots disagree");
+
+            let mut entries: BTreeMap<(u64, SimTime), usize> = BTreeMap::new();
+            for &Reverse(e) in self.eligible.iter() {
+                *entries.entry(e).or_default() += 1;
+            }
+            for &e in &self.retx_sent {
+                *entries.entry(e).or_default() += 1;
+            }
+            assert!(self
+                .retx_sent
+                .iter()
+                .zip(self.retx_sent.iter().skip(1))
+                .all(|(a, b)| a.1 <= b.1));
+            let mut in_flight = 0;
+            for (i, slot) in self.slots.iter().enumerate() {
+                let Slot::InFlight(r) = slot else { continue };
+                let seq = self.base + i as u64;
+                in_flight += 1;
+                assert!(r.passed < DUPACK_THRESHOLD, "seq {seq} should be queued");
+                let listed = entries.get(&(seq, r.sent_at)).copied().unwrap_or(0);
+                let pending_fresh = !r.retransmit && seq >= self.fresh_cursor;
+                assert_eq!(
+                    listed + pending_fresh as usize,
+                    1,
+                    "seq {seq} reachable {listed} + {pending_fresh} times"
+                );
+            }
+            assert_eq!(self.in_flight, in_flight);
+        }
+    }
+
+    /// The sink's cumulative-point logic (see [`Sink`]), for the model
+    /// network below.
+    #[derive(Default)]
+    struct Receiver {
+        next_expected: u64,
+        ooo: BTreeSet<u64>,
+    }
+
+    impl Receiver {
+        fn receive(&mut self, seq: u64) -> u64 {
+            if seq == self.next_expected && self.ooo.is_empty() {
+                self.next_expected += 1;
+            } else if seq >= self.next_expected {
+                self.ooo.insert(seq);
+                while self.ooo.remove(&self.next_expected) {
+                    self.next_expected += 1;
+                }
+            }
+            self.next_expected
+        }
+    }
+
+    /// One ACK through both, as `Sender::on_ack` drives them: credit,
+    /// taken record, lost batch (read off the end of the retransmit
+    /// queue) and episode flag must agree. Returns the bytes delivered.
+    fn ack_both(board: &mut Scoreboard, naive: &mut Reference, seq: u64, cum: u64) -> u64 {
+        let (credit, rec) = board.on_ack(seq, cum);
+        let (pkts, bytes, want) = naive.on_ack(seq, cum);
+        assert_eq!((credit.pkts, credit.bytes), (pkts, bytes), "credit");
+        assert_eq!(rec, want, "record taken for seq {seq}");
+        let Some(rec) = rec else {
+            return bytes as u64;
+        };
+        let queued_before = board.retx.len();
+        let (lost, new_episode) = board.pass(seq, rec.sent_at);
+        let (batch, want_episode) = naive.pass(seq, rec.sent_at);
+        assert!(
+            board.retx.iter().skip(queued_before).eq(batch.iter()),
+            "lost batch for the ACK of {seq}: want {batch:?}"
+        );
+        assert_eq!(lost, batch.len() as u64);
+        assert_eq!(new_episode, want_episode, "episode flag");
+        bytes as u64 + rec.size as u64
+    }
+
+    /// Scoreboard ≡ the pre-scoreboard code under the sender's own
+    /// operation mix, interleaved from a seeded generator over a model
+    /// network with loss, reordering and ACK loss: fresh sends,
+    /// retransmit pops, ACKs that arrive in order, out of order, after
+    /// their packet was written off, with the cumulative point stalled
+    /// behind a hole or jumping when a retransmission fills it, and RTOs.
+    /// After every operation the in-flight records (passed counts
+    /// included), the retransmit queue in order, the episode guard and
+    /// the scoreboard's invariants are checked; every ACK's credit, taken
+    /// record, lost batch and episode flag are compared as they happen.
+    #[test]
+    fn scoreboard_matches_reference() {
+        for seed in 0..48u64 {
+            let mut x = 0x9E37_79B9_7F4A_7C15 ^ seed.wrapping_mul(0xD1B5_4A32_D192_ED03);
+            let mut next = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 16
+            };
+            // per-seed network: drop and reorder odds in 1/100, ACK loss
+            let drop_pct = [0, 3, 20, 60][seed as usize % 4];
+            let reorder_pct = [0, 25][seed as usize / 4 % 2];
+            let ack_drop_pct = [0, 30][seed as usize / 8 % 2];
+
+            let mut board = Scoreboard::default();
+            let mut naive = Reference::default();
+            let mut receiver = Receiver::default();
+            let mut data: VecDeque<u64> = VecDeque::new();
+            let mut acks: VecDeque<(u64, u64)> = VecDeque::new();
+            let (mut now, mut cwnd, mut delivered) = (SimTime::ZERO, 8usize, 0u64);
+            for _ in 0..3_000 {
+                match next() % 20 {
+                    // send up to the window: retransmissions first
+                    0..=4 => {
+                        while board.in_flight < cwnd {
+                            let retx = board.pop_retransmit();
+                            assert_eq!(retx, naive.pop_retransmit(), "next retransmit");
+                            let seq = retx.unwrap_or_else(|| board.next_seq());
+                            assert_eq!(seq, retx.unwrap_or(naive.next_seq));
+                            let rec = SentRecord {
+                                sent_at: now,
+                                size: 1000 + (next() % 500) as u32,
+                                retransmit: retx.is_some(),
+                                passed: 0,
+                                delivered_at_send: delivered,
+                            };
+                            board.on_send(seq, rec);
+                            naive.on_send(seq, rec);
+                            data.push_back(seq);
+                            if next() % 3 == 0 {
+                                break;
+                            }
+                        }
+                    }
+                    // the clock moves; same-instant sends stay common
+                    5 | 6 => {
+                        now += SimDuration::from_micros([0, 1, 100, 5_000][next() as usize % 4])
+                    }
+                    // one data packet leaves the network: dropped, or
+                    // delivered (from the middle when reordering)
+                    7..=10 if !data.is_empty() => {
+                        let at = if next() % 100 < reorder_pct {
+                            next() as usize % data.len()
+                        } else {
+                            0
+                        };
+                        let seq = data.remove(at).expect("index in range");
+                        if next() % 100 >= drop_pct {
+                            acks.push_back((seq, receiver.receive(seq)));
+                        }
+                    }
+                    // one ACK arrives (possibly out of order) or is lost
+                    11..=16 if !acks.is_empty() => {
+                        let at = if next() % 100 < reorder_pct {
+                            next() as usize % acks.len()
+                        } else {
+                            0
+                        };
+                        let (seq, cum) = acks.remove(at).expect("index in range");
+                        if next() % 100 >= ack_drop_pct {
+                            delivered += ack_both(&mut board, &mut naive, seq, cum);
+                        }
+                    }
+                    // rare enough that most losses are inferred first
+                    17 if board.in_flight > 0 && next() % 8 == 0 => {
+                        board.on_rto();
+                        naive.on_rto();
+                    }
+                    18 => cwnd = 1 + next() as usize % 48,
+                    _ => {}
+                }
+
+                assert_eq!(board.in_flight, naive.inflight());
+                assert_eq!(board.next_seq(), naive.next_seq);
+                assert_eq!(board.recovery_until, naive.recovery_until);
+                let live: Vec<u64> = board
+                    .retx
+                    .iter()
+                    .copied()
+                    .filter(|&s| s >= board.cum)
+                    .collect();
+                assert!(live.iter().eq(naive.retx_queue.iter()), "retransmit queue");
+                let records: Vec<(u64, SentRecord)> = board
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| match *s {
+                        Slot::InFlight(r) => Some((board.base + i as u64, r)),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(
+                    records.iter().copied().eq(naive.in_flight_records()),
+                    "in-flight records"
+                );
+                board.check_invariants();
+            }
         }
     }
 }
