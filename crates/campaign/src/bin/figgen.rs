@@ -21,8 +21,8 @@ fn main() {
     } else {
         Scale::Full
     };
-    // --jobs N caps every engine the figure harnesses construct, via the
-    // ABC_JOBS fallback ScenarioEngine::new() honors.
+    // --jobs N caps the worker pool of every figure's campaign run, via
+    // the ABC_JOBS fallback ScenarioEngine::new() honors.
     if let Some(i) = args.iter().position(|a| a == "--jobs") {
         match args.get(i + 1).and_then(|x| x.parse::<usize>().ok()) {
             Some(n) if n >= 1 => std::env::set_var("ABC_JOBS", n.to_string()),

@@ -1,19 +1,18 @@
 //! The paper-style dynamics timeline, rendered **purely from a telemetry
 //! sidecar** — no re-simulation.
 //!
-//! A sidecar (see [`netsim::telemetry`]) is self-describing JSONL: a
-//! schema header line followed by sample/counter/histogram rows.
-//! [`render_dynamics`] turns one into the timeline the ABC paper plots
-//! around its control law: the router's mark fraction and token-bucket
-//! level, the queuing delay they regulate, and the congestion windows
-//! that respond — one sparkline panel per `(signal, scope)` series. The
-//! `dynamics` figure in [`crate::figures::all`] runs a small ABC scenario
-//! with telemetry on and feeds the sidecar straight through this
-//! renderer, proving the pipeline end to end.
+//! [`render_dynamics`] turns one sidecar (read by [`Sidecar::parse`])
+//! into the timeline the ABC paper plots around its control law: the
+//! router's mark fraction and token-bucket level, the queuing delay they
+//! regulate, and the congestion windows that respond — one sparkline
+//! panel per `(signal, scope)` series. The `dynamics` figure in
+//! [`crate::figures::all`] runs the `dynamics` preset with telemetry on
+//! and feeds its sidecar straight through this renderer, the same path
+//! `abc-campaign dynamics <file>` takes on a stored sidecar.
 
-use crate::json::{self, Value};
+use crate::sidecar::Sidecar;
+use experiments::figures::Scale;
 use experiments::sparkline;
-use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// The signals the timeline shows, top to bottom: control-law outputs
@@ -32,67 +31,18 @@ const PANEL_ORDER: &[&str] = &[
 ];
 
 /// Render the dynamics timeline from a sidecar's JSONL text. Errors
-/// (with a description) on a missing/foreign schema header or a
-/// malformed row — a sidecar is machine-written, so any parse failure
-/// means the file is not one.
+/// (with a description) on anything [`Sidecar::parse`] rejects, or on a
+/// sidecar with no gauge samples to plot.
 pub fn render_dynamics(sidecar: &str) -> Result<String, String> {
-    let mut lines = sidecar
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header_line) = lines.next().ok_or("empty sidecar")?;
-    let header = json::parse(header_line).map_err(|e| format!("header: {e}"))?;
-    let schema = header
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("header has no \"schema\" member")?;
-    if schema != netsim::telemetry::SIDECAR_SCHEMA {
-        return Err(format!(
-            "schema {schema:?} is not {:?}",
-            netsim::telemetry::SIDECAR_SCHEMA
-        ));
-    }
-    let cadence_ms = header
-        .get("sample_every_ns")
-        .and_then(Value::as_f64)
-        .map(|ns| ns / 1e6);
+    render_timeline(&Sidecar::parse(sidecar)?)
+}
 
-    // (signal, scope) → time series in row order (sidecars are written in
-    // sample order, so this is also time order).
-    let mut series: BTreeMap<(String, String), Vec<(f64, f64)>> = BTreeMap::new();
-    let mut counters: Vec<(String, String, f64)> = Vec::new();
-    let mut events = 0u64;
-    let mut hist_lines: Vec<String> = Vec::new();
-    for (i, line) in lines {
-        let row = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if let (Some(signal), Some(scope), Some(v), Some(t_ns)) = (
-            row.get("signal").and_then(Value::as_str),
-            row.get("scope").and_then(Value::as_str),
-            row.get("v").and_then(Value::as_f64),
-            row.get("t_ns").and_then(Value::as_f64),
-        ) {
-            series
-                .entry((signal.to_string(), scope.to_string()))
-                .or_default()
-                .push((t_ns / 1e9, v));
-        } else if let (Some(counter), Some(scope), Some(n)) = (
-            row.get("counter").and_then(Value::as_str),
-            row.get("scope").and_then(Value::as_str),
-            row.get("n").and_then(Value::as_f64),
-        ) {
-            counters.push((counter.to_string(), scope.to_string(), n));
-        } else if let Some(hist) = row.get("hist").and_then(Value::as_str) {
-            let count = row.get("count").and_then(Value::as_f64).unwrap_or(0.0);
-            hist_lines.push(format!("histogram {hist}: {count} sample(s)"));
-        } else if row.get("signal").and_then(Value::as_str) == Some("events") {
-            events += 1;
-        } else {
-            return Err(format!("line {}: unrecognized row shape", i + 1));
-        }
-    }
+fn render_timeline(sidecar: &Sidecar) -> Result<String, String> {
+    let series = &sidecar.series;
     if series.is_empty() {
         return Err("sidecar has no samples to plot".into());
     }
+    let cadence_ms = sidecar.sample_every_ns.map(|ns| ns / 1e6);
 
     let end = series
         .values()
@@ -132,49 +82,24 @@ pub fn render_dynamics(sidecar: &str) -> Result<String, String> {
         )
         .unwrap();
     }
-    for (counter, scope, n) in &counters {
+    for (counter, scope, n) in &sidecar.counters {
         writeln!(out, "counter {counter} {scope}: {n}").unwrap();
     }
-    for h in &hist_lines {
-        writeln!(out, "{h}").unwrap();
+    for (hist, _, h) in &sidecar.hists {
+        writeln!(out, "histogram {hist}: {} sample(s)", h.count()).unwrap();
     }
-    if events > 0 {
-        writeln!(out, "events: {events} row(s)").unwrap();
+    if sidecar.events > 0 {
+        writeln!(out, "events: {} row(s)", sidecar.events).unwrap();
     }
     Ok(out)
 }
 
-/// The `dynamics` figure: run a small ABC scenario over a square-wave
-/// link with telemetry on, then render the timeline from the sidecar
-/// alone — the same path `abc-campaign dynamics <file>` takes on a
-/// stored sidecar.
-pub fn dynamics_figure(scale: experiments::figures::Scale) -> String {
-    use experiments::engine::{ScenarioEngine, ScenarioSpec};
-    use experiments::{LinkSpec, Scheme};
-    use netsim::rate::Rate;
-    use netsim::telemetry::TelemetryConfig;
-    use netsim::time::SimDuration;
-
-    let secs = match scale {
-        experiments::figures::Scale::Full => 20,
-        experiments::figures::Scale::Fast => 8,
-        experiments::figures::Scale::Tiny => 3,
-    };
-    let spec = ScenarioSpec::single(
-        Scheme::Abc,
-        LinkSpec::Square {
-            a: Rate::from_mbps(6.0),
-            b: Rate::from_mbps(18.0),
-            half_period: SimDuration::from_millis(1000),
-        },
-    )
-    .duration_secs(secs)
-    .warmup_secs(0)
-    .telemetry(TelemetryConfig::default().with_sample_every(SimDuration::from_millis(20)));
-    let mut built = ScenarioEngine::new().build(&spec);
-    built.run_to_end();
-    let sidecar = built.sidecar().expect("spec enabled telemetry");
-    render_dynamics(&sidecar).expect("engine-written sidecar must render")
+/// The `dynamics` figure: run the `dynamics` preset (a small ABC
+/// scenario over a square-wave link, telemetry on), then render the
+/// timeline from its sidecar alone.
+pub fn dynamics_figure(scale: Scale) -> String {
+    let (_, sidecars) = crate::figures::run_with_sidecars(&crate::presets::dynamics(scale));
+    render_timeline(&sidecars[0]).expect("engine-written sidecar must render")
 }
 
 #[cfg(test)]
@@ -183,7 +108,7 @@ mod tests {
 
     #[test]
     fn figure_renders_the_paper_panels() {
-        let f = dynamics_figure(experiments::figures::Scale::Tiny);
+        let f = dynamics_figure(Scale::Tiny);
         for sig in ["mark_frac", "abc_token", "qdelay_ms", "cwnd"] {
             assert!(f.contains(sig), "panel {sig} missing from:\n{f}");
         }

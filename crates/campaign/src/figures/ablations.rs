@@ -2,12 +2,12 @@
 //! (additive increase and fairness), §6.6 PK-ABC, §6.5 Jain sweep, and the
 //! deterministic-vs-probabilistic marking comparison (Algorithm 1).
 
-use super::Scale;
-use crate::engine::{FlowSchedule, ScenarioEngine, ScenarioSpec};
-use crate::report::sparkline;
-use crate::scenario::LinkSpec;
-use crate::scheme::Scheme;
-use netsim::flow::TrafficSource;
+use super::{run, run_with_sidecars};
+use crate::presets;
+use crate::runner::RunRecord;
+use crate::sidecar::Sidecar;
+use experiments::figures::Scale;
+use experiments::sparkline;
 use netsim::rate::Rate;
 use netsim::time::{SimDuration, SimTime};
 use std::fmt::Write;
@@ -15,32 +15,31 @@ use std::fmt::Write;
 /// Fig. 2: computing f(t) from the enqueue rate roughly doubles the 95th
 /// percentile queuing delay relative to ABC's dequeue-rate rule.
 pub fn fig2(scale: Scale) -> String {
-    let trace = cellular::builtin("Verizon2").unwrap();
-    let dur = scale.secs(120, 30, 2);
+    render_fig2(&run(&presets::fig2(scale)))
+}
+
+/// Render Fig. 2 from `fig2` records (axis `feedback`: dequeue, enqueue).
+pub fn render_fig2(records: &[RunRecord]) -> String {
     let mut out = String::new();
     writeln!(out, "# Fig 2 — feedback basis (dequeue vs enqueue rate)").unwrap();
-    let mut results = Vec::new();
-    for (name, scheme) in [
-        ("dequeue (ABC)", Scheme::Abc),
-        ("enqueue", Scheme::AbcEnqueue),
-    ] {
-        let spec = ScenarioSpec::single(scheme, LinkSpec::Trace(trace.clone())).duration(dur);
-        let r = ScenarioEngine::new().run(&spec);
+    let mut p95s = Vec::new();
+    for rec in records {
+        let r = &rec.report;
         writeln!(
             out,
             "{:<16} util {:>5.1}%  qdelay p50/p95 {:>6.0}/{:>6.0} ms",
-            name,
+            rec.coords.get("feedback").unwrap_or("?"),
             r.utilization * 100.0,
             r.qdelay_ms.p50,
             r.qdelay_ms.p95
         )
         .unwrap();
-        results.push(r.qdelay_ms.p95);
+        p95s.push(r.qdelay_ms.p95);
     }
     writeln!(
         out,
         "enqueue/dequeue 95p queuing-delay ratio: {:.2}x (paper: ~2x)",
-        results[1] / results[0].max(1e-9)
+        p95s[1] / p95s[0].max(1e-9)
     )
     .unwrap();
     out
@@ -49,41 +48,31 @@ pub fn fig2(scale: Scale) -> String {
 /// Fig. 3: five staggered ABC flows on a 24 Mbit/s link, with and without
 /// the additive-increase term of Eq. 3.
 pub fn fig3(scale: Scale) -> String {
-    let dur_s = scale.pick(250u64, 100, 2);
-    let stagger_s = dur_s / 10; // join every stagger, leave symmetric
+    let campaign = presets::fig3(scale);
+    let (records, sidecars) = run_with_sidecars(&campaign);
+    render_fig3(&records, &sidecars, campaign.base.duration.as_secs_f64())
+}
+
+/// Render Fig. 3 from `fig3` records (axis `panel`) and their sidecars'
+/// per-flow `goodput_mbps` rows. `secs` is the run length: the Jain index
+/// is taken over its middle tenth, while all five flows are active.
+pub fn render_fig3(records: &[RunRecord], sidecars: &[Sidecar], secs: f64) -> String {
     let mut out = String::new();
     writeln!(
         out,
         "# Fig 3 — fairness among five staggered ABC flows (24 Mbit/s)"
     )
     .unwrap();
-    for (panel, scheme) in [("a (no AI)", Scheme::AbcNoAi), ("b (with AI)", Scheme::Abc)] {
-        let mut spec = ScenarioSpec::single(scheme, LinkSpec::Constant(Rate::from_mbps(24.0)))
-            .duration_secs(dur_s)
-            .warmup(SimDuration::ZERO);
-        spec.flows = FlowSchedule::Uniform {
-            n: 5,
-            app: TrafficSource::Backlogged,
-            stagger: SimDuration::from_secs(stagger_s),
-            stagger_departures: true, // flows also leave one by one (Fig. 3)
-        };
-        let mut b = ScenarioEngine::new().build(&spec);
-        b.run_to_end();
-        let hub = b.hub.clone();
-        let report = b.finish();
-        writeln!(out, "\n## Fig 3{panel}").unwrap();
-        let hubref = hub.borrow();
+    for (rec, sidecar) in records.iter().zip(sidecars) {
+        writeln!(out, "\n## Fig 3{}", rec.coords.get("panel").unwrap_or("?")).unwrap();
+        let goodput = |i: u32| sidecar.series("goodput_mbps", &format!("flow:{i}"));
         for i in 1..=5u32 {
-            let series = hubref.throughput_series_mbps(netsim::packet::FlowId(i));
-            writeln!(out, "flow {i}: {}", sparkline(&series, 60)).unwrap();
+            writeln!(out, "flow {i}: {}", sparkline(goodput(i), 60)).unwrap();
         }
-        // fairness while all five are active (middle fifth of the run)
-        let mid_lo = dur_s as f64 * 0.45;
-        let mid_hi = dur_s as f64 * 0.55;
+        let (mid_lo, mid_hi) = (secs * 0.45, secs * 0.55);
         let tputs: Vec<f64> = (1..=5u32)
             .map(|i| {
-                let s = hubref.throughput_series_mbps(netsim::packet::FlowId(i));
-                let pts: Vec<f64> = s
+                let pts: Vec<f64> = goodput(i)
                     .iter()
                     .filter(|(t, _)| *t >= mid_lo && *t < mid_hi)
                     .map(|(_, v)| *v)
@@ -101,7 +90,6 @@ pub fn fig3(scale: Scale) -> String {
                 .collect::<Vec<_>>()
         )
         .unwrap();
-        let _ = report;
     }
     out
 }
@@ -109,24 +97,20 @@ pub fn fig3(scale: Scale) -> String {
 /// §6.6: PK-ABC — the router control law sees µ(t + RTT) from the trace
 /// oracle instead of µ(t).
 pub fn pk_abc(scale: Scale) -> String {
-    let trace = cellular::builtin("Verizon2").unwrap();
-    let dur = scale.secs(120, 30, 2);
+    render_pk_abc(&run(&presets::pk_abc(scale)))
+}
+
+/// Render §6.6 from `pk_abc` records (axis `oracle`).
+pub fn render_pk_abc(records: &[RunRecord]) -> String {
     let mut out = String::new();
     writeln!(out, "# PK-ABC — perfect future capacity knowledge (§6.6)").unwrap();
-    for (name, look) in [
-        ("ABC", None),
-        ("PK-ABC", Some(SimDuration::from_millis(100))),
-    ] {
-        let mut spec =
-            ScenarioSpec::single(Scheme::Abc, LinkSpec::Trace(trace.clone())).duration(dur);
-        spec.oracle_lookahead = look;
-        let r = ScenarioEngine::new().run(&spec);
+    for rec in records {
         writeln!(
             out,
             "{:<8} util {:>5.1}%  qdelay p95 {:>6.1} ms",
-            name,
-            r.utilization * 100.0,
-            r.qdelay_ms.p95
+            rec.coords.get("oracle").unwrap_or("?"),
+            rec.report.utilization * 100.0,
+            rec.report.qdelay_ms.p95
         )
         .unwrap();
     }
@@ -136,24 +120,20 @@ pub fn pk_abc(scale: Scale) -> String {
 /// §6.5: Jain fairness index for 2..32 competing ABC flows on a 24 Mbit/s
 /// wired link (paper: within 5% of 1 in every case).
 pub fn jain(scale: Scale) -> String {
-    let counts: &[u32] = if scale.reduced() {
-        &[2, 8]
-    } else {
-        &[2, 4, 8, 16, 32]
-    };
+    render_jain(&run(&presets::jain(scale)))
+}
+
+/// Render §6.5 from `jain` records (axis `flows`).
+pub fn render_jain(records: &[RunRecord]) -> String {
     let mut out = String::new();
     writeln!(
         out,
         "# §6.5 — Jain index across competing ABC flows (24 Mbit/s, 60 s)"
     )
     .unwrap();
-    for &n in counts {
-        let spec = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(24.0)))
-            .flows(n)
-            .duration(scale.secs(120, 60, 2))
-            .warmup(scale.secs(60, 20, 0));
-        let r = ScenarioEngine::new().run(&spec);
-        writeln!(out, "{n:>3} flows: Jain {:.4}", r.jain).unwrap();
+    for rec in records {
+        let n = rec.coords.get("flows").unwrap_or("?");
+        writeln!(out, "{n:>3} flows: Jain {:.4}", rec.report.jain).unwrap();
     }
     out
 }
@@ -161,7 +141,8 @@ pub fn jain(scale: Scale) -> String {
 /// Algorithm 1 ablation: deterministic token bucket vs probabilistic
 /// marking. The deterministic marker spaces accelerates evenly, which
 /// shows up as a lower coefficient of variation of the inter-accelerate
-/// gap and (slightly) calmer queues.
+/// gap and (slightly) calmer queues. It drives one qdisc in isolation, so
+/// there is no scenario to store.
 pub fn marking(scale: Scale) -> String {
     use abc_core::router::{AbcQdisc, AbcRouterConfig, MarkingMode};
     use netsim::packet::{Ecn, FlowId, NodeId, Packet, Route};

@@ -1,35 +1,26 @@
 //! Appendix D: the square-wave time series (Fig. 17). Its sibling
-//! per-trace sweep (Fig. 16) is campaign-backed and lives in
-//! `campaign::figures`.
+//! per-trace sweep (Fig. 16) renders the `explicit-matrix` preset.
 
-use super::Scale;
-use crate::engine::{ScenarioEngine, ScenarioSpec};
-use crate::report::sparkline;
-use crate::scenario::LinkSpec;
-use crate::scheme::Scheme;
-use netsim::rate::Rate;
-use netsim::time::SimDuration;
+use super::run;
+use crate::presets;
+use crate::runner::RunRecord;
+use experiments::figures::Scale;
+use experiments::sparkline;
 use std::fmt::Write;
 
 /// Fig. 17: 12 ↔ 24 Mbit/s square wave every 500 ms. ABC and XCPw track
 /// the rate; RCP (rate-based) lags and underutilizes after drops.
 pub fn fig17(scale: Scale) -> String {
-    let dur = scale.secs(30, 10, 2);
+    render_fig17(&run(&presets::fig17(scale)))
+}
+
+/// Render Fig. 17 from `fig17` records (axis `scheme`).
+pub fn render_fig17(records: &[RunRecord]) -> String {
     let mut out = String::new();
     writeln!(out, "# Fig 17 — square-wave link 12↔24 Mbit/s every 500 ms").unwrap();
-    for scheme in [Scheme::Abc, Scheme::Rcp, Scheme::Xcpw] {
-        let spec = ScenarioSpec::single(
-            scheme,
-            LinkSpec::Square {
-                a: Rate::from_mbps(12.0),
-                b: Rate::from_mbps(24.0),
-                half_period: SimDuration::from_millis(500),
-            },
-        )
-        .duration(dur)
-        .warmup(scale.secs(2, 2, 0));
-        let r = ScenarioEngine::new().run(&spec);
-        writeln!(out, "\n## {}", scheme.name()).unwrap();
+    for rec in records {
+        let r = &rec.report;
+        writeln!(out, "\n## {}", r.scheme).unwrap();
         writeln!(out, "goodput: {}", sparkline(&r.tput_series, 60)).unwrap();
         writeln!(out, "qdelay : {}", sparkline(&r.qdelay_series, 60)).unwrap();
         writeln!(

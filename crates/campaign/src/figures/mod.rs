@@ -1,64 +1,79 @@
-//! The matrix/pareto/RTT-grid figures, migrated onto campaigns: each
-//! figure's sweep is a [`Campaign`](crate::Campaign) preset and its body is a **pure
-//! renderer over run records** — the same records `abc-campaign run`
-//! writes to a store, so a stored sweep can be re-rendered without
-//! re-simulating.
+//! Every figure of the paper, one layer: each figure's sweep is a
+//! [`Campaign`](crate::Campaign) preset (registered in
+//! [`presets::all`] under the figure id, or the shared sweep it reads)
+//! and its body is a **pure renderer over run records** — the same
+//! records `abc-campaign run` writes to a store — plus, for within-run
+//! time series, the points' telemetry sidecars. A stored sweep can be
+//! re-rendered without re-simulating.
 //!
-//! [`all`] is the complete figure index of the reproduction: the
-//! campaign-backed figures here plus the per-figure harnesses still in
-//! [`experiments::figures`].
+//! Three figures have no scenario outcome to store and compute directly:
+//! `marking` drives one qdisc in isolation, and `fig4`/`fig5` read the
+//! Wi-Fi AP estimator's internal log.
+//!
+//! [`all`] is the complete figure index, in the paper's order.
 
 use crate::aggregate::stat_by;
 use crate::presets;
-use crate::runner::{find, labels_of, run_campaign, RunOptions, RunRecord};
-use experiments::figures::{FigureFn, Scale};
+use crate::runner::{find, labels_of, run_campaign, run_campaign_sidecars, RunOptions, RunRecord};
+use crate::sidecar::Sidecar;
+use experiments::figures::Scale;
 use std::fmt::Write;
+
+pub mod ablations;
+pub mod coexistence;
+pub mod explicit_figs;
+pub mod motivation;
+pub mod stability_fig;
+pub mod wifi_figs;
+
+/// A figure: renders its rows/series at the given scale.
+pub type FigureFn = fn(Scale) -> String;
 
 fn run(campaign: &crate::spec::Campaign) -> Vec<RunRecord> {
     run_campaign(campaign, &RunOptions::quiet())
 }
 
+/// Run a preset that records telemetry: its records and, beside each,
+/// its parsed sidecar.
+pub(crate) fn run_with_sidecars(
+    campaign: &crate::spec::Campaign,
+) -> (Vec<RunRecord>, Vec<Sidecar>) {
+    run_campaign_sidecars(campaign, &RunOptions::quiet())
+        .into_iter()
+        .map(|(record, text)| {
+            let text = text.expect("the preset records telemetry");
+            let sidecar = Sidecar::parse(&text).expect("engine-written sidecar parses");
+            (record, sidecar)
+        })
+        .unzip()
+}
+
+/// `x / by` to two decimals, or `n/a` when there is nothing to divide by.
+fn ratio(x: f64, by: f64) -> String {
+    if by == 0.0 {
+        "n/a".to_string()
+    } else {
+        format!("{:.2}", x / by)
+    }
+}
+
 /// Table 1 of §1: throughput and 95th-percentile delay normalized to ABC,
 /// averaged over the traces.
 pub fn table1(scale: Scale) -> String {
-    use experiments::Scheme;
-    let schemes = [
-        Scheme::Abc,
-        Scheme::Xcp,
-        Scheme::CubicCodel,
-        Scheme::Copa,
-        Scheme::Cubic,
-        Scheme::Pcc,
-        Scheme::Bbr,
-        Scheme::Sprout,
-        Scheme::Verus,
-    ];
-    let campaign = presets::matrix_campaign(
-        "table1",
-        &schemes,
-        &presets::traces(scale),
-        presets::sim_duration(scale),
-    );
-    render_table1(&run(&campaign))
+    render_table1(&run(&presets::table1(scale)))
 }
 
-/// Render Table 1 from matrix records (axes `scheme` × `trace`).
+/// Render Table 1 from matrix records (axes `scheme` × `trace`). A
+/// column whose ABC mean is 0 (or that has no ABC row) reads `n/a`.
 pub fn render_table1(records: &[RunRecord]) -> String {
     let util = stat_by(records, "scheme", |r| r.report.utilization);
     let delay = stat_by(records, "scheme", |r| r.report.delay_ms.p95);
-    let (abc_util, abc_delay) = (
-        util.iter()
+    let abc_mean = |col: &[(String, crate::aggregate::Stat)]| {
+        col.iter()
             .find(|(s, _)| s == "ABC")
-            .expect("ABC row")
-            .1
-            .mean,
-        delay
-            .iter()
-            .find(|(s, _)| s == "ABC")
-            .expect("ABC row")
-            .1
-            .mean,
-    );
+            .map_or(0.0, |(_, st)| st.mean)
+    };
+    let (abc_util, abc_delay) = (abc_mean(&util), abc_mean(&delay));
     let mut out = String::new();
     writeln!(
         out,
@@ -74,10 +89,10 @@ pub fn render_table1(records: &[RunRecord]) -> String {
     for ((s, u), (_, d)) in util.iter().zip(&delay) {
         writeln!(
             out,
-            "{:<14} {:>11.2} {:>18.2}",
+            "{:<14} {:>11} {:>18}",
             s,
-            u.mean / abc_util,
-            d.mean / abc_delay
+            ratio(u.mean, abc_util),
+            ratio(d.mean, abc_delay)
         )
         .unwrap();
     }
@@ -548,87 +563,125 @@ pub fn render_coexistence(records: &[RunRecord]) -> String {
     out
 }
 
-/// The complete figure index: campaign-backed figures (here) merged with
-/// the per-figure harnesses still in [`experiments::figures`], in the
-/// paper's order.
+/// The complete figure index, in the paper's order: `(id, description,
+/// figure)`.
 pub fn all() -> Vec<(&'static str, &'static str, FigureFn)> {
-    let mut v = experiments::figures::all();
-    v.extend([
+    vec![
+        ("table1", "§1 normalized tput/delay summary", table1),
         (
-            "table1",
-            "§1 normalized tput/delay summary",
-            table1 as FigureFn,
+            "fig1",
+            "motivation time series (Cubic/Verus/Cubic+CoDel/ABC)",
+            motivation::fig1,
+        ),
+        ("fig2", "dequeue- vs enqueue-rate feedback", ablations::fig2),
+        (
+            "fig3",
+            "fairness with/without additive increase",
+            ablations::fig3,
+        ),
+        (
+            "fig4",
+            "Wi-Fi inter-ACK time vs batch size",
+            wifi_figs::fig4,
+        ),
+        (
+            "fig5",
+            "Wi-Fi link-rate prediction accuracy",
+            wifi_figs::fig5,
+        ),
+        (
+            "fig6",
+            "coexistence with a non-ABC bottleneck (dual windows)",
+            coexistence::fig6,
+        ),
+        (
+            "fig7",
+            "coexistence with non-ABC flows (dual queue)",
+            coexistence::fig7,
         ),
         (
             "fig8",
             "utilization vs 95p delay Pareto (down/up/two-hop)",
-            fig8 as FigureFn,
+            fig8,
+        ),
+        ("fig9", "utilization + 95p delay across 8 traces", fig9),
+        (
+            "fig10",
+            "Wi-Fi throughput/delay, 1 and 2 users",
+            wifi_figs::fig10,
         ),
         (
-            "fig9",
-            "utilization + 95p delay across 8 traces",
-            fig9 as FigureFn,
+            "fig11",
+            "non-ABC bottleneck with cross traffic",
+            coexistence::fig11,
         ),
         (
-            "fig15",
-            "mean per-packet delay across traces",
-            fig15 as FigureFn,
+            "fig12",
+            "max-min vs Zombie-List weights under short flows",
+            coexistence::fig12,
+        ),
+        ("fig13", "application-limited ABC flows", coexistence::fig13),
+        ("fig14", "Wi-Fi Brownian-motion MCS", wifi_figs::fig14),
+        ("fig15", "mean per-packet delay across traces", fig15),
+        ("fig16", "ABC vs explicit schemes (XCP/XCPw/RCP/VCP)", fig16),
+        (
+            "fig17",
+            "square-wave link time series (ABC/RCP/XCPw)",
+            explicit_figs::fig17,
+        ),
+        ("fig18", "RTT sensitivity sweep", fig18),
+        (
+            "pk_abc",
+            "§6.6 perfect-future-knowledge ABC",
+            ablations::pk_abc,
         ),
         (
-            "fig16",
-            "ABC vs explicit schemes (XCP/XCPw/RCP/VCP)",
-            fig16 as FigureFn,
+            "stability",
+            "Theorem 3.1 δ/τ stability sweep",
+            stability_fig::stability,
         ),
-        ("fig18", "RTT sensitivity sweep", fig18 as FigureFn),
+        ("jain", "§6.5 Jain index, 2..32 ABC flows", ablations::jain),
+        (
+            "marking",
+            "deterministic vs probabilistic marking ablation",
+            ablations::marking,
+        ),
         (
             "web-fct",
             "web flow-completion times vs offered load",
-            web_fct as FigureFn,
+            web_fct,
         ),
         (
             "video-qoe",
             "ABR video rebuffer/bitrate/QoE across traces",
-            video_qoe as FigureFn,
+            video_qoe,
         ),
         (
             "rtc-coexist",
             "RTC deadline misses beside a bulk flow",
-            rtc_coexist_fig as FigureFn,
+            rtc_coexist_fig,
         ),
         (
             "many-users",
             "Jain fairness + web tail FCT at 10→10k clients",
-            many_users_fig as FigureFn,
+            many_users_fig,
         ),
         (
             "robustness",
             "throughput/delay degradation under adversarial impairments",
-            robustness_fig as FigureFn,
+            robustness_fig,
         ),
         (
             "coexistence",
             "ABC-Cubic throughput share + qdelay vs ABC-capable hop fraction",
-            coexistence as FigureFn,
+            coexistence,
         ),
         (
             "dynamics",
             "control-law timeline (marks/token/qdelay/cwnd) from a telemetry sidecar",
-            crate::dynamics::dynamics_figure as FigureFn,
+            crate::dynamics::dynamics_figure,
         ),
-    ]);
-    v.sort_by_key(|(id, ..)| rank(id));
-    v
-}
-
-/// Canonical figure order: table1 first, then `fig<N>` numerically, then
-/// the named extras in their listed order.
-fn rank(id: &str) -> u32 {
-    if id == "table1" {
-        return 0;
-    }
-    id.strip_prefix("fig")
-        .and_then(|n| n.parse::<u32>().ok())
-        .unwrap_or(1000)
+    ]
 }
 
 #[cfg(test)]
@@ -638,7 +691,7 @@ mod tests {
     #[test]
     fn index_is_complete_and_ordered() {
         let all = all();
-        assert!(all.len() >= 23, "figure index shrank to {}", all.len());
+        assert_eq!(all.len(), 30, "figure index changed size");
         let ids: Vec<&str> = all.iter().map(|(id, ..)| *id).collect();
         assert_eq!(ids[0], "table1");
         let f8 = ids.iter().position(|&i| i == "fig8").unwrap();
@@ -650,6 +703,17 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len(), "duplicate figure ids: {ids:?}");
+    }
+
+    #[test]
+    fn table1_prints_na_without_an_abc_baseline() {
+        let empty = render_table1(&[]);
+        assert_eq!(empty.lines().count(), 2, "{empty}");
+        // 2 s runs end inside the 5 s warm-up, so every ABC mean is 0
+        let t = table1(Scale::Tiny);
+        for row in t.lines().skip(2) {
+            assert!(row.ends_with("n/a") && !row.contains("NaN"), "{row}");
+        }
     }
 
     #[test]

@@ -1,34 +1,29 @@
 //! Fig. 1: the motivation time series — Cubic bufferbloat, Verus
 //! oscillation, Cubic+CoDel underutilization, ABC tracking.
 
-use super::Scale;
-use crate::engine::{ScenarioEngine, ScenarioSpec};
-use crate::report::sparkline;
-use crate::scenario::LinkSpec;
-use crate::scheme::Scheme;
+use super::run;
+use crate::presets;
+use crate::runner::RunRecord;
+use experiments::figures::Scale;
+use experiments::sparkline;
 use std::fmt::Write;
 
 /// Fig. 1: the motivating bufferbloat-vs-underutilization contrast.
 pub fn fig1(scale: Scale) -> String {
-    let trace = cellular::builtin("Verizon1").unwrap();
-    let dur = scale.secs(30, 15, 2);
+    render_fig1(&run(&presets::fig1(scale)))
+}
+
+/// Render Fig. 1 from `fig1` records (axis `scheme`, one panel each).
+pub fn render_fig1(records: &[RunRecord]) -> String {
     let mut out = String::new();
     writeln!(
         out,
         "# Fig 1 — 30 s on an emulated LTE link (dashed = capacity)"
     )
     .unwrap();
-    for (panel, scheme) in [
-        ("a", Scheme::Cubic),
-        ("b", Scheme::Verus),
-        ("c", Scheme::CubicCodel),
-        ("d", Scheme::Abc),
-    ] {
-        let spec = ScenarioSpec::single(scheme, LinkSpec::Trace(trace.clone()))
-            .duration(dur)
-            .warmup(scale.secs(2, 2, 0));
-        let r = ScenarioEngine::new().run(&spec);
-        writeln!(out, "\n## Fig 1{panel} — {}", scheme.name()).unwrap();
+    for (panel, rec) in ["a", "b", "c", "d"].iter().zip(records) {
+        let r = &rec.report;
+        writeln!(out, "\n## Fig 1{panel} — {}", r.scheme).unwrap();
         writeln!(out, "capacity : {}", sparkline(&r.capacity_series, 60)).unwrap();
         writeln!(out, "goodput  : {}", sparkline(&r.tput_series, 60)).unwrap();
         writeln!(out, "qdelay   : {}", sparkline(&r.qdelay_series, 60)).unwrap();

@@ -1,18 +1,29 @@
 //! Theorem 3.1 validation: the fluid-model δ/τ sweep plus a full-simulator
 //! sweep showing the same boundary empirically.
 
-use super::Scale;
-use crate::engine::{QdiscSpec, ScenarioEngine, ScenarioSpec};
-use crate::scenario::LinkSpec;
-use crate::scheme::Scheme;
-use abc_core::router::AbcRouterConfig;
+use super::run;
+use crate::presets;
+use crate::runner::RunRecord;
 use abc_core::stability::{fluid_a, integrate_fluid, is_stable};
+use experiments::figures::Scale;
 use netsim::rate::Rate;
 use netsim::time::SimDuration;
 use std::fmt::Write;
 
 /// Appendix C: utilization/delay across the ABC δ stability sweep.
 pub fn stability(scale: Scale) -> String {
+    let ratios: &[f64] = if scale.reduced() {
+        &[0.3, 0.5, 0.8, 1.33]
+    } else {
+        &[0.2, 0.33, 0.5, 0.6, 0.7, 0.8, 1.0, 1.33, 2.0]
+    };
+    render_stability(ratios, &run(&presets::stability(scale)))
+}
+
+/// Render Theorem 3.1's check: the fluid model at each δ/τ of `ratios`
+/// (τ = 100 ms), then the simulator half from `stability` records (axis
+/// `delta_ms`).
+pub fn render_stability(ratios: &[f64], records: &[RunRecord]) -> String {
     let mut out = String::new();
     writeln!(out, "# Theorem 3.1 — stability requires δ > ⅔·τ").unwrap();
 
@@ -25,11 +36,6 @@ pub fn stability(scale: Scale) -> String {
         "δ/τ", "criterion", "residual", "verdict"
     )
     .unwrap();
-    let ratios: &[f64] = if scale.reduced() {
-        &[0.3, 0.5, 0.8, 1.33]
-    } else {
-        &[0.2, 0.33, 0.5, 0.6, 0.7, 0.8, 1.0, 1.33, 2.0]
-    };
     let a = fluid_a(0.98, 20, Rate::from_mbps(12.0), 1500, 0.1);
     for &ratio in ratios {
         let delta = tau.mul_f64(ratio);
@@ -56,39 +62,20 @@ pub fn stability(scale: Scale) -> String {
         "δ (ms)", "criterion", "qdelay sd (ms)", "util"
     )
     .unwrap();
-    let deltas: &[u64] = if scale.reduced() {
-        &[30, 200]
-    } else {
-        &[20, 40, 60, 90, 133, 200, 400]
-    };
-    // one spec per δ, with the router override declared in the spec; the
-    // sweep runs in parallel
-    let specs: Vec<_> = deltas
-        .iter()
-        .map(|&dms| {
-            ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)))
-                .flows(20)
-                .duration(scale.secs(60, 30, 2))
-                .warmup(scale.secs(10, 10, 0))
-                .qdisc(QdiscSpec::AbcWith(AbcRouterConfig {
-                    delta: SimDuration::from_millis(dms),
-                    ..Default::default()
-                }))
-        })
-        .collect();
-    let reports = ScenarioEngine::new().run_batch(&specs);
-    for (&dms, r) in deltas.iter().zip(&reports) {
+    for rec in records {
+        let dms = rec.coords.get("delta_ms").unwrap_or("?");
+        let delta = SimDuration::from_millis(dms.parse().unwrap_or(0));
         writeln!(
             out,
             "{:>9} {:>10} {:>14.1} {:>11.1}%",
             dms,
-            if is_stable(SimDuration::from_millis(dms), SimDuration::from_millis(100)) {
+            if is_stable(delta, tau) {
                 "stable"
             } else {
                 "unstable"
             },
-            r.qdelay_ms.std_dev,
-            r.utilization * 100.0
+            rec.report.qdelay_ms.std_dev,
+            rec.report.utilization * 100.0
         )
         .unwrap();
     }

@@ -1,12 +1,14 @@
 //! Wi-Fi figures: Fig. 4 (inter-ACK vs batch size), Fig. 5 (link-rate
 //! prediction accuracy), Fig. 10 (single/two-user tradeoff), Fig. 14
-//! (Brownian MCS).
+//! (Brownian MCS). Figs. 4 and 5 read the AP estimator's internal log,
+//! which no run record carries, so they build their scenarios directly.
 
-use super::Scale;
-use crate::engine::{ScenarioEngine, ScenarioSpec};
-use crate::scheme::{Scheme, WIFI_LINEUP};
-use crate::wifi::{estimator_accuracy, McsSpec};
-use netsim::time::SimDuration;
+use super::run;
+use crate::presets;
+use crate::runner::{labels_of, RunRecord};
+use experiments::engine::{ScenarioEngine, ScenarioSpec};
+use experiments::figures::Scale;
+use experiments::{estimator_accuracy, McsSpec, Scheme};
 use std::fmt::Write;
 
 /// Fig. 4: mean inter-ACK time per A-MPDU batch size, with the regression
@@ -118,31 +120,26 @@ pub fn fig5(scale: Scale) -> String {
 /// Fig. 10: throughput vs 95p per-packet delay for the Wi-Fi lineup, with
 /// the MCS alternating 1 ↔ 7 every 2 s; single-user and two-user panels.
 pub fn fig10(scale: Scale) -> String {
-    wifi_panel(
+    render_wifi_panel(
         "Fig 10 — Wi-Fi, MCS alternating 1↔7 every 2 s",
-        McsSpec::Alternating(1, 7, SimDuration::from_secs(2)),
-        scale,
+        &run(&presets::fig10(scale)),
     )
 }
 
 /// Fig. 14 (Appendix B): Brownian-motion MCS over [3, 7].
 pub fn fig14(scale: Scale) -> String {
-    wifi_panel(
+    render_wifi_panel(
         "Fig 14 — Wi-Fi, Brownian-motion MCS in [3, 7]",
-        McsSpec::Brownian(3, 7, SimDuration::from_secs(2), 0xf14),
-        scale,
+        &run(&presets::fig14(scale)),
     )
 }
 
-fn wifi_panel(title: &str, mcs: McsSpec, scale: Scale) -> String {
+/// Render Figs. 10/14 from Wi-Fi lineup records (axes `flows` × `scheme`),
+/// one panel per user count.
+pub fn render_wifi_panel(title: &str, records: &[RunRecord]) -> String {
     let mut out = String::new();
     writeln!(out, "# {title}").unwrap();
-    let schemes: &[Scheme] = if scale.reduced() {
-        &[Scheme::AbcDt(60), Scheme::CubicCodel, Scheme::Cubic]
-    } else {
-        &WIFI_LINEUP
-    };
-    for users in [1u32, 2] {
+    for users in labels_of(records, "flows") {
         writeln!(out, "\n## {users} user(s)").unwrap();
         writeln!(
             out,
@@ -150,26 +147,16 @@ fn wifi_panel(title: &str, mcs: McsSpec, scale: Scale) -> String {
             "Scheme", "tput (Mbit/s)", "95p delay (ms)"
         )
         .unwrap();
-        // the whole lineup as one parallel batch
-        let specs: Vec<_> = schemes
+        let rows: Vec<(&str, f64, f64)> = records
             .iter()
-            .map(|&s| {
-                ScenarioSpec::wifi(s, users, mcs)
-                    .duration(scale.secs(45, 15, 2))
-                    .warmup(scale.secs(5, 5, 0))
+            .filter(|r| r.coords.get("flows") == Some(users.as_str()))
+            .map(|r| {
+                let name = r.coords.get("scheme").unwrap_or("?");
+                (name, r.report.total_tput_mbps, r.report.delay_ms.p95)
             })
             .collect();
-        let mut rows = Vec::new();
-        for (&s, r) in schemes.iter().zip(ScenarioEngine::new().run_batch(&specs)) {
-            writeln!(
-                out,
-                "{:<14} {:>14.2} {:>16.0}",
-                s.name(),
-                r.total_tput_mbps,
-                r.delay_ms.p95
-            )
-            .unwrap();
-            rows.push((s.name(), r.total_tput_mbps, r.delay_ms.p95));
+        for (name, tput, p95) in &rows {
+            writeln!(out, "{:<14} {:>14.2} {:>16.0}", name, tput, p95).unwrap();
         }
         // flag ABC's Pareto position like Fig. 8
         let abc_best = rows

@@ -22,10 +22,13 @@
 //! * [`diff`] — baseline comparison and regression gating.
 //! * [`presets`] — built-in campaigns (`tiny`, `cellular-matrix`,
 //!   `pareto`, `rtt-grid`, …).
-//! * [`figures`] — the matrix/pareto/RTT figures as pure renderers over
-//!   run records, and the workspace's complete figure index.
+//! * [`figures`] — every figure of the paper: a preset plus a pure
+//!   renderer over its run records (and sidecars), and the complete
+//!   figure index.
+//! * [`sidecar`] — the one reader of [`netsim::telemetry`] JSONL
+//!   sidecars.
 //! * [`dynamics`] — the paper-style dynamics timeline rendered purely
-//!   from a [`netsim::telemetry`] JSONL sidecar.
+//!   from a sidecar.
 //! * [`runlog`] — the schema-versioned wall-clock run ledger the runner
 //!   writes beside (never into) the store: per-point spans, wave
 //!   boundaries, store-flush spans.
@@ -51,6 +54,7 @@ pub mod presets;
 pub mod report;
 pub mod runlog;
 pub mod runner;
+pub mod sidecar;
 pub mod spec;
 pub mod store;
 pub mod trace;

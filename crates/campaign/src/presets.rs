@@ -1,19 +1,23 @@
-//! Built-in campaigns: the sweeps behind the paper's matrix/pareto/RTT
-//! figures, plus small presets for CI gating and seed-replication
-//! studies. Every preset is a pure function of its [`Scale`], so two
-//! invocations expand to identical point lists.
+//! Built-in campaigns: the sweep behind every figure of the paper (named
+//! by its figure id, or by the sweep several figures share), plus small
+//! presets for CI gating and seed-replication studies. Every preset is a
+//! pure function of its [`Scale`], so two invocations expand to identical
+//! point lists.
 
 use crate::spec::{Axis, AxisValue, Campaign};
+use abc_core::coexist::WeightPolicy;
 use cellular::CellTrace;
 use experiments::engine::{
-    AbcRouterConfig, FlowSchedule, FlowSpec, HopQdisc, ParkingHop, QdiscSpec, ScenarioSpec,
-    Topology, WorkloadEntry,
+    AbcRouterConfig, FlowSchedule, FlowSpec, HopQdisc, ParkingHop, PoissonShortFlows, QdiscSpec,
+    ScenarioSpec, Topology, WorkloadEntry,
 };
 use experiments::figures::Scale;
 use experiments::scenario::LinkSpec;
-use experiments::{Scheme, CELLULAR_LINEUP, EXPLICIT_LINEUP};
+use experiments::{McsSpec, Scheme, CELLULAR_LINEUP, EXPLICIT_LINEUP, WIFI_LINEUP};
 use netsim::fault::{ImpairmentKind, ImpairmentSpec};
+use netsim::flow::TrafficSource;
 use netsim::rate::Rate;
+use netsim::telemetry::{Signal, TelemetryConfig};
 use netsim::time::{SimDuration, SimTime};
 use workload::{AbrWorkload, RtcWorkload, WebWorkload, WorkloadSpec};
 
@@ -384,6 +388,371 @@ pub fn parking_lot(scale: Scale) -> Campaign {
         .axis(Axis::seeds(&[1, 2]))
 }
 
+/// Table 1's sweep: the §1 lineup × traces.
+pub fn table1(scale: Scale) -> Campaign {
+    let schemes = [
+        Scheme::Abc,
+        Scheme::Xcp,
+        Scheme::CubicCodel,
+        Scheme::Copa,
+        Scheme::Cubic,
+        Scheme::Pcc,
+        Scheme::Bbr,
+        Scheme::Sprout,
+        Scheme::Verus,
+    ];
+    matrix_campaign("table1", &schemes, &traces(scale), sim_duration(scale))
+}
+
+/// Fig. 1: Cubic, Verus, Cubic+CoDel and ABC on the Verizon1 trace.
+pub fn fig1(scale: Scale) -> Campaign {
+    let trace = cellular::builtin("Verizon1").expect("builtin trace");
+    let base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Trace(trace))
+        .duration(scale.secs(30, 15, 2))
+        .warmup(scale.secs(2, 2, 0));
+    Campaign::new("fig1", base).axis(Axis::schemes(&[
+        Scheme::Cubic,
+        Scheme::Verus,
+        Scheme::CubicCodel,
+        Scheme::Abc,
+    ]))
+}
+
+/// Fig. 2: ABC's dequeue-rate feedback against an enqueue-rate variant
+/// on the Verizon2 trace.
+pub fn fig2(scale: Scale) -> Campaign {
+    let trace = cellular::builtin("Verizon2").expect("builtin trace");
+    let base =
+        ScenarioSpec::single(Scheme::Abc, LinkSpec::Trace(trace)).duration(scale.secs(120, 30, 2));
+    let bases = vec![
+        ("dequeue (ABC)".to_string(), AxisValue::Scheme(Scheme::Abc)),
+        ("enqueue".to_string(), AxisValue::Scheme(Scheme::AbcEnqueue)),
+    ];
+    Campaign::new("fig2", base).axis(Axis::new("feedback", bases))
+}
+
+/// Telemetry recording only `signals`, at the default cadence.
+fn recording(signals: &[Signal]) -> TelemetryConfig {
+    TelemetryConfig {
+        signals: signals.to_vec(),
+        ..TelemetryConfig::default()
+    }
+}
+
+/// Fig. 3: five staggered ABC flows joining and leaving a 24 Mbit/s link,
+/// without and with the additive-increase term; per-flow goodput comes
+/// from the sidecars.
+pub fn fig3(scale: Scale) -> Campaign {
+    let secs = scale.pick(250, 100, 2);
+    let mut base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(24.0)))
+        .duration_secs(secs)
+        .warmup(SimDuration::ZERO);
+    base.flows = FlowSchedule::Uniform {
+        n: 5,
+        app: TrafficSource::Backlogged,
+        stagger: SimDuration::from_secs(secs / 10),
+        stagger_departures: true,
+    };
+    let panels = vec![
+        ("a (no AI)".to_string(), AxisValue::Scheme(Scheme::AbcNoAi)),
+        ("b (with AI)".to_string(), AxisValue::Scheme(Scheme::Abc)),
+    ];
+    Campaign::new("fig3", base)
+        .axis(Axis::new("panel", panels))
+        .telemetry(recording(&[Signal::GoodputMbps]))
+}
+
+/// Figs. 6/11: one ABC flow over an ABC wireless hop and a 12 Mbit/s
+/// droptail wired hop, plus an optional cross flow; the sidecars carry
+/// the dual windows, per-flow goodput and both hops' queuing delay.
+fn mixed_path(
+    name: &str,
+    wireless: LinkSpec,
+    duration: SimDuration,
+    cross: Option<FlowSpec>,
+) -> Campaign {
+    let mut base = ScenarioSpec::mixed_path(wireless, Rate::from_mbps(12.0)).duration(duration);
+    base.flows =
+        FlowSchedule::Explicit(std::iter::once(FlowSpec::new("abc")).chain(cross).collect());
+    Campaign::new(name, base).telemetry(recording(&[
+        Signal::GoodputMbps,
+        Signal::WAbc,
+        Signal::WNonAbc,
+        Signal::QdelayMs,
+    ]))
+}
+
+/// Fig. 6: the wireless rate steps every 5 s (five 35 s repetitions at
+/// paper scale, a 2 s prefix at Tiny).
+pub fn fig6(scale: Scale) -> Campaign {
+    const STEPS: [(u64, f64); 7] = [
+        (0, 16.0),
+        (5, 9.0),
+        (10, 5.0),
+        (15, 14.0),
+        (20, 7.0),
+        (25, 18.0),
+        (30, 16.0),
+    ];
+    let reps = scale.pick(5u64, 1, 1);
+    let schedule = (0..reps)
+        .flat_map(|rep| {
+            STEPS.iter().map(move |&(t, r)| {
+                (
+                    SimTime::ZERO + SimDuration::from_secs(rep * 35 + t),
+                    Rate::from_mbps(r),
+                )
+            })
+        })
+        .collect();
+    let secs = scale.pick(reps * 35, reps * 35, 2);
+    mixed_path(
+        "fig6",
+        LinkSpec::Steps(schedule),
+        SimDuration::from_secs(secs),
+        None,
+    )
+}
+
+/// Fig. 11: wireless steps every 5 s, with an on-off (20 s / 10 s) Cubic
+/// flow contending on the wired hop.
+pub fn fig11(scale: Scale) -> Campaign {
+    const RATES: [f64; 8] = [10.0, 6.0, 4.0, 8.0, 3.0, 9.0, 5.0, 7.0];
+    let secs = scale.pick(80u64, 40, 2);
+    let steps = (0..(secs / 5).max(1))
+        .map(|i| {
+            (
+                SimTime::ZERO + SimDuration::from_secs(i * 5),
+                Rate::from_mbps(RATES[(i % 8) as usize]),
+            )
+        })
+        .collect();
+    let cross = FlowSpec::new("cross")
+        .scheme(Scheme::Cubic)
+        .app(TrafficSource::OnOff {
+            on: SimDuration::from_secs(20),
+            off: SimDuration::from_secs(10),
+        })
+        .entry_hop(1);
+    mixed_path(
+        "fig11",
+        LinkSpec::Steps(steps),
+        SimDuration::from_secs(secs),
+        Some(cross),
+    )
+}
+
+/// Long-lived flows for the dual-queue figures: `n_abc` ABC flows, then
+/// `n_cubic` Cubic flows, arriving `stagger` apart in that order.
+pub(crate) fn long_flows(n_abc: u32, n_cubic: u32, stagger: SimDuration) -> Vec<FlowSpec> {
+    let arrival = |k: u32| SimTime::ZERO + stagger * k as u64;
+    let abc = (0..n_abc).map(|i| {
+        FlowSpec::new(format!("ABC {}", i + 1))
+            .scheme(Scheme::Abc)
+            .start_at(arrival(i))
+    });
+    let cubic = (0..n_cubic).map(|i| {
+        FlowSpec::new(format!("Cubic {}", i + 1))
+            .scheme(Scheme::Cubic)
+            .start_at(arrival(n_abc + i))
+    });
+    abc.chain(cubic).collect()
+}
+
+/// The §5.2 dual-queue router with max-min weights.
+const MAX_MIN: QdiscSpec = QdiscSpec::DualQueue(WeightPolicy::MaxMin { headroom: 0.10 });
+
+/// Fig. 7: two ABC flows then two Cubic flows arrive one after another on
+/// a 24 Mbit/s dual-queue bottleneck; the sidecars carry per-flow goodput
+/// and smoothed RTT.
+pub fn fig7(scale: Scale) -> Campaign {
+    let stagger = scale.pick(
+        SimDuration::from_secs(25),
+        SimDuration::from_secs(10),
+        SimDuration::from_millis(250),
+    );
+    let mut base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(24.0)))
+        .duration(scale.secs(200, 60, 2))
+        .warmup(scale.secs(80, 25, 0))
+        .qdisc(MAX_MIN);
+    base.flows = FlowSchedule::Explicit(long_flows(2, 2, stagger));
+    Campaign::new("fig7", base).telemetry(recording(&[Signal::GoodputMbps, Signal::SrttMs]))
+}
+
+/// Fig. 12: 3 ABC + 3 Cubic long flows on a 96 Mbit/s dual queue under
+/// Poisson 10 KB short-flow churn: weight policy × offered load × seed.
+pub fn fig12(scale: Scale) -> Campaign {
+    let loads: &[f64] = if scale.reduced() {
+        &[0.125, 0.5]
+    } else {
+        &[0.0625, 0.125, 0.25, 0.5]
+    };
+    let seeds: Vec<u64> = (100..100 + scale.pick(3, 1, 1)).collect();
+    let mut base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(96.0)))
+        .duration(scale.secs(40, 40, 2))
+        .warmup(scale.secs(10, 10, 0));
+    base.flows = FlowSchedule::Explicit(long_flows(3, 3, SimDuration::ZERO));
+    let policies = vec![
+        ("ABC max-min".to_string(), AxisValue::Qdisc(MAX_MIN)),
+        (
+            "RCP Zombie-List".to_string(),
+            AxisValue::Qdisc(QdiscSpec::DualQueue(WeightPolicy::ZombieList)),
+        ),
+    ];
+    let churn = loads
+        .iter()
+        .map(|&load| {
+            let short = PoissonShortFlows {
+                load,
+                bytes: 10_000,
+                scheme: Scheme::Cubic,
+            };
+            (load.to_string(), AxisValue::ShortFlows(Some(short)))
+        })
+        .collect();
+    Campaign::new("fig12", base)
+        .axis(Axis::new("policy", policies))
+        .axis(Axis::new("load", churn))
+        .axis(Axis::seeds(&seeds))
+}
+
+/// Fig. 13: one backlogged ABC flow beside `n` application-limited ABC
+/// flows (1 Mbit/s in aggregate) on the Verizon1 trace; the one-value
+/// `limited` axis records `n`.
+pub fn fig13(scale: Scale) -> Campaign {
+    let n = scale.pick(200u32, 50, 10);
+    let trace = cellular::builtin("Verizon1").expect("builtin trace");
+    let per_flow = Rate::from_bps(1e6 / n as f64);
+    let limited = (0..n).map(|i| {
+        FlowSpec::new(format!("limited {}", i + 1)).app(TrafficSource::RateLimited {
+            rate: per_flow,
+            burst_bytes: 4500.0,
+        })
+    });
+    let flows = std::iter::once(FlowSpec::new("backlogged"))
+        .chain(limited)
+        .collect();
+    let base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Trace(trace))
+        .duration(scale.secs(60, 20, 2))
+        .warmup(scale.secs(5, 5, 0));
+    let value = (
+        n.to_string(),
+        AxisValue::Flows(FlowSchedule::Explicit(flows)),
+    );
+    Campaign::new("fig13", base).axis(Axis::new("limited", vec![value]))
+}
+
+/// Figs. 10/14: the Wi-Fi lineup (a 3-scheme core below paper scale) at
+/// one and two users over the AP model with MCS process `mcs`.
+fn wifi_lineup(name: &str, mcs: McsSpec, scale: Scale) -> Campaign {
+    let schemes: &[Scheme] = if scale.reduced() {
+        &[Scheme::AbcDt(60), Scheme::CubicCodel, Scheme::Cubic]
+    } else {
+        &WIFI_LINEUP
+    };
+    let base = ScenarioSpec::wifi(Scheme::Abc, 1, mcs)
+        .duration(scale.secs(45, 15, 2))
+        .warmup(scale.secs(5, 5, 0));
+    Campaign::new(name, base)
+        .axis(Axis::flow_counts(&[1, 2]))
+        .axis(Axis::schemes(schemes))
+}
+
+/// Fig. 10: MCS alternating 1 ↔ 7 every 2 s.
+pub fn fig10(scale: Scale) -> Campaign {
+    let mcs = McsSpec::Alternating(1, 7, SimDuration::from_secs(2));
+    wifi_lineup("fig10", mcs, scale)
+}
+
+/// Fig. 14 (Appendix B): a Brownian-motion MCS over [3, 7].
+pub fn fig14(scale: Scale) -> Campaign {
+    let mcs = McsSpec::Brownian(3, 7, SimDuration::from_secs(2), 0xf14);
+    wifi_lineup("fig14", mcs, scale)
+}
+
+/// Fig. 17: ABC, RCP and XCPw on a 12 ↔ 24 Mbit/s square wave (500 ms
+/// half-period).
+pub fn fig17(scale: Scale) -> Campaign {
+    let link = LinkSpec::Square {
+        a: Rate::from_mbps(12.0),
+        b: Rate::from_mbps(24.0),
+        half_period: SimDuration::from_millis(500),
+    };
+    let base = ScenarioSpec::single(Scheme::Abc, link)
+        .duration(scale.secs(30, 10, 2))
+        .warmup(scale.secs(2, 2, 0));
+    Campaign::new("fig17", base).axis(Axis::schemes(&[Scheme::Abc, Scheme::Rcp, Scheme::Xcpw]))
+}
+
+/// §6.6 PK-ABC: ABC on the Verizon2 trace, without and with a 100 ms
+/// look into the trace's future capacity.
+pub fn pk_abc(scale: Scale) -> Campaign {
+    let trace = cellular::builtin("Verizon2").expect("builtin trace");
+    let base =
+        ScenarioSpec::single(Scheme::Abc, LinkSpec::Trace(trace)).duration(scale.secs(120, 30, 2));
+    let oracle = vec![
+        ("ABC".to_string(), AxisValue::OracleLookahead(None)),
+        (
+            "PK-ABC".to_string(),
+            AxisValue::OracleLookahead(Some(SimDuration::from_millis(100))),
+        ),
+    ];
+    Campaign::new("pk_abc", base).axis(Axis::new("oracle", oracle))
+}
+
+/// Theorem 3.1, simulator half: 20 ABC flows on a 12 Mbit/s link across
+/// the router's δ.
+pub fn stability(scale: Scale) -> Campaign {
+    let deltas: &[u64] = if scale.reduced() {
+        &[30, 200]
+    } else {
+        &[20, 40, 60, 90, 133, 200, 400]
+    };
+    let base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)))
+        .flows(20)
+        .duration(scale.secs(60, 30, 2))
+        .warmup(scale.secs(10, 10, 0));
+    let values = deltas
+        .iter()
+        .map(|&ms| {
+            let cfg = AbcRouterConfig {
+                delta: SimDuration::from_millis(ms),
+                ..Default::default()
+            };
+            (ms.to_string(), AxisValue::Qdisc(QdiscSpec::AbcWith(cfg)))
+        })
+        .collect();
+    Campaign::new("stability", base).axis(Axis::new("delta_ms", values))
+}
+
+/// §6.5: 2..32 competing ABC flows on a 24 Mbit/s link.
+pub fn jain(scale: Scale) -> Campaign {
+    let counts: &[u32] = if scale.reduced() {
+        &[2, 8]
+    } else {
+        &[2, 4, 8, 16, 32]
+    };
+    let base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(24.0)))
+        .duration(scale.secs(120, 60, 2))
+        .warmup(scale.secs(60, 20, 0));
+    Campaign::new("jain", base).axis(Axis::flow_counts(counts))
+}
+
+/// The dynamics timeline: ABC over a 6 ↔ 18 Mbit/s square wave, every
+/// default signal sampled every 20 ms.
+pub fn dynamics(scale: Scale) -> Campaign {
+    let link = LinkSpec::Square {
+        a: Rate::from_mbps(6.0),
+        b: Rate::from_mbps(18.0),
+        half_period: SimDuration::from_millis(1000),
+    };
+    let base = ScenarioSpec::single(Scheme::Abc, link)
+        .duration_secs(scale.pick(20, 8, 3))
+        .warmup_secs(0);
+    Campaign::new("dynamics", base)
+        .telemetry(TelemetryConfig::default().with_sample_every(SimDuration::from_millis(20)))
+}
+
 /// A preset builder: a pure `Scale → Campaign` function.
 pub type PresetFn = fn(Scale) -> Campaign;
 
@@ -447,6 +816,22 @@ pub fn all() -> Vec<(&'static str, &'static str, PresetFn)> {
             "4-hop parking lot: ABC-capable hop count 0→4 vs a Cubic cross flow",
             parking_lot,
         ),
+        ("table1", "Table 1: the §1 lineup × traces", table1),
+        ("fig1", "Fig 1: four schemes on the Verizon1 trace", fig1),
+        ("fig2", "Fig 2: dequeue- vs enqueue-rate feedback", fig2),
+        ("fig3", "Fig 3: five staggered ABC flows, without/with AI", fig3),
+        ("fig6", "Fig 6: ABC wireless + droptail wired hop", fig6),
+        ("fig7", "Fig 7: 2 ABC + 2 Cubic flows on a dual queue", fig7),
+        ("fig10", "Fig 10: Wi-Fi lineup, MCS 1↔7, 1 and 2 users", fig10),
+        ("fig11", "Fig 11: Fig 6's path with on-off Cubic cross traffic", fig11),
+        ("fig12", "Fig 12: dual-queue policy × short-flow load × seed", fig12),
+        ("fig13", "Fig 13: 1 backlogged + N app-limited ABC flows", fig13),
+        ("fig14", "Fig 14: Wi-Fi lineup, Brownian MCS, 1 and 2 users", fig14),
+        ("fig17", "Fig 17: ABC/RCP/XCPw on a square-wave link", fig17),
+        ("pk_abc", "§6.6: ABC vs PK-ABC on the Verizon2 trace", pk_abc),
+        ("stability", "Theorem 3.1: 20 ABC flows across the router's δ", stability),
+        ("jain", "§6.5: 2..32 ABC flows on 24 Mbit/s", jain),
+        ("dynamics", "control-law timeline on a square wave, sidecar on", dynamics),
     ]
 }
 

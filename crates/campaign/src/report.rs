@@ -6,8 +6,8 @@
 //! associative and commutative, so the grouping order cannot change
 //! the numbers).
 
-use crate::json::{self, Value};
 use crate::runlog::{stats, PointSpan, RunLedger};
+use crate::sidecar::Sidecar;
 use netsim::telemetry::LogHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -36,46 +36,17 @@ impl SidecarAgg {
     }
 }
 
-/// Parse the counter and histogram rows of an `abc-telemetry/v1`
-/// sidecar (gauge samples are skipped — aggregation wants totals and
-/// distributions, not time series).
+/// Sum the counters and merge the histograms of an `abc-telemetry/v1`
+/// sidecar over its scopes (gauge samples are skipped — aggregation wants
+/// totals and distributions, not time series).
 pub fn parse_sidecar(text: &str) -> Result<SidecarAgg, String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (i, first) = lines.next().ok_or_else(|| "empty sidecar".to_string())?;
-    let header = json::parse(first).map_err(|e| format!("sidecar line {}: {e}", i + 1))?;
-    match header.get("schema").and_then(Value::as_str) {
-        Some(s) if s == netsim::telemetry::SIDECAR_SCHEMA => {}
-        other => return Err(format!("sidecar line 1: schema {other:?}")),
-    }
+    let sidecar = Sidecar::parse(text)?;
     let mut agg = SidecarAgg::default();
-    for (i, line) in lines {
-        let row = json::parse(line).map_err(|e| format!("sidecar line {}: {e}", i + 1))?;
-        if let (Some(counter), Some(n)) = (
-            row.get("counter").and_then(Value::as_str),
-            row.get("n").and_then(Value::as_f64),
-        ) {
-            *agg.counters.entry(counter.to_string()).or_insert(0) += n as u64;
-        } else if let (Some(hist), Some(buckets)) = (
-            row.get("hist").and_then(Value::as_str),
-            row.get("buckets").and_then(Value::as_arr),
-        ) {
-            let h = agg.hists.entry(hist.to_string()).or_default();
-            for pair in buckets {
-                let (Some(b), Some(n)) = (
-                    pair.as_arr()
-                        .and_then(|a| a.first())
-                        .and_then(Value::as_f64),
-                    pair.as_arr().and_then(|a| a.get(1)).and_then(Value::as_f64),
-                ) else {
-                    return Err(format!("sidecar line {}: malformed bucket pair", i + 1));
-                };
-                h.add_bucket(b as usize, n as u64);
-            }
-        }
-        // sample and events rows are skipped
+    for (counter, _, n) in sidecar.counters {
+        *agg.counters.entry(counter).or_insert(0) += n;
+    }
+    for (hist, _, h) in &sidecar.hists {
+        agg.hists.entry(hist.clone()).or_default().merge(h);
     }
     Ok(agg)
 }

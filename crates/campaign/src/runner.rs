@@ -305,7 +305,45 @@ pub fn run_campaign_with<F: FnMut(&[PointOutcome])>(
     skip: &std::collections::HashSet<usize>,
     on_chunk: F,
 ) -> Vec<PointOutcome> {
-    run_points_with(campaign, campaign.expand(), opts, skip, on_chunk)
+    let write = |ordinal, sidecar| write_sidecar(opts, ordinal, sidecar);
+    run_points_with(campaign, campaign.expand(), opts, skip, on_chunk, write)
+}
+
+/// [`run_campaign`] that keeps each point's telemetry sidecar in memory,
+/// beside its record (`None` for a point whose spec records no
+/// telemetry) — the input of figures that plot within-run series.
+pub fn run_campaign_sidecars(
+    campaign: &Campaign,
+    opts: &RunOptions,
+) -> Vec<(RunRecord, Option<String>)> {
+    let mut sidecars = std::collections::BTreeMap::new();
+    let outcomes = run_points_with(
+        campaign,
+        campaign.expand(),
+        opts,
+        &std::collections::HashSet::new(),
+        |_| {},
+        |ordinal, sidecar| {
+            sidecars.insert(ordinal, sidecar);
+        },
+    );
+    expect_clean(outcomes)
+        .into_iter()
+        .map(|r| {
+            let sidecar = sidecars.remove(&r.ordinal);
+            (r, sidecar)
+        })
+        .collect()
+}
+
+/// Write one point's sidecar into the run's telemetry dir, if it has one.
+fn write_sidecar(opts: &RunOptions, ordinal: usize, sidecar: String) {
+    if let Some(dir) = &opts.telemetry_dir {
+        let path = dir.join(format!("{ordinal}.jsonl"));
+        if let Err(e) = std::fs::write(&path, sidecar) {
+            eprintln!("[abc-campaign] cannot write {}: {e}", path.display());
+        }
+    }
 }
 
 /// One execution attempt's wall-clock record, accumulated inside the
@@ -409,13 +447,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// (header point counts, shard slicing) expand exactly once. Each point
 /// runs inside a panic boundary with the configured watchdog; failures
 /// become [`PointOutcome::Err`] and — unless `keep_going` is set — stop
-/// dispatch after the current wave.
-fn run_points_with<F: FnMut(&[PointOutcome])>(
+/// dispatch after the current wave. Every executed point's sidecar, if
+/// its spec records one, goes to `on_sidecar` with the point's ordinal.
+fn run_points_with<F: FnMut(&[PointOutcome]), S: FnMut(usize, String)>(
     campaign: &Campaign,
     points: Vec<crate::spec::CampaignPoint>,
     opts: &RunOptions,
     skip: &std::collections::HashSet<usize>,
     mut on_chunk: F,
+    mut on_sidecar: S,
 ) -> Vec<PointOutcome> {
     let mut points: Vec<_> = points
         .into_iter()
@@ -578,11 +618,8 @@ fn run_points_with<F: FnMut(&[PointOutcome])>(
             match exec.result {
                 Ok(out) => {
                     events_total += out.events;
-                    if let (Some(dir), Some(sidecar)) = (&opts.telemetry_dir, out.sidecar) {
-                        let path = dir.join(format!("{}.jsonl", point.ordinal));
-                        if let Err(e) = std::fs::write(&path, sidecar) {
-                            eprintln!("[abc-campaign] cannot write {}: {e}", path.display());
-                        }
+                    if let Some(sidecar) = out.sidecar {
+                        on_sidecar(point.ordinal, sidecar);
                     }
                     outcomes.push(PointOutcome::Ok(RunRecord {
                         ordinal: point.ordinal,
@@ -811,7 +848,7 @@ fn run_campaign_merged<F: FnMut(&PointOutcome)>(
         );
     }
     let mut prior_iter = prior.into_iter().map(PointOutcome::Ok).peekable();
-    run_points_with(campaign, points, opts, &skip, |chunk| {
+    let on_chunk = |chunk: &[PointOutcome]| {
         for rec in chunk {
             while prior_iter
                 .peek()
@@ -822,7 +859,9 @@ fn run_campaign_merged<F: FnMut(&PointOutcome)>(
             }
             emit(rec);
         }
-    });
+    };
+    let write = |ordinal, sidecar| write_sidecar(opts, ordinal, sidecar);
+    run_points_with(campaign, points, opts, &skip, on_chunk, write);
     for p in prior_iter {
         emit(&p);
     }

@@ -13,7 +13,8 @@
 
 use cellular::CellTrace;
 use experiments::engine::{
-    FlowSchedule, InjectedFault, QdiscSpec, ScenarioSpec, Topology, WorkloadEntry,
+    FlowSchedule, InjectedFault, PoissonShortFlows, QdiscSpec, ScenarioSpec, Topology,
+    WorkloadEntry,
 };
 use experiments::scenario::LinkSpec;
 use experiments::Scheme;
@@ -58,6 +59,12 @@ pub enum AxisValue {
     /// the fault-tolerance tests use to make exactly one point panic or
     /// stall inside a real campaign.
     Fault(Option<InjectedFault>),
+    /// Set PK-ABC's oracle lookahead (`None` is plain ABC). Rust-only:
+    /// campaign files have no key for it.
+    OracleLookahead(Option<SimDuration>),
+    /// Set the Poisson short-flow churn (`None` clears it). Rust-only:
+    /// campaign files have no key for it.
+    ShortFlows(Option<PoissonShortFlows>),
 }
 
 impl AxisValue {
@@ -78,6 +85,8 @@ impl AxisValue {
             AxisValue::TimerSlotShift(s) => spec.timer_slot_shift = Some(*s),
             AxisValue::Impairments(i) => spec.impairments = i.clone(),
             AxisValue::Fault(f) => spec.fault = *f,
+            AxisValue::OracleLookahead(d) => spec.oracle_lookahead = *d,
+            AxisValue::ShortFlows(s) => spec.short_flows = s.clone(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! # The scenario engine: spec → engine → report
 //!
-//! Every simulation in this workspace — figure harnesses, the `abcsim` and
-//! `figgen` binaries, the examples, the benches — is described by a
+//! Every simulation in this workspace — campaign presets and figures, the
+//! `abcsim` and `figgen` binaries, the examples, the benches — is described by a
 //! declarative [`ScenarioSpec`] and executed by the [`ScenarioEngine`].
 //! Nothing outside this module (and `netsim`'s own tests) wires a
 //! [`Simulator`] by hand.
@@ -27,8 +27,9 @@
 //! 3. **Report.** [`BuiltScenario::finish`] folds the metrics hub into the
 //!    [`Report`] the paper's tables use: utilization against delivery
 //!    opportunities, per-packet delay and queuing-delay percentiles, Jain
-//!    fairness, and the plotting series. Scenarios that need more than a
-//!    `Report` (mid-run window samples, estimator internals) use
+//!    fairness, and the plotting series. Within-run time series come
+//!    from the telemetry sidecar ([`BuiltScenario::sidecar`]); scenarios
+//!    that need the Wi-Fi estimator's internals use
 //!    [`ScenarioEngine::build`] and the typed accessors
 //!    ([`BuiltScenario::sender`], [`BuiltScenario::link_queue`],
 //!    [`BuiltScenario::wifi_ap_mut`]) between [`BuiltScenario::run_chunk`]
@@ -89,7 +90,8 @@ use netsim::queue::{DropTail, Qdisc};
 use netsim::rate::Rate;
 use netsim::sim::{RunGuards, Simulator};
 use netsim::telemetry::{
-    new_hub as new_telemetry_hub, ProfileReport, Shared, TelemetryConfig, TelemetryHub,
+    new_hub as new_telemetry_hub, ProfileReport, Scope, Shared, Signal, TelemetryConfig,
+    TelemetryHub,
 };
 use netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -1440,20 +1442,26 @@ impl BuiltScenario {
 
     /// Render the telemetry sidecar recorded so far as self-describing
     /// JSONL (`None` when the spec asked for no telemetry). Deterministic:
-    /// same spec, same bytes, regardless of worker-pool width.
+    /// same spec, same bytes, regardless of worker-pool width. A selected
+    /// `goodput_mbps` signal is written here from the metrics hub's
+    /// per-flow bins, so call this once, after the run.
     pub fn sidecar(&self) -> Option<String> {
-        self.telemetry.as_ref().map(|t| t.borrow().render_jsonl())
+        let mut t = self.telemetry.as_ref()?.borrow_mut();
+        if t.wants(Signal::GoodputMbps) {
+            let hub = self.hub.borrow();
+            for &(_, flow) in &self.flows {
+                for (secs, mbps) in hub.throughput_series_mbps(flow) {
+                    let at = SimTime::from_secs_f64(secs);
+                    t.sample(at, Signal::GoodputMbps, Scope::Flow(flow.0), mbps);
+                }
+            }
+        }
+        Some(t.render_jsonl())
     }
 
     /// When the scenario ends.
     pub fn end_time(&self) -> SimTime {
         SimTime::ZERO + self.duration
-    }
-
-    /// The node id of the first hop (the bottleneck in single-link
-    /// scenarios).
-    pub fn link_id(&self) -> NodeId {
-        self.hops[0].1
     }
 
     /// Downcast the `idx`-th flow's sender for window inspection.
@@ -1742,6 +1750,19 @@ mod tests {
         let _wired = b.link_queue("wired");
         let r = b.finish();
         assert!(r.total_tput_mbps > 5.0, "{}", r.row());
+    }
+
+    #[test]
+    fn two_hop_abc_tracks_tighter_link() {
+        let r = ScenarioEngine::new().run(&ScenarioSpec::two_hop(
+            Scheme::Abc,
+            LinkSpec::Constant(Rate::from_mbps(24.0)),
+            LinkSpec::Constant(Rate::from_mbps(12.0)),
+        ));
+        // bottleneck is the 12 Mbit/s downlink
+        assert!(r.total_tput_mbps > 10.0, "{}", r.row());
+        assert!(r.total_tput_mbps < 12.5, "{}", r.row());
+        assert!(r.qdelay_ms.p95 < 60.0, "{}", r.row());
     }
 
     #[test]

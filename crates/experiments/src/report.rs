@@ -177,17 +177,24 @@ pub fn downsample(series: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
 }
 
 /// Render a small ASCII sparkline of a series (figures in a terminal).
+/// A constant series draws a flat mid-height bar; only a series with no
+/// finite value draws nothing.
 pub fn sparkline(series: &[(f64, f64)], width: usize) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let pts = downsample(series, width);
     let max = pts.iter().map(|p| p.1).fold(f64::MIN, f64::max);
     let min = pts.iter().map(|p| p.1).fold(f64::MAX, f64::min);
-    if pts.is_empty() || !max.is_finite() || max <= min {
+    if pts.is_empty() || !max.is_finite() || max < min {
         return String::new();
     }
+    let span = max - min;
     pts.iter()
         .map(|p| {
-            let idx = ((p.1 - min) / (max - min) * 7.0).round() as usize;
+            let idx = if span > 0.0 {
+                ((p.1 - min) / span * 7.0).round() as usize
+            } else {
+                3
+            };
             BARS[idx.min(7)]
         })
         .collect()
@@ -258,5 +265,12 @@ mod tests {
         assert_eq!(sp.chars().count(), 16);
         assert!(sp.starts_with('▁'));
         assert!(sp.ends_with('█'));
+    }
+
+    #[test]
+    fn sparkline_draws_a_constant_series_flat() {
+        let s: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 12.0)).collect();
+        assert_eq!(sparkline(&s, 60), "▄".repeat(10));
+        assert_eq!(sparkline(&[], 60), "");
     }
 }

@@ -943,6 +943,12 @@ impl Sender {
             if let Pacing::Rate(r) = self.cc.pacing() {
                 ctx.sample(Signal::PacingRateMbps, scope, r.mbps());
             }
+            if ctx.wants(Signal::WAbc) || ctx.wants(Signal::WNonAbc) {
+                if let Some((w_abc, w_nonabc)) = self.cc.as_abc_windows() {
+                    ctx.sample(Signal::WAbc, scope, w_abc);
+                    ctx.sample(Signal::WNonAbc, scope, w_nonabc);
+                }
+            }
         }
         if let Some(d) = &mut self.driver {
             d.on_progress(now, self.delivered_bytes);

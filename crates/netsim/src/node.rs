@@ -163,6 +163,12 @@ impl<'a> Context<'a> {
         self.telemetry_on
     }
 
+    /// Whether `signal` is selected (always false while telemetry is off).
+    #[inline]
+    pub fn wants(&self, signal: Signal) -> bool {
+        self.telemetry_on && self.sink.wants(signal)
+    }
+
     /// Record a gauge observation (one line at a probe site; a dead
     /// branch when the sink is [`Off`](crate::telemetry::Off)).
     #[inline]

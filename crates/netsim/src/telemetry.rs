@@ -94,11 +94,21 @@ pub enum Signal {
     /// Number of wheel-occupancy checkpoints taken (counter, global) —
     /// the denominator for the three `wheel_*` sums.
     WheelSamples = 20,
+    /// Goodput in Mbit/s per 100 ms metrics bin (per flow). Written once
+    /// at the end of the run from the metrics hub's per-flow bins, after
+    /// the in-run samples; not in [`Signal::DEFAULT`].
+    GoodputMbps = 21,
+    /// ABC's accel/brake window `w_abc`, packets (per flow; ABC senders
+    /// only). Not in [`Signal::DEFAULT`].
+    WAbc = 22,
+    /// ABC's legacy (Cubic) window `w_nonabc`, packets (per flow; ABC
+    /// senders only). Not in [`Signal::DEFAULT`].
+    WNonAbc = 23,
 }
 
 impl Signal {
     /// Every signal, in mask-bit order.
-    pub const ALL: [Signal; 21] = [
+    pub const ALL: [Signal; 24] = [
         Signal::Cwnd,
         Signal::Inflight,
         Signal::PacingRateMbps,
@@ -120,9 +130,14 @@ impl Signal {
         Signal::WheelSlots,
         Signal::WheelOverflow,
         Signal::WheelSamples,
+        Signal::GoodputMbps,
+        Signal::WAbc,
+        Signal::WNonAbc,
     ];
 
-    /// The default selection: everything except the bulky [`Signal::Events`].
+    /// The default selection: everything except the bulky [`Signal::Events`]
+    /// and the three figure-only signals (`goodput_mbps`, `w_abc`,
+    /// `w_nonabc`).
     pub const DEFAULT: [Signal; 20] = [
         Signal::Cwnd,
         Signal::Inflight,
@@ -170,6 +185,9 @@ impl Signal {
             Signal::WheelSlots => "wheel_slots",
             Signal::WheelOverflow => "wheel_overflow",
             Signal::WheelSamples => "wheel_samples",
+            Signal::GoodputMbps => "goodput_mbps",
+            Signal::WAbc => "w_abc",
+            Signal::WNonAbc => "w_nonabc",
         }
     }
 
@@ -448,7 +466,8 @@ impl TelemetryHub {
         &self.cfg
     }
 
-    fn wants(&self, signal: Signal) -> bool {
+    /// Whether `signal` is selected.
+    pub fn wants(&self, signal: Signal) -> bool {
         self.mask & signal.bit() != 0
     }
 
@@ -599,6 +618,12 @@ pub trait TelemetrySink {
         false
     }
 
+    /// Whether `signal` is selected. Probe sites whose value costs a call
+    /// to compute check this first.
+    fn wants(&self, _signal: Signal) -> bool {
+        false
+    }
+
     /// A gauge observation at sim time `now`.
     fn sample(&mut self, _now: SimTime, _signal: Signal, _scope: Scope, _value: f64) {}
 
@@ -624,6 +649,10 @@ pub struct Shared(pub Rc<RefCell<TelemetryHub>>);
 impl TelemetrySink for Shared {
     fn is_enabled(&self) -> bool {
         true
+    }
+
+    fn wants(&self, signal: Signal) -> bool {
+        self.0.borrow().wants(signal)
     }
 
     fn sample(&mut self, now: SimTime, signal: Signal, scope: Scope, value: f64) {

@@ -12,9 +12,9 @@
 //! * [`wifi_mac`] — the 802.11n A-MPDU MAC model and ABC's link-rate
 //!   estimator;
 //! * [`cellular`] — Mahimahi trace parsing and synthetic carrier traces;
-//! * [`experiments`] — scenario builders and per-figure harnesses;
+//! * [`experiments`] — the scenario engine;
 //! * [`campaign`] — declarative sweep orchestration, the JSONL results
-//!   store, aggregation, and regression gating.
+//!   store, aggregation, regression gating, and every figure.
 //!
 //! Start with `examples/quickstart.rs`, then `docs/ARCHITECTURE.md` for
 //! the system inventory and the README for how to regenerate and verify
@@ -48,8 +48,7 @@ mod tests {
         let _ = aqm::CodelConfig::default();
         let _ = wifi_mac::MCS_RATE_MBPS;
         assert_eq!(cellular::builtin_specs().len(), 8);
-        assert!(!experiments::figures::all().is_empty());
-        // the complete index: experiments' figures + the campaign-backed ones
+        assert_eq!(experiments::figures::Scale::Tiny.pick(1, 2, 3), 3);
         assert!(campaign::figures::all().len() >= 20);
     }
 }
