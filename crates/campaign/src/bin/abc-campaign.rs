@@ -20,7 +20,8 @@
 //! built-in presets or from a TOML file (`--file`, format reference in
 //! `docs/campaign-file.md`); every malformed-input path exits 2 through
 //! one `fail` helper, so flag typos and campaign-file errors report
-//! uniformly.
+//! uniformly. A flag the CLI does not know, or a flag value it cannot
+//! parse, is malformed input — never silently ignored.
 
 use campaign::aggregate;
 use campaign::diff::{diff, DiffConfig};
@@ -76,7 +77,6 @@ CAMPAIGN SOURCE:
 RUN OPTIONS:
   --scale full|fast|tiny   sweep scale (default full)
   --jobs <n>               worker pool size (default: $ABC_JOBS, else all cores)
-  --chunk <n>              scenarios per dispatch wave (default 32)
   --out <file>             store path (default campaign-<preset>.jsonl)
   --shard <k>/<n>          run only the ordinal-stable k-th of n slices
                            (k in 1..=n); `merge` stitches the shard stores
@@ -89,8 +89,10 @@ RUN OPTIONS:
   --telemetry-dir <d>      write one telemetry sidecar per point to d/
                            (<ordinal>.jsonl; the results store is unaffected)
   --keep-going             keep executing the remaining points after one
-                           fails; every failure is stored as a structured
-                           error record either way, and --resume
+                           fails; without it the run stops at the first
+                           failed point (the store holds every point up to
+                           it, at any --jobs). Every failure is stored as a
+                           structured error record either way, and --resume
                            re-attempts exactly the failed points
   --watchdog-budget <s>    wall-clock budget per point (seconds, may be
                            fractional); a point exceeding it is cancelled
@@ -98,9 +100,9 @@ RUN OPTIONS:
                            hanging the campaign
   --retries <n>            extra attempts for a panicking point before it
                            is recorded as failed (default 1)
-  --runlog <file>          write the wall-clock run ledger (abc-runlog/v1
-                           JSONL: per-point spans, waves, store flushes)
-                           to this file; with --telemetry-dir the ledger
+  --runlog <file>          write the wall-clock run ledger (abc-runlog/v2
+                           JSONL: one span per point attempt) to this
+                           file; with --telemetry-dir the ledger
                            defaults to <dir>/runlog.jsonl. The results
                            store stays byte-identical either way.
   --profile                run every point with the self-profiler on and
@@ -110,11 +112,11 @@ RUN OPTIONS:
 
 EXIT CODES:
   0  success        1  diff regression found
-  2  malformed input (flags, campaign files, stores)
+  2  malformed input (unknown flags, bad values, campaign files, stores)
   3  run completed but one or more points failed (see the store's
      error records; rerun with --resume once the cause is fixed)
 
-DIFF OPTIONS:
+DIFF OPTIONS (non-negative numbers: 0.05, not 5%):
   --util-drop <x>          absolute utilization drop that fails (default 0.05)
   --delay-rise <x>         relative p95-delay rise that fails (default 0.25)
   --tput-drop <x>          relative throughput drop that fails (default 0.10)"
@@ -122,8 +124,32 @@ DIFF OPTIONS:
     std::process::exit(2)
 }
 
+/// Every flag that takes a value, and every flag that stands alone;
+/// anything else spelled like a flag exits 2.
+const VALUE_FLAGS: &str = "--scale --file --jobs --out -o --shard --telemetry-dir \
+    --watchdog-budget --retries --runlog --over --util-drop --delay-rise --tput-drop";
+const SWITCHES: &str = "--csv --quiet --resume --keep-going --profile";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Positionals are what is left once every flag (and a value flag's
+    // value) is set aside; an unknown or valueless flag stops here.
+    let mut positional: Vec<&String> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let is = |flags: &str| flags.split_whitespace().any(|f| f == a);
+        if is(VALUE_FLAGS) {
+            if rest.next().is_none() {
+                fail(format!("{a} needs a value"));
+            }
+        } else if !a.starts_with("--") {
+            positional.push(a);
+        } else if !is(SWITCHES) {
+            fail(format!(
+                "unknown flag {a:?} (run with no arguments for usage)"
+            ));
+        }
+    }
     let get = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
@@ -134,26 +160,6 @@ fn main() {
         Some("fast") => Scale::Fast,
         Some("tiny") => Scale::Tiny,
         Some(other) => fail(format!("unknown scale {other:?} (full|fast|tiny)")),
-    };
-    let positional: Vec<&String> = {
-        // flag values must not be mistaken for positionals
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if a.starts_with("--") || a.as_str() == "-o" {
-                    skip_next = !matches!(
-                        a.as_str(),
-                        "--csv" | "--quiet" | "--resume" | "--keep-going" | "--profile"
-                    );
-                    return false;
-                }
-                true
-            })
-            .collect()
     };
     let Some(command) = positional.first() else {
         usage()
@@ -221,16 +227,21 @@ fn main() {
                         .with_shard(shard)
                 });
             let opts = RunOptions {
-                jobs: get("--jobs").map(|x| parse_flag("--jobs", &x)),
-                chunk: get("--chunk").map_or(32, |x| parse_flag("--chunk", &x)),
+                jobs: get("--jobs")
+                    .map(|x| parse_value("--jobs", &x, "a positive integer", |&n: &usize| n >= 1)),
                 progress: !args.iter().any(|a| a == "--quiet"),
                 telemetry_dir: get("--telemetry-dir").map(std::path::PathBuf::from),
                 keep_going: args.iter().any(|a| a == "--keep-going"),
-                retries: get("--retries").map_or(1, |x| match x.parse::<u32>() {
-                    Ok(n) => n,
-                    Err(_) => fail(format!("--retries needs a non-negative integer, got {x:?}")),
+                retries: get("--retries").map_or(1, |x| {
+                    parse_value("--retries", &x, "a non-negative integer", |_: &u32| true)
                 }),
-                watchdog: get("--watchdog-budget").map(|x| parse_budget(&x)),
+                watchdog: get("--watchdog-budget").map(|x| {
+                    let need = "a positive number of seconds";
+                    let s = parse_value("--watchdog-budget", &x, need, |&s: &f64| {
+                        s > 0.0 && s.is_finite()
+                    });
+                    std::time::Duration::from_secs_f64(s)
+                }),
                 runlog,
                 profile: args.iter().any(|a| a == "--profile"),
             };
@@ -354,20 +365,22 @@ fn main() {
             );
         }
         "diff" => {
+            let defaults = DiffConfig::default();
+            let threshold = |flag: &str, default: f64| {
+                get(flag).map_or(default, |x| {
+                    parse_value(flag, &x, "a non-negative number", |&t: &f64| {
+                        t >= 0.0 && t.is_finite()
+                    })
+                })
+            };
+            let cfg = DiffConfig {
+                util_drop: threshold("--util-drop", defaults.util_drop),
+                delay_rise: threshold("--delay-rise", defaults.delay_rise),
+                tput_drop: threshold("--tput-drop", defaults.tput_drop),
+                ..defaults
+            };
             let baseline = load(positional.get(1));
             let candidate = load(positional.get(2));
-            let cfg = DiffConfig {
-                util_drop: get("--util-drop")
-                    .and_then(|x| x.parse().ok())
-                    .unwrap_or(DiffConfig::default().util_drop),
-                delay_rise: get("--delay-rise")
-                    .and_then(|x| x.parse().ok())
-                    .unwrap_or(DiffConfig::default().delay_rise),
-                tput_drop: get("--tput-drop")
-                    .and_then(|x| x.parse().ok())
-                    .unwrap_or(DiffConfig::default().tput_drop),
-                ..DiffConfig::default()
-            };
             let report = diff(&baseline, &candidate, &cfg);
             print!("{}", report.render());
             if report.has_regressions() {
@@ -387,11 +400,9 @@ fn main() {
                 fail(format!("cannot write {out}: {e}"));
             }
             eprintln!(
-                "[abc-campaign] wrote {out}: {} point span(s), {} wave(s), {} flush(es) \
+                "[abc-campaign] wrote {out}: {} point span(s) \
                  (open in https://ui.perfetto.dev or chrome://tracing)",
-                ledger.points.len(),
-                ledger.waves.len(),
-                ledger.flushes.len()
+                ledger.points.len()
             );
         }
         "report" => {
@@ -435,22 +446,17 @@ fn parse_shard(value: &str) -> (usize, usize) {
     }
 }
 
-/// `--watchdog-budget` seconds: a positive (possibly fractional) number.
-fn parse_budget(value: &str) -> std::time::Duration {
-    match value.parse::<f64>() {
-        Ok(s) if s > 0.0 && s.is_finite() => std::time::Duration::from_secs_f64(s),
-        _ => fail(format!(
-            "--watchdog-budget needs a positive number of seconds, got {value:?}"
-        )),
-    }
-}
-
-/// A flag value that must be a positive integer — a typo must not
-/// silently fall back to a default.
-fn parse_flag(flag: &str, value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => fail(format!("{flag} needs a positive integer, got {value:?}")),
+/// A flag's value, parsed and checked by `ok` — or exit 2 naming the flag
+/// and what it `need`s: a typo must not silently fall back to a default.
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    value: &str,
+    need: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    match value.parse::<T>() {
+        Ok(x) if ok(&x) => x,
+        _ => fail(format!("{flag} needs {need}, got {value:?}")),
     }
 }
 

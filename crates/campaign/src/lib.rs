@@ -10,10 +10,10 @@
 //!   [`ScenarioSpec`](experiments::engine::ScenarioSpec) plus named
 //!   [`Axis`] values, with deterministic row-major cartesian
 //!   expansion and constraint [`Filter`]s.
-//! * [`runner`] — the executor: chunked dispatch onto
-//!   [`ScenarioEngine::run_batch`](experiments::engine::ScenarioEngine::run_batch)
-//!   with progress reporting; results are bit-identical across reruns and
-//!   worker-pool sizes.
+//! * [`runner`] — the executor: every point streams through
+//!   [`ScenarioEngine::for_each_ordered`](experiments::engine::ScenarioEngine::for_each_ordered)
+//!   and is committed in ordinal order, with progress reporting; results
+//!   are bit-identical across reruns and worker-pool sizes.
 //! * [`store`] — the schema-versioned JSONL
 //!   [`ResultsStore`]: a self-describing header plus
 //!   one full [`Report`](experiments::report::Report) per record.
@@ -30,8 +30,7 @@
 //! * [`dynamics`] — the paper-style dynamics timeline rendered purely
 //!   from a sidecar.
 //! * [`runlog`] — the schema-versioned wall-clock run ledger the runner
-//!   writes beside (never into) the store: per-point spans, wave
-//!   boundaries, store-flush spans.
+//!   writes beside (never into) the store: one span per point attempt.
 //! * [`trace`] — ledger → Chrome trace-event JSON, viewable in Perfetto.
 //! * [`report`] — ledger → run-health summary, with cross-point sidecar
 //!   aggregation grouped by axis value.

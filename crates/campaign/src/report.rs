@@ -85,8 +85,8 @@ pub fn render_report(ledger: &RunLedger, sidecar_dir: Option<&Path>) -> Result<S
     };
     writeln!(
         out,
-        "scale {scale} · {} point(s) · {} worker(s) · chunk {} · shard {shard} · retries {} · profile {}",
-        h.points, s.workers, h.chunk, h.retries, h.profile
+        "scale {scale} · {} point(s) · {} worker(s) · shard {shard} · retries {} · profile {}",
+        h.points, s.workers, h.retries, h.profile
     )
     .unwrap();
 
@@ -100,7 +100,6 @@ pub fn render_report(ledger: &RunLedger, sidecar_dir: Option<&Path>) -> Result<S
         100.0 * s.utilization
     )
     .unwrap();
-    writeln!(out, "store flushes    {:>10.2} s", secs(s.flush_ns)).unwrap();
     writeln!(
         out,
         "sim events       {:>10} over completed attempts",

@@ -1,18 +1,21 @@
-//! The campaign run ledger: schema-versioned (`abc-runlog/v1`) JSONL
+//! The campaign run ledger: schema-versioned (`abc-runlog/v2`) JSONL
 //! bookkeeping of *wall-clock* run behavior, written beside — never
 //! into — the results store.
 //!
 //! The store answers "what did the simulation measure"; the ledger
-//! answers "where did fleet time go": per-point spans (worker slot,
-//! queued/start/end wall-ns, sim events, retries, abort reasons,
-//! optional profile fractions), wave boundaries, and store-flush spans.
+//! answers "where did fleet time go": a header with the run's
+//! configuration, then one span per execution attempt of each point
+//! (worker slot, start/end wall-ns, sim events, retries, abort reasons,
+//! optional profile fractions), in ordinal order. Every point is queued
+//! at run start on one worker pool, so a first attempt's `start_ns` is
+//! also how long it waited for a worker.
 //! Wall-clock data is quarantined here by construction — emitting a
 //! ledger (or enabling `--profile`) leaves the store byte-identical.
 //!
 //! The ledger's *structure* is still deterministic: zero the wall
 //! fields with [`normalize_jsonl`] and the remaining bytes (ordinal
-//! set, coords, event counts, attempt counts, wave composition) are
-//! bit-identical across reruns and 1/2/4/8-worker pools (pinned in
+//! set, coords, event counts, attempt counts) are bit-identical across
+//! reruns and 1/2/4/8-worker pools, fail-fast runs included (pinned in
 //! `tests/runlog.rs`).
 //!
 //! Downstream consumers: `abc-campaign trace-export` (Perfetto-loadable
@@ -25,7 +28,7 @@ use crate::spec::Coords;
 use std::path::{Path, PathBuf};
 
 /// Version tag written as the `schema` field of a ledger's header line.
-pub const SCHEMA: &str = "abc-runlog/v1";
+pub const SCHEMA: &str = "abc-runlog/v2";
 
 /// Where (and with what header context) the runner writes its ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,15 +76,13 @@ pub struct LedgerHeader {
     /// Worker-pool size. Wall-dependent context: zeroed by
     /// [`normalize_jsonl`].
     pub workers: usize,
-    /// Points dispatched per wave.
-    pub chunk: usize,
     /// `(k, n)` shard selector, when sharded.
     pub shard: Option<(usize, usize)>,
     /// Bounded panic-retry budget per point.
     pub retries: u32,
     /// Watchdog wall budget in seconds, when armed.
     pub watchdog_budget_s: Option<f64>,
-    /// Whether the run continues past failed waves.
+    /// Whether the run continues past a failed point.
     pub keep_going: bool,
     /// Whether per-point profiling was on.
     pub profile: bool,
@@ -170,9 +171,6 @@ pub struct PointSpan {
     pub attempt: u32,
     /// Worker slot that executed the attempt (wall-dependent).
     pub worker: usize,
-    /// Wall-ns since run start when the wave containing the point was
-    /// dispatched.
-    pub queued_ns: u64,
     /// Wall-ns since run start when the attempt began executing.
     pub start_ns: u64,
     /// Wall-ns since run start when the attempt finished.
@@ -188,31 +186,6 @@ pub struct PointSpan {
     pub profile: Option<ProfileFractions>,
 }
 
-/// One dispatch wave: a chunk of points handed to the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaveSpan {
-    /// 0-based wave index.
-    pub index: usize,
-    /// Wall-ns since run start at dispatch.
-    pub start_ns: u64,
-    /// Wall-ns since run start when every point in the wave returned.
-    pub end_ns: u64,
-    /// Points dispatched in the wave.
-    pub points: usize,
-}
-
-/// One store-flush span: the post-wave callback that streams finished
-/// records to disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushSpan {
-    /// The wave whose results were flushed.
-    pub wave: usize,
-    /// Wall-ns since run start when the flush began.
-    pub start_ns: u64,
-    /// Wall-ns since run start when the flush returned.
-    pub end_ns: u64,
-}
-
 /// A fully parsed run ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunLedger {
@@ -220,10 +193,6 @@ pub struct RunLedger {
     pub header: LedgerHeader,
     /// Every point span, in emission (expansion) order.
     pub points: Vec<PointSpan>,
-    /// Wave boundaries, in order.
-    pub waves: Vec<WaveSpan>,
-    /// Store-flush spans, in order.
-    pub flushes: Vec<FlushSpan>,
 }
 
 fn shard_str(shard: Option<(usize, usize)>) -> Value {
@@ -248,7 +217,6 @@ pub fn render_header(h: &LedgerHeader) -> String {
         ("scale".into(), opt_str(&h.scale)),
         ("points".into(), Value::num(h.points as f64)),
         ("workers".into(), Value::num(h.workers as f64)),
-        ("chunk".into(), Value::num(h.chunk as f64)),
         ("shard".into(), shard_str(h.shard)),
         ("retries".into(), Value::num(h.retries as f64)),
         (
@@ -295,7 +263,6 @@ pub fn render_point(s: &PointSpan) -> String {
         ("coords".into(), coords_to_value(&s.coords)),
         ("attempt".into(), Value::num(s.attempt as f64)),
         ("worker".into(), Value::num(s.worker as f64)),
-        ("queued_ns".into(), Value::num(s.queued_ns as f64)),
         ("start_ns".into(), Value::num(s.start_ns as f64)),
         ("end_ns".into(), Value::num(s.end_ns as f64)),
         ("events".into(), Value::num(s.events as f64)),
@@ -309,29 +276,6 @@ pub fn render_point(s: &PointSpan) -> String {
         members.push(("profile".into(), profile_to_value(p)));
     }
     Value::Obj(members).render()
-}
-
-/// Render one wave-boundary line.
-pub fn render_wave(w: &WaveSpan) -> String {
-    Value::Obj(vec![
-        ("span".into(), Value::str("wave")),
-        ("index".into(), Value::num(w.index as f64)),
-        ("start_ns".into(), Value::num(w.start_ns as f64)),
-        ("end_ns".into(), Value::num(w.end_ns as f64)),
-        ("points".into(), Value::num(w.points as f64)),
-    ])
-    .render()
-}
-
-/// Render one store-flush line.
-pub fn render_flush(f: &FlushSpan) -> String {
-    Value::Obj(vec![
-        ("span".into(), Value::str("flush")),
-        ("wave".into(), Value::num(f.wave as f64)),
-        ("start_ns".into(), Value::num(f.start_ns as f64)),
-        ("end_ns".into(), Value::num(f.end_ns as f64)),
-    ])
-    .render()
 }
 
 fn err_at(line: usize, msg: impl std::fmt::Display) -> String {
@@ -390,7 +334,6 @@ fn parse_header(v: &Value, line: usize) -> Result<LedgerHeader, String> {
             .map(|s| s.to_string()),
         points: req_usize(v, "points", line)?,
         workers: req_usize(v, "workers", line)?,
-        chunk: req_usize(v, "chunk", line)?,
         shard: parse_shard(v, line)?,
         retries: req_u64(v, "retries", line)? as u32,
         watchdog_budget_s: v.get("watchdog_budget_s").and_then(Value::as_f64),
@@ -442,7 +385,6 @@ fn parse_point(v: &Value, line: usize) -> Result<PointSpan, String> {
         coords: parse_coords(v, line)?,
         attempt: req_u64(v, "attempt", line)? as u32,
         worker: req_usize(v, "worker", line)?,
-        queued_ns: req_u64(v, "queued_ns", line)?,
         start_ns: req_u64(v, "start_ns", line)?,
         end_ns: req_u64(v, "end_ns", line)?,
         events: req_u64(v, "events", line)?,
@@ -455,44 +397,9 @@ fn parse_point(v: &Value, line: usize) -> Result<PointSpan, String> {
 impl RunLedger {
     /// Serialize back to the exact JSONL wire form.
     pub fn to_jsonl(&self) -> String {
-        let mut out = render_header(&self.header);
-        out.push('\n');
-        let mut flushes = self.flushes.iter().peekable();
-        // Spans interleave in emission order: each wave's points (all
-        // attempts of an ordinal are contiguous, and an ordinal runs in
-        // exactly one wave), then its wave line, then its flush line.
-        let mut taken = 0usize;
-        for w in &self.waves {
-            let mut ordinals_in_wave = 0usize;
-            let mut last_ordinal = None;
-            while taken < self.points.len() {
-                let p = &self.points[taken];
-                if last_ordinal != Some(p.ordinal) {
-                    if ordinals_in_wave == w.points {
-                        break;
-                    }
-                    ordinals_in_wave += 1;
-                    last_ordinal = Some(p.ordinal);
-                }
-                out.push_str(&render_point(p));
-                out.push('\n');
-                taken += 1;
-            }
-            out.push_str(&render_wave(w));
-            out.push('\n');
-            if let Some(f) = flushes.peek() {
-                if f.wave == w.index {
-                    out.push_str(&render_flush(flushes.next().expect("peeked")));
-                    out.push('\n');
-                }
-            }
-        }
-        // Points past the last wave line (a wave that never completed).
-        for p in &self.points[taken..] {
-            out.push_str(&render_point(p));
-            out.push('\n');
-        }
-        out
+        let spans = self.points.iter().map(render_point);
+        let lines = std::iter::once(render_header(&self.header)).chain(spans);
+        lines.map(|line| line + "\n").collect()
     }
 
     /// Parse a ledger from its JSONL wire form.
@@ -509,31 +416,16 @@ impl RunLedger {
             None => return Err(err_at(i + 1, "missing schema header")),
         }
         let header = parse_header(&hv, i + 1)?;
-        let mut ledger = RunLedger {
-            header,
-            points: Vec::new(),
-            waves: Vec::new(),
-            flushes: Vec::new(),
-        };
-        for (i, line) in lines {
-            let v = json::parse(line).map_err(|e| err_at(i + 1, e))?;
-            match v.get("span").and_then(Value::as_str) {
-                Some("point") => ledger.points.push(parse_point(&v, i + 1)?),
-                Some("wave") => ledger.waves.push(WaveSpan {
-                    index: req_usize(&v, "index", i + 1)?,
-                    start_ns: req_u64(&v, "start_ns", i + 1)?,
-                    end_ns: req_u64(&v, "end_ns", i + 1)?,
-                    points: req_usize(&v, "points", i + 1)?,
-                }),
-                Some("flush") => ledger.flushes.push(FlushSpan {
-                    wave: req_usize(&v, "wave", i + 1)?,
-                    start_ns: req_u64(&v, "start_ns", i + 1)?,
-                    end_ns: req_u64(&v, "end_ns", i + 1)?,
-                }),
-                other => return Err(err_at(i + 1, format!("unrecognized span {other:?}"))),
-            }
-        }
-        Ok(ledger)
+        let points = lines
+            .map(|(i, line)| {
+                let v = json::parse(line).map_err(|e| err_at(i + 1, e))?;
+                match v.get("span").and_then(Value::as_str) {
+                    Some("point") => parse_point(&v, i + 1),
+                    other => Err(err_at(i + 1, format!("unrecognized span {other:?}"))),
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(RunLedger { header, points })
     }
 
     /// Read and parse a ledger file.
@@ -579,8 +471,6 @@ pub struct LedgerStats {
     pub wall_ns: u64,
     /// Sum of point-span durations (work actually executing).
     pub busy_ns: u64,
-    /// Sum of store-flush durations.
-    pub flush_ns: u64,
     /// Worker-pool size (header, or the highest observed slot + 1).
     pub workers: usize,
     /// `busy / (workers × wall)` in `[0, 1]`.
@@ -621,19 +511,7 @@ pub fn stats(ledger: &RunLedger) -> LedgerStats {
         durations[idx]
     };
     let busy_ns: u64 = durations.iter().sum();
-    let flush_ns: u64 = ledger
-        .flushes
-        .iter()
-        .map(|f| f.end_ns.saturating_sub(f.start_ns))
-        .sum();
-    let wall_ns = ledger
-        .points
-        .iter()
-        .map(|p| p.end_ns)
-        .chain(ledger.waves.iter().map(|w| w.end_ns))
-        .chain(ledger.flushes.iter().map(|f| f.end_ns))
-        .max()
-        .unwrap_or(0);
+    let wall_ns = ledger.points.iter().map(|p| p.end_ns).max().unwrap_or(0);
     let observed = ledger
         .points
         .iter()
@@ -657,7 +535,6 @@ pub fn stats(ledger: &RunLedger) -> LedgerStats {
     LedgerStats {
         wall_ns,
         busy_ns,
-        flush_ns,
         workers,
         utilization,
         p50_ns,
@@ -698,7 +575,6 @@ mod tests {
                 scale: Some("tiny".into()),
                 points: 2,
                 workers: 2,
-                chunk: 32,
                 shard: Some((1, 3)),
                 retries: 1,
                 watchdog_budget_s: Some(2.5),
@@ -711,7 +587,6 @@ mod tests {
                     coords: coords("clean", "1"),
                     attempt: 0,
                     worker: 0,
-                    queued_ns: 10,
                     start_ns: 20,
                     end_ns: 1020,
                     events: 400,
@@ -732,7 +607,6 @@ mod tests {
                     coords: coords("boom", "1"),
                     attempt: 0,
                     worker: 1,
-                    queued_ns: 10,
                     start_ns: 30,
                     end_ns: 230,
                     events: 0,
@@ -745,7 +619,6 @@ mod tests {
                     coords: coords("boom", "1"),
                     attempt: 1,
                     worker: 1,
-                    queued_ns: 10,
                     start_ns: 240,
                     end_ns: 440,
                     events: 0,
@@ -754,17 +627,6 @@ mod tests {
                     profile: None,
                 },
             ],
-            waves: vec![WaveSpan {
-                index: 0,
-                start_ns: 10,
-                end_ns: 1100,
-                points: 2,
-            }],
-            flushes: vec![FlushSpan {
-                wave: 0,
-                start_ns: 1100,
-                end_ns: 1200,
-            }],
         }
     }
 
@@ -800,8 +662,7 @@ mod tests {
         assert_eq!(s.failed_points, 1);
         assert_eq!(s.events, 400);
         assert_eq!(s.max_ns, 1000);
-        assert_eq!(s.flush_ns, 100);
-        assert_eq!(s.wall_ns, 1200);
+        assert_eq!(s.wall_ns, 1020);
         assert!(s.utilization > 0.0 && s.utilization < 1.0);
         assert!(s.straggler_ratio >= 1.0);
     }
@@ -814,5 +675,12 @@ mod tests {
         let broken = text.replace("\"outcome\":\"ok\"", "\"outcome\":\"maybe\"");
         let err = RunLedger::from_jsonl(&broken).unwrap_err();
         assert!(err.contains("unknown outcome"), "{err}");
+        // a v1 ledger's wave line is not a v2 span
+        let waved = format!("{text}{{\"span\":\"wave\",\"index\":0}}\n");
+        let err = RunLedger::from_jsonl(&waved).unwrap_err();
+        assert!(
+            err.contains("line 5") && err.contains("unrecognized span"),
+            "{err}"
+        );
     }
 }

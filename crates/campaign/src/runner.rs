@@ -1,10 +1,12 @@
-//! The campaign executor: chunked dispatch of expanded points onto
-//! [`ScenarioEngine::run_batch`], with progress reporting on stderr.
+//! The campaign executor: every expanded point streams through the
+//! engine's one ordered worker pool ([`ScenarioEngine::for_each_ordered`]),
+//! and each outcome is committed — store line, sidecar, ledger spans — in
+//! ordinal order as soon as every earlier point has finished.
 //!
 //! Results are **bit-identical** across reruns and worker-pool sizes: the
-//! engine guarantees each report is a pure function of its spec, chunking
-//! only affects dispatch granularity (never result order), and progress
-//! goes to stderr so the artifact stream stays clean.
+//! engine guarantees each report is a pure function of its spec, the pool
+//! hands outcomes back in ordinal order whatever finished first, and
+//! progress goes to stderr so the artifact stream stays clean.
 //!
 //! Execution is **fault-tolerant**: every point runs inside a panic
 //! boundary ([`std::panic::catch_unwind`]) with an optional per-point
@@ -12,21 +14,24 @@
 //! [`RunGuards`]). A point that panics is retried
 //! a bounded number of times, then recorded as a structured
 //! [`ErrorRecord`] — the store stays valid, diffable, and resumable, and
-//! `--resume` re-attempts exactly the failed ordinals.
+//! `--resume` re-attempts exactly the failed ordinals. Without
+//! `keep_going` the run stops at the first failed ordinal, so a fail-fast
+//! store holds the same points at any pool size.
 //!
 //! Execution is **observable**: with a [`RunLogConfig`] (or a telemetry
 //! dir, which gets a `runlog.jsonl` by default) the runner streams an
-//! `abc-runlog/v1` ledger of per-attempt point spans, wave boundaries,
-//! and store-flush spans (see [`crate::runlog`]). Wall-clock data lives
-//! only there — the results store stays byte-identical with or without
-//! the ledger and `--profile`.
+//! `abc-runlog/v2` ledger of per-attempt point spans (see
+//! [`crate::runlog`]). Wall-clock data lives only there — the results
+//! store stays byte-identical with or without the ledger and `--profile`.
 
 use crate::runlog::{self, RunLogConfig, SpanOutcome};
-use crate::spec::{Campaign, Coords};
+use crate::spec::{Campaign, CampaignPoint, Coords};
 use experiments::engine::{PointRun, ScenarioEngine};
 use experiments::report::Report;
 use netsim::sim::RunGuards;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// How a campaign run is executed. `jobs: None` defers to
@@ -36,10 +41,8 @@ use std::time::Instant;
 pub struct RunOptions {
     /// Worker-pool size; `None` defers to [`ScenarioEngine::new`].
     pub jobs: Option<usize>,
-    /// Scenarios per dispatch wave. Progress is reported after each wave,
-    /// so smaller chunks mean finer progress at slightly more pool churn.
-    pub chunk: usize,
-    /// Report progress to stderr after every chunk.
+    /// Report progress to stderr: at most one line per wall second while
+    /// points finish, plus one when the run ends.
     pub progress: bool,
     /// Write one telemetry sidecar per executed point to this directory
     /// (`<ordinal>.jsonl`). Points whose spec carries no telemetry config
@@ -47,9 +50,11 @@ pub struct RunOptions {
     /// stored bytes stay identical with or without this.
     pub telemetry_dir: Option<std::path::PathBuf>,
     /// Keep executing the remaining points after one fails (panic or
-    /// watchdog abort). When `false` — the default — dispatch stops after
-    /// the wave that failed; either way the failed point becomes an
-    /// [`ErrorRecord`] and the store stays valid and resumable.
+    /// watchdog abort). When `false` — the default — the run stops at the
+    /// first failed ordinal: outcomes, store and ledger hold exactly the
+    /// ordinals up to and including it, at any pool size. Either way the
+    /// failed point becomes an [`ErrorRecord`] and the store stays valid
+    /// and resumable.
     pub keep_going: bool,
     /// How many extra attempts a *panicking* point gets before it is
     /// recorded as failed. Watchdog aborts are never retried — the budget
@@ -59,7 +64,7 @@ pub struct RunOptions {
     /// cooperatively (via [`RunGuards`]) and records a
     /// [`ErrorKind::Watchdog`] error instead of hanging the campaign.
     pub watchdog: Option<std::time::Duration>,
-    /// Write an `abc-runlog/v1` run ledger (see [`crate::runlog`]).
+    /// Write an `abc-runlog/v2` run ledger (see [`crate::runlog`]).
     /// `None` still emits one into `telemetry_dir` (as `runlog.jsonl`)
     /// when that is set.
     pub runlog: Option<RunLogConfig>,
@@ -73,7 +78,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             jobs: None,
-            chunk: 32,
             progress: false,
             telemetry_dir: None,
             keep_going: false,
@@ -94,12 +98,6 @@ impl RunOptions {
     /// Set the worker-pool size (`None` = `ABC_JOBS`/all cores).
     pub fn with_jobs(mut self, jobs: Option<usize>) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Toggle stderr progress reporting.
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
         self
     }
 
@@ -231,14 +229,6 @@ impl PointOutcome {
             PointOutcome::Err(e) => e.ordinal,
         }
     }
-
-    /// The clean record, if the point succeeded.
-    pub fn ok(self) -> Option<RunRecord> {
-        match self {
-            PointOutcome::Ok(r) => Some(r),
-            PointOutcome::Err(_) => None,
-        }
-    }
 }
 
 /// Split a run's outcomes into clean records and errors, both in the
@@ -259,25 +249,37 @@ pub fn split_outcomes(outcomes: Vec<PointOutcome>) -> (Vec<RunRecord>, Vec<Error
 /// surviving point of [`Campaign::expand`]. Panics if any point fails —
 /// use [`run_campaign_outcomes`] to observe failures as data instead.
 pub fn run_campaign(campaign: &Campaign, opts: &RunOptions) -> Vec<RunRecord> {
-    run_campaign_skipping(campaign, opts, &std::collections::HashSet::new())
+    run_campaign_skipping(campaign, opts, &HashSet::new())
 }
 
 /// [`run_campaign`] minus the points whose stable ordinals appear in
-/// `skip` — the engine behind `abc-campaign run --resume`, which reuses an
-/// interrupted store's records and executes only the missing points.
+/// `skip` (a resumed run's reused records).
 pub fn run_campaign_skipping(
     campaign: &Campaign,
     opts: &RunOptions,
-    skip: &std::collections::HashSet<usize>,
+    skip: &HashSet<usize>,
 ) -> Vec<RunRecord> {
-    expect_clean(run_campaign_with(campaign, opts, skip, |_| {}))
+    expect_clean(outcomes_skipping(campaign, opts, skip))
 }
 
 /// Expand and execute a campaign, returning every point's outcome —
 /// clean reports and structured errors alike. The fault-tolerant
 /// counterpart of [`run_campaign`].
 pub fn run_campaign_outcomes(campaign: &Campaign, opts: &RunOptions) -> Vec<PointOutcome> {
-    run_campaign_with(campaign, opts, &std::collections::HashSet::new(), |_| {})
+    outcomes_skipping(campaign, opts, &HashSet::new())
+}
+
+/// The outcomes of every point not in `skip`, in ordinal order, with
+/// sidecars written to the run's telemetry dir.
+fn outcomes_skipping(
+    campaign: &Campaign,
+    opts: &RunOptions,
+    skip: &HashSet<usize>,
+) -> Vec<PointOutcome> {
+    let (mut outcomes, points) = (Vec::new(), campaign.expand());
+    let write = |ordinal, sidecar| write_sidecar(opts, ordinal, sidecar);
+    run_points_with(campaign, points, opts, skip, |o| outcomes.push(o), write);
+    outcomes
 }
 
 fn expect_clean(outcomes: Vec<PointOutcome>) -> Vec<RunRecord> {
@@ -295,20 +297,6 @@ fn expect_clean(outcomes: Vec<PointOutcome>) -> Vec<RunRecord> {
         .collect()
 }
 
-/// [`run_campaign_skipping`] with a per-chunk callback: `on_chunk` sees
-/// each dispatch wave's outcomes as soon as they complete, in expansion
-/// order — the hook the CLI uses to stream a store to disk so an
-/// interrupted run leaves every finished chunk behind for `--resume`.
-pub fn run_campaign_with<F: FnMut(&[PointOutcome])>(
-    campaign: &Campaign,
-    opts: &RunOptions,
-    skip: &std::collections::HashSet<usize>,
-    on_chunk: F,
-) -> Vec<PointOutcome> {
-    let write = |ordinal, sidecar| write_sidecar(opts, ordinal, sidecar);
-    run_points_with(campaign, campaign.expand(), opts, skip, on_chunk, write)
-}
-
 /// [`run_campaign`] that keeps each point's telemetry sidecar in memory,
 /// beside its record (`None` for a point whose spec records no
 /// telemetry) — the input of figures that plot within-run series.
@@ -316,13 +304,14 @@ pub fn run_campaign_sidecars(
     campaign: &Campaign,
     opts: &RunOptions,
 ) -> Vec<(RunRecord, Option<String>)> {
-    let mut sidecars = std::collections::BTreeMap::new();
-    let outcomes = run_points_with(
+    let mut sidecars = BTreeMap::new();
+    let mut outcomes = Vec::new();
+    run_points_with(
         campaign,
         campaign.expand(),
         opts,
-        &std::collections::HashSet::new(),
-        |_| {},
+        &HashSet::new(),
+        |o| outcomes.push(o),
         |ordinal, sidecar| {
             sidecars.insert(ordinal, sidecar);
         },
@@ -366,17 +355,14 @@ struct PointExec {
 }
 
 /// Best-effort ledger writer: an I/O error prints once and disables the
-/// ledger — observability must never fail the run it observes.
-struct LedgerWriter(Option<(std::io::BufWriter<std::fs::File>, std::path::PathBuf)>);
+/// ledger — observability must never fail the run it observes. One write
+/// per point, so a killed run tears at most the point in flight.
+struct LedgerWriter(Option<(std::fs::File, std::path::PathBuf)>);
 
 impl LedgerWriter {
-    fn off() -> Self {
-        LedgerWriter(None)
-    }
-
     fn create(path: &std::path::Path) -> Self {
         match std::fs::File::create(path) {
-            Ok(f) => LedgerWriter(Some((std::io::BufWriter::new(f), path.to_path_buf()))),
+            Ok(f) => LedgerWriter(Some((f, path.to_path_buf()))),
             Err(e) => {
                 eprintln!(
                     "[abc-campaign] cannot create run ledger {}: {e}",
@@ -387,49 +373,70 @@ impl LedgerWriter {
         }
     }
 
-    fn line(&mut self, line: &str) {
-        let failed = match &mut self.0 {
-            Some((w, path)) => match writeln!(w, "{line}") {
-                Ok(()) => false,
-                Err(e) => {
-                    eprintln!(
-                        "[abc-campaign] run ledger write to {} failed: {e} (disabling ledger)",
-                        path.display()
-                    );
-                    true
-                }
-            },
-            None => false,
-        };
-        if failed {
-            self.0 = None;
-        }
-    }
-
-    fn flush(&mut self) {
-        let failed = match &mut self.0 {
-            Some((w, path)) => match w.flush() {
-                Ok(()) => false,
-                Err(e) => {
-                    eprintln!(
-                        "[abc-campaign] run ledger flush to {} failed: {e} (disabling ledger)",
-                        path.display()
-                    );
-                    true
-                }
-            },
-            None => false,
-        };
-        if failed {
-            self.0 = None;
+    fn write(&mut self, lines: &str) {
+        if let Some((f, path)) = &mut self.0 {
+            if let Err(e) = f.write_all(lines.as_bytes()) {
+                eprintln!(
+                    "[abc-campaign] run ledger write to {} failed: {e} (disabling ledger)",
+                    path.display()
+                );
+                self.0 = None;
+            }
         }
     }
 }
 
-/// ETA extrapolates from this many most-recent waves (plus the current
-/// checkpoint), so one long-tail dense point early in the run stops
-/// skewing the estimate for the remainder.
-const ETA_WINDOW_WAVES: usize = 8;
+/// How many progress lines back the ETA's rate is measured from, so one
+/// long-tail point early in the run stops skewing it for the remainder.
+const ETA_WINDOW: usize = 8;
+
+/// The stderr progress line: printed at most once per wall second while
+/// points finish, plus once when the run ends.
+struct Progress<'a> {
+    campaign: &'a str,
+    total: usize,
+    start: Instant,
+    done: usize,
+    events: u64,
+    /// `(elapsed s, done)` of the last [`ETA_WINDOW`] lines, newest last.
+    printed: VecDeque<(f64, usize)>,
+}
+
+impl Progress<'_> {
+    /// Count one finished point (`end`: the run is over). Prints a line at
+    /// the end, or once a wall second has passed since the last line (or
+    /// the start). A mid-run line's ETA extrapolates the rate since the
+    /// oldest remembered line — at least one point and one second ago, so
+    /// the rate is finite; the final line has none.
+    fn tick(&mut self, events: u64, end: bool) {
+        if !end {
+            self.done += 1;
+        }
+        self.events += events;
+        let (done, total) = (self.done, self.total);
+        let elapsed = self.start.elapsed().as_secs_f64();
+        if !end && elapsed - self.printed.back().map_or(0.0, |&(t, _)| t) < 1.0 {
+            return;
+        }
+        let eta = if end || done == total {
+            String::new()
+        } else {
+            let (t0, d0) = self.printed.front().copied().unwrap_or((0.0, 0));
+            let rate = (done - d0) as f64 / (elapsed - t0);
+            format!(" · ETA {:.0}s", (total - done) as f64 / rate)
+        };
+        self.printed.push_back((elapsed, done));
+        if self.printed.len() > ETA_WINDOW {
+            self.printed.pop_front();
+        }
+        eprintln!(
+            "[abc-campaign] {}: {done}/{total} scenarios ({:.0}%) in {elapsed:.1}s · {:.1} Mev/s{eta}",
+            self.campaign,
+            100.0 * done as f64 / total.max(1) as f64,
+            self.events as f64 / elapsed.max(1e-9) / 1e6,
+        );
+    }
+}
 
 /// Render a caught panic payload the way `std`'s default hook would.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -445,18 +452,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The execution core under every run path: takes an already-expanded
 /// point list so callers that need the expansion for other purposes
 /// (header point counts, shard slicing) expand exactly once. Each point
-/// runs inside a panic boundary with the configured watchdog; failures
-/// become [`PointOutcome::Err`] and — unless `keep_going` is set — stop
-/// dispatch after the current wave. Every executed point's sidecar, if
-/// its spec records one, goes to `on_sidecar` with the point's ordinal.
-fn run_points_with<F: FnMut(&[PointOutcome]), S: FnMut(usize, String)>(
+/// runs inside a panic boundary with the configured watchdog on the
+/// engine's worker pool; outcomes come back in ordinal order, and each
+/// one's ledger spans are written, its sidecar (if its spec records one)
+/// goes to `on_sidecar` with the point's ordinal, and the outcome goes to
+/// `on_outcome`. Failures become [`PointOutcome::Err`] and — unless
+/// `keep_going` is set — end the run at the first failed ordinal.
+fn run_points_with<F: FnMut(PointOutcome), S: FnMut(usize, String)>(
     campaign: &Campaign,
-    points: Vec<crate::spec::CampaignPoint>,
+    points: Vec<CampaignPoint>,
     opts: &RunOptions,
-    skip: &std::collections::HashSet<usize>,
-    mut on_chunk: F,
+    skip: &HashSet<usize>,
+    mut on_outcome: F,
     mut on_sidecar: S,
-) -> Vec<PointOutcome> {
+) {
     let mut points: Vec<_> = points
         .into_iter()
         .filter(|p| !skip.contains(&p.ordinal))
@@ -495,23 +504,21 @@ fn run_points_with<F: FnMut(&[PointOutcome]), S: FnMut(usize, String)>(
             .as_ref()
             .map(|d| RunLogConfig::new(d.join("runlog.jsonl")))
     });
-    let mut ledger = match &runlog_cfg {
-        Some(cfg) => LedgerWriter::create(&cfg.path),
-        None => LedgerWriter::off(),
-    };
+    let mut ledger = LedgerWriter(None);
     if let Some(cfg) = &runlog_cfg {
-        ledger.line(&runlog::render_header(&runlog::LedgerHeader {
+        let header = runlog::render_header(&runlog::LedgerHeader {
             campaign: campaign.name.clone(),
             scale: cfg.scale.clone(),
             points: total,
             workers,
-            chunk: opts.chunk.max(1),
             shard: cfg.shard,
             retries: opts.retries,
             watchdog_budget_s: opts.watchdog.map(|d| d.as_secs_f64()),
             keep_going: opts.keep_going,
             profile: opts.profile,
-        }));
+        });
+        ledger = LedgerWriter::create(&cfg.path);
+        ledger.write(&format!("{header}\n"));
     }
     let guards = RunGuards {
         max_events: None,
@@ -519,17 +526,20 @@ fn run_points_with<F: FnMut(&[PointOutcome]), S: FnMut(usize, String)>(
     };
     let retries = opts.retries;
     let profile_on = opts.profile;
-    let mut outcomes: Vec<PointOutcome> = Vec::with_capacity(total);
-    let mut events_total = 0u64;
-    let mut failed = false;
-    // `(elapsed, done)` checkpoints of recent waves for the ETA window.
-    let mut recent: std::collections::VecDeque<(f64, usize)> = std::collections::VecDeque::new();
-    for (wave_index, chunk) in points.chunks(opts.chunk.max(1)).enumerate() {
-        let wave_start_ns = start.elapsed().as_nanos() as u64;
+    let mut progress = opts.progress.then(|| Progress {
+        campaign: &campaign.name,
+        total,
+        start,
+        done: 0,
+        events: 0,
+        printed: VecDeque::new(),
+    });
+    engine.for_each_ordered(
+        &points,
         // The boundary must sit *inside* the worker closure: a panic that
-        // escapes it would poison the pool's result slots and abort the
-        // whole process instead of failing one point.
-        let results = engine.run_batch_map_indexed(chunk, |e, point, worker| {
+        // escapes it would unwind through the pool and abort the whole
+        // run instead of failing one point.
+        |e, point, worker| {
             let mut attempts: Vec<AttemptLog> = Vec::new();
             loop {
                 let t0 = start.elapsed().as_nanos() as u64;
@@ -594,112 +604,71 @@ fn run_points_with<F: FnMut(&[PointOutcome]), S: FnMut(usize, String)>(
                     }
                 }
             }
-        });
-        let wave_end_ns = start.elapsed().as_nanos() as u64;
-        let chunk_start = outcomes.len();
-        for (point, exec) in chunk.iter().zip(results) {
+        },
+        |i, exec| {
+            let point = &points[i];
             // One ledger span per attempt, retries included.
+            let mut spans = String::new();
             for (attempt, a) in exec.attempts.iter().enumerate() {
                 let dur = a.end_ns.saturating_sub(a.start_ns).max(1);
-                ledger.line(&runlog::render_point(&runlog::PointSpan {
+                spans += &runlog::render_point(&runlog::PointSpan {
                     ordinal: point.ordinal,
                     coords: point.coords.clone(),
                     attempt: attempt as u32,
                     worker: exec.worker,
-                    queued_ns: wave_start_ns,
                     start_ns: a.start_ns,
                     end_ns: a.end_ns,
                     events: a.events,
                     events_per_sec: a.events as f64 * 1e9 / dur as f64,
                     outcome: a.outcome.clone(),
                     profile: a.profile,
-                }));
+                });
+                spans.push('\n');
             }
-            match exec.result {
+            ledger.write(&spans);
+            let (events, failed) = match exec.result {
                 Ok(out) => {
-                    events_total += out.events;
                     if let Some(sidecar) = out.sidecar {
                         on_sidecar(point.ordinal, sidecar);
                     }
-                    outcomes.push(PointOutcome::Ok(RunRecord {
+                    on_outcome(PointOutcome::Ok(RunRecord {
                         ordinal: point.ordinal,
                         coords: point.coords.clone(),
                         report: out.report,
                     }));
+                    (out.events, false)
                 }
                 Err(error) => {
-                    failed = true;
                     eprintln!(
                         "[abc-campaign] point {} failed ({}): {}",
                         point.ordinal,
                         error.kind.as_str(),
                         error.message
                     );
-                    outcomes.push(PointOutcome::Err(ErrorRecord {
+                    on_outcome(PointOutcome::Err(ErrorRecord {
                         ordinal: point.ordinal,
                         coords: point.coords.clone(),
                         error,
                     }));
+                    (0, true)
                 }
-            }
-        }
-        ledger.line(&runlog::render_wave(&runlog::WaveSpan {
-            index: wave_index,
-            start_ns: wave_start_ns,
-            end_ns: wave_end_ns,
-            points: chunk.len(),
-        }));
-        let flush_start_ns = start.elapsed().as_nanos() as u64;
-        on_chunk(&outcomes[chunk_start..]);
-        let flush_end_ns = start.elapsed().as_nanos() as u64;
-        ledger.line(&runlog::render_flush(&runlog::FlushSpan {
-            wave: wave_index,
-            start_ns: flush_start_ns,
-            end_ns: flush_end_ns,
-        }));
-        ledger.flush();
-        if opts.progress {
-            let done = outcomes.len();
-            let elapsed = start.elapsed().as_secs_f64();
-            // ETA from a sliding window of recent waves (falling back to
-            // the whole-run average until a second checkpoint exists);
-            // blank until the first wave lands and once the run is done.
-            recent.push_back((elapsed, done));
-            while recent.len() > ETA_WINDOW_WAVES + 1 {
-                recent.pop_front();
-            }
-            let eta = if done > 0 && done < total {
-                let (t0, d0) = *recent.front().expect("window is nonempty");
-                let (dt, dd) = (elapsed - t0, done - d0);
-                let rate = if dd > 0 && dt > 1e-9 {
-                    dd as f64 / dt
-                } else {
-                    done as f64 / elapsed.max(1e-9)
-                };
-                format!(" · ETA {:.0}s", (total - done) as f64 / rate.max(1e-9))
-            } else {
-                String::new()
             };
-            eprintln!(
-                "[abc-campaign] {}: {}/{} scenarios ({:.0}%) in {:.1}s · {:.1} Mev/s{}",
-                campaign.name,
-                done,
-                total,
-                100.0 * done as f64 / total.max(1) as f64,
-                elapsed,
-                events_total as f64 / elapsed.max(1e-9) / 1e6,
-                eta,
-            );
-        }
-        if failed && !opts.keep_going {
-            eprintln!(
-                "[abc-campaign] {}: stopping after failed wave (pass --keep-going to run the rest)",
-                campaign.name
-            );
-            break;
-        }
+            if let Some(p) = &mut progress {
+                p.tick(events, false);
+            }
+            if failed && !opts.keep_going {
+                eprintln!(
+                    "[abc-campaign] {}: stopping at the first failed point (pass --keep-going to run the rest)",
+                    campaign.name
+                );
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        },
+    );
+    if let Some(p) = &mut progress {
+        p.tick(0, true);
     }
-    outcomes
 }
 
 /// Does `ordinal` belong to shard `k` of `n` (`k` is 1-based)? The
@@ -722,24 +691,10 @@ pub fn resume_campaign(
     opts: &RunOptions,
     prior: Vec<RunRecord>,
 ) -> Vec<RunRecord> {
-    let mut records = Vec::new();
-    run_campaign_merged(
-        campaign,
-        campaign.expand(),
-        opts,
-        prior,
-        None,
-        |o| match o {
-            PointOutcome::Ok(r) => records.push(r.clone()),
-            PointOutcome::Err(e) => panic!(
-                "campaign point {} failed ({}): {}",
-                e.ordinal,
-                e.error.kind.as_str(),
-                e.error.message
-            ),
-        },
-    );
-    records
+    let mut outcomes = Vec::new();
+    let points = campaign.expand();
+    run_campaign_merged(campaign, points, opts, prior, None, |o| outcomes.push(o));
+    expect_clean(outcomes)
 }
 
 /// What a streaming run wrote to its store, after the header line.
@@ -760,8 +715,8 @@ impl StreamTally {
 
 /// Execute the points missing from `prior` and stream the complete store
 /// — header (promising the full point count) first, then every record in
-/// ordinal order, each written as soon as its dispatch wave completes —
-/// to `w`. An interrupted write leaves a valid partial store behind for
+/// ordinal order, each written as soon as it and every earlier point have
+/// finished — to `w`. An interrupted write leaves a valid partial store behind for
 /// `--resume`; a completed one is byte-identical to
 /// [`crate::store::ResultsStore::to_jsonl`] of an uninterrupted run.
 /// Failed points are written as structured error lines and tallied.
@@ -802,7 +757,7 @@ pub fn run_campaign_streaming_sharded<W: std::io::Write>(
     let mut err: Option<std::io::Error> = None;
     run_campaign_merged(campaign, points, opts, prior, shard, |o| {
         if err.is_none() {
-            let line = match o {
+            let line = match &o {
                 PointOutcome::Ok(r) => store::render_record(r),
                 PointOutcome::Err(e) => store::render_error_record(e),
             };
@@ -829,16 +784,16 @@ pub fn run_campaign_streaming_sharded<W: std::io::Write>(
 /// it is available. Prior records are emitted as clean outcomes; callers
 /// resuming a store with error records must leave those out of `prior` so
 /// the failed ordinals are re-attempted.
-fn run_campaign_merged<F: FnMut(&PointOutcome)>(
+fn run_campaign_merged<F: FnMut(PointOutcome)>(
     campaign: &Campaign,
-    points: Vec<crate::spec::CampaignPoint>,
+    points: Vec<CampaignPoint>,
     opts: &RunOptions,
     mut prior: Vec<RunRecord>,
     shard: Option<(usize, usize)>,
     mut emit: F,
 ) {
     prior.sort_by_key(|r| r.ordinal);
-    let mut skip: std::collections::HashSet<usize> = prior.iter().map(|r| r.ordinal).collect();
+    let mut skip: HashSet<usize> = prior.iter().map(|r| r.ordinal).collect();
     if let Some(s) = shard {
         skip.extend(
             points
@@ -848,23 +803,15 @@ fn run_campaign_merged<F: FnMut(&PointOutcome)>(
         );
     }
     let mut prior_iter = prior.into_iter().map(PointOutcome::Ok).peekable();
-    let on_chunk = |chunk: &[PointOutcome]| {
-        for rec in chunk {
-            while prior_iter
-                .peek()
-                .is_some_and(|p| p.ordinal() < rec.ordinal())
-            {
-                let p = prior_iter.next().expect("peeked record vanished");
-                emit(&p);
-            }
-            emit(rec);
+    let on_outcome = |o: PointOutcome| {
+        while let Some(p) = prior_iter.next_if(|p| p.ordinal() < o.ordinal()) {
+            emit(p);
         }
+        emit(o);
     };
     let write = |ordinal, sidecar| write_sidecar(opts, ordinal, sidecar);
-    run_points_with(campaign, points, opts, &skip, on_chunk, write);
-    for p in prior_iter {
-        emit(&p);
-    }
+    run_points_with(campaign, points, opts, &skip, on_outcome, write);
+    prior_iter.for_each(emit);
 }
 
 /// First-seen order of the labels a set of records carries on `axis` —
@@ -898,34 +845,13 @@ mod tests {
     use experiments::Scheme;
     use netsim::rate::Rate;
 
-    fn tiny_campaign(chunk_seeds: &[u64]) -> Campaign {
+    fn tiny_campaign(seeds: &[u64]) -> Campaign {
         let base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)))
             .duration_secs(1)
             .warmup_secs(0);
         Campaign::new("unit", base)
             .axis(Axis::schemes(&[Scheme::Abc, Scheme::Cubic]))
-            .axis(Axis::seeds(chunk_seeds))
-    }
-
-    #[test]
-    fn chunked_dispatch_matches_single_batch() {
-        let c = tiny_campaign(&[1, 2]);
-        let one = run_campaign(
-            &c,
-            &RunOptions {
-                chunk: 64,
-                ..RunOptions::quiet()
-            },
-        );
-        let many = run_campaign(
-            &c,
-            &RunOptions {
-                chunk: 1,
-                ..RunOptions::quiet()
-            },
-        );
-        assert_eq!(one.len(), 4);
-        assert_eq!(one, many, "chunk size changed results");
+            .axis(Axis::seeds(seeds))
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl ResultsStore {
     }
 
     /// Parse a possibly-interrupted store: the executor streams records to
-    /// disk chunk by chunk under a header that promises the *full* point
+    /// disk one by one under a header that promises the *full* point
     /// count, so a killed run leaves fewer records than promised — and, if
     /// the kill landed mid-write, a torn final line, which is dropped.
     /// Every complete record still validates; `--resume` re-runs the rest.

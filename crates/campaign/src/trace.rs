@@ -1,7 +1,7 @@
 //! Run ledger → Chrome trace-event JSON, viewable in Perfetto (or
 //! `chrome://tracing`): one track per worker slot carrying point spans,
-//! dedicated tracks for wave boundaries and store flushes, and instant
-//! events marking retries, panics, and watchdog cancellations.
+//! and instant events marking retries, panics, and watchdog
+//! cancellations.
 //!
 //! The output is the classic "JSON object format": a `traceEvents`
 //! array of `ph:"B"`/`ph:"E"` duration pairs (balanced by construction
@@ -10,12 +10,6 @@
 
 use crate::json::Value;
 use crate::runlog::RunLedger;
-
-/// Synthetic thread id carrying wave-boundary spans.
-pub const WAVE_TID: u64 = 10_000;
-
-/// Synthetic thread id carrying store-flush spans.
-pub const FLUSH_TID: u64 = 10_001;
 
 fn ts_us(ns: u64) -> Value {
     Value::num(ns as f64 / 1000.0)
@@ -85,12 +79,6 @@ pub fn chrome_trace(ledger: &RunLedger) -> String {
     for w in &workers {
         events.push(meta("thread_name", *w as u64, &format!("worker {w}")));
     }
-    if !ledger.waves.is_empty() {
-        events.push(meta("thread_name", WAVE_TID, "waves"));
-    }
-    if !ledger.flushes.is_empty() {
-        events.push(meta("thread_name", FLUSH_TID, "store flushes"));
-    }
     for p in &ledger.points {
         let tid = p.worker as u64;
         let mut args = vec![
@@ -142,26 +130,6 @@ pub fn chrome_trace(ledger: &RunLedger) -> String {
         }
         events.push(end(p.end_ns, tid));
     }
-    for w in &ledger.waves {
-        events.push(begin(
-            &format!("wave {}", w.index),
-            "wave",
-            w.start_ns,
-            WAVE_TID,
-            vec![("points".to_string(), Value::num(w.points as f64))],
-        ));
-        events.push(end(w.end_ns, WAVE_TID));
-    }
-    for f in &ledger.flushes {
-        events.push(begin(
-            &format!("flush {}", f.wave),
-            "flush",
-            f.start_ns,
-            FLUSH_TID,
-            Vec::new(),
-        ));
-        events.push(end(f.end_ns, FLUSH_TID));
-    }
     Value::Obj(vec![
         ("displayTimeUnit".into(), Value::str("ms")),
         ("traceEvents".into(), Value::Arr(events)),
@@ -173,7 +141,7 @@ pub fn chrome_trace(ledger: &RunLedger) -> String {
 mod tests {
     use super::*;
     use crate::json;
-    use crate::runlog::{LedgerHeader, PointSpan, SpanOutcome, WaveSpan};
+    use crate::runlog::{LedgerHeader, PointSpan, SpanOutcome};
     use crate::spec::Coords;
 
     fn tiny_ledger() -> RunLedger {
@@ -183,7 +151,6 @@ mod tests {
                 scale: None,
                 points: 2,
                 workers: 2,
-                chunk: 32,
                 shard: None,
                 retries: 1,
                 watchdog_budget_s: None,
@@ -196,7 +163,6 @@ mod tests {
                     coords: Coords(vec![("seed".into(), "1".into())]),
                     attempt: 0,
                     worker: 0,
-                    queued_ns: 0,
                     start_ns: 10,
                     end_ns: 100,
                     events: 50,
@@ -209,7 +175,6 @@ mod tests {
                     coords: Coords(vec![("seed".into(), "2".into())]),
                     attempt: 1,
                     worker: 1,
-                    queued_ns: 0,
                     start_ns: 20,
                     end_ns: 90,
                     events: 0,
@@ -218,13 +183,6 @@ mod tests {
                     profile: None,
                 },
             ],
-            waves: vec![WaveSpan {
-                index: 0,
-                start_ns: 0,
-                end_ns: 110,
-                points: 2,
-            }],
-            flushes: Vec::new(),
         }
     }
 
@@ -243,8 +201,8 @@ mod tests {
                 .count()
         };
         assert_eq!(ph("B"), ph("E"), "unbalanced begin/end pairs");
-        // 2 point spans + 1 wave span
-        assert_eq!(ph("B"), 3);
+        // one B/E pair per point span
+        assert_eq!(ph("B"), 2);
         // retry + panic instants for the failed attempt
         assert_eq!(ph("i"), 2);
         assert!(text.contains("#0 seed=1") && text.contains("#1 seed=2"));

@@ -14,10 +14,11 @@
 //!   with the fault removed re-attempts exactly the failed ordinals and
 //!   converges to the byte-identical full store.
 
+use campaign::runlog::normalize_jsonl;
 use campaign::runner::{resume_campaign, run_campaign_skipping};
 use campaign::{
     presets, run_campaign, run_campaign_outcomes, split_outcomes, Axis, AxisValue, Campaign,
-    ErrorKind, PointOutcome, ResultsStore, RunOptions,
+    ErrorKind, PointOutcome, ResultsStore, RunLogConfig, RunOptions,
 };
 use experiments::engine::{InjectedFault, ScenarioEngine, ScenarioSpec};
 use experiments::figures::Scale;
@@ -181,33 +182,51 @@ fn panicking_points_become_error_records_in_a_valid_store() {
     assert_eq!(loaded.to_jsonl(), jsonl, "reserialization diverged");
 }
 
-/// Without `keep_going`, dispatch stops after the wave that failed —
-/// later waves never run, but the failed wave's outcomes are kept.
+/// Without `keep_going` the run stops at the first failed ordinal: the
+/// outcomes and the normalized run ledger hold exactly ordinals
+/// `0..=first_failure`, identically at every pool size — clean points
+/// after the failure that a wider pool already ran are dropped.
 #[test]
-fn fail_fast_stops_dispatch_after_the_failed_wave() {
+fn fail_fast_stops_at_the_first_failed_ordinal_at_any_pool_size() {
     let base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::from_mbps(12.0)))
         .duration(SimDuration::from_millis(300))
         .warmup_secs(0);
+    // ordinals 0–1 clean, 2–3 panic, 4–5 clean
     let campaign = Campaign::new("fail-fast", base)
         .axis(Axis::new(
             "fault",
             vec![
+                ("clean-a".to_string(), AxisValue::Fault(None)),
                 (
                     "boom".to_string(),
                     AxisValue::Fault(Some(InjectedFault::Panic)),
                 ),
-                ("clean".to_string(), AxisValue::Fault(None)),
+                ("clean-b".to_string(), AxisValue::Fault(None)),
             ],
         ))
         .axis(Axis::seeds(&[1, 2]));
-    let opts = RunOptions {
-        chunk: 1,
-        retries: 0,
-        ..RunOptions::quiet()
+    let run = |jobs: usize| {
+        let path =
+            std::env::temp_dir().join(format!("abc-fail-fast-{}-{jobs}.jsonl", std::process::id()));
+        let opts = RunOptions::quiet()
+            .with_jobs(Some(jobs))
+            .with_retries(0)
+            .with_runlog(Some(RunLogConfig::new(path.clone())));
+        let outcomes = run_campaign_outcomes(&campaign, &opts);
+        let ledger = normalize_jsonl(&std::fs::read_to_string(&path).expect("ledger written"));
+        let _ = std::fs::remove_file(&path);
+        (outcomes, ledger.expect("ledger normalizes"))
     };
-    let outcomes = run_campaign_outcomes(&campaign, &opts);
-    assert_eq!(outcomes.len(), 1, "dispatch must stop after the failure");
-    assert!(matches!(outcomes[0], PointOutcome::Err(_)));
+    let (want, want_ledger) = run(1);
+    let ordinals: Vec<usize> = want.iter().map(PointOutcome::ordinal).collect();
+    assert_eq!(ordinals, [0, 1, 2], "stops at the first failure");
+    assert!(matches!(want[2], PointOutcome::Err(_)));
+    assert_eq!(want_ledger.lines().count(), 1 + 3, "{want_ledger}");
+    for jobs in [2, 4] {
+        let (got, ledger) = run(jobs);
+        assert_eq!(got, want, "outcomes diverged at {jobs} workers");
+        assert_eq!(ledger, want_ledger, "ledger diverged at {jobs} workers");
+    }
 }
 
 /// Resume after the fault is removed: only the failed ordinals are

@@ -5,8 +5,8 @@
 //!   science artifact;
 //! * **structural determinism** — after [`normalize_jsonl`] zeroes the
 //!   wall fields, the remaining ledger bytes (ordinal set, coords,
-//!   attempt counts, event counts, wave composition) are bit-identical
-//!   across reruns and 1/2/4/8-worker pools;
+//!   attempt counts, event counts) are bit-identical across reruns and
+//!   1/2/4/8-worker pools;
 //! * **fault coverage** — an injected panic appears as exactly one
 //!   annotated span per retry attempt, a watchdog abort as exactly one
 //!   span, and both survive into the Perfetto trace and run report.
@@ -58,21 +58,26 @@ fn fault_campaign(fault: Option<InjectedFault>) -> Campaign {
 
 /// Normalized ledger bytes are a pure function of the campaign: the
 /// same campaign at 1/2/4/8 workers — and again on a rerun — produces
-/// bit-identical normalized ledgers. Chunk 2 forces multiple waves so
-/// wave composition is exercised, not just a single batch.
+/// bit-identical normalized ledgers: the v2 header, then one point span
+/// per ordinal, in ordinal order.
 #[test]
 fn normalized_ledger_is_bit_identical_across_pools_and_reruns() {
     let campaign = presets::tiny(Scale::Tiny);
     let run = |jobs: usize, tag: &str| -> String {
-        let opts = RunOptions {
-            chunk: 2,
-            ..RunOptions::quiet().with_jobs(Some(jobs))
-        };
+        let opts = RunOptions::quiet().with_jobs(Some(jobs));
         let text = ledger_text(&campaign, opts, &format!("pools-{jobs}-{tag}"));
         normalize_jsonl(&text).expect("ledger normalizes")
     };
     let want = run(1, "a");
-    assert!(want.contains("\"span\":\"wave\""), "no wave spans: {want}");
+    assert!(want.starts_with("{\"schema\":\"abc-runlog/v2\""), "{want}");
+    let spans: Vec<&str> = want.lines().skip(1).collect();
+    assert_eq!(spans.len(), campaign.expand().len(), "{want}");
+    for (ordinal, line) in spans.iter().enumerate() {
+        assert!(
+            line.starts_with(&format!("{{\"span\":\"point\",\"ordinal\":{ordinal},")),
+            "{line}"
+        );
+    }
     for jobs in [1usize, 2, 4, 8] {
         assert_eq!(
             run(jobs, "b"),
@@ -84,10 +89,7 @@ fn normalized_ledger_is_bit_identical_across_pools_and_reruns() {
     // and the raw (un-normalized) ledger round-trips through the parser
     let raw = ledger_text(
         &campaign,
-        RunOptions {
-            chunk: 2,
-            ..RunOptions::quiet().with_jobs(Some(2))
-        },
+        RunOptions::quiet().with_jobs(Some(2)),
         "roundtrip",
     );
     let ledger = RunLedger::from_jsonl(&raw).expect("ledger parses");
@@ -212,9 +214,13 @@ fn trace_export_covers_every_executed_span() {
             .count()
     };
     assert_eq!(count("B"), count("E"), "unbalanced begin/end pairs");
-    // 2 ok + 2×2 panic attempts = 6 point spans, plus wave + flush spans
-    let spans = ledger.points.len() + ledger.waves.len() + ledger.flushes.len();
-    assert_eq!(count("B"), spans, "trace must cover every span");
+    // 2 ok + 2×2 panic attempts = 6 point spans, one B/E pair each
+    assert_eq!(ledger.points.len(), 6);
+    assert_eq!(
+        count("B"),
+        ledger.points.len(),
+        "trace must cover every span"
+    );
     for p in &ledger.points {
         let name = format!("#{} {}", p.ordinal, p.coords.key());
         assert!(trace.contains(&name), "span {name} missing from trace");

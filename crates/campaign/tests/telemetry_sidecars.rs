@@ -40,12 +40,21 @@ fn sidecars_are_bit_identical_across_worker_pool_sizes() {
     );
 
     let sidecars_at = |threads: usize| -> Vec<String> {
-        ScenarioEngine::with_threads(threads).run_batch_map_indexed(&specs, |e, s, _| {
-            e.run_point(s, RunGuards::default(), false)
-                .expect("unguarded run cannot be aborted")
-                .sidecar
-                .expect("telemetry was attached to every spec")
-        })
+        let mut sidecars = Vec::new();
+        ScenarioEngine::with_threads(threads).for_each_ordered(
+            &specs,
+            |e, s, _| {
+                e.run_point(s, RunGuards::default(), false)
+                    .expect("unguarded run cannot be aborted")
+                    .sidecar
+                    .expect("telemetry was attached to every spec")
+            },
+            |_, sidecar| {
+                sidecars.push(sidecar);
+                std::ops::ControlFlow::Continue(())
+            },
+        );
+        sidecars
     };
 
     let golden = sidecars_at(1);

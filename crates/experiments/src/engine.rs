@@ -59,13 +59,15 @@
 //!
 //! ## Parallelism
 //!
-//! `run_batch` distributes specs over `min(threads, specs)` scoped OS
-//! threads pulling from a shared work queue. Each worker builds and runs
-//! its scenarios entirely on its own thread (the simulator itself stays
-//! single-threaded and deterministic), so N cores regenerate an
-//! N×-scenario sweep in roughly the time of its slowest cell. The pool is
-//! implemented with `std::thread::scope` because this workspace builds
-//! offline with zero external crates.
+//! [`ScenarioEngine::for_each_ordered`] is the one worker pool: it
+//! distributes items over `min(threads, items)` scoped OS threads pulling
+//! from a shared cursor and hands results back to the caller in item
+//! order; `run_batch` and the campaign runner both go through it. Each
+//! worker builds and runs its scenarios entirely on its own thread (the
+//! simulator itself stays single-threaded and deterministic), so N cores
+//! regenerate an N×-scenario sweep in roughly the time of its slowest
+//! cell. The pool is `std::thread::scope` plus `std::sync::mpsc` because
+//! this workspace builds offline with zero external crates.
 //!
 //! Determinism is per-spec, not per-batch: a scenario's result depends
 //! only on its spec (including `seed`), never on which thread ran it or
@@ -97,9 +99,11 @@ use netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use wifi_mac::{WifiAp, WifiApConfig};
 use workload::{AbrClient, RtcSource, WorkloadSpec};
 
@@ -1292,25 +1296,74 @@ impl ScenarioEngine {
     /// `specs[i]`. Results are bit-identical to running each spec with
     /// [`run`](Self::run) serially.
     pub fn run_batch(&self, specs: &[ScenarioSpec]) -> Vec<Report> {
-        self.run_batch_map_indexed(specs, |engine, spec, _| engine.run(spec))
+        let mut reports = Vec::with_capacity(specs.len());
+        self.for_each_ordered(
+            specs,
+            |engine, spec, _| engine.run(spec),
+            |_, report| {
+                reports.push(report);
+                ControlFlow::Continue(())
+            },
+        );
+        reports
     }
 
-    /// The generic parallel sweep under [`run_batch`](Self::run_batch):
-    /// applies `f` to every item on the worker pool and collects results
-    /// in item order. `f` is also passed the executing worker slot
-    /// (`0..workers`) — the campaign runner attributes each point span
-    /// to a worker track in its run ledger. Slot assignment is
-    /// wall-clock-dependent scheduling noise; results are still returned
-    /// in item order and bit-identical across pool sizes.
-    /// Items are whatever carries the caller's spec (the runner passes its
-    /// campaign points), so nothing is copied out to dispatch a wave.
-    pub fn run_batch_map_indexed<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
+    /// The workspace's one worker pool. `min(threads, items)` workers take
+    /// indices from a shared cursor and run `work(engine, item, worker)`;
+    /// results travel over a channel to the calling thread, where a reorder
+    /// buffer hands each to `emit(index, result)` in item order as soon as
+    /// every earlier item has been emitted — so `emit` sees the same calls
+    /// at any pool size (the worker slot, `0..workers`, is scheduling noise
+    /// the runner's ledger records). `emit` returning [`ControlFlow::Break`]
+    /// stops dispatch: items already running finish, and their results are
+    /// dropped. With one worker everything runs inline on the calling thread.
+    pub fn for_each_ordered<I, T, W, E>(&self, items: &[I], work: W, mut emit: E)
     where
         I: Sync,
         T: Send,
-        F: Fn(&ScenarioEngine, &I, usize) -> T + Sync,
+        W: Fn(&ScenarioEngine, &I, usize) -> T + Sync,
+        E: FnMut(usize, T) -> ControlFlow<()>,
     {
-        parallel_map_indexed(items, self.threads, |item, worker| f(self, item, worker))
+        let workers = self.threads.min(items.len()).max(1);
+        if workers == 1 {
+            for (i, item) in items.iter().enumerate() {
+                if emit(i, work(self, item, 0)).is_break() {
+                    return;
+                }
+            }
+            return;
+        }
+        // Relaxed: neither atomic publishes data (results travel over the
+        // channel), and a worker that misses `stop` runs one more item, dropped.
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            for w in 0..workers {
+                let (tx, next, stop, work) = (tx.clone(), &next, &stop, &work);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() || tx.send((i, work(self, &items[i], w))).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
+            let mut due = 0;
+            for (i, out) in rx {
+                pending.insert(i, out);
+                while let Some(out) = pending.remove(&due) {
+                    if emit(due, out).is_break() {
+                        stop.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    due += 1;
+                }
+            }
+        });
     }
 
     /// The qdisc for a scheme-controlled hop with `buffer` packets of
@@ -1351,44 +1404,6 @@ pub fn jobs_from_env() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .filter(|&n| n >= 1)
-}
-
-/// Order-preserving parallel map over a scoped worker pool, with the
-/// worker slot (`0..workers`) passed to `f`. The serial fast path is
-/// worker 0.
-fn parallel_map_indexed<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I, usize) -> T + Sync,
-{
-    let workers = threads.min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().map(|item| f(item, 0)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (next, slots, f) = (&next, &slots, &f);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let out = f(&items[i], w);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 /// How one workload-owned flow folds into [`AppReport`] at finish time.
@@ -1789,9 +1804,42 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map_indexed(&items, 8, |&x, _| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    fn for_each_ordered_emits_each_index_once_in_order_and_stops_at_break() {
+        // Seeded uneven costs; and with more than one worker item 0 waits
+        // until every other item has run, so the reorder buffer must hold
+        // all of them before the first emit.
+        let mut rng = StdRng::seed_from_u64(29);
+        let costs_us: Vec<u64> = (0..48).map(|_| rng.gen_range(0..400u64)).collect();
+        let n = costs_us.len();
+        let items: Vec<usize> = (0..n).collect();
+        for threads in [1, 2, 4, 8] {
+            let engine = ScenarioEngine::with_threads(threads);
+            // breaking at `n` never breaks
+            for break_at in [0, 7, n - 1, n] {
+                let (ran_tx, ran_rx) = mpsc::channel();
+                let ran_rx = std::sync::Mutex::new(ran_rx);
+                let work = |_: &ScenarioEngine, &i: &usize, _| {
+                    std::thread::sleep(std::time::Duration::from_micros(costs_us[i]));
+                    if i > 0 {
+                        ran_tx.send(()).expect("the receiver outlives the pool");
+                    } else if threads > 1 {
+                        let ran = ran_rx.lock().expect("item 0 is the only reader");
+                        (1..n).for_each(|_| ran.recv().expect("every other item runs"));
+                    }
+                    i * 3
+                };
+                let mut seen = Vec::new();
+                engine.for_each_ordered(&items, work, |i, out| {
+                    assert_eq!(out, i * 3, "index {i} got another item's result");
+                    seen.push(i);
+                    match i == break_at {
+                        true => ControlFlow::Break(()),
+                        false => ControlFlow::Continue(()),
+                    }
+                });
+                let want: Vec<usize> = (0..=break_at.min(n - 1)).collect();
+                assert_eq!(seen, want, "break at {break_at}, {threads} threads");
+            }
+        }
     }
 }

@@ -98,12 +98,13 @@ fn run_batch_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn run_batch_executes_scenarios_concurrently() {
+fn the_pool_executes_scenarios_concurrently() {
+    use std::ops::ControlFlow;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     // Four workers must all be inside the closure at once to get past the
-    // barrier; a serial (or under-parallel) run_batch would deadlock here,
+    // barrier; a serial (or under-parallel) pool would deadlock here,
     // so finishing at all *proves* ≥4 scenarios ran in parallel. The
     // atomic records the observed concurrency for the assertion message.
     const N: usize = 4;
@@ -115,14 +116,21 @@ fn run_batch_executes_scenarios_concurrently() {
         .into_iter()
         .collect();
 
-    let reports =
-        ScenarioEngine::with_threads(N).run_batch_map_indexed(&specs, |engine, spec, _| {
+    let mut reports = Vec::new();
+    ScenarioEngine::with_threads(N).for_each_ordered(
+        &specs,
+        |engine, spec, _| {
             let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             barrier.wait();
             inside.fetch_sub(1, Ordering::SeqCst);
             engine.run(spec)
-        });
+        },
+        |_, report| {
+            reports.push(report);
+            ControlFlow::Continue(())
+        },
+    );
 
     assert_eq!(reports.len(), N);
     assert!(
