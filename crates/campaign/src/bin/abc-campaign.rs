@@ -221,10 +221,10 @@ fn main() {
                 .or_else(|| {
                     get("--telemetry-dir").map(|d| std::path::PathBuf::from(d).join("runlog.jsonl"))
                 })
-                .map(|p| {
-                    RunLogConfig::new(p)
-                        .with_scale(Some(scale_name.to_string()))
-                        .with_shard(shard)
+                .map(|path| RunLogConfig {
+                    path,
+                    scale: Some(scale_name.to_string()),
+                    shard,
                 });
             let opts = RunOptions {
                 jobs: get("--jobs")
@@ -254,10 +254,7 @@ fn main() {
             // Reusable records from an interrupted (or complete) store.
             let prior: Vec<campaign::runner::RunRecord> =
                 if resume && std::path::Path::new(&out).exists() {
-                    let prior = match ResultsStore::load_allow_partial(&out) {
-                        Ok(s) => s,
-                        Err(e) => fail(format!("cannot load {out}: {e}")),
-                    };
+                    let prior = load(Some(&&out), ResultsStore::from_jsonl_allow_partial);
                     // An interrupted store must describe the same sweep: same
                     // campaign name, axes, and filters (record count may differ).
                     let expect = store::header_for(&campaign, 0);
@@ -329,7 +326,7 @@ fn main() {
             }
         }
         "export" => {
-            let store = load(positional.get(1));
+            let store = load(positional.get(1), ResultsStore::from_jsonl);
             if args.iter().any(|a| a == "--csv") {
                 print!("{}", aggregate::render_csv(&store.records));
             } else {
@@ -348,13 +345,16 @@ fn main() {
             if positional.len() < 2 {
                 fail("merge needs at least one shard store");
             }
-            let stores: Vec<ResultsStore> = positional[1..].iter().map(|p| load(Some(p))).collect();
+            let stores: Vec<ResultsStore> = positional[1..]
+                .iter()
+                .map(|p| load(Some(p), ResultsStore::from_jsonl))
+                .collect();
             let merged = match store::merge_stores(&stores) {
                 Ok(m) => m,
                 Err(e) => fail(format!("cannot merge: {e}")),
             };
             let out = get("--out").unwrap_or_else(|| "campaign-merged.jsonl".into());
-            if let Err(e) = merged.save(&out) {
+            if let Err(e) = std::fs::write(&out, merged.to_jsonl()) {
                 fail(format!("cannot write {out}: {e}"));
             }
             eprintln!(
@@ -379,8 +379,8 @@ fn main() {
                 tput_drop: threshold("--tput-drop", defaults.tput_drop),
                 ..defaults
             };
-            let baseline = load(positional.get(1));
-            let candidate = load(positional.get(2));
+            let baseline = load(positional.get(1), ResultsStore::from_jsonl);
+            let candidate = load(positional.get(2), ResultsStore::from_jsonl);
             let report = diff(&baseline, &candidate, &cfg);
             print!("{}", report.render());
             if report.has_regressions() {
@@ -388,10 +388,7 @@ fn main() {
             }
         }
         "trace-export" => {
-            let Some(path) = positional.get(1) else {
-                usage()
-            };
-            let ledger = load_ledger(path);
+            let ledger = load(positional.get(1), RunLedger::from_jsonl);
             let out = get("-o")
                 .or_else(|| get("--out"))
                 .unwrap_or_else(|| "trace.json".into());
@@ -406,10 +403,7 @@ fn main() {
             );
         }
         "report" => {
-            let Some(path) = positional.get(1) else {
-                usage()
-            };
-            let ledger = load_ledger(path);
+            let ledger = load(positional.get(1), RunLedger::from_jsonl);
             let dir = get("--telemetry-dir").map(std::path::PathBuf::from);
             match campaign::report::render_report(&ledger, dir.as_deref()) {
                 Ok(text) => print!("{text}"),
@@ -417,17 +411,10 @@ fn main() {
             }
         }
         "dynamics" => {
-            let Some(path) = positional.get(1) else {
-                usage()
-            };
-            let sidecar = match std::fs::read_to_string(path.as_str()) {
-                Ok(t) => t,
-                Err(e) => fail(format!("cannot read {path}: {e}")),
-            };
-            match campaign::dynamics::render_dynamics(&sidecar) {
-                Ok(fig) => print!("{fig}"),
-                Err(e) => fail(format!("{path}: {e}")),
-            }
+            print!(
+                "{}",
+                load(positional.get(1), campaign::dynamics::render_dynamics)
+            );
         }
         _ => usage(),
     }
@@ -491,18 +478,12 @@ fn load_file(path: &str, scale: Scale) -> campaign::Campaign {
     }
 }
 
-/// Load a run ledger, exiting 2 with the offending line on malformed input.
-fn load_ledger(path: &str) -> RunLedger {
-    match RunLedger::load(std::path::Path::new(path)) {
-        Ok(l) => l,
-        Err(e) => fail(format!("cannot load {path}: {e}")),
-    }
-}
-
-fn load(path: Option<&&String>) -> ResultsStore {
+/// Read one artifact — a store, a run ledger, a sidecar — and parse it,
+/// exiting 2 with the file and the offending line on malformed input.
+fn load<T, E: Display>(path: Option<&&String>, parse: fn(&str) -> Result<T, E>) -> T {
     let Some(path) = path else { usage() };
-    match ResultsStore::load(path) {
-        Ok(s) => s,
-        Err(e) => fail(format!("cannot load {path}: {e}")),
+    match std::fs::read_to_string(path.as_str()) {
+        Ok(text) => parse(&text).unwrap_or_else(|e| fail(format!("cannot load {path}: {e}"))),
+        Err(e) => fail(format!("cannot read {path}: {e}")),
     }
 }

@@ -34,7 +34,7 @@ const PANEL_ORDER: &[&str] = &[
 /// (with a description) on anything [`Sidecar::parse`] rejects, or on a
 /// sidecar with no gauge samples to plot.
 pub fn render_dynamics(sidecar: &str) -> Result<String, String> {
-    render_timeline(&Sidecar::parse(sidecar)?)
+    render_timeline(&Sidecar::parse(sidecar).map_err(|e| e.to_string())?)
 }
 
 fn render_timeline(sidecar: &Sidecar) -> Result<String, String> {

@@ -30,6 +30,11 @@
 
 use std::fmt;
 
+/// How deep arrays, inline tables and dotted key paths may nest. A
+/// campaign file nests a handful of levels; the bound keeps hostile input
+/// from recursing the parser off the end of its stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A 1-based source position: the line and column an item starts at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pos {
@@ -206,6 +211,8 @@ struct Parser {
     idx: usize,
     line: usize,
     col: usize,
+    /// Arrays and inline tables open around the cursor.
+    depth: usize,
     /// Paths already opened by an explicit `[header]` — reopening one is
     /// an error (TOML's duplicate-table rule).
     defined_tables: Vec<Vec<String>>,
@@ -218,6 +225,7 @@ impl Parser {
             idx: 0,
             line: 1,
             col: 1,
+            depth: 0,
             defined_tables: Vec::new(),
         }
     }
@@ -505,6 +513,12 @@ impl Parser {
         loop {
             self.skip_inline_ws();
             if self.peek() == Some('.') {
+                if path.len() == MAX_DEPTH {
+                    return Err(self.err(
+                        self.pos(),
+                        format!("key nested deeper than {MAX_DEPTH} levels"),
+                    ));
+                }
                 self.bump();
                 self.skip_inline_ws();
                 path.push(self.key()?);
@@ -541,8 +555,19 @@ impl Parser {
             None => return Err(self.err(pos, "expected a value, found end of file")),
             Some('"') => Value::Str(self.basic_string()?),
             Some('\'') => Value::Str(self.literal_string()?),
-            Some('[') => self.array()?,
-            Some('{') => self.inline_table()?,
+            Some(open @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(pos, format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == '[' {
+                    self.array()?
+                } else {
+                    self.inline_table()?
+                };
+                self.depth -= 1;
+                v
+            }
             Some('t') | Some('f') => self.boolean()?,
             Some(c) if c.is_ascii_digit() || c == '+' || c == '-' || c == '.' => self.number()?,
             Some(c) => return Err(self.err(pos, format!("unexpected {c:?} (expected a value)"))),
@@ -912,6 +937,18 @@ mod tests {
     fn error_array_of_tables_over_table() {
         let e = parse("[t]\na = 1\n[[t]]\nb = 2\n").unwrap_err();
         assert_eq!(at(&e), (3, 1));
+    }
+
+    #[test]
+    fn error_deep_nesting_is_positioned_not_a_stack_overflow() {
+        let e = parse(&format!("a = {}", "[".repeat(200_000))).unwrap_err();
+        assert_eq!(at(&e), (1, 5 + MAX_DEPTH), "{e}");
+        let e = parse(&format!("a = {}", "{ b = ".repeat(200_000))).unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+        let e = parse(&format!("{} = 1", ["k"; 200_000].join("."))).unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+        let ok = format!("a = {}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 
     #[test]

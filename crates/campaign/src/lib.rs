@@ -41,7 +41,9 @@
 //!
 //! [`json`] is the zero-dependency JSON tree the store serializes
 //! through; it guarantees deterministic output and exact float round
-//! trips.
+//! trips. [`jsonl`] is the one reader of the three JSONL artifacts
+//! (store, run ledger, sidecars): schema header, lazy rows, typed
+//! fields, one positioned error type.
 
 pub mod aggregate;
 pub mod diff;
@@ -49,6 +51,7 @@ pub mod dynamics;
 pub mod figures;
 pub mod file;
 pub mod json;
+pub mod jsonl;
 pub mod presets;
 pub mod report;
 pub mod runlog;
@@ -65,4 +68,4 @@ pub use runner::{
     PointOutcome, RunOptions, RunRecord, StreamTally,
 };
 pub use spec::{Axis, AxisValue, Campaign, CampaignPoint, Coords, Filter};
-pub use store::{ResultsStore, StoreError, StoreHeader, SCHEMA};
+pub use store::{ResultsStore, StoreHeader, SCHEMA};

@@ -13,42 +13,27 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::path::Path;
 
-/// Deterministic (sim-time) aggregates parsed out of one point's
-/// telemetry sidecar: counters and histograms, summed/merged over
-/// scopes within the point.
-#[derive(Debug, Clone, Default)]
-pub struct SidecarAgg {
-    /// `counter name → total` over every scope in the sidecar.
-    pub counters: BTreeMap<String, u64>,
-    /// `histogram name → merged histogram` over every scope.
-    pub hists: BTreeMap<String, LogHistogram>,
+/// One axis value's telemetry: the counters summed and histograms merged
+/// over every scope of its points' sidecars (gauge samples are skipped —
+/// aggregation wants totals and distributions, not time series).
+#[derive(Default)]
+struct Group {
+    points: usize,
+    counters: BTreeMap<String, u64>,
+    hists: BTreeMap<String, LogHistogram>,
 }
 
-impl SidecarAgg {
-    /// Fold another point's aggregates in.
-    pub fn merge(&mut self, other: &SidecarAgg) {
-        for (k, n) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += n;
+impl Group {
+    fn add(&mut self, sidecar: &Sidecar) {
+        self.points += 1;
+        for (counter, _, n) in &sidecar.counters {
+            let total = self.counters.entry(counter.clone()).or_insert(0);
+            *total = total.saturating_add(*n);
         }
-        for (k, h) in &other.hists {
-            self.hists.entry(k.clone()).or_default().merge(h);
+        for (hist, _, h) in &sidecar.hists {
+            self.hists.entry(hist.clone()).or_default().merge(h);
         }
     }
-}
-
-/// Sum the counters and merge the histograms of an `abc-telemetry/v1`
-/// sidecar over its scopes (gauge samples are skipped — aggregation wants
-/// totals and distributions, not time series).
-pub fn parse_sidecar(text: &str) -> Result<SidecarAgg, String> {
-    let sidecar = Sidecar::parse(text)?;
-    let mut agg = SidecarAgg::default();
-    for (counter, _, n) in sidecar.counters {
-        *agg.counters.entry(counter).or_insert(0) += n;
-    }
-    for (hist, _, h) in &sidecar.hists {
-        agg.hists.entry(hist.clone()).or_default().merge(h);
-    }
-    Ok(agg)
 }
 
 fn secs(ns: u64) -> f64 {
@@ -198,54 +183,53 @@ fn render_sidecar_aggregation(
             last_ok.remove(&p.ordinal);
         }
     }
-    let mut aggs: BTreeMap<usize, SidecarAgg> = BTreeMap::new();
+    // Axis order from the first completed span; label order first-seen.
+    let axes: Vec<&str> = last_ok
+        .values()
+        .next()
+        .map(|p| p.coords.0.iter().map(|(a, _)| a.as_str()).collect())
+        .unwrap_or_default();
+    let mut groups: Vec<Vec<(&str, Group)>> = axes.iter().map(|_| Vec::new()).collect();
     let mut missing = 0usize;
-    for &ordinal in last_ok.keys() {
+    for (&ordinal, p) in &last_ok {
         let path = dir.join(format!("{ordinal}.jsonl"));
-        match std::fs::read_to_string(&path) {
+        let sidecar = match std::fs::read_to_string(&path) {
             Ok(text) => {
-                let agg = parse_sidecar(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-                aggs.insert(ordinal, agg);
+                Some(Sidecar::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?)
             }
-            Err(_) => missing += 1,
+            Err(_) => {
+                missing += 1;
+                None
+            }
+        };
+        for (axis, groups) in axes.iter().zip(&mut groups) {
+            let Some(label) = p.coords.get(axis) else {
+                continue;
+            };
+            let i = groups
+                .iter()
+                .position(|(l, _)| *l == label)
+                .unwrap_or_else(|| {
+                    groups.push((label, Group::default()));
+                    groups.len() - 1
+                });
+            if let Some(s) = &sidecar {
+                groups[i].1.add(s);
+            }
         }
     }
     writeln!(out, "\n## telemetry aggregation ({})", dir.display()).unwrap();
-    if aggs.is_empty() {
+    if missing == last_ok.len() {
         writeln!(out, "no sidecars found for the completed ordinals").unwrap();
         return Ok(());
     }
     if missing > 0 {
         writeln!(out, "({missing} completed ordinal(s) without a sidecar)").unwrap();
     }
-    // Axis order from the first completed span; label order first-seen.
-    let axes: Vec<String> = last_ok
-        .values()
-        .next()
-        .map(|p| p.coords.0.iter().map(|(a, _)| a.clone()).collect())
-        .unwrap_or_default();
-    for axis in &axes {
+    for (axis, groups) in axes.iter().zip(&groups) {
         writeln!(out, "\n### axis {axis}").unwrap();
-        let mut labels: Vec<&str> = Vec::new();
-        for p in last_ok.values() {
-            if let Some(l) = p.coords.get(axis) {
-                if !labels.contains(&l) {
-                    labels.push(l);
-                }
-            }
-        }
-        for label in labels {
-            let mut merged = SidecarAgg::default();
-            let mut n = 0usize;
-            for (ordinal, p) in &last_ok {
-                if p.coords.get(axis) == Some(label) {
-                    if let Some(agg) = aggs.get(ordinal) {
-                        merged.merge(agg);
-                        n += 1;
-                    }
-                }
-            }
-            writeln!(out, "{axis}={label} ({n} point(s)):").unwrap();
+        for (label, merged) in groups {
+            writeln!(out, "{axis}={label} ({} point(s)):", merged.points).unwrap();
             for (name, h) in &merged.hists {
                 if h.is_empty() {
                     continue;
@@ -271,13 +255,9 @@ fn render_sidecar_aggregation(
             }
             let hit = merged.counters.get("pool_hit").copied().unwrap_or(0);
             let miss = merged.counters.get("pool_miss").copied().unwrap_or(0);
-            if hit + miss > 0 {
-                writeln!(
-                    out,
-                    "  pool hit rate: {:.3}",
-                    hit as f64 / (hit + miss) as f64
-                )
-                .unwrap();
+            if hit.saturating_add(miss) > 0 {
+                let rate = hit as f64 / (hit as f64 + miss as f64);
+                writeln!(out, "  pool hit rate: {rate:.3}").unwrap();
             }
             let samples = merged.counters.get("wheel_samples").copied().unwrap_or(0);
             if samples > 0 {
@@ -310,19 +290,37 @@ mod tests {
             "{\"counter\":\"rto_arm\",\"scope\":\"flow:1\",\"n\":4}\n",
             "{\"hist\":\"qdelay_ns\",\"scope\":\"link:b\",\"count\":3,\"buckets\":[[0,1],[21,2]]}\n",
         );
-        let agg = parse_sidecar(text).expect("parses");
-        assert_eq!(agg.counters.get("rto_arm"), Some(&7));
-        let h = agg.hists.get("qdelay_ns").expect("hist");
-        assert_eq!(h.count(), 3);
-        // merging two parses doubles everything (associative + commutative)
-        let mut twice = agg.clone();
-        twice.merge(&agg);
-        assert_eq!(twice.counters.get("rto_arm"), Some(&14));
-        assert_eq!(twice.hists.get("qdelay_ns").unwrap().count(), 6);
+        let sidecar = Sidecar::parse(text).expect("parses");
+        let mut group = Group::default();
+        group.add(&sidecar);
+        assert_eq!(group.counters.get("rto_arm"), Some(&7));
+        assert_eq!(group.hists.get("qdelay_ns").expect("hist").count(), 3);
+        // a second point doubles everything (associative + commutative)
+        group.add(&sidecar);
+        assert_eq!(group.points, 2);
+        assert_eq!(group.counters.get("rto_arm"), Some(&14));
+        assert_eq!(group.hists.get("qdelay_ns").unwrap().count(), 6);
     }
 
     #[test]
     fn foreign_schema_is_rejected() {
-        assert!(parse_sidecar("{\"schema\":\"nope/v9\"}\n").is_err());
+        let ledger = RunLedger::from_jsonl(concat!(
+            "{\"schema\":\"abc-runlog/v2\",\"campaign\":\"c\",\"scale\":null,\"points\":1,",
+            "\"workers\":1,\"shard\":null,\"retries\":0,\"watchdog_budget_s\":null,",
+            "\"keep_going\":false,\"profile\":false}\n",
+            "{\"span\":\"point\",\"ordinal\":0,\"coords\":{\"seed\":\"1\"},\"attempt\":0,",
+            "\"worker\":0,\"start_ns\":0,\"end_ns\":10,\"events\":5,\"events_per_sec\":1,",
+            "\"outcome\":\"ok\"}\n",
+        ))
+        .expect("ledger parses");
+        let dir = std::env::temp_dir().join(format!("abc-report-schema-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("0.jsonl"), "{\"schema\":\"nope/v9\"}\n").unwrap();
+        let err = render_report(&ledger, Some(&dir)).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            err.contains("0.jsonl") && err.contains("unsupported schema \"nope/v9\""),
+            "{err}"
+        );
     }
 }

@@ -21,9 +21,12 @@
 //! Downstream consumers: `abc-campaign trace-export` (Perfetto-loadable
 //! Chrome trace JSON, [`crate::trace`]) and `abc-campaign report`
 //! (run-health summary + cross-point sidecar aggregation,
-//! [`crate::report`]).
+//! [`crate::report`]). Both read through [`crate::jsonl`] with the torn
+//! final line a killed run leaves dropped, so they work on a killed
+//! run's ledger.
 
-use crate::json::{self, Value};
+use crate::json::Value;
+use crate::jsonl::{self, coords_to_value, Error, Fields, Tail};
 use crate::spec::Coords;
 use std::path::{Path, PathBuf};
 
@@ -49,18 +52,6 @@ impl RunLogConfig {
             scale: None,
             shard: None,
         }
-    }
-
-    /// Builder: annotate the header with a scale label.
-    pub fn with_scale(mut self, scale: Option<String>) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Builder: annotate the header with a `(k, n)` shard selector.
-    pub fn with_shard(mut self, shard: Option<(usize, usize)>) -> Self {
-        self.shard = shard;
-        self
     }
 }
 
@@ -229,14 +220,6 @@ pub fn render_header(h: &LedgerHeader) -> String {
     .render()
 }
 
-fn coords_to_value(c: &Coords) -> Value {
-    Value::Obj(
-        c.0.iter()
-            .map(|(a, l)| (a.clone(), Value::str(l)))
-            .collect(),
-    )
-}
-
 fn profile_to_value(p: &ProfileFractions) -> Value {
     Value::Obj(vec![
         ("deliver_frac".into(), Value::num(p.deliver_frac)),
@@ -278,119 +261,63 @@ pub fn render_point(s: &PointSpan) -> String {
     Value::Obj(members).render()
 }
 
-fn err_at(line: usize, msg: impl std::fmt::Display) -> String {
-    format!("runlog line {line}: {msg}")
+fn parse_shard(f: Fields) -> Result<Option<(usize, usize)>, Error> {
+    let Some(shard) = f.get("shard").filter(|v| **v != Value::Null) else {
+        return Ok(None);
+    };
+    let k_of_n = shard.as_str().and_then(|s| s.split_once('/'));
+    let parsed = k_of_n.and_then(|(k, n)| Some((k.parse().ok()?, n.parse().ok()?)));
+    parsed.map(Some).ok_or_else(|| f.err("malformed shard"))
 }
 
-fn req_f64(v: &Value, key: &str, line: usize) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| err_at(line, format!("missing numeric \"{key}\"")))
-}
-
-fn req_u64(v: &Value, key: &str, line: usize) -> Result<u64, String> {
-    Ok(req_f64(v, key, line)? as u64)
-}
-
-fn req_usize(v: &Value, key: &str, line: usize) -> Result<usize, String> {
-    Ok(req_f64(v, key, line)? as usize)
-}
-
-fn req_str<'a>(v: &'a Value, key: &str, line: usize) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| err_at(line, format!("missing string \"{key}\"")))
-}
-
-fn req_bool(v: &Value, key: &str, line: usize) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(err_at(line, format!("missing boolean \"{key}\""))),
-    }
-}
-
-fn parse_shard(v: &Value, line: usize) -> Result<Option<(usize, usize)>, String> {
-    match v.get("shard") {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => {
-            let (k, n) = s
-                .split_once('/')
-                .ok_or_else(|| err_at(line, "malformed shard"))?;
-            match (k.parse(), n.parse()) {
-                (Ok(k), Ok(n)) => Ok(Some((k, n))),
-                _ => Err(err_at(line, "malformed shard")),
-            }
-        }
-        Some(_) => Err(err_at(line, "malformed shard")),
-    }
-}
-
-fn parse_header(v: &Value, line: usize) -> Result<LedgerHeader, String> {
+fn parse_header(f: Fields) -> Result<LedgerHeader, Error> {
     Ok(LedgerHeader {
-        campaign: req_str(v, "campaign", line)?.to_string(),
-        scale: v
-            .get("scale")
-            .and_then(Value::as_str)
-            .map(|s| s.to_string()),
-        points: req_usize(v, "points", line)?,
-        workers: req_usize(v, "workers", line)?,
-        shard: parse_shard(v, line)?,
-        retries: req_u64(v, "retries", line)? as u32,
-        watchdog_budget_s: v.get("watchdog_budget_s").and_then(Value::as_f64),
-        keep_going: req_bool(v, "keep_going", line)?,
-        profile: req_bool(v, "profile", line)?,
+        campaign: f.str("campaign")?.to_string(),
+        scale: f.get("scale").and_then(Value::as_str).map(str::to_string),
+        points: f.uint("points")?,
+        workers: f.uint("workers")?,
+        shard: parse_shard(f)?,
+        retries: f.uint("retries")?,
+        watchdog_budget_s: f.get("watchdog_budget_s").and_then(Value::as_f64),
+        keep_going: f.bool("keep_going")?,
+        profile: f.bool("profile")?,
     })
 }
 
-fn parse_coords(v: &Value, line: usize) -> Result<Coords, String> {
-    Ok(Coords(
-        v.get("coords")
-            .and_then(Value::as_obj)
-            .ok_or_else(|| err_at(line, "missing \"coords\""))?
-            .iter()
-            .map(|(axis, label)| {
-                label
-                    .as_str()
-                    .map(|l| (axis.clone(), l.to_string()))
-                    .ok_or_else(|| err_at(line, "non-string coordinate label"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    ))
+fn parse_profile(f: Fields) -> Result<ProfileFractions, Error> {
+    Ok(ProfileFractions {
+        deliver_frac: f.num("deliver_frac")?,
+        timer_frac: f.num("timer_frac")?,
+        batch_frac: f.num("batch_frac")?,
+        pool_hit_rate: f.num("pool_hit_rate")?,
+        wheel_near_avg: f.num("wheel_near_avg")?,
+        wheel_overflow_avg: f.num("wheel_overflow_avg")?,
+        events_per_wall_sec: f.num("events_per_wall_sec")?,
+    })
 }
 
-fn parse_profile(v: &Value, line: usize) -> Result<Option<ProfileFractions>, String> {
-    let Some(p) = v.get("profile") else {
-        return Ok(None);
-    };
-    Ok(Some(ProfileFractions {
-        deliver_frac: req_f64(p, "deliver_frac", line)?,
-        timer_frac: req_f64(p, "timer_frac", line)?,
-        batch_frac: req_f64(p, "batch_frac", line)?,
-        pool_hit_rate: req_f64(p, "pool_hit_rate", line)?,
-        wheel_near_avg: req_f64(p, "wheel_near_avg", line)?,
-        wheel_overflow_avg: req_f64(p, "wheel_overflow_avg", line)?,
-        events_per_wall_sec: req_f64(p, "events_per_wall_sec", line)?,
-    }))
-}
-
-fn parse_point(v: &Value, line: usize) -> Result<PointSpan, String> {
-    let outcome = match req_str(v, "outcome", line)? {
+fn parse_point(f: Fields) -> Result<PointSpan, Error> {
+    match f.str("span")? {
+        "point" => {}
+        other => return Err(f.err(format!("unrecognized span {other:?}"))),
+    }
+    let outcome = match f.str("outcome")? {
         "ok" => SpanOutcome::Ok,
-        "panic" => SpanOutcome::Panic(req_str(v, "reason", line)?.to_string()),
-        "watchdog" => SpanOutcome::Watchdog(req_str(v, "reason", line)?.to_string()),
-        other => return Err(err_at(line, format!("unknown outcome {other:?}"))),
+        "panic" => SpanOutcome::Panic(f.str("reason")?.to_string()),
+        "watchdog" => SpanOutcome::Watchdog(f.str("reason")?.to_string()),
+        other => return Err(f.err(format!("unknown outcome {other:?}"))),
     };
     Ok(PointSpan {
-        ordinal: req_usize(v, "ordinal", line)?,
-        coords: parse_coords(v, line)?,
-        attempt: req_u64(v, "attempt", line)? as u32,
-        worker: req_usize(v, "worker", line)?,
-        start_ns: req_u64(v, "start_ns", line)?,
-        end_ns: req_u64(v, "end_ns", line)?,
-        events: req_u64(v, "events", line)?,
-        events_per_sec: req_f64(v, "events_per_sec", line)?,
+        ordinal: f.uint("ordinal")?,
+        coords: f.coords()?,
+        attempt: f.uint("attempt")?,
+        worker: f.uint("worker")?,
+        start_ns: f.uint("start_ns")?,
+        end_ns: f.uint("end_ns")?,
+        events: f.uint("events")?,
+        events_per_sec: f.num("events_per_sec")?,
         outcome,
-        profile: parse_profile(v, line)?,
+        profile: f.opt("profile").map(parse_profile).transpose()?,
     })
 }
 
@@ -402,65 +329,38 @@ impl RunLedger {
         lines.map(|line| line + "\n").collect()
     }
 
-    /// Parse a ledger from its JSONL wire form.
-    pub fn from_jsonl(text: &str) -> Result<RunLedger, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (i, first) = lines.next().ok_or("empty run ledger")?;
-        let hv = json::parse(first).map_err(|e| err_at(i + 1, e))?;
-        match hv.get("schema").and_then(Value::as_str) {
-            Some(s) if s == SCHEMA => {}
-            Some(s) => return Err(err_at(i + 1, format!("schema {s:?}, want {SCHEMA:?}"))),
-            None => return Err(err_at(i + 1, "missing schema header")),
-        }
-        let header = parse_header(&hv, i + 1)?;
-        let points = lines
-            .map(|(i, line)| {
-                let v = json::parse(line).map_err(|e| err_at(i + 1, e))?;
-                match v.get("span").and_then(Value::as_str) {
-                    Some("point") => parse_point(&v, i + 1),
-                    other => Err(err_at(i + 1, format!("unrecognized span {other:?}"))),
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(RunLedger { header, points })
+    /// Parse a ledger from its JSONL wire form. A torn final line — what
+    /// a killed run leaves — is dropped; any other bad line is an error.
+    pub fn from_jsonl(text: &str) -> Result<RunLedger, Error> {
+        let (header, rows) = jsonl::read(text, SCHEMA, Tail::DropTorn)?;
+        Ok(RunLedger {
+            header: parse_header(header.fields())?,
+            points: rows
+                .map(|line| parse_point(line?.fields()))
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Read and parse a ledger file.
-    pub fn load(path: &Path) -> Result<RunLedger, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_jsonl(&text)
+    pub fn load(path: &Path) -> Result<RunLedger, Error> {
+        Self::from_jsonl(&std::fs::read_to_string(path)?)
     }
 }
 
 /// Zero the wall-clock fields of a rendered ledger so what remains is
-/// the run's deterministic *structure*: every member named `*_ns`,
-/// `events_per_sec`, `worker`, and `workers` becomes `0`, and per-span
-/// `profile` objects are dropped (the header's boolean `profile` flag
-/// stays). Two normalized ledgers of the same campaign are bit-identical
-/// regardless of pool size or machine speed.
-pub fn normalize_jsonl(text: &str) -> Result<String, String> {
-    let mut out = String::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut v = json::parse(line).map_err(|e| err_at(i + 1, e))?;
-        if let Value::Obj(members) = &mut v {
-            members.retain(|(k, val)| !(k == "profile" && matches!(val, Value::Obj(_))));
-            for (k, val) in members.iter_mut() {
-                if k.ends_with("_ns") || k == "events_per_sec" || k == "worker" || k == "workers" {
-                    *val = Value::num(0.0);
-                }
-            }
-        }
-        out.push_str(&v.render());
-        out.push('\n');
+/// the run's deterministic *structure*: `workers` and each span's
+/// `worker`, `start_ns`, `end_ns` and `events_per_sec` become `0`, and
+/// per-span `profile` objects are dropped (the header's boolean
+/// `profile` flag stays). Two normalized ledgers of the same campaign
+/// are bit-identical regardless of pool size or machine speed.
+pub fn normalize_jsonl(text: &str) -> Result<String, Error> {
+    let mut ledger = RunLedger::from_jsonl(text)?;
+    ledger.header.workers = 0;
+    for p in &mut ledger.points {
+        (p.worker, p.start_ns, p.end_ns) = (0, 0, 0);
+        (p.events_per_sec, p.profile) = (0.0, None);
     }
-    Ok(out)
+    Ok(ledger.to_jsonl())
 }
 
 /// Fleet-health aggregates mined from a ledger — the numbers `report`
@@ -669,15 +569,17 @@ mod tests {
 
     #[test]
     fn malformed_ledgers_fail_with_a_line_number() {
-        let err = RunLedger::from_jsonl("{\"schema\":\"nope\"}\n").unwrap_err();
+        let err = RunLedger::from_jsonl("{\"schema\":\"nope\"}\n")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("line 1"), "{err}");
         let text = sample_ledger().to_jsonl();
         let broken = text.replace("\"outcome\":\"ok\"", "\"outcome\":\"maybe\"");
-        let err = RunLedger::from_jsonl(&broken).unwrap_err();
+        let err = RunLedger::from_jsonl(&broken).unwrap_err().to_string();
         assert!(err.contains("unknown outcome"), "{err}");
         // a v1 ledger's wave line is not a v2 span
         let waved = format!("{text}{{\"span\":\"wave\",\"index\":0}}\n");
-        let err = RunLedger::from_jsonl(&waved).unwrap_err();
+        let err = RunLedger::from_jsonl(&waved).unwrap_err().to_string();
         assert!(
             err.contains("line 5") && err.contains("unrecognized span"),
             "{err}"

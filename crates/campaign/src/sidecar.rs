@@ -1,10 +1,11 @@
 //! The one reader of `abc-telemetry/v1` sidecars (see
 //! [`netsim::telemetry`]): a schema header line, then sample, counter,
-//! histogram and event rows. The dynamics timeline, the run report's
-//! cross-point aggregation and the figures that plot within-run series
-//! all parse through [`Sidecar::parse`].
+//! histogram and event rows, read through [`crate::jsonl`]. The dynamics
+//! timeline, the run report's cross-point aggregation and the figures
+//! that plot within-run series all parse through [`Sidecar::parse`].
 
-use crate::json::{self, Value};
+use crate::json::Value;
+use crate::jsonl::{self, uint, Error, Tail};
 use netsim::telemetry::LogHistogram;
 use std::collections::BTreeMap;
 
@@ -28,62 +29,43 @@ impl Sidecar {
     /// Parse a sidecar's JSONL text. Errors (with a line number) on a
     /// missing or foreign schema header, a row that is not JSON, a
     /// malformed histogram bucket, or a row of no known shape — a sidecar
-    /// is machine-written, so any of these means the file is not one.
-    pub fn parse(text: &str) -> Result<Sidecar, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, first) = lines.next().ok_or("empty sidecar")?;
-        let header = json::parse(first).map_err(|e| format!("sidecar line 1: {e}"))?;
-        match header.get("schema").and_then(Value::as_str) {
-            Some(s) if s == netsim::telemetry::SIDECAR_SCHEMA => {}
-            other => return Err(format!("sidecar line 1: schema {other:?}")),
-        }
+    /// is written whole, so any of these means the file is not one.
+    pub fn parse(text: &str) -> Result<Sidecar, Error> {
+        let (header, rows) = jsonl::read(text, netsim::telemetry::SIDECAR_SCHEMA, Tail::Strict)?;
         let mut out = Sidecar {
-            sample_every_ns: header.get("sample_every_ns").and_then(Value::as_f64),
+            sample_every_ns: header.value.get("sample_every_ns").and_then(Value::as_f64),
             ..Sidecar::default()
         };
-        for (i, line) in lines {
-            let at = |msg: &str| format!("sidecar line {}: {msg}", i + 1);
-            let row = json::parse(line).map_err(|e| at(&e.to_string()))?;
+        for line in rows {
+            let line = line?;
+            let row = line.fields();
             let str_of = |k: &str| row.get(k).and_then(Value::as_str);
-            let num_of = |k: &str| row.get(k).and_then(Value::as_f64);
-            if let (Some(signal), Some(scope), Some(v), Some(t_ns)) = (
-                str_of("signal"),
-                str_of("scope"),
-                num_of("v"),
-                num_of("t_ns"),
-            ) {
-                out.series
-                    .entry((signal.to_string(), scope.to_string()))
-                    .or_default()
-                    .push((t_ns / 1e9, v));
-            } else if let (Some(counter), Some(scope), Some(n)) =
-                (str_of("counter"), str_of("scope"), num_of("n"))
-            {
+            if let Some(counter) = str_of("counter") {
+                let scope = row.str("scope")?.to_string();
                 out.counters
-                    .push((counter.to_string(), scope.to_string(), n as u64));
-            } else if let (Some(hist), Some(buckets)) =
-                (str_of("hist"), row.get("buckets").and_then(Value::as_arr))
-            {
+                    .push((counter.to_string(), scope, row.uint("n")?));
+            } else if let Some(hist) = str_of("hist") {
                 let mut h = LogHistogram::new();
-                for pair in buckets {
-                    let pair = pair.as_arr().unwrap_or(&[]);
-                    let (Some(b), Some(n)) = (
-                        pair.first().and_then(Value::as_f64),
-                        pair.get(1).and_then(Value::as_f64),
-                    ) else {
-                        return Err(at("malformed bucket pair"));
+                for pair in row.arr("buckets")? {
+                    let bucket = match pair.as_arr() {
+                        Some([b, n]) => uint(b).zip(uint(n)),
+                        _ => None,
                     };
-                    h.add_bucket(b as usize, n as u64);
+                    let Some((b, n)) = bucket else {
+                        return Err(row.err("malformed bucket pair"));
+                    };
+                    h.add_bucket(b.min(64) as usize, n);
                 }
                 let scope = str_of("scope").unwrap_or_default().to_string();
                 out.hists.push((hist.to_string(), scope, h));
             } else if str_of("signal") == Some("events") {
                 out.events += 1;
+            } else if let Some(signal) = str_of("signal") {
+                let key = (signal.to_string(), row.str("scope")?.to_string());
+                let sample = (row.num("t_ns")? / 1e9, row.num("v")?);
+                out.series.entry(key).or_default().push(sample);
             } else {
-                return Err(at("unrecognized row shape"));
+                return Err(row.err("unrecognized row shape"));
             }
         }
         Ok(out)
@@ -128,7 +110,7 @@ mod tests {
     fn malformed_buckets_and_unknown_rows_are_errors() {
         let bad_bucket =
             format!("{HEADER}{{\"hist\":\"qdelay_ns\",\"scope\":\"l\",\"buckets\":[[0]]}}\n");
-        let err = Sidecar::parse(&bad_bucket).unwrap_err();
+        let err = Sidecar::parse(&bad_bucket).unwrap_err().to_string();
         assert!(
             err.contains("line 2") && err.contains("malformed bucket pair"),
             "{err}"
@@ -136,6 +118,7 @@ mod tests {
         let unknown = format!("{HEADER}{{\"what\":1}}\n");
         assert!(Sidecar::parse(&unknown)
             .unwrap_err()
+            .to_string()
             .contains("unrecognized"));
         assert!(Sidecar::parse(&format!("{HEADER}not json\n")).is_err());
     }

@@ -14,14 +14,20 @@
 //! order, floats use shortest-round-trip formatting, and nothing
 //! wall-clock-dependent is ever written. `NaN` metrics (Wi-Fi topologies
 //! report no utilization) serialize as `null` and read back as `NaN`.
+//!
+//! Stores read back through [`crate::jsonl`], and a store must agree
+//! with itself: ordinals strictly increase down the file (record and
+//! error lines alike, as every writer emits them), every coordinate
+//! names an axis and label the header lists, and no more lines than the
+//! header's `points` follow it.
 
-use crate::json::{self, Value};
+use crate::json::Value;
+use crate::jsonl::{self, coords_to_value, Error, Fields, Tail};
 use crate::runner::{ErrorKind, ErrorRecord, PointError, RunRecord};
 use crate::spec::{Campaign, Coords};
 use experiments::report::{AppReport, Report};
 use netsim::metrics::ImpairmentRecord;
 use netsim::stats::Summary;
-use std::fmt;
 use std::path::Path;
 
 /// The store's schema identifier. Bump on any format change so old
@@ -78,56 +84,6 @@ pub struct ResultsStore {
     pub errors: Vec<ErrorRecord>,
 }
 
-/// Store I/O and format errors.
-#[derive(Debug)]
-pub enum StoreError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
-    /// A line is not valid JSON.
-    Json {
-        /// 1-based line number.
-        line: usize,
-        /// The underlying JSON error.
-        error: json::JsonError,
-    },
-    /// A line parses but does not describe a header/record correctly.
-    Format {
-        /// 1-based line number.
-        line: usize,
-        /// What is malformed.
-        message: String,
-    },
-    /// The file was written under a different schema id.
-    Schema {
-        /// The schema id the file claims.
-        found: String,
-    },
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "I/O error: {e}"),
-            StoreError::Json { line, error } => write!(f, "line {line}: {error}"),
-            StoreError::Format { line, message } => write!(f, "line {line}: {message}"),
-            StoreError::Schema { found } => {
-                write!(
-                    f,
-                    "unsupported schema {found:?} (this build reads {SCHEMA:?})"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
-
 impl ResultsStore {
     /// Bundle a campaign's executed records under its header.
     pub fn new(campaign: &Campaign, records: Vec<RunRecord>) -> ResultsStore {
@@ -135,20 +91,6 @@ impl ResultsStore {
             header: header_for(campaign, records.len()),
             records,
             errors: Vec::new(),
-        }
-    }
-
-    /// [`ResultsStore::new`] for a run that produced errors as well as
-    /// records: the header counts both (every point left *a* line).
-    pub fn with_errors(
-        campaign: &Campaign,
-        records: Vec<RunRecord>,
-        errors: Vec<ErrorRecord>,
-    ) -> ResultsStore {
-        ResultsStore {
-            header: header_for(campaign, records.len() + errors.len()),
-            records,
-            errors,
         }
     }
 
@@ -175,22 +117,11 @@ impl ResultsStore {
         out
     }
 
-    /// Parse a JSONL store, validating the schema id and that every
+    /// Parse a JSONL store, validating the schema id, that the lines
+    /// agree with the header (see the module docs), and that every
     /// promised point left a line (a clean record or an error record).
-    pub fn from_jsonl(text: &str) -> Result<ResultsStore, StoreError> {
-        let store = Self::parse(text, false)?;
-        if store.records.len() + store.errors.len() != store.header.points {
-            return Err(StoreError::Format {
-                line: 1,
-                message: format!(
-                    "header promises {} records, file has {} (+ {} errors)",
-                    store.header.points,
-                    store.records.len(),
-                    store.errors.len()
-                ),
-            });
-        }
-        Ok(store)
+    pub fn from_jsonl(text: &str) -> Result<ResultsStore, Error> {
+        Self::parse(text, false)
     }
 
     /// Parse a possibly-interrupted store: the executor streams records to
@@ -198,59 +129,52 @@ impl ResultsStore {
     /// count, so a killed run leaves fewer records than promised — and, if
     /// the kill landed mid-write, a torn final line, which is dropped.
     /// Every complete record still validates; `--resume` re-runs the rest.
-    pub fn from_jsonl_allow_partial(text: &str) -> Result<ResultsStore, StoreError> {
-        let mut store = Self::parse(text, true)?;
-        if store.records.len() + store.errors.len() > store.header.points {
-            return Err(StoreError::Format {
-                line: 1,
-                message: format!(
-                    "header promises {} records, file has {} (+ {} errors)",
-                    store.header.points,
-                    store.records.len(),
-                    store.errors.len()
-                ),
-            });
-        }
-        store.records.sort_by_key(|r| r.ordinal);
-        store.errors.sort_by_key(|e| e.ordinal);
-        Ok(store)
+    pub fn from_jsonl_allow_partial(text: &str) -> Result<ResultsStore, Error> {
+        Self::parse(text, true)
     }
 
-    fn parse(text: &str, drop_torn_tail: bool) -> Result<ResultsStore, StoreError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .peekable();
-        let (i, first) = lines.next().ok_or(StoreError::Format {
-            line: 1,
-            message: "empty store (no header line)".into(),
-        })?;
-        let header = header_from_value(&parse_line(i, first)?, i + 1)?;
-        if header.schema != SCHEMA {
-            return Err(StoreError::Schema {
-                found: header.schema,
-            });
-        }
-        let mut records = Vec::with_capacity(header.points);
-        let mut errors = Vec::new();
-        while let Some((i, line)) = lines.next() {
-            let last = lines.peek().is_none();
+    fn parse(text: &str, partial: bool) -> Result<ResultsStore, Error> {
+        let tail = if partial {
+            Tail::DropTorn
+        } else {
+            Tail::Strict
+        };
+        let (first, rows) = jsonl::read(text, SCHEMA, tail)?;
+        let header = header_from(first.fields())?;
+        // Never sized from the header: its `points` is unchecked input.
+        let (mut records, mut errors) = (Vec::new(), Vec::new());
+        let mut last_ordinal = None;
+        for line in rows {
+            let line = line?;
+            let row = line.fields();
+            let ordinal: usize = row.uint("ordinal")?;
+            if let Some(last) = last_ordinal.filter(|&last| ordinal <= last) {
+                return Err(row.err(format!(
+                    "ordinal {ordinal} does not follow ordinal {last} (ordinals must increase)"
+                )));
+            }
+            last_ordinal = Some(ordinal);
+            let coords = coords_in(&header, row)?;
             // A line with an "error" key is a failed point; anything else
             // must be a clean record.
-            let parsed = parse_line(i, line).and_then(|v| {
-                if v.get("error").is_some() {
-                    error_record_from_value(&v, i + 1).map(Err)
-                } else {
-                    record_from_value(&v, i + 1).map(Ok)
-                }
-            });
-            match parsed {
-                Ok(Ok(r)) => records.push(r),
-                Ok(Err(e)) => errors.push(e),
-                Err(_) if drop_torn_tail && last => break,
-                Err(e) => return Err(e),
+            if row.get("error").is_some() {
+                errors.push(error_record_from(row, ordinal, coords)?);
+            } else {
+                records.push(RunRecord {
+                    ordinal,
+                    coords,
+                    report: report_from(row.obj("report")?)?,
+                });
             }
+        }
+        let lines = records.len() + errors.len();
+        if lines > header.points || (!partial && lines < header.points) {
+            return Err(first.fields().err(format!(
+                "header promises {} records, file has {} (+ {} errors)",
+                header.points,
+                records.len(),
+                errors.len()
+            )));
         }
         Ok(ResultsStore {
             header,
@@ -259,23 +183,9 @@ impl ResultsStore {
         })
     }
 
-    /// Write the store to `path` (exactly [`ResultsStore::to_jsonl`]).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        std::fs::write(path, self.to_jsonl())?;
-        Ok(())
-    }
-
     /// Read and validate a complete store from `path`.
-    pub fn load(path: impl AsRef<Path>) -> Result<ResultsStore, StoreError> {
-        let text = std::fs::read_to_string(path)?;
-        ResultsStore::from_jsonl(&text)
-    }
-
-    /// [`ResultsStore::load`] for possibly-interrupted stores (see
-    /// [`ResultsStore::from_jsonl_allow_partial`]).
-    pub fn load_allow_partial(path: impl AsRef<Path>) -> Result<ResultsStore, StoreError> {
-        let text = std::fs::read_to_string(path)?;
-        ResultsStore::from_jsonl_allow_partial(&text)
+    pub fn load(path: impl AsRef<Path>) -> Result<ResultsStore, Error> {
+        ResultsStore::from_jsonl(&std::fs::read_to_string(path)?)
     }
 }
 
@@ -286,10 +196,11 @@ impl ResultsStore {
 /// ordinal may appear twice. Records come back sorted by ordinal, so
 /// merging a complete shard set reproduces an unsharded run's store
 /// byte for byte.
-pub fn merge_stores(stores: &[ResultsStore]) -> Result<ResultsStore, StoreError> {
+pub fn merge_stores(stores: &[ResultsStore]) -> Result<ResultsStore, Error> {
+    let fail = |message: String| Error::Format { line: 1, message };
     let first = stores
         .first()
-        .ok_or_else(|| fmt_err(1, "nothing to merge"))?;
+        .ok_or_else(|| fail("nothing to merge".into()))?;
     let mut records: Vec<RunRecord> = Vec::new();
     let mut errors: Vec<ErrorRecord> = Vec::new();
     for (i, s) in stores.iter().enumerate() {
@@ -299,34 +210,26 @@ pub fn merge_stores(stores: &[ResultsStore]) -> Result<ResultsStore, StoreError>
             || h.axes != first.header.axes
             || h.filters != first.header.filters
         {
-            return Err(fmt_err(
-                1,
-                format!(
-                    "store {} describes a different sweep ({:?} vs {:?})",
-                    i + 1,
-                    h.campaign,
-                    first.header.campaign
-                ),
-            ));
+            return Err(fail(format!(
+                "store {} describes a different sweep ({:?} vs {:?})",
+                i + 1,
+                h.campaign,
+                first.header.campaign
+            )));
         }
         records.extend(s.records.iter().cloned());
         errors.extend(s.errors.iter().cloned());
     }
     records.sort_by_key(|r| r.ordinal);
     errors.sort_by_key(|e| e.ordinal);
-    let mut ordinals: Vec<usize> = records
-        .iter()
-        .map(|r| r.ordinal)
-        .chain(errors.iter().map(|e| e.ordinal))
-        .collect();
+    let mut ordinals: Vec<usize> = records.iter().map(|r| r.ordinal).collect();
+    ordinals.extend(errors.iter().map(|e| e.ordinal));
     ordinals.sort_unstable();
-    for w in ordinals.windows(2) {
-        if w[0] == w[1] {
-            return Err(fmt_err(
-                1,
-                format!("ordinal {} appears in more than one store", w[0]),
-            ));
-        }
+    if let Some(w) = ordinals.windows(2).find(|w| w[0] == w[1]) {
+        return Err(fail(format!(
+            "ordinal {} appears in more than one store",
+            w[0]
+        )));
     }
     Ok(ResultsStore {
         header: StoreHeader {
@@ -371,13 +274,6 @@ pub fn render_error_record(e: &ErrorRecord) -> String {
     error_record_to_value(e).render()
 }
 
-fn parse_line(idx: usize, line: &str) -> Result<Value, StoreError> {
-    json::parse(line).map_err(|error| StoreError::Json {
-        line: idx + 1,
-        error,
-    })
-}
-
 fn header_to_value(h: &StoreHeader) -> Value {
     Value::Obj(vec![
         ("schema".into(), Value::str(&h.schema)),
@@ -405,14 +301,6 @@ fn header_to_value(h: &StoreHeader) -> Value {
         ),
         ("points".into(), Value::num(h.points as f64)),
     ])
-}
-
-fn coords_to_value(c: &Coords) -> Value {
-    Value::Obj(
-        c.0.iter()
-            .map(|(a, l)| (a.clone(), Value::str(l)))
-            .collect(),
-    )
 }
 
 fn record_to_value(r: &RunRecord) -> Value {
@@ -553,221 +441,143 @@ fn series_to_value(series: &[(f64, f64)]) -> Value {
 
 // ---- reading ----------------------------------------------------------
 
-fn fmt_err(line: usize, message: impl Into<String>) -> StoreError {
-    StoreError::Format {
-        line,
-        message: message.into(),
-    }
-}
-
-/// A numeric field; `null` reads back as the `NaN` it stood for.
-fn num_field(v: &Value, key: &str, line: usize) -> Result<f64, StoreError> {
-    match v.get(key) {
-        Some(Value::Num(x)) => Ok(*x),
-        Some(Value::Null) => Ok(f64::NAN),
-        _ => Err(fmt_err(line, format!("missing numeric field {key:?}"))),
-    }
-}
-
-fn str_field(v: &Value, key: &str, line: usize) -> Result<String, StoreError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| fmt_err(line, format!("missing string field {key:?}")))
-}
-
-fn header_from_value(v: &Value, line: usize) -> Result<StoreHeader, StoreError> {
-    let axes = v
-        .get("axes")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| fmt_err(line, "missing \"axes\""))?
-        .iter()
-        .map(|a| {
-            let name = str_field(a, "name", line)?;
-            let labels = a
-                .get("labels")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| fmt_err(line, "axis without \"labels\""))?
-                .iter()
-                .map(|l| {
-                    l.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| fmt_err(line, "non-string axis label"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((name, labels))
-        })
-        .collect::<Result<Vec<_>, StoreError>>()?;
-    let filters = v
-        .get("filters")
-        .and_then(Value::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .map(|f| {
-            f.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| fmt_err(line, "non-string filter name"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+fn header_from(f: Fields) -> Result<StoreHeader, Error> {
+    let axes = f.arr("axes")?.iter().map(|a| {
+        let a = f.at(a);
+        Ok((a.str("name")?.to_string(), a.strings("labels")?))
+    });
     Ok(StoreHeader {
-        schema: str_field(v, "schema", line)?,
-        campaign: str_field(v, "campaign", line)?,
-        axes,
-        filters,
-        points: num_field(v, "points", line)? as usize,
+        schema: f.str("schema")?.to_string(),
+        campaign: f.str("campaign")?.to_string(),
+        axes: axes.collect::<Result<_, Error>>()?,
+        filters: f
+            .opt("filters")
+            .map(|_| f.strings("filters"))
+            .transpose()?
+            .unwrap_or_default(),
+        points: f.uint("points")?,
     })
 }
 
-fn coords_from_value(v: &Value, line: usize) -> Result<Coords, StoreError> {
-    Ok(Coords(
-        v.get("coords")
-            .and_then(Value::as_obj)
-            .ok_or_else(|| fmt_err(line, "missing \"coords\""))?
-            .iter()
-            .map(|(axis, label)| {
-                label
-                    .as_str()
-                    .map(|l| (axis.clone(), l.to_string()))
-                    .ok_or_else(|| fmt_err(line, "non-string coordinate label"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    ))
+/// A row's coords, which may name only axes and labels `header` lists.
+fn coords_in(header: &StoreHeader, row: Fields) -> Result<Coords, Error> {
+    let coords = row.coords()?;
+    for (axis, label) in &coords.0 {
+        let known = |(a, labels): &(String, Vec<String>)| a == axis && labels.contains(label);
+        if !header.axes.iter().any(known) {
+            return Err(row.err(format!("coords {axis}={label} are not in the header")));
+        }
+    }
+    Ok(coords)
 }
 
-fn record_from_value(v: &Value, line: usize) -> Result<RunRecord, StoreError> {
-    let coords = coords_from_value(v, line)?;
-    let report = v
-        .get("report")
-        .ok_or_else(|| fmt_err(line, "missing \"report\""))?;
-    Ok(RunRecord {
-        ordinal: num_field(v, "ordinal", line)? as usize,
-        coords,
-        report: report_from_value(report, line)?,
-    })
-}
-
-fn error_record_from_value(v: &Value, line: usize) -> Result<ErrorRecord, StoreError> {
-    let coords = coords_from_value(v, line)?;
-    let e = v
-        .get("error")
-        .ok_or_else(|| fmt_err(line, "missing \"error\""))?;
-    let kind_name = str_field(e, "kind", line)?;
-    let kind = ErrorKind::from_name(&kind_name)
-        .ok_or_else(|| fmt_err(line, format!("unknown error kind {kind_name:?}")))?;
+fn error_record_from(row: Fields, ordinal: usize, coords: Coords) -> Result<ErrorRecord, Error> {
+    let e = row.obj("error")?;
+    let kind = e.str("kind")?;
     Ok(ErrorRecord {
-        ordinal: num_field(v, "ordinal", line)? as usize,
+        ordinal,
         coords,
         error: PointError {
-            kind,
-            message: str_field(e, "message", line)?,
+            kind: ErrorKind::from_name(kind)
+                .ok_or_else(|| e.err(format!("unknown error kind {kind:?}")))?,
+            message: e.str("message")?.to_string(),
         },
     })
 }
 
-fn report_from_value(v: &Value, line: usize) -> Result<Report, StoreError> {
-    let flow_tputs_mbps = v
-        .get("flow_tputs_mbps")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| fmt_err(line, "missing \"flow_tputs_mbps\""))?
-        .iter()
-        .map(|x| x.as_f64().unwrap_or(f64::NAN))
-        .collect();
+/// A JSON number, or `NaN` for anything else (`null` included).
+fn num_or_nan(v: &Value) -> f64 {
+    v.as_f64().unwrap_or(f64::NAN)
+}
+
+fn report_from(r: Fields) -> Result<Report, Error> {
+    let impairment = |i| {
+        let i = r.at(i);
+        Ok::<_, Error>(ImpairmentRecord {
+            label: i.str("label")?.to_string(),
+            passed: i.uint("passed")?,
+            impaired: i.uint("impaired")?,
+        })
+    };
     Ok(Report {
-        scheme: str_field(v, "scheme", line)?,
-        utilization: num_field(v, "utilization", line)?,
-        delay_ms: summary_from_value(v.get("delay_ms"), line)?,
-        qdelay_ms: summary_from_value(v.get("qdelay_ms"), line)?,
-        flow_tputs_mbps,
-        total_tput_mbps: num_field(v, "total_tput_mbps", line)?,
-        jain: num_field(v, "jain", line)?,
-        drops: num_field(v, "drops", line)? as u64,
-        tput_series: series_from_value(v.get("tput_series"), line)?,
-        qdelay_series: series_from_value(v.get("qdelay_series"), line)?,
-        capacity_series: series_from_value(v.get("capacity_series"), line)?,
-        app: match v.get("app") {
-            Some(a) => Some(app_from_value(a, line)?),
-            None => None,
-        },
-        impairments: match v.get("impairments") {
-            Some(i) => impairments_from_value(i, line)?,
+        scheme: r.str("scheme")?.to_string(),
+        utilization: r.num("utilization")?,
+        delay_ms: summary_from(r.obj("delay_ms")?)?,
+        qdelay_ms: summary_from(r.obj("qdelay_ms")?)?,
+        flow_tputs_mbps: r.arr("flow_tputs_mbps")?.iter().map(num_or_nan).collect(),
+        total_tput_mbps: r.num("total_tput_mbps")?,
+        jain: r.num("jain")?,
+        drops: r.uint("drops")?,
+        tput_series: series_from(r, "tput_series")?,
+        qdelay_series: series_from(r, "qdelay_series")?,
+        capacity_series: series_from(r, "capacity_series")?,
+        app: r.opt("app").map(app_from).transpose()?,
+        impairments: match r.get("impairments") {
+            Some(_) => r
+                .arr("impairments")?
+                .iter()
+                .map(impairment)
+                .collect::<Result<_, _>>()?,
             None => Vec::new(),
         },
     })
 }
 
-fn impairments_from_value(v: &Value, line: usize) -> Result<Vec<ImpairmentRecord>, StoreError> {
-    v.as_arr()
-        .ok_or_else(|| fmt_err(line, "\"impairments\" is not an array"))?
-        .iter()
-        .map(|i| {
-            Ok(ImpairmentRecord {
-                label: str_field(i, "label", line)?,
-                passed: num_field(i, "passed", line)? as u64,
-                impaired: num_field(i, "impaired", line)? as u64,
-            })
+fn app_from(a: Fields) -> Result<AppReport, Error> {
+    let web = |w: Fields| -> Result<_, Error> {
+        Ok(workload::WebMetrics {
+            flows: w.uint("flows")?,
+            completed: w.uint("completed")?,
+            fct_ms: summary_from(w.obj("fct_ms")?)?,
         })
-        .collect()
-}
-
-fn app_from_value(v: &Value, line: usize) -> Result<AppReport, StoreError> {
-    let web = match v.get("web") {
-        Some(w) => Some(workload::WebMetrics {
-            flows: num_field(w, "flows", line)? as u64,
-            completed: num_field(w, "completed", line)? as u64,
-            fct_ms: summary_from_value(w.get("fct_ms"), line)?,
-        }),
-        None => None,
     };
-    let rtc = match v.get("rtc") {
-        Some(r) => Some(workload::RtcMetrics {
-            pkts: num_field(r, "pkts", line)? as u64,
-            misses: num_field(r, "misses", line)? as u64,
-            miss_rate: num_field(r, "miss_rate", line)?,
-            owd_ms: summary_from_value(r.get("owd_ms"), line)?,
-        }),
-        None => None,
+    let rtc = |r: Fields| -> Result<_, Error> {
+        Ok(workload::RtcMetrics {
+            pkts: r.uint("pkts")?,
+            misses: r.uint("misses")?,
+            miss_rate: r.num("miss_rate")?,
+            owd_ms: summary_from(r.obj("owd_ms")?)?,
+        })
     };
-    let video = match v.get("video") {
-        Some(x) => Some(workload::VideoMetrics {
-            chunks_downloaded: num_field(x, "chunks_downloaded", line)? as u64,
-            chunks_total: num_field(x, "chunks_total", line)? as u64,
-            mean_bitrate_kbps: num_field(x, "mean_bitrate_kbps", line)?,
-            play_s: num_field(x, "play_s", line)?,
-            rebuffer_s: num_field(x, "rebuffer_s", line)?,
-            rebuffer_ratio: num_field(x, "rebuffer_ratio", line)?,
-            startup_delay_ms: num_field(x, "startup_delay_ms", line)?,
-            switches: num_field(x, "switches", line)? as u64,
-            qoe: num_field(x, "qoe", line)?,
-        }),
-        None => None,
+    let video = |x: Fields| -> Result<_, Error> {
+        Ok(workload::VideoMetrics {
+            chunks_downloaded: x.uint("chunks_downloaded")?,
+            chunks_total: x.uint("chunks_total")?,
+            mean_bitrate_kbps: x.num("mean_bitrate_kbps")?,
+            play_s: x.num("play_s")?,
+            rebuffer_s: x.num("rebuffer_s")?,
+            rebuffer_ratio: x.num("rebuffer_ratio")?,
+            startup_delay_ms: x.num("startup_delay_ms")?,
+            switches: x.uint("switches")?,
+            qoe: x.num("qoe")?,
+        })
     };
-    Ok(AppReport { web, rtc, video })
-}
-
-fn summary_from_value(v: Option<&Value>, line: usize) -> Result<Summary, StoreError> {
-    let v = v.ok_or_else(|| fmt_err(line, "missing summary object"))?;
-    Ok(Summary {
-        count: num_field(v, "count", line)? as usize,
-        mean: num_field(v, "mean", line)?,
-        std_dev: num_field(v, "std_dev", line)?,
-        min: num_field(v, "min", line)?,
-        max: num_field(v, "max", line)?,
-        p50: num_field(v, "p50", line)?,
-        p95: num_field(v, "p95", line)?,
-        p99: num_field(v, "p99", line)?,
+    Ok(AppReport {
+        web: a.opt("web").map(web).transpose()?,
+        rtc: a.opt("rtc").map(rtc).transpose()?,
+        video: a.opt("video").map(video).transpose()?,
     })
 }
 
-fn series_from_value(v: Option<&Value>, line: usize) -> Result<Vec<(f64, f64)>, StoreError> {
-    v.and_then(Value::as_arr)
-        .ok_or_else(|| fmt_err(line, "missing series array"))?
+fn summary_from(s: Fields) -> Result<Summary, Error> {
+    Ok(Summary {
+        count: s.uint("count")?,
+        mean: s.num("mean")?,
+        std_dev: s.num("std_dev")?,
+        min: s.num("min")?,
+        max: s.num("max")?,
+        p50: s.num("p50")?,
+        p95: s.num("p95")?,
+        p99: s.num("p99")?,
+    })
+}
+
+fn series_from(r: Fields, key: &str) -> Result<Vec<(f64, f64)>, Error> {
+    r.arr(key)?
         .iter()
         .map(|p| match p.as_arr() {
-            Some([t, v]) => Ok((
-                t.as_f64().unwrap_or(f64::NAN),
-                v.as_f64().unwrap_or(f64::NAN),
-            )),
-            _ => Err(fmt_err(line, "series point is not a [t, v] pair")),
+            Some([t, v]) => Ok((num_or_nan(t), num_or_nan(v))),
+            _ => Err(r.err("series point is not a [t, v] pair")),
         })
         .collect()
 }
@@ -827,7 +637,7 @@ mod tests {
             .replace(SCHEMA, "abc-campaign/v999");
         assert!(matches!(
             ResultsStore::from_jsonl(&text),
-            Err(StoreError::Schema { .. })
+            Err(Error::Schema { .. })
         ));
     }
 
@@ -837,7 +647,7 @@ mod tests {
         let truncated: String = full.lines().take(2).map(|l| format!("{l}\n")).collect();
         assert!(matches!(
             ResultsStore::from_jsonl(&truncated),
-            Err(StoreError::Format { .. })
+            Err(Error::Format { .. })
         ));
     }
 
@@ -886,5 +696,62 @@ mod tests {
         let back = ResultsStore::from_jsonl(&store.to_jsonl()).unwrap();
         assert!(back.records[0].report.utilization.is_nan());
         assert!(back.records[0].report.jain.is_nan());
+    }
+
+    const BASELINE: &str = include_str!("../../../ci/campaign-tiny-baseline.jsonl");
+
+    /// The committed baseline's lines, edited, as store text.
+    fn edited_baseline(edit: impl FnOnce(&mut Vec<String>)) -> String {
+        let mut lines: Vec<String> = BASELINE.lines().map(str::to_string).collect();
+        edit(&mut lines);
+        lines.iter().map(|l| format!("{l}\n")).collect()
+    }
+
+    fn format_line(r: Result<ResultsStore, Error>) -> usize {
+        match r {
+            Err(Error::Format { line, .. }) => line,
+            other => panic!("expected a Format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_header_never_sizes_an_allocation() {
+        let promising = |points: &str| {
+            edited_baseline(|l| {
+                l[0] = l[0].replace("\"points\":8", &format!("\"points\":{points}"))
+            })
+        };
+        for points in ["1e300", "1e12"] {
+            assert_eq!(format_line(ResultsStore::from_jsonl(&promising(points))), 1);
+        }
+        // a partial load of a store promising 1e12 points is just partial
+        let partial = ResultsStore::from_jsonl_allow_partial(&promising("1e12")).unwrap();
+        assert_eq!(partial.records.len(), 8);
+    }
+
+    #[test]
+    fn ordinals_must_strictly_increase() {
+        // ordinal 0 repeated where ordinal 1 belongs, and 1 before 0
+        let duplicate = edited_baseline(|l| l[2] = l[1].clone());
+        let swapped = edited_baseline(|l| l.swap(1, 2));
+        for text in [&duplicate, &swapped] {
+            assert_eq!(format_line(ResultsStore::from_jsonl(text)), 3);
+            assert_eq!(format_line(ResultsStore::from_jsonl_allow_partial(text)), 3);
+        }
+        let err = ResultsStore::from_jsonl(&duplicate)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("ordinal 0 does not follow ordinal 0"), "{err}");
+    }
+
+    #[test]
+    fn coords_must_name_header_axes_and_labels() {
+        for (from, to) in [
+            ("\"link\":", "\"path\":"),
+            ("\"seed\":\"2\"", "\"seed\":\"3\""),
+        ] {
+            let text = edited_baseline(|l| l[4] = l[4].replacen(from, to, 1));
+            assert_eq!(format_line(ResultsStore::from_jsonl(&text)), 5, "{to}");
+        }
     }
 }

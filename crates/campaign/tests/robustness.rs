@@ -175,7 +175,13 @@ fn panicking_points_become_error_records_in_a_valid_store() {
     }
 
     // the partial store is valid, parseable, and remembers the errors
-    let jsonl = ResultsStore::with_errors(&campaign, records, errors).to_jsonl();
+    let header = campaign::store::header_for(&campaign, records.len() + errors.len());
+    let store = ResultsStore {
+        header,
+        records,
+        errors,
+    };
+    let jsonl = store.to_jsonl();
     let loaded = ResultsStore::from_jsonl(&jsonl).expect("store with errors loads");
     assert_eq!(loaded.records.len(), 2);
     assert_eq!(loaded.errors.len(), 2);

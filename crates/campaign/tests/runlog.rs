@@ -96,6 +96,20 @@ fn normalized_ledger_is_bit_identical_across_pools_and_reruns() {
     assert_eq!(ledger.to_jsonl(), raw, "parse → serialize is not identity");
 }
 
+/// A killed run leaves at most a torn final span: the ledger still loads
+/// (so `report` and `trace-export` work on it), one span short.
+#[test]
+fn torn_ledger_loads_without_its_final_span() {
+    let campaign = presets::tiny(Scale::Tiny);
+    let text = ledger_text(&campaign, RunOptions::quiet(), "torn");
+    let whole = RunLedger::from_jsonl(&text).expect("ledger parses");
+    let torn = RunLedger::from_jsonl(&text[..text.len() - 20]).expect("torn ledger parses");
+    assert_eq!(torn.points.len(), whole.points.len() - 1);
+    assert_eq!(torn.points[..], whole.points[..whole.points.len() - 1]);
+    let normalized = normalize_jsonl(&text[..text.len() - 20]).expect("torn ledger normalizes");
+    assert_eq!(normalized.lines().count(), whole.points.len());
+}
+
 /// The quarantine invariant: a run with the ledger *and* the profiler on
 /// stores exactly the bytes a bare run stores. Wall-clock observability
 /// must be a separate artifact stream, never a store perturbation.

@@ -2,11 +2,12 @@
 //! campaign, each shard streams a valid store of its own, and merging
 //! the shard stores reproduces an unsharded run **byte for byte**.
 
+use campaign::jsonl::Error;
 use campaign::presets;
 use campaign::runner::{
     in_shard, run_campaign, run_campaign_streaming, run_campaign_streaming_sharded, RunOptions,
 };
-use campaign::store::{merge_stores, ResultsStore, StoreError};
+use campaign::store::{merge_stores, ResultsStore};
 use experiments::figures::Scale;
 
 #[test]
@@ -75,14 +76,14 @@ fn merge_rejects_mismatched_sweeps_and_duplicates() {
     };
     assert!(matches!(
         merge_stores(&[tiny.clone(), other]),
-        Err(StoreError::Format { .. })
+        Err(Error::Format { .. })
     ));
     // the same store twice duplicates every ordinal
     assert!(matches!(
         merge_stores(&[tiny.clone(), tiny.clone()]),
-        Err(StoreError::Format { .. })
+        Err(Error::Format { .. })
     ));
-    assert!(matches!(merge_stores(&[]), Err(StoreError::Format { .. })));
+    assert!(matches!(merge_stores(&[]), Err(Error::Format { .. })));
     // a single complete store merges to itself
     let same = merge_stores(std::slice::from_ref(&tiny)).unwrap();
     assert_eq!(same.to_jsonl(), tiny.to_jsonl());

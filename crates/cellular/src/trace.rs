@@ -68,12 +68,14 @@ impl CellTrace {
     /// Parse the Mahimahi format: one integer (ms) per line, sorted,
     /// possibly with repeated values (several opportunities in one ms).
     /// The period is the last timestamp rounded up to the next full ms.
+    /// A line that is not UTF-8 is a positioned [`TraceError::Parse`].
     pub fn parse_mahimahi(name: &str, reader: impl Read) -> Result<CellTrace, TraceError> {
         let mut opportunities = Vec::new();
         let mut last: u64 = 0;
         let mut period = SimDuration::ZERO;
-        for (i, line) in BufReader::new(reader).lines().enumerate() {
+        for (i, line) in BufReader::new(reader).split(b'\n').enumerate() {
             let line = line?;
+            let line = String::from_utf8_lossy(&line);
             let t = line.trim();
             if t.is_empty() || t.starts_with('#') {
                 continue;
@@ -181,6 +183,8 @@ mod tests {
     fn parse_rejects_garbage() {
         let err = CellTrace::parse_mahimahi("t", "0\nxyz\n".as_bytes()).unwrap_err();
         assert!(matches!(err, TraceError::Parse { line: 2, .. }));
+        let err = CellTrace::parse_mahimahi("t", &b"0\n1\n\xff2\n"[..]).unwrap_err();
+        assert!(matches!(err, TraceError::Parse { line: 3, .. }), "{err}");
     }
 
     #[test]

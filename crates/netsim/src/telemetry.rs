@@ -367,18 +367,21 @@ impl LogHistogram {
     /// last bucket). This is the sidecar-side inverse of
     /// [`LogHistogram::nonzero_buckets`]: a reader reconstructs the
     /// exact histogram from serialized `[bucket, count]` pairs, then
-    /// merges across points.
+    /// merges across points. Counts saturate at `u64::MAX`, which no
+    /// recorded histogram reaches, so a hostile sidecar cannot overflow.
     pub fn add_bucket(&mut self, i: usize, n: u64) {
-        self.buckets[i.min(64)] += n;
-        self.count += n;
+        let bucket = &mut self.buckets[i.min(64)];
+        *bucket = bucket.saturating_add(n);
+        self.count = self.count.saturating_add(n);
     }
 
-    /// Fold another histogram in (element-wise bucket addition).
+    /// Fold another histogram in (element-wise bucket addition,
+    /// saturating like [`LogHistogram::add_bucket`]).
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
     }
 
     /// Total observations recorded.
@@ -400,7 +403,7 @@ impl LogHistogram {
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 return Some(Self::bucket_upper(i));
             }

@@ -88,22 +88,23 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// A span of `us` microseconds.
+    /// A span of `us` microseconds, saturating at [`SimDuration::MAX`]
+    /// (so an out-of-range configured value cannot overflow).
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * NANOS_PER_MICRO)
+        SimDuration(us.saturating_mul(NANOS_PER_MICRO))
     }
 
-    /// A span of `ms` milliseconds.
+    /// A span of `ms` milliseconds, saturating at [`SimDuration::MAX`].
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * NANOS_PER_MILLI)
+        SimDuration(ms.saturating_mul(NANOS_PER_MILLI))
     }
 
-    /// A span of `s` seconds.
+    /// A span of `s` seconds, saturating at [`SimDuration::MAX`].
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * NANOS_PER_SEC)
+        SimDuration(s.saturating_mul(NANOS_PER_SEC))
     }
 
     /// A span of `s` (fractional) seconds, rounded to the nearest
