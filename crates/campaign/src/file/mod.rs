@@ -52,7 +52,6 @@ use experiments::figures::Scale;
 use std::fmt;
 use std::path::Path;
 
-pub use schema::parse_scheme;
 pub use toml::{Pos, TomlError};
 
 /// Why a campaign file failed to load.

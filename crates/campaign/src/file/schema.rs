@@ -1,39 +1,19 @@
 //! The campaign-file schema: compiling a parsed TOML document into a
 //! [`Campaign`].
 //!
-//! The format is documented end to end in `docs/campaign-file.md` (every
-//! snippet there is parsed by a test). In outline:
+//! The format is documented in `docs/campaign-file.md`, whose `[base]`
+//! and impairment key tables are rendered from [`SETTINGS`] and
+//! [`IMPAIRMENT_KINDS`] (a test compares them).
 //!
-//! ```toml
-//! [campaign]
-//! name = "my-sweep"
-//!
-//! [base]                      # ScenarioSpec literals; defaults match
-//! scheme = "ABC"              # ScenarioSpec::single(ABC, 0 Mbit/s)
-//! link = { constant_mbps = 12.0 }
-//! duration_s = 60
-//!
-//! [[axis]]                    # axes expand row-major, last fastest
-//! name = "scheme"
-//! schemes = ["ABC", "Cubic"]
-//!
-//! [[axis]]
-//! name = "seed"
-//! seeds = [1, 2]
-//!
-//! [[filter]]                  # drop points before execution
-//! name = "abc-seed-1-only"
-//! when = { scheme = "ABC" }
-//! require = { seed = 1 }
-//!
-//! [scale.tiny]                # overrides applied at --scale tiny
-//! duration_s = 2
-//! ```
-//!
-//! Every error carries the line/column of the offending key or value.
-//! Unknown keys are rejected (a typo must not silently produce a
-//! different sweep), and empty axes / duplicate axis names are caught
-//! here with positions instead of panicking later in [`Campaign`].
+//! Every literal is one descriptor table: a table literal has a row per
+//! key (the key, whether it is required, a setter), a one-of literal a
+//! row per form (the key, a builder). Two walkers read them — `fields`
+//! (unknown keys, missing required keys, per-key set) and `one_form`
+//! (exactly one form, then build) — and every key list and "expected one
+//! of" catalog in an error is rendered from a table. Rules relating
+//! several keys stay as code beside their tables. Every error carries
+//! the line/column of the offending key or value, and unknown keys are
+//! rejected: a typo must not silently produce a different sweep.
 
 use super::toml::{self, Pos, Spanned, Table, TomlError, Value};
 use crate::spec::{Axis, AxisValue, Campaign, Coords, Filter};
@@ -48,1332 +28,1152 @@ use experiments::Scheme;
 use netsim::fault::{Direction, ImpairmentKind, ImpairmentSpec};
 use netsim::packet::MTU_BYTES;
 use netsim::rate::Rate;
+use netsim::telemetry::{Signal, TelemetryConfig};
 use netsim::time::{SimDuration, SimTime};
 use workload::{AbrWorkload, ArrivalProcess, RtcWorkload, SizeDist, WebWorkload, WorkloadSpec};
 
 /// Compile campaign-file text into a [`Campaign`] at the given
 /// [`Scale`] (which selects the matching `[scale.*]` override table).
-pub fn from_str(text: &str, scale: Scale) -> Result<Campaign, TomlError> {
+pub fn from_str(text: &str, scale: Scale) -> std::result::Result<Campaign, TomlError> {
     let root = toml::parse(text)?;
-    compile(&root, scale)
+    let base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::ZERO));
+    let mut top = (scale, Campaign::new(String::new(), base));
+    let (context, missing) = (Some("the top level"), |_: &str| {
+        "missing [campaign] table".into()
+    });
+    fields(&root, root.pos, context, TOP, &mut top, missing)?;
+    Ok(top.1)
 }
+
+type Result<T, E = TomlError> = std::result::Result<T, E>;
 
 fn err(pos: Pos, message: impl Into<String>) -> TomlError {
     TomlError::new(pos, message)
 }
 
-/// Reject entries whose key is not in `allowed`.
-fn check_keys(t: &Table, context: &str, allowed: &[&str]) -> Result<(), TomlError> {
+// ---- descriptor rows and the two walkers ----
+
+/// Compiles a key's value (named `what` in errors) into the literal
+/// under construction.
+type Set<T> = fn(&mut T, &Spanned, &str) -> Result<()>;
+
+/// A key of a table literal.
+struct Field<T> {
+    key: &'static str,
+    required: bool,
+    set: Set<T>,
+}
+
+const fn req<T>(key: &'static str, set: Set<T>) -> Field<T> {
+    let required = true;
+    Field { key, required, set }
+}
+
+const fn opt<T>(key: &'static str, set: Set<T>) -> Field<T> {
+    let required = false;
+    Field { key, required, set }
+}
+
+/// A form of a one-of literal (a scenario setting is one too: an
+/// `[[axis.values]]` entry holds exactly one).
+pub struct Form<T> {
+    /// The key as written in the file.
+    pub key: &'static str,
+    /// The value's type, as the docs state it (settings only).
+    pub ty: &'static str,
+    /// What the form means (settings only).
+    pub doc: &'static str,
+    build: fn(&Spanned, &str) -> Result<T>,
+}
+
+const fn form<T>(key: &'static str, build: fn(&Spanned, &str) -> Result<T>) -> Form<T> {
+    let (ty, doc) = ("", "");
+    Form {
+        key,
+        ty,
+        doc,
+        build,
+    }
+}
+
+fn keys<T>(rows: &[Field<T>]) -> impl Iterator<Item = &'static str> + Clone + '_ {
+    rows.iter().map(|f| f.key)
+}
+
+fn form_keys<T>(forms: &[Form<T>]) -> impl Iterator<Item = &'static str> + Clone + '_ {
+    forms.iter().map(|f| f.key)
+}
+
+fn join<'k>(items: impl Iterator<Item = &'k str>) -> String {
+    items.collect::<Vec<_>>().join(", ")
+}
+
+/// `a or b`, `a, b, or c`.
+fn or_list(items: &[String]) -> String {
+    match items {
+        [init @ .., last] if init.len() > 1 => format!("{}, or {last}", init.join(", ")),
+        _ => items.join(" or "),
+    }
+}
+
+/// `message()` at `s` unless `ok`.
+fn ensure(ok: bool, s: &Spanned, message: impl FnOnce() -> String) -> Result<()> {
+    match ok {
+        true => Ok(()),
+        false => Err(err(s.pos, message())),
+    }
+}
+
+/// Reject entries whose key is not in `known`.
+fn check_keys<'k>(
+    t: &Table,
+    ctx: &str,
+    known: impl Iterator<Item = &'k str> + Clone,
+) -> Result<()> {
     for (k, v) in &t.entries {
-        if !allowed.contains(&k.as_str()) {
-            return Err(err(
-                v.pos,
-                format!(
-                    "unknown key `{k}` in {context} (expected one of: {})",
-                    allowed.join(", ")
-                ),
-            ));
+        let msg = || {
+            format!(
+                "unknown key `{k}` in {ctx} (expected one of: {})",
+                join(known.clone())
+            )
+        };
+        ensure(known.clone().any(|a| a == k), v, msg)?;
+    }
+    Ok(())
+}
+
+/// The *fields* walker: reject keys `rows` does not name (in `context`;
+/// `None` when the table's keys span several tables and the caller
+/// checks them), then set each row's key in row order. A missing
+/// required key is `missing(key)` at `at`.
+fn fields<T>(
+    t: &Table,
+    at: Pos,
+    context: Option<&str>,
+    rows: &[Field<T>],
+    out: &mut T,
+    missing: impl Fn(&str) -> String,
+) -> Result<()> {
+    if let Some(context) = context {
+        check_keys(t, context, keys(rows))?;
+    }
+    for f in rows {
+        match t.get(f.key) {
+            Some(v) => (f.set)(out, v, &format!("`{}`", f.key))?,
+            None if f.required => return Err(err(at, missing(f.key))),
+            None => {}
         }
     }
     Ok(())
 }
 
-fn expect_table<'a>(s: &'a Spanned, what: &str) -> Result<&'a Table, TomlError> {
-    s.value.as_table().ok_or_else(|| {
-        err(
-            s.pos,
-            format!("{what} must be a table, found {}", s.value.kind()),
-        )
-    })
+/// A table literal named `what`, compiled into `out`.
+fn record<T>(v: &Spanned, what: &str, rows: &[Field<T>], mut out: T) -> Result<T> {
+    let missing = |k: &str| format!("{what} needs `{k}`");
+    fields(table(v, what)?, v.pos, Some(what), rows, &mut out, missing)?;
+    Ok(out)
 }
 
-fn expect_str<'a>(s: &'a Spanned, what: &str) -> Result<&'a str, TomlError> {
-    s.value.as_str().ok_or_else(|| {
-        err(
-            s.pos,
-            format!("{what} must be a string, found {}", s.value.kind()),
-        )
-    })
+/// The *one-of* walker: build the single form of `forms` that `t` holds
+/// (returned with its value); `none()` is the error for zero or several.
+fn one_form<'t, T>(
+    t: &'t Table,
+    forms: &[Form<T>],
+    none: impl FnOnce() -> TomlError,
+) -> Result<(T, &'t Spanned)> {
+    let find = |(k, v): &'t (String, Spanned)| Some((forms.iter().find(|f| f.key == k)?, v));
+    let mut present = t.entries.iter().filter_map(find);
+    match (present.next(), present.next()) {
+        (Some((form, v)), None) => Ok(((form.build)(v, &format!("`{}`", form.key))?, v)),
+        _ => Err(none()),
+    }
 }
 
-fn expect_array<'a>(s: &'a Spanned, what: &str) -> Result<&'a [Spanned], TomlError> {
-    s.value.as_array().ok_or_else(|| {
-        err(
-            s.pos,
-            format!("{what} must be an array, found {}", s.value.kind()),
-        )
-    })
+/// A one-of literal named `what`: a table holding exactly one of `forms`.
+fn one_of<T>(v: &Spanned, what: &str, forms: &[Form<T>]) -> Result<T> {
+    let t = table(v, what)?;
+    check_keys(t, what, form_keys(forms))?;
+    let list = join(form_keys(forms));
+    let none = || err(v.pos, format!("{what} needs exactly one of: {list}"));
+    Ok(one_form(t, forms, none)?.0)
 }
 
-fn expect_f64(s: &Spanned, what: &str) -> Result<f64, TomlError> {
-    s.value.as_f64().ok_or_else(|| {
-        err(
-            s.pos,
-            format!("{what} must be a number, found {}", s.value.kind()),
-        )
-    })
+/// A string naming one of `choices` (a `noun` in errors, which list the
+/// choices and then the `other` form the literal also accepts).
+fn choice<T: Clone>(
+    v: &Spanned,
+    what: &str,
+    noun: &str,
+    choices: &[(&str, T)],
+    other: Option<String>,
+) -> Result<T> {
+    let s = string(v, what)?;
+    if let Some((_, x)) = choices.iter().find(|(name, _)| *name == s) {
+        return Ok(x.clone());
+    }
+    let mut names: Vec<String> = choices.iter().map(|(n, _)| format!("{n:?}")).collect();
+    names.extend(other);
+    let msg = format!("unknown {noun} {s:?} (expected {})", or_list(&names));
+    Err(err(v.pos, msg))
+}
+
+// ---- scalar readers; `what` names the value in errors ----
+
+fn expect<'a, T>(
+    s: &'a Spanned,
+    what: &str,
+    ty: &str,
+    get: fn(&'a Value) -> Option<T>,
+) -> Result<T> {
+    let msg = || format!("{what} must be {ty}, found {}", s.value.kind());
+    get(&s.value).ok_or_else(|| err(s.pos, msg()))
+}
+
+fn table<'a>(s: &'a Spanned, what: &str) -> Result<&'a Table> {
+    expect(s, what, "a table", Value::as_table)
+}
+
+fn string<'a>(s: &'a Spanned, what: &str) -> Result<&'a str> {
+    expect(s, what, "a string", Value::as_str)
+}
+
+fn array<'a>(s: &'a Spanned, what: &str) -> Result<&'a [Spanned]> {
+    expect(s, what, "an array", Value::as_array)
+}
+
+fn number(s: &Spanned, what: &str) -> Result<f64> {
+    expect(s, what, "a number", Value::as_f64)
 }
 
 /// A non-negative integer (durations, seeds, counts).
-fn expect_u64(s: &Spanned, what: &str) -> Result<u64, TomlError> {
-    match s.value.as_int() {
-        Some(i) if i >= 0 => Ok(i as u64),
-        Some(i) => Err(err(
-            s.pos,
-            format!("{what} must be non-negative, found {i}"),
-        )),
-        None => Err(err(
-            s.pos,
-            format!("{what} must be an integer, found {}", s.value.kind()),
-        )),
-    }
+fn uint(s: &Spanned, what: &str) -> Result<u64> {
+    let i = expect(s, what, "an integer", Value::as_int)?;
+    u64::try_from(i).map_err(|_| err(s.pos, format!("{what} must be non-negative, found {i}")))
 }
 
-/// A [`expect_u64`] that must also fit `u32` (counts, rates, sizes the
+/// A [`uint`] that must also fit `u32` (counts, rates, sizes the
 /// workload structs carry as `u32`).
-fn expect_u32(s: &Spanned, what: &str) -> Result<u32, TomlError> {
-    let v = expect_u64(s, what)?;
+fn uint32(s: &Spanned, what: &str) -> Result<u32> {
+    let v = uint(s, what)?;
     u32::try_from(v).map_err(|_| err(s.pos, format!("{what} is too large ({v})")))
 }
 
-/// A [`expect_u64`] that must be at least 1 (intervals, chunk lengths —
-/// zero would trip the workload constructors' asserts downstream).
-fn expect_positive(s: &Spanned, what: &str) -> Result<u64, TomlError> {
-    match expect_u64(s, what)? {
-        0 => Err(err(s.pos, format!("{what} must be at least 1"))),
-        v => Ok(v),
-    }
+/// A [`uint`] that must be at least 1 (intervals, chunk lengths,
+/// buffers — zero would trip asserts downstream).
+fn positive(s: &Spanned, what: &str) -> Result<u64> {
+    let v = uint(s, what)?;
+    ensure(v > 0, s, || format!("{what} must be at least 1")).map(|_| v)
+}
+
+fn ms(s: &Spanned, what: &str) -> Result<SimDuration> {
+    uint(s, what).map(SimDuration::from_millis)
+}
+
+fn ms_pos(s: &Spanned, what: &str) -> Result<SimDuration> {
+    positive(s, what).map(SimDuration::from_millis)
+}
+
+fn secs(s: &Spanned, what: &str) -> Result<SimDuration> {
+    uint(s, what).map(SimDuration::from_secs)
 }
 
 /// A probability: finite and in `0..=1` (a negative drop rate or a
 /// `loss_bad = 1.5` must not flow into an impairment wire).
-fn expect_prob(s: &Spanned, what: &str) -> Result<f64, TomlError> {
-    let p = expect_f64(s, what)?;
-    if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-        return Err(err(
-            s.pos,
-            format!("{what} must be a probability in 0..=1, found {p}"),
-        ));
-    }
-    Ok(p)
+fn prob(s: &Spanned, what: &str) -> Result<f64> {
+    let p = number(s, what)?;
+    let msg = || format!("{what} must be a probability in 0..=1, found {p}");
+    ensure(p.is_finite() && (0.0..=1.0).contains(&p), s, msg).map(|_| p)
 }
 
-/// A rate in Mbit/s: finite and non-negative (a negative or NaN rate
-/// would flow into the simulator as nonsense).
-fn expect_rate_mbps(s: &Spanned, what: &str) -> Result<Rate, TomlError> {
-    let mbps = expect_f64(s, what)?;
-    if !mbps.is_finite() || mbps < 0.0 {
-        return Err(err(
-            s.pos,
-            format!("{what} must be a non-negative rate in Mbit/s, found {mbps}"),
-        ));
-    }
-    Ok(Rate::from_mbps(mbps))
+/// A finite number that is not negative; `noun` describes it in errors.
+fn non_negative(s: &Spanned, what: &str, noun: &str) -> Result<f64> {
+    let x = number(s, what)?;
+    let msg = || format!("{what} must be a non-negative {noun}, found {x}");
+    ensure(x.is_finite() && x >= 0.0, s, msg).map(|_| x)
 }
 
-fn compile(root: &Table, scale: Scale) -> Result<Campaign, TomlError> {
-    check_keys(
-        root,
-        "the top level",
-        &["campaign", "base", "axis", "filter", "scale", "telemetry"],
-    )?;
-
-    // [campaign] name = "…"
-    let meta = root
-        .get("campaign")
-        .ok_or_else(|| err(root.pos, "missing [campaign] table"))?;
-    let meta_t = expect_table(meta, "[campaign]")?;
-    check_keys(meta_t, "[campaign]", &["name"])?;
-    let name = expect_str(
-        meta_t
-            .get("name")
-            .ok_or_else(|| err(meta.pos, "[campaign] needs a `name`"))?,
-        "campaign name",
-    )?
-    .to_string();
-
-    // [base] + the [scale.<scale>] override, applied in file order.
-    let mut base = ScenarioSpec::single(Scheme::Abc, LinkSpec::Constant(Rate::ZERO));
-    if let Some(b) = root.get("base") {
-        apply_settings(&mut base, expect_table(b, "[base]")?, "[base]")?;
-    }
-    if let Some(s) = root.get("scale") {
-        let s_t = expect_table(s, "[scale]")?;
-        check_keys(s_t, "[scale]", &["full", "fast", "tiny"])?;
-        let key = match scale {
-            Scale::Full => "full",
-            Scale::Fast => "fast",
-            Scale::Tiny => "tiny",
-        };
-        if let Some(over) = s_t.get(key) {
-            let ctx = format!("[scale.{key}]");
-            apply_settings(&mut base, expect_table(over, &ctx)?, &ctx)?;
-        }
-    }
-
-    let mut campaign = Campaign::new(name, base);
-
-    // [[axis]] …
-    if let Some(axes) = root.get("axis") {
-        for a in expect_array(axes, "[[axis]]")? {
-            let axis = compile_axis(expect_table(a, "[[axis]]")?, a.pos)?;
-            if campaign.axes.iter().any(|x| x.name == axis.name) {
-                return Err(err(a.pos, format!("duplicate axis `{}`", axis.name)));
-            }
-            campaign.axes.push(axis);
-        }
-    }
-
-    // [[filter]] …
-    if let Some(filters) = root.get("filter") {
-        let axis_names: Vec<String> = campaign.axes.iter().map(|a| a.name.clone()).collect();
-        for f in expect_array(filters, "[[filter]]")? {
-            campaign.filters.push(compile_filter(
-                expect_table(f, "[[filter]]")?,
-                f.pos,
-                &axis_names,
-            )?);
-        }
-    }
-
-    // [telemetry] — attach a sidecar config to every expanded point.
-    if let Some(t) = root.get("telemetry") {
-        let t_t = expect_table(t, "[telemetry]")?;
-        check_keys(t_t, "[telemetry]", &["signals", "sample_every_ms"])?;
-        let mut cfg = match t_t.get("signals") {
-            Some(s) => {
-                let mut names = Vec::new();
-                for item in expect_array(s, "telemetry signals")? {
-                    names.push((expect_str(item, "a telemetry signal")?, item.pos));
-                }
-                let mut signals = Vec::with_capacity(names.len());
-                for (name, pos) in names {
-                    match netsim::telemetry::Signal::from_name(name) {
-                        Some(sig) => signals.push(sig),
-                        None => {
-                            let catalog: Vec<&str> = netsim::telemetry::Signal::ALL
-                                .iter()
-                                .map(|s| s.name())
-                                .collect();
-                            return Err(err(
-                                pos,
-                                format!(
-                                    "unknown telemetry signal `{name}` (expected one of: {})",
-                                    catalog.join(", ")
-                                ),
-                            ));
-                        }
-                    }
-                }
-                netsim::telemetry::TelemetryConfig {
-                    signals,
-                    ..Default::default()
-                }
-            }
-            None => netsim::telemetry::TelemetryConfig::default(),
-        };
-        if let Some(ms) = t_t.get("sample_every_ms") {
-            let ms = expect_positive(ms, "telemetry sample_every_ms")?;
-            cfg = cfg.with_sample_every(SimDuration::from_millis(ms));
-        }
-        campaign.telemetry = Some(cfg);
-    }
-
-    Ok(campaign)
+/// A rate in Mbit/s (a negative or NaN rate would flow into the
+/// simulator as nonsense).
+fn mbps(s: &Spanned, what: &str) -> Result<Rate> {
+    non_negative(s, what, "rate in Mbit/s").map(Rate::from_mbps)
 }
 
-/// The scenario-parameter keys `[base]`, `[scale.*]`, and axis values
-/// share. Each maps to one [`AxisValue`] write.
-const SETTING_KEYS: &[&str] = &[
-    "scheme",
-    "link",
-    "topology",
-    "qdisc",
-    "rtt_ms",
-    "buffer_pkts",
-    "duration_s",
-    "warmup_s",
-    "seed",
-    "flows",
-    "workloads",
-    "timer_slot_shift",
-    "impairments",
-    "inject_fault",
+/// A scheme by its display name (`ABC`, `Cubic+Codel`, `ABC_50`, …),
+/// case-insensitively.
+fn scheme(v: &Spanned, what: &str) -> Result<Scheme> {
+    let s = string(v, what)?;
+    let msg = || format!("unknown scheme {s:?} (try ABC, Cubic, Cubic+Codel, BBR, …)");
+    Scheme::from_name(s).ok_or_else(|| err(v.pos, msg()))
+}
+
+fn trace(v: &Spanned, what: &str) -> Result<cellular::CellTrace> {
+    let name = string(v, what)?;
+    let msg = || format!("unknown built-in trace {name:?} (try Verizon1)");
+    cellular::builtin(name).ok_or_else(|| err(v.pos, msg()))
+}
+
+fn mcs_index(s: &Spanned, what: &str) -> Result<u8> {
+    let i = s.value.as_int().filter(|i| (0..=7).contains(i));
+    i.map(|i| i as u8)
+        .ok_or_else(|| err(s.pos, format!("{what} must be an MCS index in 0..=7")))
+}
+
+// ---- the top level ----
+
+/// The `[scale.*]` override tables.
+const SCALES: [(&str, Scale); 3] = [
+    ("full", Scale::Full),
+    ("fast", Scale::Fast),
+    ("tiny", Scale::Tiny),
 ];
 
-fn apply_settings(spec: &mut ScenarioSpec, t: &Table, context: &str) -> Result<(), TomlError> {
-    check_keys(t, context, SETTING_KEYS)?;
+#[rustfmt::skip]
+static TOP: &[Field<(Scale, Campaign)>] = &[
+    req("campaign", |(_, c), v, _| {
+        static CAMPAIGN: &[Field<String>] =
+            &[req("name", |n, v, _| string(v, "campaign name").map(|s| *n = s.into()))];
+        let missing = |k: &str| format!("[campaign] needs a `{k}`");
+        fields(table(v, "[campaign]")?, v.pos, Some("[campaign]"), CAMPAIGN, &mut c.name, missing)
+    }),
+    opt("base", |(_, c), v, _| apply_settings(&mut c.base, v, "[base]")),
+    opt("axis", |(_, c), v, _| {
+        for a in array(v, "[[axis]]")? {
+            let axis = compile_axis(a)?;
+            let unique = c.axes.iter().all(|x| x.name != axis.name);
+            ensure(unique, a, || format!("duplicate axis `{}`", axis.name))?;
+            c.axes.push(axis);
+        }
+        Ok(())
+    }),
+    opt("filter", |(_, c), v, _| {
+        let axes: Vec<String> = c.axes.iter().map(|a| a.name.clone()).collect();
+        c.filters = each(v, "[[filter]]", |f| compile_filter(f, axes.clone()))?;
+        Ok(())
+    }),
+    opt("scale", |(scale, c), v, _| {
+        let t = table(v, "[scale]")?;
+        check_keys(t, "[scale]", SCALES.iter().map(|s| s.0))?;
+        let (key, _) = SCALES.iter().find(|s| s.1 == *scale).expect("every scale has a key");
+        let over = |over| apply_settings(&mut c.base, over, &format!("[scale.{key}]"));
+        t.get(key).map_or(Ok(()), over)
+    }),
+    // a sidecar config attached to every expanded point
+    opt("telemetry", |(_, c), v, _| {
+        let cfg = record(v, "[telemetry]", TELEMETRY, TelemetryConfig::default())?;
+        c.telemetry = Some(cfg);
+        Ok(())
+    }),
+];
+
+#[rustfmt::skip]
+static TELEMETRY: &[Field<TelemetryConfig>] = &[
+    opt("signals", |cfg, v, _| {
+        let name = |x: &Spanned| Ok((string(x, "a telemetry signal")?.to_string(), x.pos));
+        let names = each(v, "telemetry signals", name)?;
+        let catalog = join(Signal::ALL.iter().map(|s| s.name()));
+        let msg = |n: &str| format!("unknown telemetry signal `{n}` (expected one of: {catalog})");
+        let signal =
+            |(n, pos): (String, Pos)| Signal::from_name(&n).ok_or_else(|| err(pos, msg(&n)));
+        cfg.signals = names.into_iter().map(signal).collect::<Result<_>>()?;
+        Ok(())
+    }),
+    opt("sample_every_ms", |cfg, v, _| {
+        ms_pos(v, "telemetry sample_every_ms").map(|d| cfg.sample_every = d)
+    }),
+];
+
+// ---- scenario settings: [base], [scale.*] and [[axis.values]] ----
+
+/// Every scenario setting, in the order errors list them; each builds
+/// the [`AxisValue`] it writes.
+#[rustfmt::skip]
+pub static SETTINGS: &[Form<AxisValue>] = &[
+    Form { key: "scheme", ty: "string", build: |v, w| scheme(v, w).map(AxisValue::Scheme),
+        doc: "scheme display name: `ABC`, `Cubic`, `Cubic+Codel`, `Cubic+PIE`, `NewReno`, `Vegas`, `BBR`, `Copa`, `PCC`, `Sprout`, `Verus`, `XCP`, `XCPw`, `RCP`, `VCP`, `ABC-noAI`, `ABC-enq`, or `ABC_<ms>` (non-default delay threshold). Case-insensitive; `-`/`_`/`+` are interchangeable, and `abcsim`'s aliases (`codel`, `reno`, `abc-dt50`, …) work too — both CLIs resolve names through `Scheme::from_name`" },
+    Form { key: "link", ty: "link literal", build: |v, _| link(v).map(AxisValue::Link),
+        doc: "shorthand for a single-bottleneck topology over this link" },
+    Form { key: "topology", ty: "topology literal",
+        build: |v, _| one_of(v, "a topology literal", TOPOLOGY).map(AxisValue::Topology),
+        doc: "multi-hop paths (see below)" },
+    Form { key: "qdisc", ty: "string or qdisc literal",
+        build: |v, _| {
+            let names =
+                [("scheme-default", QdiscSpec::SchemeDefault), ("droptail", QdiscSpec::DropTail)];
+            qdisc(v, "qdisc", "a qdisc literal", &names, QdiscSpec::AbcWith).map(AxisValue::Qdisc)
+        },
+        doc: "`\"scheme-default\"` (the scheme's own qdisc), `\"droptail\"`, or an `{ abc = { … } }` router-config table (see below)" },
+    Form { key: "rtt_ms", ty: "integer", build: |v, w| uint(v, w).map(AxisValue::RttMs),
+        doc: "path round-trip propagation delay" },
+    Form { key: "buffer_pkts", ty: "integer ≥ 1",
+        build: |v, w| positive(v, w).map(|n| AxisValue::BufferPkts(n as usize)),
+        doc: "bottleneck buffer" },
+    Form { key: "duration_s", ty: "integer", build: |v, w| uint(v, w).map(AxisValue::DurationSecs),
+        doc: "simulated seconds" },
+    Form { key: "warmup_s", ty: "integer", build: |v, w| uint(v, w).map(AxisValue::WarmupSecs),
+        doc: "measurements before this offset are discarded" },
+    Form { key: "seed", ty: "integer ≥ 0", build: |v, w| uint(v, w).map(AxisValue::Seed),
+        doc: "fixes every stochastic choice" },
+    Form { key: "flows", ty: "integer or flow table",
+        build: |v, w| flows(v, w).map(AxisValue::Flows),
+        doc: "`n` backlogged flows of the spec's scheme; `0` means no bulk flows (workloads-only scenarios). The table form `{ count = 8, stagger_ms = 500, stagger_departures = true }` staggers flow starts (and, optionally, stops) by `stagger_ms`" },
+    Form { key: "workloads", ty: "array of workload entries",
+        build: |v, w| each(v, w, workload).map(AxisValue::Workloads),
+        doc: "application-layer traffic (see below)" },
+    Form { key: "timer_slot_shift", ty: "integer 10–26",
+        build: |v, w| {
+            let shift = uint32(v, w)?;
+            let (lo, hi) = netsim::event::SLOT_SHIFT_RANGE.into_inner();
+            let msg =
+                || format!("{w} must be in {lo}..={hi} (log2 ns per wheel slot), found {shift}");
+            ensure((lo..=hi).contains(&shift), v, msg)?;
+            Ok(AxisValue::TimerSlotShift(shift))
+        },
+        doc: "log₂ nanoseconds per timer-wheel slot — a pure performance knob for dense (≥1k-flow) runs; outputs are bit-identical at any setting" },
+    Form { key: "impairments", ty: "array of impairment literals",
+        build: |v, w| each(v, w, impairment).map(AxisValue::Impairments),
+        doc: "adversarial middleboxes spliced into the path (see below); an empty array is the unimpaired scenario, byte for byte" },
+    Form { key: "inject_fault", ty: "string",
+        build: |v, w| {
+            let faults = [Some(InjectedFault::Panic), Some(InjectedFault::Stall), None];
+            let names = faults.map(|f| (f.map_or("none", InjectedFault::name), f));
+            choice(v, w, "fault", &names, None).map(AxisValue::Fault)
+        },
+        doc: "`\"panic\"`, `\"stall\"`, or `\"none\"` — a deliberate fault for exercising the runner's panic isolation and watchdog (testing only)" },
+];
+
+/// Compile one scenario setting to the [`AxisValue`] it writes.
+fn setting(key: &str, v: &Spanned) -> Result<AxisValue> {
+    let Some(s) = SETTINGS.iter().find(|s| s.key == key) else {
+        let all = join(form_keys(SETTINGS));
+        return Err(err(
+            v.pos,
+            format!("unknown setting `{key}` (expected one of: {all})"),
+        ));
+    };
+    (s.build)(v, &format!("`{key}`"))
+}
+
+/// Apply a settings table (`[base]` or `[scale.*]`) to `spec`, in file
+/// order.
+fn apply_settings(spec: &mut ScenarioSpec, v: &Spanned, context: &str) -> Result<()> {
+    let t = table(v, context)?;
+    check_keys(t, context, form_keys(SETTINGS))?;
     for (key, v) in &t.entries {
         setting(key, v)?.apply(spec);
     }
     Ok(())
 }
 
-/// One scenario-parameter write, as the [`AxisValue`] it denotes.
-fn setting(key: &str, v: &Spanned) -> Result<AxisValue, TomlError> {
-    Ok(match key {
-        "scheme" => AxisValue::Scheme(scheme(v)?),
-        "link" => AxisValue::Link(link_spec(v)?),
-        "topology" => AxisValue::Topology(topology(v)?),
-        "qdisc" => AxisValue::Qdisc(qdisc(v)?),
-        "rtt_ms" => AxisValue::RttMs(expect_u64(v, "`rtt_ms`")?),
-        "buffer_pkts" => AxisValue::BufferPkts(expect_u64(v, "`buffer_pkts`")? as usize),
-        "duration_s" => AxisValue::DurationSecs(expect_u64(v, "`duration_s`")?),
-        "warmup_s" => AxisValue::WarmupSecs(expect_u64(v, "`warmup_s`")?),
-        "seed" => AxisValue::Seed(expect_u64(v, "`seed`")?),
-        "flows" => AxisValue::Flows(flow_schedule(v)?),
-        "timer_slot_shift" => {
-            let shift = expect_u32(v, "`timer_slot_shift`")?;
-            if !netsim::event::SLOT_SHIFT_RANGE.contains(&shift) {
-                return Err(err(
-                    v.pos,
-                    format!(
-                        "`timer_slot_shift` must be in {}..={} (log2 ns per wheel slot), found {shift}",
-                        netsim::event::SLOT_SHIFT_RANGE.start(),
-                        netsim::event::SLOT_SHIFT_RANGE.end()
-                    ),
-                ));
-            }
-            AxisValue::TimerSlotShift(shift)
-        }
-        "workloads" => {
-            let entries = expect_array(v, "`workloads`")?
-                .iter()
-                .map(workload_entry)
-                .collect::<Result<Vec<_>, _>>()?;
-            AxisValue::Workloads(entries)
-        }
-        "impairments" => {
-            let imps = expect_array(v, "`impairments`")?
-                .iter()
-                .map(impairment)
-                .collect::<Result<Vec<_>, _>>()?;
-            AxisValue::Impairments(imps)
-        }
-        "inject_fault" => {
-            let s = expect_str(v, "`inject_fault`")?;
-            match InjectedFault::from_name(s) {
-                Some(f) => AxisValue::Fault(Some(f)),
-                None if s == "none" => AxisValue::Fault(None),
-                None => {
-                    return Err(err(
-                        v.pos,
-                        format!("unknown fault {s:?} (expected \"panic\", \"stall\", or \"none\")"),
-                    ))
-                }
-            }
-        }
-        other => return Err(err(v.pos, format!("unknown setting `{other}`"))),
-    })
-}
+#[rustfmt::skip]
+static FLOWS: &[Field<(u32, SimDuration, bool)>] = &[
+    req("count", |s, v, w| {
+        s.0 = uint32(v, w)?;
+        ensure(s.0 > 0, v, || format!("{w} must be at least 1 (use `flows = 0` for no flows)"))
+    }),
+    opt("stagger_ms",         |s, v, w| ms(v, w).map(|d| s.1 = d)),
+    opt("stagger_departures", |s, v, w| expect(v, w, "a boolean", Value::as_bool).map(|b| s.2 = b)),
+];
 
-/// One impairment literal: a `kind` plus its parameters, with optional
-/// `direction` (`"data"`/`"ack"`, default data) and `hop` (default 0) —
-/// e.g. `{ kind = "drop", p = 0.01 }`,
-/// `{ kind = "gilbert-elliott", p_good_bad = 0.01, p_bad_good = 0.3,
-///    loss_good = 0.0, loss_bad = 0.5 }`,
-/// `{ kind = "outage", start_ms = 3000, duration_ms = 200,
-///    period_ms = 5000 }` (periodic flap; omit `period_ms` for one
-/// outage), or `{ kind = "decimate", keep_one_in = 4, direction = "ack" }`.
-fn impairment(v: &Spanned) -> Result<ImpairmentSpec, TomlError> {
-    let t = expect_table(v, "an impairment")?;
-    let kind_field = t
-        .get("kind")
-        .ok_or_else(|| err(v.pos, "an impairment needs a `kind`"))?;
-    let kind_name = expect_str(kind_field, "impairment `kind`")?;
-    let direction = match t.get("direction") {
-        Some(d) => match expect_str(d, "`direction`")? {
-            "data" => Direction::Data,
-            "ack" => Direction::Ack,
-            other => {
-                return Err(err(
-                    d.pos,
-                    format!("unknown direction {other:?} (expected \"data\" or \"ack\")"),
-                ))
-            }
-        },
-        None => Direction::Data,
-    };
-    let hop = match t.get("hop") {
-        Some(h) => expect_u64(h, "`hop`")? as usize,
-        None => 0,
-    };
-    let field = |k: &str| -> Result<&Spanned, TomlError> {
-        t.get(k)
-            .ok_or_else(|| err(v.pos, format!("impairment kind {kind_name:?} needs `{k}`")))
-    };
-    const COMMON: [&str; 3] = ["kind", "direction", "hop"];
-    let keys = |extra: &[&'static str]| -> Vec<&'static str> {
-        COMMON.iter().chain(extra).copied().collect()
-    };
-    let kind = match kind_name {
-        "drop" => {
-            check_keys(t, "a `drop` impairment", &keys(&["p"]))?;
-            ImpairmentKind::Drop {
-                p: expect_prob(field("p")?, "`p`")?,
-            }
-        }
-        "bleach-ecn" => {
-            check_keys(t, "a `bleach-ecn` impairment", &keys(&["p"]))?;
-            ImpairmentKind::BleachEcn {
-                p: expect_prob(field("p")?, "`p`")?,
-            }
-        }
-        "strip-feedback" => {
-            check_keys(t, "a `strip-feedback` impairment", &keys(&["p"]))?;
-            ImpairmentKind::StripFeedback {
-                p: expect_prob(field("p")?, "`p`")?,
-            }
-        }
-        "gilbert-elliott" => {
-            check_keys(
-                t,
-                "a `gilbert-elliott` impairment",
-                &keys(&["p_good_bad", "p_bad_good", "loss_good", "loss_bad"]),
-            )?;
-            ImpairmentKind::GilbertElliott {
-                p_good_bad: expect_prob(field("p_good_bad")?, "`p_good_bad`")?,
-                p_bad_good: expect_prob(field("p_bad_good")?, "`p_bad_good`")?,
-                loss_good: expect_prob(field("loss_good")?, "`loss_good`")?,
-                loss_bad: expect_prob(field("loss_bad")?, "`loss_bad`")?,
-            }
-        }
-        "reorder" => {
-            check_keys(t, "a `reorder` impairment", &keys(&["p", "hold_ms"]))?;
-            ImpairmentKind::Reorder {
-                p: expect_prob(field("p")?, "`p`")?,
-                hold: SimDuration::from_millis(expect_positive(field("hold_ms")?, "`hold_ms`")?),
-            }
-        }
-        "jitter" => {
-            check_keys(t, "a `jitter` impairment", &keys(&["max_ms"]))?;
-            ImpairmentKind::Jitter {
-                max: SimDuration::from_millis(expect_positive(field("max_ms")?, "`max_ms`")?),
-            }
-        }
-        "outage" => {
-            check_keys(
-                t,
-                "an `outage` impairment",
-                &keys(&["start_ms", "duration_ms", "period_ms"]),
-            )?;
-            ImpairmentKind::Outage {
-                start: SimDuration::from_millis(expect_u64(field("start_ms")?, "`start_ms`")?),
-                duration: SimDuration::from_millis(expect_positive(
-                    field("duration_ms")?,
-                    "`duration_ms`",
-                )?),
-                period: t
-                    .get("period_ms")
-                    .map(|p| expect_positive(p, "`period_ms`").map(SimDuration::from_millis))
-                    .transpose()?,
-            }
-        }
-        "decimate" => {
-            check_keys(t, "a `decimate` impairment", &keys(&["keep_one_in"]))?;
-            ImpairmentKind::Decimate {
-                keep_one_in: expect_positive(field("keep_one_in")?, "`keep_one_in`")?,
-            }
-        }
-        other => {
-            return Err(err(
-                kind_field.pos,
-                format!(
-                    "unknown impairment kind {other:?} (expected one of: drop, bleach-ecn, \
-                     strip-feedback, gilbert-elliott, reorder, jitter, outage, decimate)"
-                ),
-            ))
-        }
-    };
-    let spec = ImpairmentSpec {
-        kind,
-        direction,
-        hop,
-    };
-    // The schema checks above should leave nothing for validate() to
-    // reject, but route it anyway: the wire constructor panics on
-    // invalid specs, and a file error must never panic the CLI.
-    spec.validate().map_err(|m| err(v.pos, m))?;
-    Ok(spec)
-}
-
-/// A scheme by its display name (`ABC`, `Cubic+Codel`, `ABC_50`, …),
-/// case-insensitively.
-fn scheme(v: &Spanned) -> Result<Scheme, TomlError> {
-    let s = expect_str(v, "`scheme`")?;
-    parse_scheme(s).ok_or_else(|| {
-        err(
-            v.pos,
-            format!("unknown scheme {s:?} (try ABC, Cubic, Cubic+Codel, BBR, …)"),
-        )
-    })
-}
-
-/// Parse a scheme name as [`Scheme::name`] renders it (or any alias
-/// [`Scheme::from_name`] knows). Kept as a re-exportable alias so the
-/// file layer and `abcsim` cannot drift apart.
-pub fn parse_scheme(s: &str) -> Option<Scheme> {
-    Scheme::from_name(s)
-}
-
-/// A flow-schedule literal. Two forms:
-///
-/// * an integer — `0` means "no campaign-managed flows" (workload-only
-///   scenarios), `n` means `n` backlogged flows all starting at 0;
-/// * a table `{ count = n, stagger_ms = 500, stagger_departures = true }`
-///   — `n` backlogged flows, flow `i` starting at `i × stagger_ms`;
-///   with `stagger_departures`, flows also stop one by one (Fig. 3's
-///   joins and leaves). Both stagger keys are optional.
-fn flow_schedule(v: &Spanned) -> Result<FlowSchedule, TomlError> {
+/// A flow schedule: an integer (`0` is no campaign-managed flows, `n`
+/// is `n` backlogged flows all starting at 0) or a table
+/// `{ count = n, stagger_ms = 500, stagger_departures = true }` — flow
+/// `i` starts at `i × stagger_ms`, and with `stagger_departures` they
+/// also stop one by one (Fig. 3's joins and leaves).
+fn flows(v: &Spanned, what: &str) -> Result<FlowSchedule> {
     if v.value.as_int().is_some() {
-        let n = expect_u64(v, "`flows`")?;
-        return Ok(if n == 0 {
-            FlowSchedule::Explicit(Vec::new())
-        } else {
-            let n =
-                u32::try_from(n).map_err(|_| err(v.pos, format!("`flows` is too large ({n})")))?;
-            FlowSchedule::backlogged(n)
+        return Ok(match uint32(v, what)? {
+            0 => FlowSchedule::Explicit(Vec::new()),
+            n => FlowSchedule::backlogged(n),
         });
     }
-    let t = expect_table(v, "`flows`")
-        .map_err(|_| err(v.pos, format!("`flows` must be an integer count or a table like {{ count = 8, stagger_ms = 500 }}, found {}", v.value.kind())))?;
-    check_keys(t, "`flows`", &["count", "stagger_ms", "stagger_departures"])?;
-    let count_field = t
-        .get("count")
-        .ok_or_else(|| err(v.pos, "`flows` table needs a `count`"))?;
-    let n = expect_u32(count_field, "`count`")?;
-    if n == 0 {
-        return Err(err(
-            count_field.pos,
-            "`count` must be at least 1 (use `flows = 0` for no flows)",
-        ));
-    }
-    let stagger = match t.get("stagger_ms") {
-        Some(s) => SimDuration::from_millis(expect_u64(s, "`stagger_ms`")?),
-        None => SimDuration::ZERO,
+    let Some(t) = v.value.as_table() else {
+        let found = v.value.kind();
+        let msg = format!("{what} must be an integer count or a table like {{ count = 8, stagger_ms = 500 }}, found {found}");
+        return Err(err(v.pos, msg));
     };
-    let stagger_departures = match t.get("stagger_departures") {
-        Some(s) => s.value.as_bool().ok_or_else(|| {
-            err(
-                s.pos,
-                format!(
-                    "`stagger_departures` must be a boolean, found {}",
-                    s.value.kind()
-                ),
-            )
-        })?,
-        None => false,
-    };
-    if stagger_departures && stagger.is_zero() {
-        return Err(err(
-            v.pos,
-            "`stagger_departures` needs a non-zero `stagger_ms`",
-        ));
-    }
+    let mut s = (0, SimDuration::ZERO, false);
+    fields(t, v.pos, Some(what), FLOWS, &mut s, |k| {
+        format!("{what} table needs a `{k}`")
+    })?;
+    let (n, stagger, stagger_departures) = s;
+    let msg = || "`stagger_departures` needs a non-zero `stagger_ms`".to_string();
+    ensure(!stagger_departures || !stagger.is_zero(), v, msg)?;
+    let app = netsim::flow::TrafficSource::Backlogged;
     Ok(FlowSchedule::Uniform {
         n,
-        app: netsim::flow::TrafficSource::Backlogged,
+        app,
         stagger,
         stagger_departures,
     })
 }
 
-/// A link literal:
-/// `{ constant_mbps = 12.0 }`, `{ trace = "Verizon1" }`,
-/// `{ square = { a_mbps = 12.0, b_mbps = 24.0, half_period_ms = 500 } }`,
-/// or `{ steps = [[0.0, 6.0], [1.5, 18.0]] }` (seconds, Mbit/s).
-fn link_spec(v: &Spanned) -> Result<LinkSpec, TomlError> {
-    let t = expect_table(v, "a link literal")?;
-    check_keys(
-        t,
-        "a link literal",
-        &["constant_mbps", "trace", "square", "steps"],
-    )?;
-    if t.entries.len() != 1 {
-        return Err(err(
-            v.pos,
-            "a link literal needs exactly one of: constant_mbps, trace, square, steps",
-        ));
-    }
-    let (key, val) = &t.entries[0];
-    Ok(match key.as_str() {
-        "constant_mbps" => LinkSpec::Constant(expect_rate_mbps(val, "`constant_mbps`")?),
-        "trace" => {
-            let name = expect_str(val, "`trace`")?;
-            let trace = cellular::builtin(name).ok_or_else(|| {
-                err(
-                    val.pos,
-                    format!("unknown built-in trace {name:?} (try Verizon1)"),
-                )
-            })?;
-            LinkSpec::Trace(trace)
-        }
-        "square" => {
-            let sq = expect_table(val, "`square`")?;
-            check_keys(sq, "`square`", &["a_mbps", "b_mbps", "half_period_ms"])?;
-            let field = |k: &str| -> Result<&Spanned, TomlError> {
-                sq.get(k)
-                    .ok_or_else(|| err(val.pos, format!("`square` needs `{k}`")))
-            };
-            LinkSpec::Square {
-                a: expect_rate_mbps(field("a_mbps")?, "`a_mbps`")?,
-                b: expect_rate_mbps(field("b_mbps")?, "`b_mbps`")?,
-                half_period: SimDuration::from_millis(expect_positive(
-                    field("half_period_ms")?,
-                    "`half_period_ms`",
-                )?),
-            }
-        }
-        "steps" => {
-            let steps = expect_array(val, "`steps`")?
-                .iter()
-                .map(|p| {
-                    let pair = expect_array(p, "a step")?;
-                    if pair.len() != 2 {
-                        return Err(err(p.pos, "a step is a [seconds, mbps] pair"));
-                    }
-                    let t_s = expect_f64(&pair[0], "step time")?;
-                    let rate = expect_rate_mbps(&pair[1], "step rate")?;
-                    if !t_s.is_finite() || t_s < 0.0 {
-                        return Err(err(pair[0].pos, "step time must be non-negative"));
-                    }
-                    Ok((SimTime::from_secs_f64(t_s), rate))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            if steps.is_empty() {
-                return Err(err(val.pos, "`steps` must not be empty"));
-            }
-            if steps.windows(2).any(|w| w[0].0 > w[1].0) {
-                return Err(err(val.pos, "`steps` times must be non-decreasing"));
-            }
-            LinkSpec::Steps(steps)
-        }
-        _ => unreachable!("key list checked above"),
-    })
+// ---- links, topologies and qdiscs ----
+
+/// The placeholder a required link key overwrites.
+const NO_LINK: LinkSpec = LinkSpec::Constant(Rate::ZERO);
+
+fn link(v: &Spanned) -> Result<LinkSpec> {
+    one_of(v, "a link literal", LINK)
 }
 
-/// A topology literal: `{ single = <link> }`,
-/// `{ two_hop = { up = <link>, down = <link> } }`,
-/// `{ mixed_path = { wireless = <link>, wired_mbps = 12.0 } }`,
-/// `{ wifi = { mcs = <mcs>, ap_buffer_pkts = 100 } }`,
-/// `{ parking_lot = [<hop>, …] }` (1–8 hops), or
-/// `{ asymmetric = { down = <link>, up = <link>, down_delay_ms = 40,
-/// up_delay_ms = 10 } }`.
-fn topology(v: &Spanned) -> Result<Topology, TomlError> {
-    let t = expect_table(v, "a topology literal")?;
-    check_keys(
-        t,
-        "a topology literal",
-        &[
-            "single",
-            "two_hop",
-            "mixed_path",
-            "wifi",
-            "parking_lot",
-            "asymmetric",
-        ],
-    )?;
-    if t.entries.len() != 1 {
-        return Err(err(
-            v.pos,
-            "a topology literal needs exactly one of: single, two_hop, mixed_path, \
-             wifi, parking_lot, asymmetric",
-        ));
-    }
-    let (key, val) = &t.entries[0];
-    Ok(match key.as_str() {
-        "single" => Topology::SingleBottleneck(link_spec(val)?),
-        "two_hop" => {
-            let h = expect_table(val, "`two_hop`")?;
-            check_keys(h, "`two_hop`", &["up", "down"])?;
-            let field = |k: &str| -> Result<&Spanned, TomlError> {
-                h.get(k)
-                    .ok_or_else(|| err(val.pos, format!("`two_hop` needs `{k}`")))
+#[rustfmt::skip]
+static LINK: &[Form<LinkSpec>] = &[
+    form("constant_mbps", |v, w| mbps(v, w).map(LinkSpec::Constant)),
+    form("trace",         |v, w| trace(v, w).map(LinkSpec::Trace)),
+    form("square", |v, w| {
+        static SQUARE: &[Field<(Rate, Rate, SimDuration)>] = &[
+            req("a_mbps",         |s, v, w| mbps(v, w).map(|r| s.0 = r)),
+            req("b_mbps",         |s, v, w| mbps(v, w).map(|r| s.1 = r)),
+            req("half_period_ms", |s, v, w| ms_pos(v, w).map(|d| s.2 = d)),
+        ];
+        let (a, b, half_period) = record(v, w, SQUARE, Default::default())?;
+        Ok(LinkSpec::Square { a, b, half_period })
+    }),
+    // `[[seconds, mbps], …]` breakpoints
+    form("steps", |v, w| {
+        let steps = each(v, w, |p| {
+            let [time, rate] = array(p, "a step")? else {
+                return Err(err(p.pos, "a step is a [seconds, mbps] pair"));
             };
-            Topology::TwoHop {
-                up: link_spec(field("up")?)?,
-                down: link_spec(field("down")?)?,
-            }
-        }
-        "mixed_path" => {
-            let h = expect_table(val, "`mixed_path`")?;
-            check_keys(h, "`mixed_path`", &["wireless", "wired_mbps"])?;
-            let field = |k: &str| -> Result<&Spanned, TomlError> {
-                h.get(k)
-                    .ok_or_else(|| err(val.pos, format!("`mixed_path` needs `{k}`")))
-            };
-            Topology::MixedPath {
-                wireless: link_spec(field("wireless")?)?,
-                wired: expect_rate_mbps(field("wired_mbps")?, "`wired_mbps`")?,
-            }
-        }
-        "wifi" => {
-            let h = expect_table(val, "`wifi`")?;
-            check_keys(h, "`wifi`", &["mcs", "ap_buffer_pkts"])?;
-            let mcs = h
-                .get("mcs")
-                .ok_or_else(|| err(val.pos, "`wifi` needs `mcs`"))?;
-            let buf = h
-                .get("ap_buffer_pkts")
-                .ok_or_else(|| err(val.pos, "`wifi` needs `ap_buffer_pkts`"))?;
-            Topology::Wifi {
-                mcs: mcs_spec(mcs)?,
-                ap_buffer_pkts: expect_positive(buf, "`ap_buffer_pkts`")? as usize,
-            }
-        }
-        "parking_lot" => {
-            let hops = expect_array(val, "`parking_lot`")?
-                .iter()
-                .map(parking_hop)
-                .collect::<Result<Vec<_>, _>>()?;
-            if hops.is_empty() || hops.len() > 8 {
-                return Err(err(
-                    val.pos,
-                    format!("`parking_lot` needs 1–8 hops, found {}", hops.len()),
-                ));
-            }
-            Topology::ParkingLot { hops }
-        }
-        "asymmetric" => {
-            let h = expect_table(val, "`asymmetric`")?;
-            check_keys(
-                h,
-                "`asymmetric`",
-                &["down", "up", "down_delay_ms", "up_delay_ms"],
-            )?;
-            let field = |k: &str| -> Result<&Spanned, TomlError> {
-                h.get(k)
-                    .ok_or_else(|| err(val.pos, format!("`asymmetric` needs `{k}`")))
-            };
-            Topology::Asymmetric {
-                down: link_spec(field("down")?)?,
-                up: link_spec(field("up")?)?,
-                down_delay: SimDuration::from_millis(expect_positive(
-                    field("down_delay_ms")?,
-                    "`down_delay_ms`",
-                )?),
-                up_delay: SimDuration::from_millis(expect_positive(
-                    field("up_delay_ms")?,
-                    "`up_delay_ms`",
-                )?),
-            }
-        }
-        _ => unreachable!("key list checked above"),
-    })
-}
+            let (t_s, rate) = (number(time, "step time")?, mbps(rate, "step rate")?);
+            let msg = || "step time must be non-negative".to_string();
+            ensure(t_s.is_finite() && t_s >= 0.0, time, msg)?;
+            Ok((SimTime::from_secs_f64(t_s), rate))
+        })?;
+        ensure(!steps.is_empty(), v, || format!("{w} must not be empty"))?;
+        let sorted = steps.windows(2).all(|p| p[0].0 <= p[1].0);
+        ensure(sorted, v, || format!("{w} times must be non-decreasing"))?;
+        Ok(LinkSpec::Steps(steps))
+    }),
+];
 
-/// An MCS-process literal: `{ fixed = 5 }`,
-/// `{ alternating = { a = 3, b = 7, period_ms = 500 } }`, or
-/// `{ brownian = { min = 1, max = 7, period_ms = 100, seed = 7 } }`.
-fn mcs_spec(v: &Spanned) -> Result<McsSpec, TomlError> {
-    let t = expect_table(v, "an mcs literal")?;
-    check_keys(t, "an mcs literal", &["fixed", "alternating", "brownian"])?;
-    if t.entries.len() != 1 {
-        return Err(err(
-            v.pos,
-            "an mcs literal needs exactly one of: fixed, alternating, brownian",
-        ));
-    }
-    let (key, val) = &t.entries[0];
-    let mcs_index = |s: &Spanned, what: &str| -> Result<u8, TomlError> {
-        match s.value.as_int() {
-            Some(i) if (0..=7).contains(&i) => Ok(i as u8),
-            _ => Err(err(s.pos, format!("{what} must be an MCS index in 0..=7"))),
-        }
-    };
-    Ok(match key.as_str() {
-        "fixed" => McsSpec::Fixed(mcs_index(val, "`fixed`")?),
-        "alternating" => {
-            let h = expect_table(val, "`alternating`")?;
-            check_keys(h, "`alternating`", &["a", "b", "period_ms"])?;
-            let field = |k: &str| -> Result<&Spanned, TomlError> {
-                h.get(k)
-                    .ok_or_else(|| err(val.pos, format!("`alternating` needs `{k}`")))
-            };
-            McsSpec::Alternating(
-                mcs_index(field("a")?, "`a`")?,
-                mcs_index(field("b")?, "`b`")?,
-                SimDuration::from_millis(expect_positive(field("period_ms")?, "`period_ms`")?),
-            )
-        }
-        "brownian" => {
-            let h = expect_table(val, "`brownian`")?;
-            check_keys(h, "`brownian`", &["min", "max", "period_ms", "seed"])?;
-            let field = |k: &str| -> Result<&Spanned, TomlError> {
-                h.get(k)
-                    .ok_or_else(|| err(val.pos, format!("`brownian` needs `{k}`")))
-            };
-            let (lo, hi) = (
-                mcs_index(field("min")?, "`min`")?,
-                mcs_index(field("max")?, "`max`")?,
-            );
-            if lo > hi {
-                return Err(err(val.pos, "`brownian` needs `min` <= `max`"));
-            }
-            McsSpec::Brownian(
-                lo,
-                hi,
-                SimDuration::from_millis(expect_positive(field("period_ms")?, "`period_ms`")?),
-                expect_u64(field("seed")?, "`seed`")?,
-            )
-        }
-        _ => unreachable!("key list checked above"),
-    })
-}
+#[rustfmt::skip]
+static TOPOLOGY: &[Form<Topology>] = &[
+    form("single", |v, _| link(v).map(Topology::SingleBottleneck)),
+    form("two_hop", |v, w| {
+        static TWO_HOP: &[Field<(LinkSpec, LinkSpec)>] = &[
+            req("up",   |s, v, _| link(v).map(|l| s.0 = l)),
+            req("down", |s, v, _| link(v).map(|l| s.1 = l)),
+        ];
+        let (up, down) = record(v, w, TWO_HOP, (NO_LINK, NO_LINK))?;
+        Ok(Topology::TwoHop { up, down })
+    }),
+    form("mixed_path", |v, w| {
+        static MIXED_PATH: &[Field<(LinkSpec, Rate)>] = &[
+            req("wireless",   |s, v, _| link(v).map(|l| s.0 = l)),
+            req("wired_mbps", |s, v, w| mbps(v, w).map(|r| s.1 = r)),
+        ];
+        let (wireless, wired) = record(v, w, MIXED_PATH, (NO_LINK, Rate::ZERO))?;
+        Ok(Topology::MixedPath { wireless, wired })
+    }),
+    form("wifi", |v, w| {
+        static WIFI: &[Field<(McsSpec, usize)>] = &[
+            req("mcs",            |s, v, _| one_of(v, "an mcs literal", MCS).map(|m| s.0 = m)),
+            req("ap_buffer_pkts", |s, v, w| positive(v, w).map(|n| s.1 = n as usize)),
+        ];
+        let (mcs, ap_buffer_pkts) = record(v, w, WIFI, (McsSpec::Fixed(0), 0))?;
+        Ok(Topology::Wifi { mcs, ap_buffer_pkts })
+    }),
+    form("parking_lot", |v, w| {
+        let hops = each(v, w, |h| record(h, "a parking-lot hop", HOP, ParkingHop::new(NO_LINK)))?;
+        let n = hops.len();
+        ensure((1..=8).contains(&n), v, || format!("{w} needs 1–8 hops, found {n}"))?;
+        Ok(Topology::ParkingLot { hops })
+    }),
+    form("asymmetric", |v, w| {
+        static ASYMMETRIC: &[Field<(LinkSpec, LinkSpec, SimDuration, SimDuration)>] = &[
+            req("down",          |s, v, _| link(v).map(|l| s.0 = l)),
+            req("up",            |s, v, _| link(v).map(|l| s.1 = l)),
+            req("down_delay_ms", |s, v, w| ms_pos(v, w).map(|d| s.2 = d)),
+            req("up_delay_ms",   |s, v, w| ms_pos(v, w).map(|d| s.3 = d)),
+        ];
+        let init = (NO_LINK, NO_LINK, SimDuration::ZERO, SimDuration::ZERO);
+        let (down, up, down_delay, up_delay) = record(v, w, ASYMMETRIC, init)?;
+        Ok(Topology::Asymmetric { down, up, down_delay, up_delay })
+    }),
+];
 
-/// One parking-lot hop: `{ link = <link literal> [, qdisc = <hop qdisc>] }`
-/// (the qdisc defaults to `"scheme-default"`).
-fn parking_hop(v: &Spanned) -> Result<ParkingHop, TomlError> {
-    let t = expect_table(v, "a parking-lot hop")?;
-    check_keys(t, "a parking-lot hop", &["link", "qdisc"])?;
-    let link = t
-        .get("link")
-        .ok_or_else(|| err(v.pos, "a parking-lot hop needs `link`"))?;
-    let mut hop = ParkingHop::new(link_spec(link)?);
-    if let Some(q) = t.get("qdisc") {
-        hop = hop.qdisc(hop_qdisc(q)?);
-    }
-    Ok(hop)
-}
+#[rustfmt::skip]
+static MCS: &[Form<McsSpec>] = &[
+    form("fixed", |v, w| mcs_index(v, w).map(McsSpec::Fixed)),
+    form("alternating", |v, w| {
+        static ALTERNATING: &[Field<(u8, u8, SimDuration)>] = &[
+            req("a",         |s, v, w| mcs_index(v, w).map(|i| s.0 = i)),
+            req("b",         |s, v, w| mcs_index(v, w).map(|i| s.1 = i)),
+            req("period_ms", |s, v, w| ms_pos(v, w).map(|d| s.2 = d)),
+        ];
+        let (a, b, period) = record(v, w, ALTERNATING, Default::default())?;
+        Ok(McsSpec::Alternating(a, b, period))
+    }),
+    form("brownian", |v, w| {
+        static BROWNIAN: &[Field<(u8, u8, SimDuration, u64)>] = &[
+            req("min",       |s, v, w| mcs_index(v, w).map(|i| s.0 = i)),
+            req("max",       |s, v, w| mcs_index(v, w).map(|i| s.1 = i)),
+            req("period_ms", |s, v, w| ms_pos(v, w).map(|d| s.2 = d)),
+            req("seed",      |s, v, w| uint(v, w).map(|x| s.3 = x)),
+        ];
+        let (lo, hi, period, seed) = record(v, w, BROWNIAN, Default::default())?;
+        ensure(lo <= hi, v, || format!("{w} needs `min` <= `max`"))?;
+        Ok(McsSpec::Brownian(lo, hi, period, seed))
+    }),
+];
 
-/// A per-hop qdisc capability: `"scheme-default"`, `"droptail"`,
-/// `"codel"`, `"abc"` (default router config), or `{ abc = { … } }` with
-/// explicit [`AbcRouterConfig`] overrides.
-fn hop_qdisc(v: &Spanned) -> Result<HopQdisc, TomlError> {
-    if let Some(s) = v.value.as_str() {
-        return match s {
-            "scheme-default" => Ok(HopQdisc::SchemeDefault),
-            "droptail" => Ok(HopQdisc::DropTail),
-            "codel" => Ok(HopQdisc::Codel),
-            "abc" => Ok(HopQdisc::Abc(AbcRouterConfig::default())),
-            other => Err(err(
-                v.pos,
-                format!(
-                    "unknown hop qdisc {other:?} (expected \"scheme-default\", \
-                     \"droptail\", \"codel\", \"abc\", or an {{ abc = {{ … }} }} table)"
-                ),
-            )),
-        };
-    }
-    let t = expect_table(v, "a hop qdisc")?;
-    check_keys(t, "a hop qdisc", &["abc"])?;
-    let cfg = t
-        .get("abc")
-        .ok_or_else(|| err(v.pos, "a hop-qdisc table needs `abc`"))?;
-    Ok(HopQdisc::Abc(abc_router_config(cfg)?))
-}
+/// A parking-lot hop; its qdisc defaults to `"scheme-default"`.
+#[rustfmt::skip]
+static HOP: &[Field<ParkingHop>] = &[
+    req("link", |h, v, _| link(v).map(|l| h.link = l)),
+    opt("qdisc", |h, v, _| {
+        let abc = HopQdisc::Abc(AbcRouterConfig::default());
+        let names = [("scheme-default", HopQdisc::SchemeDefault), ("droptail", HopQdisc::DropTail),
+                     ("codel", HopQdisc::Codel), ("abc", abc)];
+        qdisc(v, "hop qdisc", "a hop qdisc", &names, HopQdisc::Abc).map(|q| h.qdisc = q)
+    }),
+];
 
-/// An explicit ABC router config: `{ eta = 0.95, delta_ms = 133,
-/// dt_ms = 20, token_limit = 10.0, rate_window_ms = 40,
-/// buffer_pkts = 250, seed = 2748 }` — every key optional, defaults
-/// match [`AbcRouterConfig::default`]. (The enum-valued knobs — feedback
-/// basis, marking mode, ECN dialect — stay Rust-side.)
-fn abc_router_config(v: &Spanned) -> Result<AbcRouterConfig, TomlError> {
-    let t = expect_table(v, "an ABC router config")?;
-    check_keys(
-        t,
-        "an ABC router config",
-        &[
-            "eta",
-            "delta_ms",
-            "dt_ms",
-            "token_limit",
-            "rate_window_ms",
-            "buffer_pkts",
-            "seed",
-        ],
-    )?;
+#[rustfmt::skip]
+static ABC_QDISC: &[Field<AbcRouterConfig>] = &[req("abc", |cfg, v, _| {
+    *cfg = record(v, "an ABC router config", ABC_ROUTER, AbcRouterConfig::default())?;
+    Ok(())
+})];
+
+/// A qdisc (`noun` in errors) named by one of `names`, or an
+/// `{ abc = { … } }` table of [`ABC_ROUTER`] overrides.
+fn qdisc<T: Clone>(
+    v: &Spanned,
+    noun: &str,
+    what: &str,
+    names: &[(&str, T)],
+    abc: fn(AbcRouterConfig) -> T,
+) -> Result<T> {
+    if v.value.as_str().is_some() {
+        let abc_form = format!("an {{ {} = {{ … }} }} table", ABC_QDISC[0].key);
+        return choice(v, what, noun, names, Some(abc_form));
+    }
     let mut cfg = AbcRouterConfig::default();
-    if let Some(s) = t.get("eta") {
-        cfg.eta = expect_f64(s, "`eta`")?;
-        if !(cfg.eta.is_finite() && cfg.eta > 0.0 && cfg.eta <= 1.0) {
-            return Err(err(s.pos, "`eta` must be in (0, 1]"));
-        }
-    }
-    if let Some(s) = t.get("delta_ms") {
-        cfg.delta = SimDuration::from_millis(expect_positive(s, "`delta_ms`")?);
-    }
-    if let Some(s) = t.get("dt_ms") {
-        cfg.dt = SimDuration::from_millis(expect_u64(s, "`dt_ms`")?);
-    }
-    if let Some(s) = t.get("token_limit") {
-        cfg.token_limit = expect_f64(s, "`token_limit`")?;
-        if !(cfg.token_limit.is_finite() && cfg.token_limit >= 1.0) {
-            return Err(err(s.pos, "`token_limit` must be at least 1"));
-        }
-    }
-    if let Some(s) = t.get("rate_window_ms") {
-        cfg.rate_window = SimDuration::from_millis(expect_positive(s, "`rate_window_ms`")?);
-    }
-    if let Some(s) = t.get("buffer_pkts") {
-        cfg.buffer_pkts = expect_positive(s, "`buffer_pkts`")? as usize;
-    }
-    if let Some(s) = t.get("seed") {
-        cfg.seed = expect_u64(s, "`seed`")?;
-    }
-    Ok(cfg)
+    let missing = |k: &str| format!("a {} table needs `{k}`", noun.replace(' ', "-"));
+    fields(
+        table(v, what)?,
+        v.pos,
+        Some(what),
+        ABC_QDISC,
+        &mut cfg,
+        missing,
+    )
+    .map(|_| abc(cfg))
 }
 
-/// A qdisc literal: `"scheme-default"`, `"droptail"`, or
-/// `{ abc = { … } }` with explicit [`AbcRouterConfig`] overrides. (The
-/// dual-queue coexistence router stays Rust-side.)
-fn qdisc(v: &Spanned) -> Result<QdiscSpec, TomlError> {
-    if let Some(s) = v.value.as_str() {
-        return match s {
-            "scheme-default" => Ok(QdiscSpec::SchemeDefault),
-            "droptail" => Ok(QdiscSpec::DropTail),
-            other => Err(err(
-                v.pos,
-                format!(
-                    "unknown qdisc {other:?} (expected \"scheme-default\", \"droptail\", \
-                     or an {{ abc = {{ … }} }} table)"
-                ),
-            )),
-        };
-    }
-    let t = expect_table(v, "a qdisc literal")?;
-    check_keys(t, "a qdisc literal", &["abc"])?;
-    let cfg = t
-        .get("abc")
-        .ok_or_else(|| err(v.pos, "a qdisc table needs `abc`"))?;
-    Ok(QdiscSpec::AbcWith(abc_router_config(cfg)?))
+/// An explicit ABC router config: every key optional, defaults match
+/// [`AbcRouterConfig::default`]. (The enum-valued knobs — feedback
+/// basis, marking mode, ECN dialect — stay Rust-side.)
+#[rustfmt::skip]
+static ABC_ROUTER: &[Field<AbcRouterConfig>] = &[
+    opt("eta", |c, v, w| {
+        c.eta = number(v, w)?;
+        let ok = c.eta.is_finite() && c.eta > 0.0 && c.eta <= 1.0;
+        ensure(ok, v, || format!("{w} must be in (0, 1]"))
+    }),
+    opt("delta_ms", |c, v, w| ms_pos(v, w).map(|d| c.delta = d)),
+    opt("dt_ms",    |c, v, w| ms(v, w).map(|d| c.dt = d)),
+    opt("token_limit", |c, v, w| {
+        c.token_limit = number(v, w)?;
+        let ok = c.token_limit.is_finite() && c.token_limit >= 1.0;
+        ensure(ok, v, || format!("{w} must be at least 1"))
+    }),
+    opt("rate_window_ms", |c, v, w| ms_pos(v, w).map(|d| c.rate_window = d)),
+    opt("buffer_pkts",    |c, v, w| positive(v, w).map(|n| c.buffer_pkts = n as usize)),
+    opt("seed",           |c, v, w| uint(v, w).map(|s| c.seed = s)),
+];
+
+// ---- impairments ----
+
+/// One impairment kind: what it does (the impairment table of
+/// `docs/campaign-file.md`) and its parameters.
+pub struct Impairment {
+    /// What the impairment does.
+    pub doc: &'static str,
+    params: &'static [Field<Params>],
+    build: fn(&Params) -> ImpairmentKind,
 }
 
-/// A workload entry:
-/// `{ web = { load = 0.5, link_mbps = 12.0 } }`,
-/// `{ rtc = { kbps = 300 } }`, `{ video = { hd_stream_s = 60 } }`, …
-/// with optional `scheme`, `start_s`, `entry_hop`, and `label` keys.
-fn workload_entry(v: &Spanned) -> Result<WorkloadEntry, TomlError> {
-    let t = expect_table(v, "a workload entry")?;
+impl Impairment {
+    /// The `kind` string, as [`ImpairmentKind::name`] spells it.
+    pub fn kind(&self) -> &'static str {
+        (self.build)(&Params::default()).name()
+    }
+
+    /// The kind's parameter keys, each with whether it is required.
+    pub fn params(&self) -> impl Iterator<Item = (&'static str, bool)> {
+        self.params.iter().map(|f| (f.key, f.required))
+    }
+}
+
+/// Every impairment parameter; each kind reads its own.
+#[derive(Default)]
+struct Params {
+    p: f64,
+    p_good_bad: f64,
+    p_bad_good: f64,
+    loss_good: f64,
+    loss_bad: f64,
+    hold: SimDuration,
+    max: SimDuration,
+    start: SimDuration,
+    duration: SimDuration,
+    period: Option<SimDuration>,
+    keep_one_in: u64,
+}
+
+const P: Field<Params> = req("p", |x, v, w| prob(v, w).map(|p| x.p = p));
+
+/// Every impairment kind, in the order errors list them.
+#[rustfmt::skip]
+pub static IMPAIRMENT_KINDS: &[Impairment] = &[
+    Impairment { params: &[P], build: |x| ImpairmentKind::Drop { p: x.p },
+        doc: "Bernoulli loss with probability `p`" },
+    Impairment { params: &[P], build: |x| ImpairmentKind::BleachEcn { p: x.p },
+        doc: "clears ECN marks with probability `p` (a non-ECN middlebox)" },
+    Impairment { params: &[P], build: |x| ImpairmentKind::StripFeedback { p: x.p },
+        doc: "deletes in-band feedback state with probability `p`" },
+    Impairment {
+        params: &[
+            req("p_good_bad", |x, v, w| prob(v, w).map(|p| x.p_good_bad = p)),
+            req("p_bad_good", |x, v, w| prob(v, w).map(|p| x.p_bad_good = p)),
+            req("loss_good",  |x, v, w| prob(v, w).map(|p| x.loss_good = p)),
+            req("loss_bad",   |x, v, w| prob(v, w).map(|p| x.loss_bad = p)),
+        ],
+        build: |x| ImpairmentKind::GilbertElliott {
+            p_good_bad: x.p_good_bad, p_bad_good: x.p_bad_good,
+            loss_good: x.loss_good, loss_bad: x.loss_bad,
+        },
+        doc: "two-state burst loss: per-packet state flips, per-state loss rates" },
+    Impairment { params: &[P, req("hold_ms", |x, v, w| ms_pos(v, w).map(|d| x.hold = d))],
+        build: |x| ImpairmentKind::Reorder { p: x.p, hold: x.hold },
+        doc: "holds a packet back `hold_ms` with probability `p`, letting later packets overtake it" },
+    Impairment { params: &[req("max_ms", |x, v, w| ms_pos(v, w).map(|d| x.max = d))],
+        build: |x| ImpairmentKind::Jitter { max: x.max },
+        doc: "adds uniform extra delay in `[0, max_ms)` to every packet" },
+    Impairment {
+        params: &[
+            req("start_ms",    |x, v, w| ms(v, w).map(|d| x.start = d)),
+            req("duration_ms", |x, v, w| ms_pos(v, w).map(|d| x.duration = d)),
+            opt("period_ms",   |x, v, w| ms_pos(v, w).map(|d| x.period = Some(d))),
+        ],
+        build: |x| ImpairmentKind::Outage { start: x.start, duration: x.duration, period: x.period },
+        doc: "drops everything during the outage window; with `period_ms` the link flaps periodically" },
+    Impairment { params: &[req("keep_one_in", |x, v, w| positive(v, w).map(|n| x.keep_one_in = n))],
+        build: |x| ImpairmentKind::Decimate { keep_one_in: x.keep_one_in },
+        doc: "forwards only every `keep_one_in`-th packet (with `direction = \"ack\"`: ACK decimation)" },
+];
+
+#[rustfmt::skip]
+static IMPAIRMENT: &[Field<(Option<&'static Impairment>, Direction, usize)>] = &[
+    req("kind", |s, v, _| {
+        let name = string(v, "impairment `kind`")?;
+        let kinds = join(IMPAIRMENT_KINDS.iter().map(Impairment::kind));
+        let msg = || format!("unknown impairment kind {name:?} (expected one of: {kinds})");
+        let kind = IMPAIRMENT_KINDS.iter().find(|k| k.kind() == name);
+        kind.map(|k| s.0 = Some(k)).ok_or_else(|| err(v.pos, msg()))
+    }),
+    opt("direction", |s, v, w| {
+        let names = [Direction::Data, Direction::Ack].map(|d| (d.name(), d));
+        choice(v, w, "direction", &names, None).map(|d| s.1 = d)
+    }),
+    opt("hop", |s, v, w| uint(v, w).map(|h| s.2 = h as usize)),
+];
+
+/// An impairment literal: its `kind`, an optional `direction` (`"data"`
+/// by default, or `"ack"`) and `hop` (which data-direction hop queue the
+/// wire precedes, default 0), then its kind's parameters — e.g.
+/// `{ kind = "decimate", keep_one_in = 4, direction = "ack" }`.
+fn impairment(v: &Spanned) -> Result<ImpairmentSpec> {
+    let t = table(v, "an impairment")?;
+    let mut shared = (None, Direction::Data, 0);
+    fields(t, v.pos, None, IMPAIRMENT, &mut shared, |k| {
+        format!("an impairment needs a `{k}`")
+    })?;
+    let (Some(kind), direction, hop) = shared else {
+        unreachable!("`kind` is required")
+    };
+    let name = kind.kind();
+    let article = if name.starts_with(['a', 'e', 'i', 'o', 'u']) {
+        "an"
+    } else {
+        "a"
+    };
     check_keys(
         t,
-        "a workload entry",
-        &[
-            "web",
-            "rtc",
-            "video",
-            "scheme",
-            "start_s",
-            "entry_hop",
-            "label",
-        ],
+        &format!("{article} `{name}` impairment"),
+        keys(IMPAIRMENT).chain(keys(kind.params)),
     )?;
-    let kinds: Vec<&(String, Spanned)> = t
-        .entries
-        .iter()
-        .filter(|(k, _)| matches!(k.as_str(), "web" | "rtc" | "video"))
-        .collect();
-    let [(kind, val)] = kinds.as_slice() else {
-        return Err(err(
-            v.pos,
-            "a workload entry needs exactly one of: web, rtc, video",
-        ));
+    let mut params = Params::default();
+    let missing = |k: &str| format!("impairment kind {name:?} needs `{k}`");
+    fields(t, v.pos, None, kind.params, &mut params, missing)?;
+    let spec = ImpairmentSpec {
+        direction,
+        hop,
+        kind: (kind.build)(&params),
     };
-    let spec = match kind.as_str() {
-        "web" => WorkloadSpec::Web(web_workload(val)?),
-        "rtc" => WorkloadSpec::Rtc(rtc_workload(val)?),
-        "video" => WorkloadSpec::AbrVideo(abr_workload(val)?),
-        _ => unreachable!("filtered above"),
-    };
-    let mut entry = WorkloadEntry::new(spec);
-    if let Some(s) = t.get("scheme") {
-        entry = entry.scheme(scheme(s)?);
-    }
-    if let Some(s) = t.get("start_s") {
-        entry = entry.start_at(SimTime::ZERO + SimDuration::from_secs(expect_u64(s, "`start_s`")?));
-    }
-    if let Some(h) = t.get("entry_hop") {
-        entry = entry.entry_hop(expect_u64(h, "`entry_hop`")? as usize);
-    }
-    if let Some(l) = t.get("label") {
-        entry = entry.label(expect_str(l, "`label`")?);
-    }
-    Ok(entry)
+    // The checks above should leave nothing for validate() to reject,
+    // but route it anyway: the wire constructor panics on invalid specs,
+    // and a file error must never panic the CLI.
+    spec.validate().map_err(|m| err(v.pos, m))?;
+    Ok(spec)
 }
 
-/// `{ load = 0.5, link_mbps = 12.0 }` (offered-load fraction with the
-/// built-in object sizes) or `{ per_sec = 10.0 [, object_bytes = 50000]
-/// [, on_s = 2, off_s = 8] }` (explicit arrivals; fixed sizes when
-/// `object_bytes` is given, the built-in web CDF otherwise).
-fn web_workload(v: &Spanned) -> Result<WebWorkload, TomlError> {
-    let t = expect_table(v, "`web`")?;
-    check_keys(
-        t,
-        "`web`",
-        &[
-            "load",
-            "link_mbps",
-            "per_sec",
-            "object_bytes",
-            "on_s",
-            "off_s",
-        ],
-    )?;
-    match (t.get("load"), t.get("per_sec")) {
-        (Some(load), None) => {
-            let link = t
-                .get("link_mbps")
-                .ok_or_else(|| err(v.pos, "`web.load` needs `link_mbps` as its reference rate"))?;
-            for bad in ["object_bytes", "on_s", "off_s"] {
-                if let Some(x) = t.get(bad) {
-                    return Err(err(x.pos, format!("`{bad}` only applies with `per_sec`")));
-                }
+// ---- workloads ----
+
+#[rustfmt::skip]
+static WORKLOADS: &[Form<WorkloadSpec>] = &[
+    form("web",   |v, w| web(v, w).map(WorkloadSpec::Web)),
+    form("rtc",   |v, w| rtc(v, w).map(WorkloadSpec::Rtc)),
+    form("video", |v, w| video(v, w).map(WorkloadSpec::AbrVideo)),
+];
+
+#[rustfmt::skip]
+static ATTACHMENTS: &[Field<WorkloadEntry>] = &[
+    opt("scheme",    |e, v, w| scheme(v, w).map(|s| e.scheme = Some(s))),
+    opt("start_s",   |e, v, w| secs(v, w).map(|d| e.start = SimTime::ZERO + d)),
+    opt("entry_hop", |e, v, w| uint(v, w).map(|h| e.entry_hop = h as usize)),
+    opt("label",     |e, v, w| string(v, w).map(|l| e.label = l.into())),
+];
+
+/// A workload entry: exactly one model (`web`, `rtc`, `video`) plus
+/// optional attachments, e.g. `{ rtc = { kbps = 300 }, scheme = "Cubic" }`.
+fn workload(v: &Spanned) -> Result<WorkloadEntry> {
+    let what = "a workload entry";
+    let t = table(v, what)?;
+    check_keys(t, what, form_keys(WORKLOADS).chain(keys(ATTACHMENTS)))?;
+    let list = join(form_keys(WORKLOADS));
+    let (model, _) = one_form(t, WORKLOADS, || {
+        err(v.pos, format!("{what} needs exactly one of: {list}"))
+    })?;
+    let mut entry = WorkloadEntry::new(model);
+    fields(t, v.pos, None, ATTACHMENTS, &mut entry, |k| {
+        format!("{what} needs `{k}`")
+    })
+    .map(|_| entry)
+}
+
+/// `per_sec`, `object_bytes`, `on_s`, `off_s`.
+type Arrivals = (f64, Option<u64>, Option<SimDuration>, Option<SimDuration>);
+
+#[rustfmt::skip]
+static WEB_LOAD: &[Field<(f64, Rate)>] = &[
+    req("load",      |s, v, w| non_negative(v, w, "fraction").map(|x| s.0 = x)),
+    req("link_mbps", |s, v, w| mbps(v, w).map(|r| s.1 = r)),
+];
+
+#[rustfmt::skip]
+static WEB_ARRIVALS: &[Field<Arrivals>] = &[
+    req("per_sec",      |s, v, w| non_negative(v, w, "rate").map(|x| s.0 = x)),
+    opt("object_bytes", |s, v, w| uint(v, w).map(|b| s.1 = Some(b))),
+    opt("on_s",         |s, v, w| positive(v, w).map(|n| s.2 = Some(SimDuration::from_secs(n)))),
+    opt("off_s",        |s, v, w| secs(v, w).map(|d| s.3 = Some(d))),
+];
+
+/// `web` is either `{ load = 0.5, link_mbps = 12.0 }` — an offered-load
+/// fraction of a reference rate, with the built-in object sizes — or
+/// `{ per_sec = 10.0, object_bytes = 50000, on_s = 2, off_s = 8 }`:
+/// explicit arrivals (bursty with `on_s`/`off_s`), fixed sizes with
+/// `object_bytes` and the built-in web CDF otherwise. Each form is picked
+/// by its first key. A NaN or negative `per_sec` would never end the
+/// arrival loop or silently send nothing, and a zero `on_s` would make
+/// every cycle silent.
+fn web(v: &Spanned, what: &str) -> Result<WebWorkload> {
+    let t = table(v, what)?;
+    check_keys(t, what, keys(WEB_LOAD).chain(keys(WEB_ARRIVALS)))?;
+    let (load, per_sec) = (WEB_LOAD[0].key, WEB_ARRIVALS[0].key);
+    match (t.get(load), t.get(per_sec)) {
+        (Some(_), None) => {
+            let mut s = (0.0, Rate::ZERO);
+            let missing = |k: &str| format!("`web.{load}` needs `{k}` as its reference rate");
+            fields(t, v.pos, None, WEB_LOAD, &mut s, missing)?;
+            if let Some((k, x)) = t
+                .entries
+                .iter()
+                .find(|(k, _)| keys(WEB_ARRIVALS).any(|a| a == k))
+            {
+                return Err(err(x.pos, format!("`{k}` only applies with `{per_sec}`")));
             }
-            let load_frac = expect_f64(load, "`load`")?;
-            if !load_frac.is_finite() || load_frac < 0.0 {
-                return Err(err(
-                    load.pos,
-                    format!("`load` must be a non-negative fraction, found {load_frac}"),
-                ));
-            }
-            Ok(WebWorkload::poisson_load(
-                load_frac,
-                expect_rate_mbps(link, "`link_mbps`")?,
-            ))
+            Ok(WebWorkload::poisson_load(s.0, s.1))
         }
-        (None, Some(per_sec_field)) => {
-            let per_sec = expect_f64(per_sec_field, "`per_sec`")?;
-            // NaN would never terminate the arrival loop; negative is a
-            // silent no-traffic workload — both are mistakes.
-            if !per_sec.is_finite() || per_sec < 0.0 {
-                return Err(err(
-                    per_sec_field.pos,
-                    format!("`per_sec` must be a non-negative rate, found {per_sec}"),
-                ));
-            }
-            let arrivals = match (t.get("on_s"), t.get("off_s")) {
-                (Some(on), Some(off)) => ArrivalProcess::OnOff {
-                    per_sec,
-                    // a zero on-phase would make every cycle silent (and a
-                    // zero on+off period divides by zero downstream)
-                    on: SimDuration::from_secs(expect_positive(on, "`on_s`")?),
-                    off: SimDuration::from_secs(expect_u64(off, "`off_s`")?),
-                },
+        (None, Some(_)) => {
+            let mut s = (0.0, None, None, None);
+            fields(t, v.pos, None, WEB_ARRIVALS, &mut s, |k| {
+                format!("{what} needs `{k}`")
+            })?;
+            let (per_sec, object_bytes, on, off) = s;
+            let arrivals = match (on, off) {
+                (Some(on), Some(off)) => ArrivalProcess::OnOff { per_sec, on, off },
                 (None, None) => ArrivalProcess::Poisson { per_sec },
                 _ => return Err(err(v.pos, "`on_s` and `off_s` come together")),
             };
-            let sizes = match t.get("object_bytes") {
-                Some(b) => SizeDist::Fixed(expect_u64(b, "`object_bytes`")?),
-                None => SizeDist::web_objects(),
-            };
+            let sizes = object_bytes.map_or_else(SizeDist::web_objects, SizeDist::Fixed);
             Ok(WebWorkload { arrivals, sizes })
         }
-        _ => Err(err(v.pos, "`web` needs exactly one of `load` or `per_sec`")),
+        _ => Err(err(
+            v.pos,
+            format!("{what} needs exactly one of `{load}` or `{per_sec}`"),
+        )),
     }
 }
 
-/// `{ kbps = 300 }` (a 30 fps call with a 100 ms budget) or
-/// `{ frame_bytes = 1200, interval_ms = 33, deadline_ms = 100 }`.
-fn rtc_workload(v: &Spanned) -> Result<RtcWorkload, TomlError> {
-    let t = expect_table(v, "`rtc`")?;
-    check_keys(
-        t,
-        "`rtc`",
-        &["kbps", "frame_bytes", "interval_ms", "deadline_ms"],
-    )?;
-    if let Some(kbps) = t.get("kbps") {
-        for bad in ["frame_bytes", "interval_ms", "deadline_ms"] {
-            if let Some(x) = t.get(bad) {
-                return Err(err(x.pos, format!("`{bad}` conflicts with `kbps`")));
-            }
-        }
-        return Ok(RtcWorkload::video_call(expect_u32(kbps, "`kbps`")?));
-    }
-    let field = |k: &str| -> Result<&Spanned, TomlError> {
-        t.get(k)
-            .ok_or_else(|| err(v.pos, format!("`rtc` needs `{k}` (or just `kbps`)")))
-    };
-    let frame_field = field("frame_bytes")?;
-    let frame_bytes = expect_u32(frame_field, "`frame_bytes`")?;
-    if !(1..=MTU_BYTES).contains(&frame_bytes) {
-        return Err(err(
-            frame_field.pos,
-            format!("`frame_bytes` must be in 1..={MTU_BYTES} (one frame per packet), found {frame_bytes}"),
-        ));
-    }
-    Ok(RtcWorkload {
-        frame_bytes,
-        interval: SimDuration::from_millis(expect_positive(
-            field("interval_ms")?,
-            "`interval_ms`",
-        )?),
-        deadline: SimDuration::from_millis(expect_u64(field("deadline_ms")?, "`deadline_ms`")?),
-    })
+#[rustfmt::skip]
+static RTC_FRAMES: &[Field<RtcWorkload>] = &[
+    req("frame_bytes", |r, v, w| {
+        r.frame_bytes = uint32(v, w)?;
+        let found = r.frame_bytes;
+        let msg =
+            || format!("{w} must be in 1..={MTU_BYTES} (one frame per packet), found {found}");
+        ensure((1..=MTU_BYTES).contains(&found), v, msg)
+    }),
+    req("interval_ms", |r, v, w| ms_pos(v, w).map(|d| r.interval = d)),
+    req("deadline_ms", |r, v, w| ms(v, w).map(|d| r.deadline = d)),
+];
+
+/// `rtc` is `{ kbps = 300 }` (a 30 fps call with a 100 ms budget) or
+/// the explicit `{ frame_bytes = 1200, interval_ms = 33, deadline_ms = 100 }`.
+fn rtc(v: &Spanned, what: &str) -> Result<RtcWorkload> {
+    let call = form("kbps", |v, w| uint32(v, w).map(RtcWorkload::video_call));
+    let conflict =
+        |k: &str, x: &Spanned, call: &str| err(x.pos, format!("`{k}` conflicts with `{call}`"));
+    alone_or(
+        v,
+        what,
+        call,
+        RTC_FRAMES,
+        RtcWorkload::video_call(0),
+        conflict,
+    )
 }
 
-/// `{ hd_stream_s = 60 }` (the built-in HD ladder) or an explicit
-/// `{ ladder_kbps = […], chunk_s = 2, startup_chunks = 1,
+#[rustfmt::skip]
+static VIDEO_LADDER: &[Field<AbrWorkload>] = &[
+    req("ladder_kbps", |a, v, w| {
+        a.ladder_kbps = each(v, w, |x| uint32(x, "a ladder rung"))?;
+        ensure(!a.ladder_kbps.is_empty(), v, || format!("{w} must not be empty"))?;
+        ensure(a.ladder_kbps.windows(2).all(|p| p[0] <= p[1]), v, || format!("{w} must ascend"))
+    }),
+    req("chunk_s",        |a, v, w| positive(v, w).map(|s| a.chunk = SimDuration::from_secs(s))),
+    req("startup_chunks", |a, v, w| uint32(v, w).map(|n| a.startup_chunks = n)),
+    req("max_buffer_s",   |a, v, w| secs(v, w).map(|d| a.max_buffer = d)),
+    req("stream_s",       |a, v, w| secs(v, w).map(|d| a.stream = d)),
+    req("safety",         |a, v, w| number(v, w).map(|x| a.safety = x)),
+];
+
+/// `video` is `{ hd_stream_s = 60 }` (the built-in HD ladder) or the
+/// explicit `{ ladder_kbps = […], chunk_s = 2, startup_chunks = 1,
 /// max_buffer_s = 12, stream_s = 60, safety = 0.8 }`.
-fn abr_workload(v: &Spanned) -> Result<AbrWorkload, TomlError> {
-    let t = expect_table(v, "`video`")?;
-    check_keys(
-        t,
-        "`video`",
-        &[
-            "hd_stream_s",
-            "ladder_kbps",
-            "chunk_s",
-            "startup_chunks",
-            "max_buffer_s",
-            "stream_s",
-            "safety",
-        ],
-    )?;
-    if let Some(hd) = t.get("hd_stream_s") {
-        if t.entries.len() != 1 {
-            return Err(err(
-                v.pos,
-                "`hd_stream_s` stands alone (it fixes the whole ladder)",
-            ));
-        }
-        return Ok(AbrWorkload::hd(SimDuration::from_secs(expect_u64(
-            hd,
-            "`hd_stream_s`",
-        )?)));
-    }
-    let field = |k: &str| -> Result<&Spanned, TomlError> {
-        t.get(k).ok_or_else(|| {
-            err(
-                v.pos,
-                format!("`video` needs `{k}` (or just `hd_stream_s`)"),
-            )
-        })
+fn video(v: &Spanned, what: &str) -> Result<AbrWorkload> {
+    let hd = form("hd_stream_s", |v, w| secs(v, w).map(AbrWorkload::hd));
+    let conflict = |_: &str, _: &Spanned, hd: &str| {
+        err(
+            v.pos,
+            format!("`{hd}` stands alone (it fixes the whole ladder)"),
+        )
     };
-    let ladder_field = field("ladder_kbps")?;
-    let ladder = expect_array(ladder_field, "`ladder_kbps`")?
-        .iter()
-        .map(|x| expect_u32(x, "a ladder rung"))
-        .collect::<Result<Vec<_>, _>>()?;
-    if ladder.is_empty() {
-        return Err(err(ladder_field.pos, "`ladder_kbps` must not be empty"));
-    }
-    if ladder.windows(2).any(|w| w[0] > w[1]) {
-        return Err(err(ladder_field.pos, "`ladder_kbps` must ascend"));
-    }
-    Ok(AbrWorkload {
-        ladder_kbps: ladder,
-        chunk: SimDuration::from_secs(expect_positive(field("chunk_s")?, "`chunk_s`")?),
-        startup_chunks: expect_u32(field("startup_chunks")?, "`startup_chunks`")?,
-        max_buffer: SimDuration::from_secs(expect_u64(field("max_buffer_s")?, "`max_buffer_s`")?),
-        stream: SimDuration::from_secs(expect_u64(field("stream_s")?, "`stream_s`")?),
-        safety: expect_f64(field("safety")?, "`safety`")?,
-    })
+    alone_or(
+        v,
+        what,
+        hd,
+        VIDEO_LADDER,
+        AbrWorkload::hd(SimDuration::ZERO),
+        conflict,
+    )
 }
 
-/// One `[[axis]]` table: a `name` plus exactly one value list — a typed
-/// shorthand (`schemes`, `traces`, `rtt_ms`, `buffer_pkts`, `seeds`,
-/// `durations_s`, `flows`) or an explicit `[[axis.values]]` list.
-fn compile_axis(t: &Table, pos: Pos) -> Result<Axis, TomlError> {
-    check_keys(
-        t,
-        "[[axis]]",
-        &[
-            "name",
-            "schemes",
-            "traces",
-            "rtt_ms",
-            "buffer_pkts",
-            "seeds",
-            "durations_s",
-            "flows",
-            "values",
-        ],
-    )?;
-    let name = expect_str(
-        t.get("name")
-            .ok_or_else(|| err(pos, "[[axis]] needs a `name`"))?,
-        "axis name",
-    )?
-    .to_string();
-    let lists: Vec<&(String, Spanned)> = t.entries.iter().filter(|(k, _)| k != "name").collect();
-    let [(kind, val)] = lists.as_slice() else {
-        return Err(err(
-            pos,
-            format!(
-                "axis `{name}` needs exactly one value list \
-                 (schemes, traces, rtt_ms, buffer_pkts, seeds, durations_s, flows, or values)"
-            ),
-        ));
-    };
-    let values: Vec<(String, AxisValue)> = match kind.as_str() {
-        "schemes" => expect_array(val, "`schemes`")?
-            .iter()
-            .map(|s| scheme(s).map(|sch| (sch.name(), AxisValue::Scheme(sch))))
-            .collect::<Result<_, _>>()?,
-        "traces" => expect_array(val, "`traces`")?
-            .iter()
-            .map(|s| {
-                let n = expect_str(s, "a trace name")?;
-                let trace = cellular::builtin(n).ok_or_else(|| {
-                    err(
-                        s.pos,
-                        format!("unknown built-in trace {n:?} (try Verizon1)"),
-                    )
-                })?;
-                Ok((trace.name.clone(), AxisValue::Link(LinkSpec::Trace(trace))))
-            })
-            .collect::<Result<_, _>>()?,
-        "rtt_ms" => int_axis(val, "`rtt_ms`", AxisValue::RttMs)?,
-        "buffer_pkts" => int_axis(val, "`buffer_pkts`", |p| AxisValue::BufferPkts(p as usize))?,
-        "seeds" => int_axis(val, "`seeds`", AxisValue::Seed)?,
-        "durations_s" => int_axis(val, "`durations_s`", AxisValue::DurationSecs)?,
-        // Client-count sweeps (`flows = [10, 100, 1000]`); each element
-        // is any flow-schedule literal, labelled by its count.
-        "flows" => expect_array(val, "`flows`")?
-            .iter()
-            .map(|entry| {
-                let sched = flow_schedule(entry)?;
-                let label = match &sched {
-                    FlowSchedule::Uniform { n, .. } => n.to_string(),
-                    FlowSchedule::Explicit(_) => "0".to_string(),
-                };
-                Ok((label, AxisValue::Flows(sched)))
-            })
-            .collect::<Result<_, _>>()?,
-        "values" => expect_array(val, "`values`")?
-            .iter()
-            .map(|entry| {
-                let et = expect_table(entry, "[[axis.values]]")?;
-                let label = expect_str(
-                    et.get("label")
-                        .ok_or_else(|| err(entry.pos, "[[axis.values]] needs a `label`"))?,
-                    "value label",
-                )?
-                .to_string();
-                let settings: Vec<&(String, Spanned)> =
-                    et.entries.iter().filter(|(k, _)| k != "label").collect();
-                let [(key, v)] = settings.as_slice() else {
-                    return Err(err(
-                        entry.pos,
-                        format!(
-                            "value {label:?} needs exactly one setting \
-                             (one of: {})",
-                            SETTING_KEYS.join(", ")
-                        ),
-                    ));
-                };
-                if !SETTING_KEYS.contains(&key.as_str()) {
-                    return Err(err(
-                        v.pos,
-                        format!(
-                            "unknown setting `{key}` (expected one of: {})",
-                            SETTING_KEYS.join(", ")
-                        ),
-                    ));
-                }
-                Ok((label, setting(key, v)?))
-            })
-            .collect::<Result<_, _>>()?,
-        _ => unreachable!("key list checked above"),
-    };
-    if values.is_empty() {
-        return Err(err(val.pos, format!("axis `{name}` has no values")));
+/// A table that is either the `alone` form by itself — `conflict(key,
+/// value, alone)` reports any other key — or the explicit `rows`
+/// compiled into `init`.
+fn alone_or<T>(
+    v: &Spanned,
+    what: &str,
+    alone: Form<T>,
+    rows: &[Field<T>],
+    mut init: T,
+    conflict: impl Fn(&str, &Spanned, &str) -> TomlError,
+) -> Result<T> {
+    let t = table(v, what)?;
+    check_keys(t, what, std::iter::once(alone.key).chain(keys(rows)))?;
+    if let Some(x) = t.get(alone.key) {
+        if let Some((k, other)) = t.entries.iter().find(|(k, _)| k != alone.key) {
+            return Err(conflict(k, other, alone.key));
+        }
+        return (alone.build)(x, &format!("`{}`", alone.key));
     }
+    let missing = |k: &str| format!("{what} needs `{k}` (or just `{}`)", alone.key);
+    fields(t, v.pos, None, rows, &mut init, missing).map(|_| init)
+}
+
+// ---- axes ----
+
+type Values = Vec<(String, AxisValue)>;
+
+/// `[[axis]]` value lists: the typed shorthands, whose values label
+/// themselves, and the explicit `[[axis.values]]` form.
+#[rustfmt::skip]
+static AXIS_LISTS: &[Form<Values>] = &[
+    form("schemes", |v, w| {
+        each(v, w, |x| scheme(x, "`scheme`").map(|s| (s.name(), AxisValue::Scheme(s))))
+    }),
+    form("traces", |v, w| {
+        let link = |t: cellular::CellTrace| (t.name.clone(), AxisValue::Link(LinkSpec::Trace(t)));
+        each(v, w, |x| trace(x, "a trace name").map(link))
+    }),
+    form("rtt_ms",      |v, w| each(v, w, |x| numbered(uint(x, w), AxisValue::RttMs))),
+    form("buffer_pkts", |v, w| {
+        each(v, w, |x| numbered(positive(x, w), |n| AxisValue::BufferPkts(n as usize)))
+    }),
+    form("seeds",       |v, w| each(v, w, |x| numbered(uint(x, w), AxisValue::Seed))),
+    form("durations_s", |v, w| each(v, w, |x| numbered(uint(x, w), AxisValue::DurationSecs))),
+    // Client-count sweeps (`flows = [10, 100, 1000]`); each element is
+    // any flow-schedule literal, labelled by its count.
+    form("flows", |v, w| each(v, w, |x| {
+        let sched = flows(x, w)?;
+        let n = if let FlowSchedule::Uniform { n, .. } = sched { n } else { 0 };
+        Ok((n.to_string(), AxisValue::Flows(sched)))
+    })),
+    form("values", |v, w| each(v, w, explicit_value)),
+];
+
+fn each<T>(v: &Spanned, what: &str, f: impl Fn(&Spanned) -> Result<T>) -> Result<Vec<T>> {
+    array(v, what)?.iter().map(f).collect()
+}
+
+fn numbered(n: Result<u64>, value: impl Fn(u64) -> AxisValue) -> Result<(String, AxisValue)> {
+    n.map(|n| (n.to_string(), value(n)))
+}
+
+#[rustfmt::skip]
+static AXIS_NAME: &[Field<String>] =
+    &[req("name", |n, v, _| string(v, "axis name").map(|s| *n = s.into()))];
+
+/// One `[[axis]]` table: a `name` plus exactly one of [`AXIS_LISTS`].
+fn compile_axis(v: &Spanned) -> Result<Axis> {
+    let t = table(v, "[[axis]]")?;
+    check_keys(t, "[[axis]]", keys(AXIS_NAME).chain(form_keys(AXIS_LISTS)))?;
+    let mut name = String::new();
+    fields(t, v.pos, None, AXIS_NAME, &mut name, |k| {
+        format!("[[axis]] needs a `{k}`")
+    })?;
+    let lists: Vec<String> = form_keys(AXIS_LISTS).map(String::from).collect();
+    let msg = format!(
+        "axis `{name}` needs exactly one value list ({})",
+        or_list(&lists)
+    );
+    let (values, list) = one_form(t, AXIS_LISTS, || err(v.pos, msg))?;
+    ensure(!values.is_empty(), list, || {
+        format!("axis `{name}` has no values")
+    })?;
     // Duplicate labels would expand to points with identical coordinate
     // keys, which diff/aggregate silently conflate — reject them here.
     for (i, (label, _)) in values.iter().enumerate() {
-        if values[..i].iter().any(|(l, _)| l == label) {
-            return Err(err(
-                val.pos,
-                format!("axis `{name}` has duplicate value label {label:?}"),
-            ));
-        }
+        let unique = values[..i].iter().all(|(l, _)| l != label);
+        ensure(unique, list, || {
+            format!("axis `{name}` has duplicate value label {label:?}")
+        })?;
     }
     Ok(Axis::new(name, values))
 }
 
-/// An integer-valued shorthand axis: labels are the numbers themselves.
-fn int_axis(
-    val: &Spanned,
-    what: &str,
-    make: impl Fn(u64) -> AxisValue,
-) -> Result<Vec<(String, AxisValue)>, TomlError> {
-    expect_array(val, what)?
+#[rustfmt::skip]
+static VALUE_LABEL: &[Field<String>] =
+    &[req("label", |l, v, _| string(v, "value label").map(|s| *l = s.into()))];
+
+/// One `[[axis.values]]` entry: a `label` plus exactly one setting.
+fn explicit_value(entry: &Spanned) -> Result<(String, AxisValue)> {
+    let t = table(entry, "[[axis.values]]")?;
+    let mut label = String::new();
+    fields(t, entry.pos, None, VALUE_LABEL, &mut label, |k| {
+        format!("[[axis.values]] needs a `{k}`")
+    })?;
+    let settings: Vec<_> = t
+        .entries
         .iter()
-        .map(|x| expect_u64(x, what).map(|n| (n.to_string(), make(n))))
-        .collect()
+        .filter(|(k, _)| keys(VALUE_LABEL).all(|l| l != k))
+        .collect();
+    let [(key, v)] = settings.as_slice() else {
+        let all = join(form_keys(SETTINGS));
+        return Err(err(
+            entry.pos,
+            format!("value {label:?} needs exactly one setting (one of: {all})"),
+        ));
+    };
+    Ok((label, setting(key, v)?))
 }
 
-/// One `[[filter]]` table. Two forms:
-///
-/// * `deny = { axis = label, … }` — reject points matching **all**
-///   conditions;
-/// * `when = { … }` + `require = { … }` — points matching `when` must
-///   also match `require` (`require` alone applies unconditionally).
-///
-/// A condition value is a label (string or integer) or an array of
-/// labels (any-of).
-fn compile_filter(t: &Table, pos: Pos, axes: &[String]) -> Result<Filter, TomlError> {
-    check_keys(t, "[[filter]]", &["name", "deny", "when", "require"])?;
-    let name = expect_str(
-        t.get("name")
-            .ok_or_else(|| err(pos, "[[filter]] needs a `name`"))?,
-        "filter name",
-    )?
-    .to_string();
-    let deny = t.get("deny").map(|d| conditions(d, axes)).transpose()?;
-    let when = t.get("when").map(|d| conditions(d, axes)).transpose()?;
-    let require = t.get("require").map(|d| conditions(d, axes)).transpose()?;
-    match (deny, when, require) {
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) => Err(err(
-            pos,
-            "a filter is either `deny` or `when`/`require`, not both",
-        )),
-        (Some(deny), None, None) => Ok(Filter::new(name, move |co: &Coords| !matches(&deny, co))),
-        (None, when, Some(require)) => {
-            let when = when.unwrap_or_default();
-            Ok(Filter::new(name, move |co: &Coords| {
-                !matches(&when, co) || matches(&require, co)
-            }))
-        }
-        (None, Some(_), None) => Err(err(pos, "`when` needs a `require` to enforce")),
-        (None, None, None) => Err(err(pos, "a filter needs `deny` or `when`/`require`")),
-    }
-}
+// ---- filters ----
 
 /// `(axis, any-of labels)` pairs compiled from a condition table.
 type Conditions = Vec<(String, Vec<String>)>;
 
-fn conditions(v: &Spanned, axes: &[String]) -> Result<Conditions, TomlError> {
-    let t = expect_table(v, "a filter condition")?;
-    t.entries
-        .iter()
-        .map(|(axis, val)| {
-            if !axes.iter().any(|a| a == axis) {
-                return Err(err(
-                    val.pos,
-                    format!(
-                        "filter references unknown axis `{axis}` (declared: {})",
-                        axes.join(", ")
-                    ),
-                ));
-            }
-            let labels = match &val.value {
-                Value::Array(items) => items
-                    .iter()
-                    .map(|i| label(i, axis))
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => vec![label(val, axis)?],
-            };
-            Ok((axis.clone(), labels))
-        })
-        .collect()
+/// A filter under construction: the declared axis names, its name, and
+/// its `deny`, `when` and `require` conditions.
+type FilterDraft = (Vec<String>, String, [Option<Conditions>; 3]);
+
+#[rustfmt::skip]
+static FILTER: &[Field<FilterDraft>] = &[
+    req("name",    |f, v, _| string(v, "filter name").map(|n| f.1 = n.into())),
+    opt("deny",    |f, v, _| conditions(v, &f.0).map(|c| f.2[0] = Some(c))),
+    opt("when",    |f, v, _| conditions(v, &f.0).map(|c| f.2[1] = Some(c))),
+    opt("require", |f, v, _| conditions(v, &f.0).map(|c| f.2[2] = Some(c))),
+];
+
+/// `[[filter]]`: a `name`, then either `deny = { axis = label, … }`
+/// (reject points matching **all** conditions) or `when = { … }` +
+/// `require = { … }` (points matching `when` must also match `require`;
+/// `require` alone applies unconditionally). A condition value is a
+/// label (string or integer) or an array of labels (any-of).
+fn compile_filter(v: &Spanned, axes: Vec<String>) -> Result<Filter> {
+    let t = table(v, "[[filter]]")?;
+    let mut f = (axes, String::new(), [None, None, None]);
+    fields(t, v.pos, Some("[[filter]]"), FILTER, &mut f, |k| {
+        format!("[[filter]] needs a `{k}`")
+    })?;
+    let (_, name, [deny, when, require]) = f;
+    let msg = match (deny, when, require) {
+        (Some(deny), None, None) => {
+            return Ok(Filter::new(name, move |co: &Coords| !matches(&deny, co)))
+        }
+        (None, when, Some(require)) => {
+            let when = when.unwrap_or_default();
+            return Ok(Filter::new(name, move |co: &Coords| {
+                !matches(&when, co) || matches(&require, co)
+            }));
+        }
+        (Some(_), _, _) => "a filter is either `deny` or `when`/`require`, not both",
+        (None, Some(_), None) => "`when` needs a `require` to enforce",
+        (None, None, None) => "a filter needs `deny` or `when`/`require`",
+    };
+    Err(err(v.pos, msg))
+}
+
+fn conditions(v: &Spanned, axes: &[String]) -> Result<Conditions> {
+    let mut out = Vec::new();
+    for (axis, val) in &table(v, "a filter condition")?.entries {
+        let declared = axes.join(", ");
+        let msg = || format!("filter references unknown axis `{axis}` (declared: {declared})");
+        ensure(axes.contains(axis), val, msg)?;
+        let labels = match &val.value {
+            Value::Array(items) => items.iter().map(|i| label(i, axis)).collect(),
+            _ => label(val, axis).map(|l| vec![l]),
+        };
+        out.push((axis.clone(), labels?));
+    }
+    Ok(out)
 }
 
 /// A coordinate label: a string, or an integer rendered the way integer
 /// axes label themselves.
-fn label(v: &Spanned, axis: &str) -> Result<String, TomlError> {
-    match &v.value {
-        Value::Str(s) => Ok(s.clone()),
-        Value::Int(i) => Ok(i.to_string()),
-        other => Err(err(
-            v.pos,
-            format!(
-                "condition on `{axis}` must be a string or integer label, found {}",
-                other.kind()
-            ),
-        )),
-    }
+fn label(v: &Spanned, axis: &str) -> Result<String> {
+    let kind = v.value.kind();
+    let msg = || format!("condition on `{axis}` must be a string or integer label, found {kind}");
+    let int = || v.value.as_int().map(|i| i.to_string());
+    v.value
+        .as_str()
+        .map(String::from)
+        .or_else(int)
+        .ok_or_else(|| err(v.pos, msg()))
 }
 
 /// Does a point match all conditions? Points that lack a referenced axis
@@ -1689,6 +1489,26 @@ mod tests {
         );
         assert_eq!(line, 4);
         assert!(msg.contains("non-zero `stagger_ms`"), "{msg}");
+    }
+
+    #[test]
+    fn zero_buffer_is_rejected_with_position_wherever_a_buffer_is_set() {
+        // a zero-capacity droptail or ABC queue used to compile and then
+        // panic at build
+        let cases = [
+            ("[base]\nbuffer_pkts = 0\n", (4, 15)),
+            ("[scale.tiny]\nbuffer_pkts = 0\n", (4, 15)),
+            ("[[axis]]\nname = \"b\"\nbuffer_pkts = [10, 0]\n", (5, 20)),
+            (
+                "[[axis]]\nname = \"b\"\n[[axis.values]]\nlabel = \"z\"\nbuffer_pkts = 0\n",
+                (7, 15),
+            ),
+        ];
+        for (tail, at) in cases {
+            let (line, col, msg) = error_at(&format!("[campaign]\nname = \"x\"\n{tail}"));
+            assert_eq!((line, col), at, "{tail}");
+            assert!(msg.contains("`buffer_pkts` must be at least 1"), "{msg}");
+        }
     }
 
     #[test]
@@ -2028,30 +1848,5 @@ mod tests {
         let (_, _, msg) =
             error_at("[campaign]\nname = \"x\"\n[base]\nqdisc = { abc = { delta = 133 } }\n");
         assert!(msg.contains("unknown key `delta`"), "{msg}");
-    }
-
-    #[test]
-    fn scheme_names_round_trip() {
-        for s in [
-            Scheme::Abc,
-            Scheme::AbcDt(50),
-            Scheme::CubicCodel,
-            Scheme::Xcpw,
-            Scheme::Vcp,
-        ] {
-            assert_eq!(parse_scheme(&s.name()), Some(s), "{}", s.name());
-        }
-        assert_eq!(parse_scheme("abc"), Some(Scheme::Abc));
-        // abcsim's historical aliases resolve through the same parser
-        assert_eq!(parse_scheme("codel"), Some(Scheme::CubicCodel));
-        assert_eq!(parse_scheme("abc-dt50"), Some(Scheme::AbcDt(50)));
-        assert_eq!(parse_scheme("cubic-codel"), Some(Scheme::CubicCodel));
-        assert_eq!(
-            parse_scheme("Abc_50"),
-            Some(Scheme::AbcDt(50)),
-            "prefix is case-insensitive"
-        );
-        assert_eq!(parse_scheme("nope"), None);
-        assert_eq!(parse_scheme("ABC_"), None);
     }
 }

@@ -8,10 +8,8 @@
 //!   character of the paper's eight carrier captures (see the crate map
 //!   in `docs/ARCHITECTURE.md`).
 
-pub mod peruser;
 pub mod synth;
 pub mod trace;
 
-pub use peruser::PerUserLink;
 pub use synth::{all_builtin, builtin, builtin_specs, SynthSpec};
 pub use trace::{CellTrace, TraceError};

@@ -14,10 +14,6 @@ use netsim::rate::Rate;
 use netsim::sim::RunGuards;
 use netsim::time::SimDuration;
 
-fn parse_scheme(s: &str) -> Option<Scheme> {
-    Scheme::from_name(s)
-}
-
 fn usage() -> ! {
     eprintln!(
         "abcsim — congestion-control scenarios from the ABC reproduction
@@ -67,7 +63,7 @@ fn main() {
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1).cloned())
     };
-    let Some(scheme) = get("--scheme").as_deref().and_then(parse_scheme) else {
+    let Some(scheme) = get("--scheme").as_deref().and_then(Scheme::from_name) else {
         usage()
     };
 

@@ -531,15 +531,6 @@ impl InjectedFault {
             InjectedFault::Stall => "stall",
         }
     }
-
-    /// Inverse of [`InjectedFault::name`].
-    pub fn from_name(name: &str) -> Option<InjectedFault> {
-        match name {
-            "panic" => Some(InjectedFault::Panic),
-            "stall" => Some(InjectedFault::Stall),
-            _ => None,
-        }
-    }
 }
 
 /// The [`InjectedFault::Stall`] implementation: re-arms a 1 ns timer

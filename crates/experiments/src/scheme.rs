@@ -276,6 +276,31 @@ mod tests {
     }
 
     #[test]
+    fn scheme_names_round_trip() {
+        for s in [
+            Scheme::Abc,
+            Scheme::AbcDt(50),
+            Scheme::CubicCodel,
+            Scheme::Xcpw,
+            Scheme::Vcp,
+        ] {
+            assert_eq!(Scheme::from_name(&s.name()), Some(s), "{}", s.name());
+        }
+        assert_eq!(Scheme::from_name("abc"), Some(Scheme::Abc));
+        // abcsim's historical aliases resolve through the same parser
+        assert_eq!(Scheme::from_name("codel"), Some(Scheme::CubicCodel));
+        assert_eq!(Scheme::from_name("abc-dt50"), Some(Scheme::AbcDt(50)));
+        assert_eq!(Scheme::from_name("cubic-codel"), Some(Scheme::CubicCodel));
+        assert_eq!(
+            Scheme::from_name("Abc_50"),
+            Some(Scheme::AbcDt(50)),
+            "prefix is case-insensitive"
+        );
+        assert_eq!(Scheme::from_name("nope"), None);
+        assert_eq!(Scheme::from_name("ABC_"), None);
+    }
+
+    #[test]
     fn abc_variants_flagged() {
         assert!(Scheme::Abc.is_abc());
         assert!(Scheme::AbcDt(20).is_abc());

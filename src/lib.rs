@@ -8,7 +8,7 @@
 //! * [`baselines`] — Cubic, NewReno, Vegas, BBR, Copa, PCC-Vivace,
 //!   Sprout-like, Verus-like;
 //! * [`explicit`] — XCP/XCPw, RCP, VCP;
-//! * [`aqm`] — CoDel, PIE, RED;
+//! * [`aqm`] — CoDel, PIE;
 //! * [`wifi_mac`] — the 802.11n A-MPDU MAC model and ABC's link-rate
 //!   estimator;
 //! * [`cellular`] — Mahimahi trace parsing and synthetic carrier traces;
