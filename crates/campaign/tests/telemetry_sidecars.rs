@@ -7,12 +7,12 @@
 //!   1/2/4/8-worker engine pools, like every other campaign artifact.
 
 use campaign::presets;
-use campaign::runner::{run_campaign, RunOptions};
+use campaign::runner::{run_campaign, run_campaign_sidecars, RunOptions};
 use campaign::store::ResultsStore;
 use experiments::engine::ScenarioEngine;
 use experiments::figures::Scale;
 use netsim::sim::RunGuards;
-use netsim::telemetry::{TelemetryConfig, SIDECAR_SCHEMA};
+use netsim::telemetry::{Signal, TelemetryConfig, SIDECAR_SCHEMA};
 
 #[test]
 fn telemetry_never_touches_the_results_store() {
@@ -141,11 +141,12 @@ fn tiny_sidecars_match_the_recorded_digest_at_one_and_four_workers() {
         names.sort();
         assert_eq!(names.len(), records.len(), "one sidecar per point");
 
-        let mut digest: u64 = 0xcbf29ce484222325;
+        let mut digest = FNV_OFFSET;
         for name in &names {
-            for byte in std::fs::read(dir.join(name)).expect("sidecar readable") {
-                digest = (digest ^ byte as u64).wrapping_mul(0x100000001b3);
-            }
+            digest = fnv64(
+                digest,
+                &std::fs::read(dir.join(name)).expect("sidecar readable"),
+            );
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
         assert_eq!(
@@ -153,4 +154,72 @@ fn tiny_sidecars_match_the_recorded_digest_at_one_and_four_workers() {
             "tiny sidecars changed at {jobs} workers (digest {digest:#018x})"
         );
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a 64 of `bytes`, continuing from `digest`.
+fn fnv64(mut digest: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        digest = (digest ^ byte as u64).wrapping_mul(0x100000001b3);
+    }
+    digest
+}
+
+/// FNV-1a 64 of the `robustness`, `parking-lot` and `many-users`
+/// presets' Tiny sidecars with every signal selected, concatenated in
+/// preset then ordinal order. Where the tiny digest covers one flow, one
+/// link and the default signals, these carry the `events` trace,
+/// `goodput_mbps`, `w_abc`/`w_nonabc`, the `link:<impairment kind>`
+/// counters, several link tags and many flows — so this pins the order in
+/// which the hub emits every kind of counter and histogram row.
+const MULTI_SCOPE_SIDECARS_FNV64: u64 = 0x97cf415e104d48d1;
+
+#[test]
+fn multi_scope_sidecars_with_every_signal_match_the_recorded_digest() {
+    let all = TelemetryConfig {
+        signals: Signal::ALL.to_vec(),
+        ..TelemetryConfig::default()
+    };
+    // rows the golden exists to cover, each present in some sidecar
+    const NEEDLES: [&str; 7] = [
+        "\"signal\":\"events\"",
+        "\"signal\":\"goodput_mbps\"",
+        "\"signal\":\"w_abc\"",
+        "\"signal\":\"w_nonabc\"",
+        "\"counter\":\"impair_hit\",\"scope\":\"link:gilbert-elliott\"",
+        "\"scope\":\"link:hop2\"",
+        "\"scope\":\"flow:40\"",
+    ];
+    let mut seen = [false; NEEDLES.len()];
+    let mut digest = FNV_OFFSET;
+    let mut sidecars = 0;
+    for campaign in [
+        presets::robustness(Scale::Tiny),
+        presets::parking_lot(Scale::Tiny),
+        presets::many_users(Scale::Tiny),
+    ] {
+        let campaign = campaign.telemetry(all.clone());
+        for (_, sidecar) in
+            run_campaign_sidecars(&campaign, &RunOptions::quiet().with_jobs(Some(2)))
+        {
+            let sidecar = sidecar.expect("telemetry was attached to every point");
+            digest = fnv64(digest, sidecar.as_bytes());
+            for (needle, seen) in NEEDLES.iter().zip(&mut seen) {
+                *seen |= sidecar.contains(needle);
+            }
+            sidecars += 1;
+        }
+    }
+    assert!(
+        sidecars >= 10,
+        "the three presets shrank: {sidecars} points"
+    );
+    for (needle, seen) in NEEDLES.iter().zip(seen) {
+        assert!(seen, "no sidecar has a {needle} row");
+    }
+    assert_eq!(
+        digest, MULTI_SCOPE_SIDECARS_FNV64,
+        "multi-scope sidecars changed (digest {digest:#018x})"
+    );
 }

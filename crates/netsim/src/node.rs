@@ -39,10 +39,9 @@ pub struct Context<'a> {
     pool_stats: &'a mut PoolStats,
     /// The telemetry sink probes record through.
     sink: &'a mut dyn TelemetrySink,
-    /// `sink.is_enabled()`, cached by the simulator when the sink is
-    /// installed so each probe site costs a predictable branch instead of
-    /// a virtual call.
-    telemetry_on: bool,
+    /// `sink.mask()`, cached by the simulator when the sink is installed
+    /// so each probe site costs one bit test instead of a virtual call.
+    mask: u32,
 }
 
 impl<'a> Context<'a> {
@@ -54,7 +53,7 @@ impl<'a> Context<'a> {
         pool: &'a mut Vec<Box<Packet>>,
         pool_stats: &'a mut PoolStats,
         sink: &'a mut dyn TelemetrySink,
-        telemetry_on: bool,
+        mask: u32,
     ) -> Self {
         Context {
             now,
@@ -63,7 +62,7 @@ impl<'a> Context<'a> {
             pool,
             pool_stats,
             sink,
-            telemetry_on,
+            mask,
         }
     }
 
@@ -155,25 +154,26 @@ impl<'a> Context<'a> {
         self.queue.cancel(id.0);
     }
 
-    /// Whether a live telemetry sink is attached. Probe sites that need
-    /// to compute a value before sampling guard on this so the disabled
-    /// path does no work at all.
+    /// Whether any signal is selected. Probe sites that need to compute
+    /// values before sampling guard on this so the disabled path does no
+    /// work at all.
     #[inline]
     pub fn telemetry_on(&self) -> bool {
-        self.telemetry_on
+        self.mask != 0
     }
 
     /// Whether `signal` is selected (always false while telemetry is off).
     #[inline]
     pub fn wants(&self, signal: Signal) -> bool {
-        self.telemetry_on && self.sink.wants(signal)
+        self.mask & signal.bit() != 0
     }
 
     /// Record a gauge observation (one line at a probe site; a dead
-    /// branch when the sink is [`Off`](crate::telemetry::Off)).
+    /// branch when the signal is not selected, as under
+    /// [`Off`](crate::telemetry::Off)).
     #[inline]
     pub fn sample(&mut self, signal: Signal, scope: Scope, value: f64) {
-        if self.telemetry_on {
+        if self.wants(signal) {
             self.sink.sample(self.now, signal, scope, value);
         }
     }
@@ -181,7 +181,7 @@ impl<'a> Context<'a> {
     /// Bump a counter signal (same cost contract as [`Context::sample`]).
     #[inline]
     pub fn count(&mut self, signal: Signal, scope: Scope, delta: u64) {
-        if self.telemetry_on {
+        if self.wants(signal) {
             self.sink.count(signal, scope, delta);
         }
     }

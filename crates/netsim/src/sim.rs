@@ -59,9 +59,9 @@ pub struct Simulator {
     pool_flushed: PoolStats,
     /// The telemetry sink probes record through; [`Off`] by default.
     telemetry: Box<dyn TelemetrySink>,
-    /// `telemetry.is_enabled()`, cached at install time so per-event
-    /// accounting pays one predictable branch, not a virtual call.
-    telemetry_on: bool,
+    /// `telemetry.mask()`, cached at install time so per-event accounting
+    /// and every probe pay one bit test, not a virtual call.
+    telemetry_mask: u32,
     /// Opt-in wall-clock event-loop profiler.
     profiler: Option<Profiler>,
     /// Cooperative run budgets; all `None` by default (no overhead
@@ -69,6 +69,8 @@ pub struct Simulator {
     guards: RunGuards,
     /// Set when a guard trips; sticky until [`Simulator::set_guards`].
     aborted: Option<AbortReason>,
+    /// Event count at which the wall-clock guard next reads the clock.
+    next_wall_poll: u64,
 }
 
 /// Cooperative budgets for [`Simulator::run_until`]: the event loop
@@ -81,8 +83,10 @@ pub struct RunGuards {
     /// Stop once this many events have been processed (lifetime total).
     pub max_events: Option<u64>,
     /// Stop once this much wall-clock time has elapsed since the current
-    /// `run_until` call began. Polled every 4096 events, so enforcement
-    /// lags by at most one poll interval.
+    /// `run_until` call began. Polled once 4096 more events have been
+    /// processed since the last poll — counted as events, so batched
+    /// dispatch cannot step over a poll — and enforcement lags by at
+    /// most one poll interval (plus the batch that crossed it).
     pub max_wall_time: Option<std::time::Duration>,
 }
 
@@ -128,6 +132,9 @@ impl Default for Simulator {
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
+/// Events between two wall-clock polls of [`RunGuards::max_wall_time`].
+const WALL_POLL_EVERY: u64 = 4096;
+
 /// One-multiply word mix (xorshift-multiply): fast enough to run on every
 /// event, strong enough that any reordering flips the final fingerprint.
 #[inline]
@@ -169,10 +176,11 @@ impl Simulator {
             pool_stats: PoolStats::default(),
             pool_flushed: PoolStats::default(),
             telemetry: Box::new(Off),
-            telemetry_on: false,
+            telemetry_mask: 0,
             profiler: None,
             guards: RunGuards::default(),
             aborted: None,
+            next_wall_poll: 0,
         }
     }
 
@@ -218,10 +226,11 @@ impl Simulator {
     }
 
     /// Install a telemetry sink; probes in every node's `Context` and the
-    /// per-event accounting record through it from now on. Installing
-    /// [`Off`] (the default) disables telemetry again.
+    /// per-event accounting record through it from now on, for the
+    /// signals its [`TelemetrySink::mask`] — read here, once — selects.
+    /// Installing [`Off`] (the default) disables telemetry again.
     pub fn set_telemetry(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.telemetry_on = sink.is_enabled();
+        self.telemetry_mask = sink.mask();
         self.telemetry = sink;
     }
 
@@ -255,7 +264,7 @@ impl Simulator {
             &mut self.pool,
             &mut self.pool_stats,
             &mut *self.telemetry,
-            self.telemetry_on,
+            self.telemetry_mask,
         )
     }
 
@@ -273,9 +282,10 @@ impl Simulator {
     }
 
     /// Per-event accounting: the processed-event counter, the order
-    /// fingerprint, and the optional trace. Runs for every event exactly
-    /// when it is popped, so batched dispatch is indistinguishable from
-    /// one-at-a-time dispatch to every order witness.
+    /// fingerprint, and the `events` trace when that signal is selected.
+    /// Runs for every event exactly when it is popped, so batched
+    /// dispatch is indistinguishable from one-at-a-time dispatch to every
+    /// order witness.
     fn account(&mut self, time: SimTime, node: NodeId, kind: &EventKind, seq: u64) {
         self.events_processed += 1;
         let mut h = fnv_mix(self.fingerprint, time.as_nanos());
@@ -285,8 +295,15 @@ impl Simulator {
             EventKind::Deliver(p) => fnv_mix(fnv_mix(fnv_mix(h, 2), p.flow.0 as u64), p.seq),
         };
         self.fingerprint = h;
-        if self.telemetry_on {
+        if self.telemetry_mask & Signal::Events.bit() != 0 {
             self.telemetry.event(time, node, seq);
+        }
+    }
+
+    /// Bump a global counter signal if it is selected.
+    fn count(&mut self, signal: Signal, delta: u64) {
+        if self.telemetry_mask & signal.bit() != 0 {
+            self.telemetry.count(signal, Scope::Global, delta);
         }
     }
 
@@ -304,6 +321,7 @@ impl Simulator {
         self.start_all();
         let guards_active = self.guards.active() || self.aborted.is_some();
         let run_start = std::time::Instant::now();
+        self.next_wall_poll = self.events_processed + WALL_POLL_EVERY;
         let mut batch: Vec<EventKind> = Vec::new();
         while let Some(ev) = self.queue.pop_before(deadline) {
             if guards_active && self.guard_tripped(run_start) {
@@ -324,9 +342,13 @@ impl Simulator {
             // Take the node out so the handler can't alias the registry.
             // A missing node (reserved but never installed) drops the event.
             if let Some(mut node) = self.nodes.get_mut(idx).and_then(Option::take) {
-                // Wall-clock instrumentation only when the profiler is on:
-                // the disabled path pays one branch per dispatch.
-                let prof_t0 = self.profiler.as_ref().map(|_| std::time::Instant::now());
+                // Wall-clock instrumentation only when the profiler is on
+                // (the disabled path pays one branch per dispatch), and
+                // then only for the one dispatch in 16 it times.
+                let prof_t0 = match &mut self.profiler {
+                    Some(p) => p.times_next_dispatch().then(std::time::Instant::now),
+                    None => None,
+                };
                 let mut phase = match ev.kind {
                     EventKind::Timer(_) => Phase::Timer,
                     EventKind::Deliver(_) => Phase::Deliver,
@@ -353,28 +375,24 @@ impl Simulator {
                     }
                 }
                 self.nodes[idx] = Some(node);
-                if let (Some(p), Some(t0)) = (&mut self.profiler, prof_t0) {
-                    p.note_dispatch(phase, dispatched, t0.elapsed().as_nanos() as u64);
+                if let Some(p) = &mut self.profiler {
+                    let ns = prof_t0.map(|t0| t0.elapsed().as_nanos() as u64);
+                    p.note_dispatch(phase, dispatched, ns);
                 }
                 // Occupancy checkpoint every 1024 processed events. The
                 // checkpoint schedule is a pure function of the event
                 // count, so the `wheel_*` counters are deterministic.
-                if (self.profiler.is_some() || self.telemetry_on)
+                if (self.profiler.is_some() || self.telemetry_mask != 0)
                     && self.events_processed & 0x3ff == 0
                 {
                     let (near, slots, overflow) = self.queue.occupancy();
                     if let Some(p) = &mut self.profiler {
                         p.note_occupancy(near, slots, overflow);
                     }
-                    if self.telemetry_on {
-                        self.telemetry
-                            .count(Signal::WheelNear, Scope::Global, near as u64);
-                        self.telemetry
-                            .count(Signal::WheelSlots, Scope::Global, slots as u64);
-                        self.telemetry
-                            .count(Signal::WheelOverflow, Scope::Global, overflow as u64);
-                        self.telemetry.count(Signal::WheelSamples, Scope::Global, 1);
-                    }
+                    self.count(Signal::WheelNear, near as u64);
+                    self.count(Signal::WheelSlots, slots as u64);
+                    self.count(Signal::WheelOverflow, overflow as u64);
+                    self.count(Signal::WheelSamples, 1);
                 }
             } else if let EventKind::Deliver(b) = ev.kind {
                 if self.pool.len() < PACKET_POOL_CAP {
@@ -385,15 +403,14 @@ impl Simulator {
         // Flush packet-pool deltas into the pool_hit/pool_miss counters.
         // Not reached on the guard-abort path above: an aborted run
         // reports nothing but its abort reason.
-        if self.telemetry_on {
+        if self.telemetry_mask != 0 {
             let hits = self.pool_stats.hits - self.pool_flushed.hits;
             let misses = self.pool_stats.misses - self.pool_flushed.misses;
             if hits > 0 {
-                self.telemetry.count(Signal::PoolHit, Scope::Global, hits);
+                self.count(Signal::PoolHit, hits);
             }
             if misses > 0 {
-                self.telemetry
-                    .count(Signal::PoolMiss, Scope::Global, misses);
+                self.count(Signal::PoolMiss, misses);
             }
             self.pool_flushed = self.pool_stats;
         }
@@ -417,8 +434,9 @@ impl Simulator {
     }
 
     /// Check budgets between events; sets [`Simulator::aborted`] and
-    /// returns true when one trips. Wall clock is polled every 4096
-    /// events so the common path stays syscall-free.
+    /// returns true when one trips. Wall clock is polled when the event
+    /// count reaches `next_wall_poll`, which then moves [`WALL_POLL_EVERY`]
+    /// events on, so the common path stays syscall-free.
     fn guard_tripped(&mut self, run_start: std::time::Instant) -> bool {
         if self.aborted.is_some() {
             return true;
@@ -430,9 +448,12 @@ impl Simulator {
             }
         }
         if let Some(budget) = self.guards.max_wall_time {
-            if self.events_processed & 0xfff == 0 && run_start.elapsed() >= budget {
-                self.aborted = Some(AbortReason::WallClock(budget));
-                return true;
+            if self.events_processed >= self.next_wall_poll {
+                self.next_wall_poll = self.events_processed + WALL_POLL_EVERY;
+                if run_start.elapsed() >= budget {
+                    self.aborted = Some(AbortReason::WallClock(budget));
+                    return true;
+                }
             }
         }
         false
@@ -681,6 +702,62 @@ mod tests {
         // wall time; the guard must cut it off promptly.
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(3600));
         assert!(matches!(sim.aborted(), Some(AbortReason::WallClock(_))));
+    }
+
+    /// Fires one timer, then bounces two packets to itself 1 ns apart
+    /// forever: every dispatch after the first is a same-instant batch of
+    /// two, so the processed-event count only ever takes odd values.
+    struct BatchSpinner;
+
+    impl Node for BatchSpinner {
+        crate::impl_node_downcast!();
+        fn start(&mut self, ctx: &mut Context) {
+            ctx.set_timer(SimDuration::from_nanos(1), 0);
+        }
+        fn handle(&mut self, ctx: &mut Context, ev: EventKind) {
+            let me = ctx.self_id();
+            let pkt = match ev {
+                EventKind::Deliver(pkt) => *pkt,
+                EventKind::Timer(_) => {
+                    let pkt = Packet {
+                        flow: FlowId(0),
+                        seq: 0,
+                        size: 100,
+                        ecn: Ecn::NotEct,
+                        feedback: Feedback::None,
+                        abc_capable: false,
+                        sent_at: ctx.now(),
+                        retransmit: false,
+                        ack: None,
+                        route: Route::new(Vec::new()),
+                        hop: 0,
+                        enqueued_at: ctx.now(),
+                    };
+                    ctx.deliver(me, SimDuration::from_nanos(1), pkt.clone());
+                    pkt
+                }
+            };
+            ctx.deliver(me, SimDuration::from_nanos(1), pkt);
+        }
+    }
+
+    #[test]
+    fn wall_clock_guard_cancels_a_batched_livelock() {
+        let mut sim = Simulator::new();
+        sim.add_node(Box::new(BatchSpinner));
+        sim.set_guards(RunGuards {
+            max_events: None,
+            max_wall_time: Some(std::time::Duration::from_millis(20)),
+        });
+        // 2 M batches of two: far more than 20 ms of wall time even in
+        // an optimised build, yet short enough that a guard which never
+        // polls lets the run finish (and this assertion fail) quickly.
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(2));
+        assert!(
+            matches!(sim.aborted(), Some(AbortReason::WallClock(_))),
+            "ran all {} events unguarded",
+            sim.events_processed()
+        );
     }
 
     #[test]

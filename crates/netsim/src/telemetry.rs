@@ -6,15 +6,20 @@
 //!    in-flight, qdisc depth, ABC token level, …), counters (RTO arms/
 //!    cancels/fires), and log-bucketed histograms, all recorded through
 //!    the [`TelemetrySink`] threaded into every [`Context`]. Probe sites
-//!    are one-line `ctx.sample(..)` calls guarded by a cached boolean, so
-//!    with the default [`Off`] sink they compile down to a dead branch:
-//!    the event-order fingerprint and every results-store byte are
-//!    identical with telemetry compiled in but disabled.
+//!    are one-line `ctx.sample(..)` calls guarded by the sink's
+//!    selected-signal mask, which the simulator caches when the sink is
+//!    installed: an unselected signal costs one bit test and no call, and
+//!    with the default [`Off`] sink (mask 0) every probe is a dead
+//!    branch — the event-order fingerprint and every results-store byte
+//!    are identical with telemetry compiled in but disabled.
 //! 2. **Host self-profiling** — an opt-in wall-clock [`Profiler`] for the
 //!    event loop (time per dispatch phase, events/sec over wall time,
-//!    wheel occupancy, packet-pool hit rate). Wall-clock numbers are
-//!    machine-dependent by nature and are *never* written to a results
-//!    store; they exist to explain bench trajectories.
+//!    wheel occupancy, packet-pool hit rate). It reads the clock around
+//!    one dispatch in 16, picked by a fixed hash of the dispatch counter:
+//!    event and dispatch counts are exact, phase times are estimates.
+//!    Wall-clock numbers are machine-dependent by nature and are *never*
+//!    written to a results store; they exist to explain bench
+//!    trajectories.
 //! 3. **The sidecar** — [`TelemetryHub::render_jsonl`] emits a
 //!    self-describing JSONL document (schema header first, then sample /
 //!    counter / histogram / event rows) that downstream tooling renders
@@ -29,7 +34,6 @@
 use crate::packet::NodeId;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Version tag written as the `schema` field of a sidecar's header line.
@@ -222,7 +226,10 @@ impl Signal {
         matches!(self, Signal::QdelayMs)
     }
 
-    fn bit(self) -> u32 {
+    /// This signal's bit in a selected-signal mask
+    /// (see [`TelemetrySink::mask`]).
+    #[inline]
+    pub fn bit(self) -> u32 {
         1 << (self as u8)
     }
 }
@@ -240,12 +247,28 @@ pub enum Scope {
 }
 
 impl Scope {
-    /// Stable wire form: `global`, `flow:3`, `link:bottleneck`.
-    pub fn render(self) -> String {
+    /// `self == other`, trying the tag's address before its bytes: a link
+    /// probes with the one `&'static str` it was built with.
+    #[inline]
+    fn same_as(self, other: Scope) -> bool {
+        match (self, other) {
+            (Scope::Link(a), Scope::Link(b)) => std::ptr::eq(a, b) || a == b,
+            _ => self == other,
+        }
+    }
+
+    /// Append the stable wire form: `global`, `flow:3`, `link:bottleneck`.
+    fn push_to(self, out: &mut String) {
         match self {
-            Scope::Global => "global".to_string(),
-            Scope::Flow(id) => format!("flow:{id}"),
-            Scope::Link(tag) => format!("link:{tag}"),
+            Scope::Global => out.push_str("global"),
+            Scope::Flow(id) => {
+                out.push_str("flow:");
+                push_u64(out, id.into());
+            }
+            Scope::Link(tag) => {
+                out.push_str("link:");
+                out.push_str(tag);
+            }
         }
     }
 }
@@ -304,7 +327,8 @@ impl TelemetryConfig {
         self
     }
 
-    fn mask(&self) -> u32 {
+    /// The selected signals' bits (see [`TelemetrySink::mask`]).
+    pub fn mask(&self) -> u32 {
         self.signals.iter().fold(0, |m, s| m | s.bit())
     }
 }
@@ -422,28 +446,63 @@ impl LogHistogram {
     }
 }
 
-/// One emitted gauge sample.
-#[derive(Debug, Clone, PartialEq)]
+/// One emitted gauge sample of the series in slot `series`.
+#[derive(Debug)]
 struct SampleRow {
     t_ns: u64,
-    signal: Signal,
-    scope: Scope,
+    series: u32,
     value: f64,
 }
+
+/// What the hub keeps about one `(signal, scope)` series, beside its
+/// next-emit time in [`TelemetryHub`]'s `next_emit`.
+#[derive(Debug)]
+struct Series {
+    signal: Signal,
+    scope: Scope,
+    /// Counter total; `None` until the first [`TelemetryHub::count`]
+    /// (which makes a row even for a zero delta).
+    counter: Option<u64>,
+    /// Distribution of a histogrammed gauge's observations.
+    hist: Option<Box<LogHistogram>>,
+}
+
+/// One scope's series slots, by signal; [`NO_SLOT`] where it has none.
+type ScopeSlots = [u32; Signal::ALL.len()];
+
+/// Marks a signal with no series yet in a [`ScopeSlots`] row.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Flow ids below this find their slots through an index by flow id;
+/// larger ones (the scenario builder never makes them) share the scope
+/// list with links, so a stray id cannot size the index.
+const FLOW_INDEX_CAP: u32 = 1 << 16;
 
 /// The recording half of the telemetry layer: receives probe calls
 /// (usually via the [`Shared`] sink), applies signal selection and
 /// cadence decimation, and renders the JSONL sidecar at end-of-run.
+///
+/// Each `(signal, scope)` series owns one slot of a table holding its
+/// next-emit time, counter and histogram. A flow's slots are found
+/// through an index by flow id, a link's or the global ones in a short
+/// scope list, each as one row indexed by signal; counters and
+/// histograms are put in key order once, at render.
 #[derive(Debug)]
 pub struct TelemetryHub {
     cfg: TelemetryConfig,
     mask: u32,
     sample_every_ns: u64,
     samples: Vec<SampleRow>,
-    /// Last-emitted sim time per gauge series, for decimation.
-    last_emit: BTreeMap<(Signal, Scope), u64>,
-    counters: BTreeMap<(Signal, Scope), u64>,
-    hists: BTreeMap<(Signal, Scope), LogHistogram>,
+    series: Vec<Series>,
+    /// Per slot: sim time from which the series' next gauge sample is
+    /// emitted (the last emit plus the cadence; 0 before the first). Kept
+    /// beside `series` so the decimation test touches one word.
+    next_emit: Vec<u64>,
+    /// Series slots of each flow, by flow id.
+    flow_slots: Vec<ScopeSlots>,
+    /// Series slots of the global scope, each link and any flow past
+    /// the index.
+    scope_slots: Vec<(Scope, ScopeSlots)>,
     events: Vec<(SimTime, NodeId, u64)>,
 }
 
@@ -457,9 +516,10 @@ impl TelemetryHub {
             mask,
             sample_every_ns,
             samples: Vec::new(),
-            last_emit: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
+            series: Vec::new(),
+            next_emit: Vec::new(),
+            flow_slots: Vec::new(),
+            scope_slots: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -474,14 +534,63 @@ impl TelemetryHub {
         self.mask & signal.bit() != 0
     }
 
+    /// The slot of the `(signal, scope)` series, created on first use.
+    #[inline(always)]
+    fn slot(&mut self, signal: Signal, scope: Scope) -> usize {
+        let slots = match scope {
+            Scope::Flow(id) if id < FLOW_INDEX_CAP => self.flow_slots.get(id as usize),
+            _ => self
+                .scope_slots
+                .iter()
+                .find(|(k, _)| k.same_as(scope))
+                .map(|(_, slots)| slots),
+        };
+        match slots.map(|slots| slots[signal as usize]) {
+            Some(slot) if slot != NO_SLOT => slot as usize,
+            _ => self.new_slot(signal, scope),
+        }
+    }
+
+    #[cold]
+    fn new_slot(&mut self, signal: Signal, scope: Scope) -> usize {
+        let slot = self.series.len();
+        self.series.push(Series {
+            signal,
+            scope,
+            counter: None,
+            hist: None,
+        });
+        self.next_emit.push(0);
+        let slots = match scope {
+            Scope::Flow(id) if id < FLOW_INDEX_CAP => {
+                let id = id as usize;
+                if self.flow_slots.len() <= id {
+                    self.flow_slots.resize(id + 1, [NO_SLOT; Signal::ALL.len()]);
+                }
+                &mut self.flow_slots[id]
+            }
+            _ => match self.scope_slots.iter().position(|(k, _)| k.same_as(scope)) {
+                Some(i) => &mut self.scope_slots[i].1,
+                None => {
+                    self.scope_slots.push((scope, [NO_SLOT; Signal::ALL.len()]));
+                    &mut self.scope_slots.last_mut().expect("just pushed").1
+                }
+            },
+        };
+        slots[signal as usize] = slot as u32;
+        slot
+    }
+
     /// Record a gauge observation at sim time `now`. Observations inside
     /// the cadence window are dropped (histogrammed signals still feed
     /// their histogram, so distributions stay exact).
+    #[inline]
     pub fn sample(&mut self, now: SimTime, signal: Signal, scope: Scope, value: f64) {
         if !self.wants(signal) {
             return;
         }
         let t_ns = now.as_nanos();
+        let slot = self.slot(signal, scope);
         if signal.is_histogrammed() && value.is_finite() && value >= 0.0 {
             // nanosecond resolution for time-valued signals
             let v = if signal == Signal::QdelayMs {
@@ -489,29 +598,29 @@ impl TelemetryHub {
             } else {
                 value as u64
             };
-            self.hists.entry((signal, scope)).or_default().record(v);
+            let hist = &mut self.series[slot].hist;
+            hist.get_or_insert_with(Default::default).record(v);
         }
-        let key = (signal, scope);
-        if let Some(&last) = self.last_emit.get(&key) {
-            if t_ns < last.saturating_add(self.sample_every_ns) {
-                return;
-            }
+        let next_emit = &mut self.next_emit[slot];
+        if t_ns < *next_emit {
+            return;
         }
-        self.last_emit.insert(key, t_ns);
+        *next_emit = t_ns.saturating_add(self.sample_every_ns);
         self.samples.push(SampleRow {
             t_ns,
-            signal,
-            scope,
+            series: slot as u32,
             value,
         });
     }
 
     /// Bump a counter signal.
+    #[inline]
     pub fn count(&mut self, signal: Signal, scope: Scope, delta: u64) {
         if !self.wants(signal) {
             return;
         }
-        *self.counters.entry((signal, scope)).or_insert(0) += delta;
+        let slot = self.slot(signal, scope);
+        *self.series[slot].counter.get_or_insert(0) += delta;
     }
 
     /// Record one processed event for the `events` signal.
@@ -534,7 +643,8 @@ impl TelemetryHub {
     /// Render the self-describing JSONL sidecar: one header object, then
     /// one object per gauge sample (sim-time order), per counter, per
     /// histogram (key order), per raw event. Bit-deterministic for a
-    /// given scenario.
+    /// given scenario. Every row is appended piece by piece to the one
+    /// output string.
     pub fn render_jsonl(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -545,95 +655,117 @@ impl TelemetryHub {
             if i > 0 {
                 out.push(',');
             }
-            write!(out, "\"{}\"", s.name()).unwrap();
+            out.push('"');
+            out.push_str(s.name());
+            out.push('"');
         }
-        writeln!(out, "],\"sample_every_ns\":{}}}", self.sample_every_ns).unwrap();
+        out.push_str("],\"sample_every_ns\":");
+        push_u64(&mut out, self.sample_every_ns);
+        out.push_str("}\n");
         for r in &self.samples {
-            writeln!(
-                out,
-                "{{\"t_ns\":{},\"signal\":\"{}\",\"scope\":\"{}\",\"v\":{}}}",
-                r.t_ns,
-                r.signal.name(),
-                r.scope.render(),
-                fmt_json_num(r.value)
-            )
-            .unwrap();
-        }
-        for (&(signal, scope), &n) in &self.counters {
-            writeln!(
-                out,
-                "{{\"counter\":\"{}\",\"scope\":\"{}\",\"n\":{}}}",
-                signal.name(),
-                scope.render(),
-                n
-            )
-            .unwrap();
-        }
-        for (&(signal, scope), h) in &self.hists {
-            write!(
-                out,
-                "{{\"hist\":\"{}_ns\",\"scope\":\"{}\",\"count\":{},\"buckets\":[",
-                signal.name().trim_end_matches("_ms"),
-                scope.render(),
-                h.count()
-            )
-            .unwrap();
-            for (i, (b, n)) in h.nonzero_buckets().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write!(out, "[{b},{n}]").unwrap();
+            let series = &self.series[r.series as usize];
+            out.push_str("{\"t_ns\":");
+            push_u64(&mut out, r.t_ns);
+            out.push_str(",\"signal\":\"");
+            out.push_str(series.signal.name());
+            out.push_str("\",\"scope\":\"");
+            series.scope.push_to(&mut out);
+            out.push_str("\",\"v\":");
+            // Rust's shortest round-trip form; a non-finite value (no
+            // well-formed probe makes one) as `null`, so the row parses
+            if r.value.is_finite() {
+                // writing into a String cannot fail
+                let _ = write!(out, "{}", r.value);
+            } else {
+                out.push_str("null");
             }
-            out.push_str("]}\n");
+            out.push_str("}\n");
+        }
+        let mut keyed: Vec<&Series> = self.series.iter().collect();
+        keyed.sort_unstable_by_key(|s| (s.signal, s.scope));
+        for s in &keyed {
+            if let Some(n) = s.counter {
+                out.push_str("{\"counter\":\"");
+                out.push_str(s.signal.name());
+                out.push_str("\",\"scope\":\"");
+                s.scope.push_to(&mut out);
+                out.push_str("\",\"n\":");
+                push_u64(&mut out, n);
+                out.push_str("}\n");
+            }
+        }
+        for s in &keyed {
+            if let Some(h) = &s.hist {
+                out.push_str("{\"hist\":\"");
+                out.push_str(s.signal.name().trim_end_matches("_ms"));
+                out.push_str("_ns\",\"scope\":\"");
+                s.scope.push_to(&mut out);
+                out.push_str("\",\"count\":");
+                push_u64(&mut out, h.count());
+                out.push_str(",\"buckets\":[");
+                let mut first = true;
+                for (b, &n) in h.buckets.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                    if !first {
+                        out.push(',');
+                    }
+                    first = false;
+                    out.push('[');
+                    push_u64(&mut out, b as u64);
+                    out.push(',');
+                    push_u64(&mut out, n);
+                    out.push(']');
+                }
+                out.push_str("]}\n");
+            }
         }
         for &(time, node, seq) in &self.events {
-            writeln!(
-                out,
-                "{{\"t_ns\":{},\"signal\":\"events\",\"node\":{},\"seq\":{}}}",
-                time.as_nanos(),
-                node.0,
-                seq
-            )
-            .unwrap();
+            out.push_str("{\"t_ns\":");
+            push_u64(&mut out, time.as_nanos());
+            out.push_str(",\"signal\":\"events\",\"node\":");
+            push_u64(&mut out, node.0.into());
+            out.push_str(",\"seq\":");
+            push_u64(&mut out, seq);
+            out.push_str("}\n");
         }
         out
     }
 }
 
-/// JSON number formatting: Rust's shortest-round-trip `Display`, with
-/// non-finite values mapped to `null` (they never arise from well-formed
-/// probes, but a sidecar must stay parseable regardless).
-fn fmt_json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Append `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("decimal digits are ASCII"));
 }
 
 /// The sink every [`Context`](crate::node::Context) carries. All methods
-/// default to no-ops so [`Off`] is a zero-cost implementation; probe
-/// sites additionally guard on a cached [`TelemetrySink::is_enabled`]
-/// so a disabled sink costs one predictable branch per probe.
+/// default to no-ops so [`Off`] is a zero-cost implementation. The
+/// simulator reads [`TelemetrySink::mask`] once, when the sink is
+/// installed, and calls in only for selected signals: an unselected
+/// probe — every probe, under [`Off`] — costs one predictable branch.
 pub trait TelemetrySink {
-    /// Whether probes should bother calling in. Cached per dispatch.
-    fn is_enabled(&self) -> bool {
-        false
+    /// The selected signals, one [`Signal::bit`] each; 0 turns every
+    /// probe off. Read once at install, so it must not change after.
+    fn mask(&self) -> u32 {
+        0
     }
 
-    /// Whether `signal` is selected. Probe sites whose value costs a call
-    /// to compute check this first.
-    fn wants(&self, _signal: Signal) -> bool {
-        false
-    }
-
-    /// A gauge observation at sim time `now`.
+    /// A gauge observation at sim time `now` (selected signals only).
     fn sample(&mut self, _now: SimTime, _signal: Signal, _scope: Scope, _value: f64) {}
 
-    /// A counter increment.
+    /// A counter increment (selected signals only).
     fn count(&mut self, _signal: Signal, _scope: Scope, _delta: u64) {}
 
-    /// One processed event, for the `events` signal.
+    /// One processed event, for the `events` signal (called only when it
+    /// is selected).
     fn event(&mut self, _time: SimTime, _node: NodeId, _seq: u64) {}
 }
 
@@ -650,12 +782,8 @@ impl TelemetrySink for Off {}
 pub struct Shared(pub Rc<RefCell<TelemetryHub>>);
 
 impl TelemetrySink for Shared {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn wants(&self, signal: Signal) -> bool {
-        self.0.borrow().wants(signal)
+    fn mask(&self) -> u32 {
+        self.0.borrow().mask
     }
 
     fn sample(&mut self, now: SimTime, signal: Signal, scope: Scope, value: f64) {
@@ -723,8 +851,34 @@ pub enum Phase {
     Batch,
 }
 
+/// One phase's exact counts and its timed subset.
+#[derive(Debug, Clone, Copy, Default)]
+struct PhaseTally {
+    events: u64,
+    dispatches: u64,
+    timed: u64,
+    timed_ns: u64,
+}
+
+impl PhaseTally {
+    /// Timed ns scaled up to every dispatch of the phase.
+    fn estimated_ns(&self) -> u64 {
+        if self.timed == 0 {
+            return 0;
+        }
+        (u128::from(self.timed_ns) * u128::from(self.dispatches) / u128::from(self.timed)) as u64
+    }
+}
+
 /// Opt-in wall-clock profiler for [`Simulator::run_until`]
 /// (see [`Simulator::enable_profiler`]).
+///
+/// Reading the clock costs about as much as a dispatch, so the loop
+/// times one dispatch in 16 ([`Profiler::times_next_dispatch`]), picked
+/// by a fixed hash of the dispatch counter rather than every 16th: a
+/// plain stride would alias with the loop's period-2 deliver/ACK
+/// alternation. Event and dispatch counts are exact; a phase's time is
+/// its timed ns × its dispatches ÷ its timed dispatches.
 ///
 /// Everything here is host wall time — useful for explaining a bench
 /// number, excluded by contract from any deterministic artifact.
@@ -734,13 +888,10 @@ pub enum Phase {
 #[derive(Debug)]
 pub struct Profiler {
     started: std::time::Instant,
-    deliver_ns: u64,
-    deliver_events: u64,
-    timer_ns: u64,
-    timer_events: u64,
-    batch_ns: u64,
-    batch_events: u64,
-    batches: u64,
+    /// Dispatches so far, the input of the sampling hash.
+    dispatches: u64,
+    /// Indexed by `Phase as usize`.
+    phases: [PhaseTally; 3],
     occ_samples: u64,
     occ_near: u64,
     occ_slots: u64,
@@ -753,13 +904,8 @@ impl Profiler {
     pub fn new() -> Self {
         Profiler {
             started: std::time::Instant::now(),
-            deliver_ns: 0,
-            deliver_events: 0,
-            timer_ns: 0,
-            timer_events: 0,
-            batch_ns: 0,
-            batch_events: 0,
-            batches: 0,
+            dispatches: 0,
+            phases: [PhaseTally::default(); 3],
             occ_samples: 0,
             occ_near: 0,
             occ_slots: 0,
@@ -768,24 +914,27 @@ impl Profiler {
         }
     }
 
-    /// Attribute `ns` of wall time covering `events` events to `phase`.
-    pub fn note_dispatch(&mut self, phase: Phase, events: u64, ns: u64) {
-        match phase {
-            Phase::Deliver => {
-                self.deliver_ns += ns;
-                self.deliver_events += events;
-            }
-            Phase::Timer => {
-                self.timer_ns += ns;
-                self.timer_events += events;
-            }
-            Phase::Batch => {
-                self.batch_ns += ns;
-                self.batch_events += events;
-                self.batches += 1;
-            }
+    /// Whether to time the dispatch about to start: true for one
+    /// dispatch in 16, those whose counter's Fibonacci hash has its top
+    /// four bits clear. Call once before each dispatch.
+    #[inline]
+    pub fn times_next_dispatch(&mut self) -> bool {
+        let n = self.dispatches;
+        self.dispatches += 1;
+        n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60 == 0
+    }
+
+    /// Attribute one dispatch of `events` events to `phase`; `ns` is its
+    /// wall time when [`Profiler::times_next_dispatch`] chose to time it.
+    pub fn note_dispatch(&mut self, phase: Phase, events: u64, ns: Option<u64>) {
+        let tally = &mut self.phases[phase as usize];
+        tally.events += events;
+        tally.dispatches += 1;
+        if let Some(ns) = ns {
+            tally.timed += 1;
+            tally.timed_ns += ns;
+            self.dispatch_ns_hist.record(ns);
         }
-        self.dispatch_ns_hist.record(ns);
     }
 
     /// Record an event-queue occupancy observation
@@ -800,7 +949,8 @@ impl Profiler {
     /// Snapshot a report; `pool` comes from the simulator's counters.
     pub fn report(&self, pool: PoolStats) -> ProfileReport {
         let wall_secs = self.started.elapsed().as_secs_f64();
-        let events = self.deliver_events + self.timer_events + self.batch_events;
+        let [deliver, timer, batch] = self.phases;
+        let events = deliver.events + timer.events + batch.events;
         let occ = |sum: u64| {
             if self.occ_samples == 0 {
                 0.0
@@ -816,13 +966,14 @@ impl Profiler {
             } else {
                 0.0
             },
-            deliver_ns: self.deliver_ns,
-            deliver_events: self.deliver_events,
-            timer_ns: self.timer_ns,
-            timer_events: self.timer_events,
-            batch_ns: self.batch_ns,
-            batch_events: self.batch_events,
-            batches: self.batches,
+            deliver_ns: deliver.estimated_ns(),
+            deliver_events: deliver.events,
+            timer_ns: timer.estimated_ns(),
+            timer_events: timer.events,
+            batch_ns: batch.estimated_ns(),
+            batch_events: batch.events,
+            batches: batch.dispatches,
+            timed_dispatches: deliver.timed + timer.timed + batch.timed,
             avg_near: occ(self.occ_near),
             avg_slots: occ(self.occ_slots),
             avg_overflow: occ(self.occ_overflow),
@@ -848,7 +999,8 @@ pub struct ProfileReport {
     pub events: u64,
     /// Events per wall second.
     pub events_per_wall_sec: f64,
-    /// Wall ns in singleton `Deliver` dispatch.
+    /// Wall ns in singleton `Deliver` dispatch (estimated from the timed
+    /// dispatches, like `timer_ns` and `batch_ns`).
     pub deliver_ns: u64,
     /// Events dispatched as singleton `Deliver`s.
     pub deliver_events: u64,
@@ -862,6 +1014,8 @@ pub struct ProfileReport {
     pub batch_events: u64,
     /// Number of batched dispatches.
     pub batches: u64,
+    /// Dispatches whose wall time was read (about one in 16).
+    pub timed_dispatches: u64,
     /// Mean near-heap occupancy over the sampled checkpoints.
     pub avg_near: f64,
     /// Mean wheel-slot occupancy over the sampled checkpoints.
@@ -870,7 +1024,7 @@ pub struct ProfileReport {
     pub avg_overflow: f64,
     /// Packet-pool traffic counters.
     pub pool: PoolStats,
-    /// Wall-ns-per-dispatch distribution.
+    /// Wall-ns-per-dispatch distribution over the timed dispatches.
     pub dispatch_ns_hist: LogHistogram,
 }
 
@@ -895,7 +1049,9 @@ impl ProfileReport {
         let mut out = String::new();
         writeln!(
             out,
-            "# event-loop profile (wall clock — not a store artifact)"
+            "# event-loop profile (wall clock — not a store artifact; \
+             phase times estimated from {} timed dispatches)",
+            self.timed_dispatches
         )
         .unwrap();
         writeln!(
@@ -984,8 +1140,13 @@ mod tests {
 
     #[test]
     fn off_sink_reports_disabled() {
-        let sink = Off;
-        assert!(!sink.is_enabled());
+        assert_eq!(Off.mask(), 0);
+        let cfg = TelemetryConfig::from_names(&["cwnd", "events"]).unwrap();
+        let hub = new_hub(cfg);
+        assert_eq!(
+            Shared(hub).mask(),
+            Signal::Cwnd.bit() | Signal::Events.bit()
+        );
     }
 
     #[test]
@@ -996,7 +1157,7 @@ mod tests {
         hub.sample(t(0), Signal::QdelayMs, Scope::Link("x"), 3.0);
         hub.count(Signal::RtoArm, Scope::Flow(1), 1);
         assert_eq!(hub.samples_len(), 1);
-        assert!(hub.counters.is_empty());
+        assert!(hub.series.iter().all(|s| s.counter.is_none()));
     }
 
     #[test]
@@ -1019,7 +1180,8 @@ mod tests {
             hub.sample(t(ms), Signal::QdelayMs, Scope::Link("b"), 1.0);
         }
         assert_eq!(hub.samples_len(), 1); // decimated to one row
-        let h = &hub.hists[&(Signal::QdelayMs, Scope::Link("b"))];
+        let slot = hub.slot(Signal::QdelayMs, Scope::Link("b"));
+        let h = hub.series[slot].hist.as_ref().unwrap();
         assert_eq!(h.count(), 100); // histogram saw everything
     }
 
@@ -1075,18 +1237,51 @@ mod tests {
         assert_eq!(h.quantile_upper(1.0), Some(LogHistogram::bucket_upper(10)));
     }
 
+    /// Drives the profiler the way the event loop does over 100 k
+    /// synthetic dispatches whose costs have a period-2 component (the
+    /// deliver/ACK alternation): the hashed 1-in-16 schedule must keep
+    /// counts exact and each phase's estimate within 5% of its true sum.
     #[test]
-    fn profile_report_phase_fracs_sum_to_one() {
+    fn sampled_profiler_is_unbiased() {
         let mut p = Profiler::new();
-        p.note_dispatch(Phase::Deliver, 1, 100);
-        p.note_dispatch(Phase::Timer, 1, 200);
-        p.note_dispatch(Phase::Batch, 4, 700);
+        let mut truth = [0u64; 3];
+        let mut events = [0u64; 3];
+        for i in 0..100_000u64 {
+            let (phase, n, ns) = if i % 50 == 49 {
+                (Phase::Batch, 4, 700)
+            } else if i % 7 == 3 {
+                (Phase::Timer, 1, 300)
+            } else if i % 2 == 0 {
+                (Phase::Deliver, 1, 100)
+            } else {
+                (Phase::Deliver, 1, 1_000)
+            };
+            truth[phase as usize] += ns;
+            events[phase as usize] += n;
+            let timed = p.times_next_dispatch();
+            p.note_dispatch(phase, n, timed.then_some(ns));
+        }
         p.note_occupancy(3, 10, 1);
         let r = p.report(PoolStats { hits: 9, misses: 1 });
+        assert_eq!([r.deliver_events, r.timer_events, r.batch_events], events);
+        assert_eq!(r.events, events.iter().sum::<u64>());
+        assert_eq!(r.batches, 2_000);
+        assert_eq!(r.dispatch_ns_hist.count(), r.timed_dispatches);
+        assert!(
+            (5_000..7_500).contains(&r.timed_dispatches),
+            "{} timed",
+            r.timed_dispatches
+        );
+        for (est, truth) in [r.deliver_ns, r.timer_ns, r.batch_ns]
+            .into_iter()
+            .zip(truth)
+        {
+            let err = (est as f64 - truth as f64).abs() / truth as f64;
+            assert!(err < 0.05, "estimate {est} vs {truth}: {err:.3} off");
+        }
         let sum =
             r.phase_frac(Phase::Deliver) + r.phase_frac(Phase::Timer) + r.phase_frac(Phase::Batch);
         assert!((sum - 1.0).abs() < 1e-12);
-        assert_eq!(r.events, 6);
         assert!((r.pool.hit_rate() - 0.9).abs() < 1e-12);
         assert!(r.render().contains("event-loop profile"));
     }
