@@ -389,7 +389,7 @@ static TELEMETRY: &[Field<TelemetryConfig>] = &[
 #[rustfmt::skip]
 pub static SETTINGS: &[Form<AxisValue>] = &[
     Form { key: "scheme", ty: "string", build: |v, w| scheme(v, w).map(AxisValue::Scheme),
-        doc: "scheme display name: `ABC`, `Cubic`, `Cubic+Codel`, `Cubic+PIE`, `NewReno`, `Vegas`, `BBR`, `Copa`, `PCC`, `Sprout`, `Verus`, `XCP`, `XCPw`, `RCP`, `VCP`, `ABC-noAI`, `ABC-enq`, or `ABC_<ms>` (non-default delay threshold). Case-insensitive; `-`/`_`/`+` are interchangeable, and `abcsim`'s aliases (`codel`, `reno`, `abc-dt50`, …) work too — both CLIs resolve names through `Scheme::from_name`" },
+        doc: "scheme display name: `ABC`, `Cubic`, `Cubic+Codel`, `Cubic+PIE`, `NewReno`, `Vegas`, `BBR`, `Copa`, `PCC`, `Sprout`, `Verus`, `XCP`, `XCPw`, `RCP`, `VCP`, `ABC-noAI`, `ABC-enq`, `ABC-Cubic`, or `ABC_<ms>` (non-default delay threshold). Case-insensitive; `-`/`_`/`+` are interchangeable, and `abcsim`'s aliases (`codel`, `reno`, `abc-dt50`, …) work too — both CLIs resolve names through `Scheme::from_name`" },
     Form { key: "link", ty: "link literal", build: |v, _| link(v).map(AxisValue::Link),
         doc: "shorthand for a single-bottleneck topology over this link" },
     Form { key: "topology", ty: "topology literal",

@@ -249,36 +249,17 @@ pub fn split_outcomes(outcomes: Vec<PointOutcome>) -> (Vec<RunRecord>, Vec<Error
 /// surviving point of [`Campaign::expand`]. Panics if any point fails —
 /// use [`run_campaign_outcomes`] to observe failures as data instead.
 pub fn run_campaign(campaign: &Campaign, opts: &RunOptions) -> Vec<RunRecord> {
-    run_campaign_skipping(campaign, opts, &HashSet::new())
-}
-
-/// [`run_campaign`] minus the points whose stable ordinals appear in
-/// `skip` (a resumed run's reused records).
-pub fn run_campaign_skipping(
-    campaign: &Campaign,
-    opts: &RunOptions,
-    skip: &HashSet<usize>,
-) -> Vec<RunRecord> {
-    expect_clean(outcomes_skipping(campaign, opts, skip))
+    expect_clean(run_campaign_outcomes(campaign, opts))
 }
 
 /// Expand and execute a campaign, returning every point's outcome —
 /// clean reports and structured errors alike. The fault-tolerant
 /// counterpart of [`run_campaign`].
 pub fn run_campaign_outcomes(campaign: &Campaign, opts: &RunOptions) -> Vec<PointOutcome> {
-    outcomes_skipping(campaign, opts, &HashSet::new())
-}
-
-/// The outcomes of every point not in `skip`, in ordinal order, with
-/// sidecars written to the run's telemetry dir.
-fn outcomes_skipping(
-    campaign: &Campaign,
-    opts: &RunOptions,
-    skip: &HashSet<usize>,
-) -> Vec<PointOutcome> {
     let (mut outcomes, points) = (Vec::new(), campaign.expand());
     let write = |ordinal, sidecar| write_sidecar(opts, ordinal, sidecar);
-    run_points_with(campaign, points, opts, skip, |o| outcomes.push(o), write);
+    let skip = HashSet::new();
+    run_points_with(campaign, points, opts, &skip, |o| outcomes.push(o), write);
     outcomes
 }
 
@@ -678,23 +659,6 @@ fn run_points_with<F: FnMut(PointOutcome), S: FnMut(usize, String)>(
 pub fn in_shard(ordinal: usize, (k, n): (usize, usize)) -> bool {
     debug_assert!(n >= 1 && (1..=n).contains(&k), "shard {k}/{n} out of range");
     ordinal % n == k - 1
-}
-
-/// Merge an interrupted store's records with a freshly-run remainder:
-/// executes the points missing from `prior` and returns the full record
-/// set in expansion (ordinal) order — byte-identical to an uninterrupted
-/// run, because each record is a pure function of its spec. The in-memory
-/// sibling of [`run_campaign_streaming`]. Panics if a fresh point fails;
-/// prior *error* records must not be passed in (resume re-attempts them).
-pub fn resume_campaign(
-    campaign: &Campaign,
-    opts: &RunOptions,
-    prior: Vec<RunRecord>,
-) -> Vec<RunRecord> {
-    let mut outcomes = Vec::new();
-    let points = campaign.expand();
-    run_campaign_merged(campaign, points, opts, prior, None, |o| outcomes.push(o));
-    expect_clean(outcomes)
 }
 
 /// What a streaming run wrote to its store, after the header line.

@@ -150,17 +150,6 @@ impl Axis {
         )
     }
 
-    /// The `"buffer_pkts"` axis.
-    pub fn buffers_pkts(buffers: &[usize]) -> Axis {
-        Axis::new(
-            "buffer_pkts",
-            buffers
-                .iter()
-                .map(|&p| (p.to_string(), AxisValue::BufferPkts(p)))
-                .collect(),
-        )
-    }
-
     /// The `"flows"` axis: `n` backlogged flows per value, labeled by the
     /// count — the client-density sweep of the many-users regime.
     pub fn flow_counts(counts: &[u32]) -> Axis {

@@ -5,6 +5,7 @@
 
 use campaign::file::{self, schema, toml};
 use experiments::figures::Scale;
+use experiments::Scheme;
 use std::path::Path;
 
 fn reference() -> String {
@@ -123,6 +124,23 @@ fn generated_key_tables_match_the_schema() {
             &doc[start..end],
             table,
             "the generated `{name}` table in docs/campaign-file.md drifted from the schema"
+        );
+    }
+}
+
+#[test]
+fn the_scheme_doc_names_every_fixed_scheme() {
+    let doc = schema::SETTINGS
+        .iter()
+        .find(|s| s.key == "scheme")
+        .expect("a `scheme` setting")
+        .doc;
+    for s in Scheme::ALL {
+        let name = s.name();
+        assert_eq!(Scheme::from_name(&name), Some(s), "{name}");
+        assert!(
+            doc.contains(&format!("`{name}`")),
+            "the `scheme` doc omits {name}"
         );
     }
 }

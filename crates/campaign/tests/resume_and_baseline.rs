@@ -6,12 +6,22 @@
 //! not a behavior change.
 
 use campaign::presets;
-use campaign::runner::{
-    resume_campaign, run_campaign, run_campaign_skipping, run_campaign_streaming, RunOptions,
-};
+use campaign::runlog::{RunLedger, RunLogConfig};
+use campaign::runner::{run_campaign, run_campaign_streaming, RunOptions, RunRecord};
 use campaign::store::ResultsStore;
+use campaign::Campaign;
 use experiments::figures::Scale;
 use std::collections::HashSet;
+
+/// Complete `campaign` over the `prior` records through the streaming
+/// writer `--resume` uses; returns the store text, checked to parse.
+fn resume(campaign: &Campaign, opts: &RunOptions, prior: Vec<RunRecord>) -> String {
+    let mut out = Vec::new();
+    run_campaign_streaming(campaign, opts, prior, &mut out).expect("streaming write");
+    let text = String::from_utf8(out).expect("utf8 store");
+    ResultsStore::from_jsonl(&text).expect("resumed store parses");
+    text
+}
 
 #[test]
 fn resumed_run_is_byte_identical_to_uninterrupted_run() {
@@ -23,8 +33,7 @@ fn resumed_run_is_byte_identical_to_uninterrupted_run() {
 
     // Simulate an interruption: only the first 3 points made it to disk.
     let prior: Vec<_> = full.into_iter().take(3).collect();
-    let resumed = resume_campaign(&campaign, &opts, prior);
-    let got = ResultsStore::new(&campaign, resumed).to_jsonl();
+    let got = resume(&campaign, &opts, prior);
 
     assert_eq!(got, want, "resume changed the store bytes");
 }
@@ -49,8 +58,7 @@ fn interrupted_store_with_torn_tail_resumes_byte_identically() {
         "torn line dropped, whole records kept"
     );
 
-    let resumed = resume_campaign(&campaign, &opts, prior.records);
-    let got = ResultsStore::new(&campaign, resumed).to_jsonl();
+    let got = resume(&campaign, &opts, prior.records);
     assert_eq!(got, want, "resume from a torn store changed the bytes");
 }
 
@@ -64,19 +72,12 @@ fn streaming_writer_matches_in_memory_resume_bytes() {
     // reuse a non-prefix subset so the merge actually interleaves
     let prior: Vec<_> = full.into_iter().filter(|r| r.ordinal % 2 == 1).collect();
     let mut streamed = Vec::new();
-    let tally = run_campaign_streaming(&campaign, &opts, prior.clone(), &mut streamed)
-        .expect("streaming write");
+    let tally =
+        run_campaign_streaming(&campaign, &opts, prior, &mut streamed).expect("streaming write");
     assert_eq!(tally.lines(), 8);
     assert_eq!(tally.errors, 0);
     let streamed = String::from_utf8(streamed).expect("utf8 store");
     assert_eq!(streamed, want, "streamed store bytes diverged");
-
-    let resumed = resume_campaign(&campaign, &opts, prior);
-    assert_eq!(
-        ResultsStore::new(&campaign, resumed).to_jsonl(),
-        want,
-        "in-memory resume diverged"
-    );
 }
 
 #[test]
@@ -84,9 +85,25 @@ fn skipping_executes_only_missing_ordinals() {
     let campaign = presets::tiny(Scale::Tiny);
     let total = campaign.expand().len();
     let skip: HashSet<usize> = [0, 2].into_iter().collect();
-    let records = run_campaign_skipping(&campaign, &RunOptions::quiet(), &skip);
-    assert_eq!(records.len(), total - skip.len());
-    assert!(records.iter().all(|r| !skip.contains(&r.ordinal)));
+    let full = run_campaign(&campaign, &RunOptions::quiet());
+    let prior = full
+        .into_iter()
+        .filter(|r| skip.contains(&r.ordinal))
+        .collect();
+    // the run ledger has one span per executed point
+    let path = std::env::temp_dir().join(format!("abc-skip-{}.jsonl", std::process::id()));
+    let opts = RunOptions::quiet().with_runlog(Some(RunLogConfig::new(path.clone())));
+    let store = resume(&campaign, &opts, prior);
+    let ledger = RunLedger::load(&path).expect("ledger written");
+    let _ = std::fs::remove_file(&path);
+    let spans = ledger.points;
+    assert_eq!(spans.len(), total - skip.len());
+    assert!(spans.iter().all(|s| !skip.contains(&s.ordinal)));
+    assert_eq!(
+        store.lines().count(),
+        1 + total,
+        "reused records are still written"
+    );
 }
 
 #[test]

@@ -15,10 +15,10 @@
 //!   converges to the byte-identical full store.
 
 use campaign::runlog::normalize_jsonl;
-use campaign::runner::{resume_campaign, run_campaign_skipping};
+use campaign::runner::run_campaign_streaming;
 use campaign::{
     presets, run_campaign, run_campaign_outcomes, split_outcomes, Axis, AxisValue, Campaign,
-    ErrorKind, PointOutcome, ResultsStore, RunLogConfig, RunOptions,
+    ErrorKind, PointOutcome, ResultsStore, RunLedger, RunLogConfig, RunOptions,
 };
 use experiments::engine::{InjectedFault, ScenarioEngine, ScenarioSpec};
 use experiments::figures::Scale;
@@ -253,17 +253,21 @@ fn resume_reattempts_only_failed_points_and_converges() {
         ResultsStore::new(&fixed, full).to_jsonl()
     };
 
-    // the skip set derived from clean records re-attempts exactly the
-    // failed ordinals
-    let skip: HashSet<usize> = clean_records.iter().map(|r| r.ordinal).collect();
-    let rerun = run_campaign_skipping(&fixed, &RunOptions::quiet(), &skip);
-    let rerun_ordinals: HashSet<usize> = rerun.iter().map(|r| r.ordinal).collect();
+    // resuming over the clean records re-attempts exactly the failed
+    // ordinals: the run ledger has one span per executed point
+    let path = std::env::temp_dir().join(format!("abc-resume-{}.jsonl", std::process::id()));
+    let opts = RunOptions::quiet().with_runlog(Some(RunLogConfig::new(path.clone())));
+    let mut resumed = Vec::new();
+    run_campaign_streaming(&fixed, &opts, clean_records, &mut resumed).expect("streaming write");
+    let ledger = RunLedger::load(&path).expect("ledger written");
+    let _ = std::fs::remove_file(&path);
+    let rerun_ordinals: HashSet<usize> = ledger.points.iter().map(|p| p.ordinal).collect();
     assert_eq!(rerun_ordinals, [2usize, 3].into_iter().collect());
 
-    let resumed = resume_campaign(&fixed, &RunOptions::quiet(), clean_records);
+    let resumed = String::from_utf8(resumed).expect("utf8 store");
+    ResultsStore::from_jsonl(&resumed).expect("resumed store parses");
     assert_eq!(
-        ResultsStore::new(&fixed, resumed).to_jsonl(),
-        want,
+        resumed, want,
         "resumed store diverged from a fresh full run"
     );
 }

@@ -152,11 +152,6 @@ impl AbcQdisc {
         self.last_f
     }
 
-    /// Most recent target rate tr(t) (tests/telemetry).
-    pub fn last_target_rate(&self) -> Rate {
-        self.last_target
-    }
-
     /// Current token-bucket level (packets).
     pub fn token(&self) -> f64 {
         self.token

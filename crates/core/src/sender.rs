@@ -96,11 +96,6 @@ impl AbcSender {
         self.w_nonabc.cwnd()
     }
 
-    /// `(accelerate, brake)` ACK counts seen so far.
-    pub fn accel_brake_counts(&self) -> (u64, u64) {
-        (self.accel_count, self.brake_count)
-    }
-
     fn ai_term(&self) -> f64 {
         if self.cfg.additive_increase {
             1.0 / self.w_abc.max(1.0)

@@ -13,6 +13,8 @@ use netsim::flow::TrafficSource;
 use netsim::rate::Rate;
 use netsim::sim::RunGuards;
 use netsim::time::SimDuration;
+use std::fmt::Display;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
@@ -43,11 +45,47 @@ OPTIONS:
     std::process::exit(2)
 }
 
+/// Print `msg` and exit 2, as every bad command line does.
+fn fail(msg: impl Display) -> ! {
+    eprintln!("abcsim: {msg}");
+    std::process::exit(2)
+}
+
+/// Flags that take one value; `--list` and `--series` take none.
+const OPTIONS: &str = "--scheme --trace --trace-file --rate-mbps --square --rtt-ms --buffer \
+                       --flows --secs --warmup --app-mbps --pk-ms --jobs --telemetry";
+
+/// `flag`'s value parsed as `T`, if the flag was given; exits 2 when the
+/// value does not parse.
+fn parsed<T: FromStr>(values: &[(&str, &str)], flag: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    let (_, v) = values.iter().find(|(f, _)| *f == flag)?;
+    let bad = |e: T::Err| fail(format_args!("bad {flag} value {v:?}: {e}"));
+    Some(v.parse().unwrap_or_else(bad))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
-        println!("schemes: abc abc-dt<ms> abc-noai abc-enq cubic cubic+codel cubic+pie");
-        println!("         newreno vegas bbr copa pcc sprout verus xcp xcpw rcp vcp");
+    let (mut switches, mut values) = (Vec::new(), Vec::new());
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if a == "--list" || a == "--series" {
+            switches.push(a);
+        } else if OPTIONS.split_whitespace().any(|o| o == a) {
+            match it.next() {
+                Some(v) if !v.starts_with("--") => values.push((a, v)),
+                _ => fail(format_args!("{a} needs a value")),
+            }
+        } else {
+            fail(format_args!("unknown flag {a:?}"));
+        }
+    }
+    if switches.contains(&"--list") {
+        let names = Scheme::ALL.map(|s| s.name().to_ascii_lowercase());
+        println!("schemes: {}", names.join(" "));
+        println!("         abc-dt<ms> (ABC with a delay threshold of <ms> ms)");
         println!(
             "traces:  {}",
             cellular::builtin_specs()
@@ -58,11 +96,7 @@ fn main() {
         );
         return;
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let get = |flag: &str| parsed::<String>(&values, flag);
     let Some(scheme) = get("--scheme").as_deref().and_then(Scheme::from_name) else {
         usage()
     };
@@ -70,27 +104,27 @@ fn main() {
     let link = if let Some(name) = get("--trace") {
         match cellular::builtin(&name) {
             Some(t) => LinkSpec::Trace(t),
-            None => {
-                eprintln!("unknown trace {name:?} (see --list)");
-                std::process::exit(2);
-            }
+            None => fail(format_args!("unknown trace {name:?} (see --list)")),
         }
     } else if let Some(path) = get("--trace-file") {
-        let f = std::fs::File::open(&path).unwrap_or_else(|e| {
-            eprintln!("cannot open {path}: {e}");
-            std::process::exit(2);
-        });
+        let f = std::fs::File::open(&path)
+            .unwrap_or_else(|e| fail(format_args!("cannot open {path}: {e}")));
         match cellular::CellTrace::parse_mahimahi(&path, std::io::BufReader::new(f)) {
             Ok(t) => LinkSpec::Trace(t),
-            Err(e) => {
-                eprintln!("cannot parse {path}: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(format_args!("cannot parse {path}: {e}")),
         }
     } else if let Some(spec) = get("--square") {
-        let parts: Vec<f64> = spec.split(',').filter_map(|x| x.parse().ok()).collect();
+        let bad = || {
+            fail(format_args!(
+                "--square needs lo,hi,half_period_ms, got {spec:?}"
+            ))
+        };
+        let parts: Vec<f64> = spec
+            .split(',')
+            .map(|x| x.parse().unwrap_or_else(|_| bad()))
+            .collect();
         if parts.len() != 3 {
-            usage();
+            bad();
         }
         LinkSpec::Square {
             a: Rate::from_mbps(parts[0]),
@@ -98,46 +132,39 @@ fn main() {
             half_period: SimDuration::from_millis_f64(parts[2]),
         }
     } else {
-        let mbps: f64 = get("--rate-mbps")
-            .and_then(|x| x.parse().ok())
-            .unwrap_or(12.0);
+        let mbps = parsed(&values, "--rate-mbps").unwrap_or(12.0);
         LinkSpec::Constant(Rate::from_mbps(mbps))
     };
 
     let mut spec = ScenarioSpec::single(scheme, link);
-    if let Some(x) = get("--rtt-ms").and_then(|x| x.parse().ok()) {
+    if let Some(x) = parsed(&values, "--rtt-ms") {
         spec.rtt = SimDuration::from_millis(x);
     }
-    if let Some(x) = get("--buffer").and_then(|x| x.parse().ok()) {
+    if let Some(x) = parsed(&values, "--buffer") {
         spec.buffer_pkts = x;
     }
-    if let Some(x) = get("--flows").and_then(|x| x.parse().ok()) {
+    if let Some(x) = parsed(&values, "--flows") {
         spec = spec.flows(x);
     }
-    if let Some(x) = get("--secs").and_then(|x| x.parse().ok()) {
+    if let Some(x) = parsed(&values, "--secs") {
         spec.duration = SimDuration::from_secs(x);
     }
-    if let Some(x) = get("--warmup").and_then(|x| x.parse().ok()) {
+    if let Some(x) = parsed(&values, "--warmup") {
         spec.warmup = SimDuration::from_secs(x);
     }
-    if let Some(x) = get("--app-mbps").and_then(|x: String| x.parse::<f64>().ok()) {
+    if let Some(x) = parsed(&values, "--app-mbps") {
         spec = spec.app(TrafficSource::RateLimited {
             rate: Rate::from_mbps(x),
             burst_bytes: 6000.0,
         });
     }
-    if let Some(x) = get("--pk-ms").and_then(|x| x.parse().ok()) {
+    if let Some(x) = parsed(&values, "--pk-ms") {
         spec.oracle_lookahead = Some(SimDuration::from_millis(x));
     }
 
-    let engine = match get("--jobs") {
-        Some(x) => match x.parse::<usize>() {
-            Ok(n) if n >= 1 => ScenarioEngine::with_threads(n),
-            _ => {
-                eprintln!("--jobs needs a positive integer, got {x:?}");
-                std::process::exit(2);
-            }
-        },
+    let engine = match parsed::<usize>(&values, "--jobs") {
+        Some(n) if n >= 1 => ScenarioEngine::with_threads(n),
+        Some(_) => fail("--jobs needs a positive integer, got 0"),
         None => ScenarioEngine::new(), // honors $ABC_JOBS
     };
     let telemetry_out = get("--telemetry");
@@ -150,12 +177,11 @@ fn main() {
     let r = point.report;
     if let (Some(path), Some(sidecar)) = (&telemetry_out, &point.sidecar) {
         if let Err(e) = std::fs::write(path, sidecar) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
+            fail(format_args!("cannot write {path}: {e}"));
         }
         eprintln!("telemetry sidecar written to {path}");
     }
-    if args.iter().any(|a| a == "--series") {
+    if switches.contains(&"--series") {
         println!("capacity: {}", sparkline(&r.capacity_series, 70));
         println!("goodput : {}", sparkline(&r.tput_series, 70));
         println!("qdelay  : {}", sparkline(&r.qdelay_series, 70));

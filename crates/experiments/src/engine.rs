@@ -16,11 +16,16 @@
 //!    choice (Poisson short-flow arrivals today; anything stochastic
 //!    tomorrow). Specs are `Clone + Send + Sync`, so they can be generated,
 //!    stored, and farmed out freely.
-//! 2. **Engine.** [`ScenarioEngine::build`] turns a spec into a
-//!    [`BuiltScenario`]: it constructs the `Simulator`, reserves and
-//!    installs every node (senders, sinks, link queues, Wi-Fi APs), splits
-//!    the propagation RTT across the hops, attaches the metrics hub, and
-//!    applies qdisc overrides and the PK-ABC oracle. [`ScenarioEngine::run`]
+//! 2. **Engine.** [`ScenarioEngine::build`] first *lowers* the spec,
+//!    once: the one `match` over [`Topology`] yields a hop list (each
+//!    hop's tag, link or Wi-Fi AP, qdisc, data or ACK path, and whether it
+//!    carries the PK-ABC oracle, reports `qdelay_ms`, bounds utilization
+//!    or plots its capacity, plus each direction's one-way delay), and the
+//!    bulk schedule, Poisson churn and workloads yield one flow list in
+//!    `FlowId` order. It then reserves node ids (hops, impairment wires,
+//!    sender-then-sink per flow), installs one sender/sink pair per flow
+//!    and one node per hop, each in a single loop, into a [`BuiltScenario`]
+//!    that keeps what `finish` folds. [`ScenarioEngine::run`]
 //!    does build + run-to-end + [`BuiltScenario::finish`] in one call, and
 //!    [`ScenarioEngine::run_batch`] executes **independent scenarios in
 //!    parallel** on a scoped worker pool (see below).
@@ -84,9 +89,10 @@ use abc_core::router::AbcQdisc;
 // `HopQdisc::Abc` literals without depending on abc-core directly.
 pub use abc_core::router::AbcRouterConfig;
 use netsim::fault::{Direction, ImpairmentSpec, ImpairmentWire};
-use netsim::flow::{Sender, Sink, TrafficSource};
+use netsim::flow::{AppDriver, Sender, Sink, TrafficSource};
 use netsim::linkqueue::LinkQueue;
 use netsim::metrics::{new_hub, AppFlowMeta, LinkRecord, Metrics};
+use netsim::node::Node;
 use netsim::packet::{FlowId, NodeId, Route, MTU_BYTES};
 use netsim::queue::{DropTail, Qdisc};
 use netsim::rate::Rate;
@@ -98,6 +104,7 @@ use netsim::telemetry::{
 use netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -204,68 +211,6 @@ pub enum HopQdisc {
     Abc(AbcRouterConfig),
 }
 
-/// Metrics tags for parking-lot hops (the `&'static str` tag table the
-/// metrics hub keys on); also the topology's hop-count ceiling.
-const PARKING_TAGS: [&str; 8] = [
-    "hop1", "hop2", "hop3", "hop4", "hop5", "hop6", "hop7", "hop8",
-];
-
-impl Topology {
-    /// Metrics tags of the hop chain, in path order.
-    pub fn hop_tags(&self) -> &'static [&'static str] {
-        match self {
-            Topology::SingleBottleneck(_) => &["bottleneck"],
-            Topology::TwoHop { .. } => &["uplink", "downlink"],
-            Topology::MixedPath { .. } => &["wireless", "wired"],
-            Topology::Wifi { .. } => &["wifi"],
-            Topology::ParkingLot { hops } => {
-                assert!(
-                    (1..=PARKING_TAGS.len()).contains(&hops.len()),
-                    "a parking lot has 1..={} hops, got {}",
-                    PARKING_TAGS.len(),
-                    hops.len()
-                );
-                &PARKING_TAGS[..hops.len()]
-            }
-            Topology::Asymmetric { .. } => &["down", "up"],
-        }
-    }
-
-    /// How many leading hops of [`Topology::hop_tags`] lie on the *data*
-    /// (forward) path. Every topology's tags are all forward hops except
-    /// [`Topology::Asymmetric`], whose `"up"` hop sits on the ACK path.
-    pub fn forward_hop_count(&self) -> usize {
-        match self {
-            Topology::Asymmetric { .. } => 1,
-            other => other.hop_tags().len(),
-        }
-    }
-
-    /// The hop whose queue the headline `qdelay_ms` metric reports: the
-    /// final cellular hop, the wireless hop of a mixed path, the AP.
-    pub fn primary_tag(&self) -> &'static str {
-        match self {
-            Topology::SingleBottleneck(_) => "bottleneck",
-            Topology::TwoHop { .. } => "downlink",
-            Topology::MixedPath { .. } => "wireless",
-            Topology::Wifi { .. } => "wifi",
-            // the last hop, where end-to-end queuing shows up
-            Topology::ParkingLot { hops } => PARKING_TAGS[hops.len() - 1],
-            Topology::Asymmetric { .. } => "down",
-        }
-    }
-
-    /// The link spec whose capacity curve belongs on the report's plot.
-    fn capacity_link(&self) -> Option<&LinkSpec> {
-        match self {
-            Topology::SingleBottleneck(l) => Some(l),
-            Topology::MixedPath { wireless, .. } => Some(wireless),
-            Topology::Asymmetric { down, .. } => Some(down),
-            _ => None,
-        }
-    }
-}
-
 /// Overrides the bottleneck qdisc the scheme would normally install.
 /// `SchemeDefault` keeps [`Scheme::make_qdisc`]'s choice.
 #[derive(Debug, Clone)]
@@ -295,11 +240,12 @@ pub struct FlowSpec {
     pub stop: Option<SimTime>,
     /// The application pattern driving the flow.
     pub app: TrafficSource,
-    /// Index into [`Topology::hop_tags`]: 0 traverses the whole path;
-    /// `k > 0` joins at hop `k` (cross traffic on the wired hop).
+    /// Index of the data-path hop the flow joins at, in path order (the
+    /// hop tags each [`Topology`] variant lists): 0 traverses the whole
+    /// path; `k > 0` joins at hop `k` (cross traffic on the wired hop).
     pub entry_hop: usize,
-    /// Last forward hop this flow traverses before reaching its sink
-    /// (inclusive index into [`Topology::hop_tags`]). `None` rides to the
+    /// Last data-path hop this flow traverses before reaching its sink
+    /// (inclusive, indexed like [`FlowSpec::entry_hop`]). `None` rides to the
     /// path's end; `Some(k)` exits after hop `k` — parking-lot cross
     /// traffic leaving at an interior hop.
     pub exit_hop: Option<usize>,
@@ -370,7 +316,7 @@ pub struct WorkloadEntry {
     pub scheme: Option<Scheme>,
     /// When the workload starts.
     pub start: SimTime,
-    /// Index into [`Topology::hop_tags`], like [`FlowSpec::entry_hop`].
+    /// The data-path hop the workload joins at, like [`FlowSpec::entry_hop`].
     pub entry_hop: usize,
 }
 
@@ -385,31 +331,6 @@ impl WorkloadEntry {
             start: SimTime::ZERO,
             entry_hop: 0,
         }
-    }
-
-    /// Label the workload's flows.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
-    /// Run the workload's transport on this scheme instead of the
-    /// spec's.
-    pub fn scheme(mut self, s: Scheme) -> Self {
-        self.scheme = Some(s);
-        self
-    }
-
-    /// Start the workload at `t`.
-    pub fn start_at(mut self, t: SimTime) -> Self {
-        self.start = t;
-        self
-    }
-
-    /// Join the path at hop `hop` (see [`FlowSpec::entry_hop`]).
-    pub fn entry_hop(mut self, hop: usize) -> Self {
-        self.entry_hop = hop;
-        self
     }
 }
 
@@ -664,12 +585,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Set the bottleneck buffer.
-    pub fn buffer_pkts(mut self, pkts: usize) -> Self {
-        self.buffer_pkts = pkts;
-        self
-    }
-
     /// Set the simulated duration.
     pub fn duration(mut self, d: SimDuration) -> Self {
         self.duration = d;
@@ -704,20 +619,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Add an application-layer workload to the scenario.
-    pub fn workload(mut self, entry: WorkloadEntry) -> Self {
-        self.workloads.push(entry);
-        self
-    }
-
-    /// Override the timer-wheel slot width (`2^shift` ns slots). Outputs
-    /// are invariant to this; it only trades wheel precision for
-    /// intra-slot batching under dense event storms.
-    pub fn timer_slot_shift(mut self, shift: u32) -> Self {
-        self.timer_slot_shift = Some(shift);
-        self
-    }
-
     /// Record a telemetry sidecar for this scenario (signals and sample
     /// cadence per `cfg`). Retrieve it with [`BuiltScenario::sidecar`] or
     /// [`ScenarioEngine::run_point`].
@@ -732,21 +633,121 @@ impl ScenarioSpec {
         self
     }
 
-    /// Replace the impairment list.
-    pub fn impairments(mut self, imps: Vec<ImpairmentSpec>) -> Self {
-        self.impairments = imps;
-        self
+    /// Lower the topology into its hop list (in path order, data-path hops
+    /// first) and the one-way propagation delay of the data and of the ACK
+    /// direction: the engine's one decision about which hops exist, what
+    /// each runs and which role it plays. A direction's delay splits into
+    /// equal legs, one ahead of each of its hops and one to its endpoint.
+    fn lower_path(&self) -> (Vec<Hop<'_>>, SimDuration, SimDuration) {
+        let buffer = self.buffer_pkts;
+        let hop = |tag, link, qdisc| Hop {
+            tag,
+            link,
+            qdisc,
+            buffer_pkts: buffer,
+            ack_path: false,
+            oracle: false,
+            primary: false,
+            bounds_utilization: false,
+            plots_capacity: false,
+        };
+        let link = |spec| HopLink::Link(Cow::Borrowed(spec));
+        // The lone scheme-controlled bottleneck most figures measure.
+        let bottleneck = |tag, spec| Hop {
+            oracle: true,
+            primary: true,
+            bounds_utilization: true,
+            plots_capacity: true,
+            ..hop(tag, link(spec), HopQdisc::SchemeDefault)
+        };
+        let symmetric = (self.rtt / 2, self.rtt / 2);
+        let (hops, (fwd_delay, back_delay)) = match &self.topology {
+            Topology::SingleBottleneck(link) => (vec![bottleneck("bottleneck", link)], symmetric),
+            // The tighter hop bounds utilization; queuing shows at the downlink.
+            Topology::TwoHop { up, down } => {
+                let up = Hop {
+                    oracle: true,
+                    bounds_utilization: true,
+                    ..hop("uplink", link(up), HopQdisc::SchemeDefault)
+                };
+                let down = Hop {
+                    primary: true,
+                    bounds_utilization: true,
+                    ..hop("downlink", link(down), HopQdisc::SchemeDefault)
+                };
+                (vec![up, down], symmetric)
+            }
+            // The wired hop is definitionally non-ABC: plain droptail.
+            Topology::MixedPath { wireless, wired } => {
+                let wired = hop(
+                    "wired",
+                    HopLink::Link(Cow::Owned(LinkSpec::Constant(*wired))),
+                    HopQdisc::DropTail,
+                );
+                (vec![bottleneck("wireless", wireless), wired], symmetric)
+            }
+            // No opportunity accounting on Wi-Fi, so nothing bounds utilization.
+            Topology::Wifi {
+                mcs,
+                ap_buffer_pkts,
+            } => {
+                let ap = Hop {
+                    buffer_pkts: *ap_buffer_pkts,
+                    primary: true,
+                    ..hop("wifi", HopLink::WifiAp(mcs), HopQdisc::SchemeDefault)
+                };
+                (vec![ap], symmetric)
+            }
+            // Every hop bounds utilization; end-to-end queuing shows at the last.
+            Topology::ParkingLot { hops } => {
+                assert!(
+                    (1..=PARKING_TAGS.len()).contains(&hops.len()),
+                    "a parking lot has 1..={} hops, got {}",
+                    PARKING_TAGS.len(),
+                    hops.len()
+                );
+                let last = hops.len() - 1;
+                let lowered = hops
+                    .iter()
+                    .zip(PARKING_TAGS)
+                    .enumerate()
+                    .map(|(i, (h, tag))| Hop {
+                        oracle: i == 0,
+                        primary: i == last,
+                        bounds_utilization: true,
+                        ..hop(tag, link(&h.link), h.qdisc.clone())
+                    });
+                (lowered.collect(), symmetric)
+            }
+            // The return hop carries ACKs: droptail, never the scheme's
+            // qdisc — an AQM rewriting ACK ECN would corrupt the echoes.
+            Topology::Asymmetric {
+                down,
+                up,
+                down_delay,
+                up_delay,
+            } => {
+                let up = Hop {
+                    ack_path: true,
+                    ..hop("up", link(up), HopQdisc::DropTail)
+                };
+                (vec![bottleneck("down", down), up], (*down_delay, *up_delay))
+            }
+        };
+        (hops, fwd_delay, back_delay)
     }
 
-    /// Inject a deliberate fault (testing only — see [`InjectedFault`]).
-    pub fn inject_fault(mut self, fault: InjectedFault) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Expand the schedule (+ Poisson churn) into concrete flows.
-    fn expand_flows(&self) -> Vec<FlowSpec> {
-        let mut out = match &self.flows {
+    /// Lower the bulk schedule, the Poisson churn and every workload into
+    /// one flow list, in `FlowId` order.
+    fn lower_flows(&self, hops: &[Hop]) -> Vec<Flow> {
+        let flow = |spec| Flow {
+            spec,
+            pkt_size: MTU_BYTES,
+            driver: None,
+            meta: None,
+            account: None,
+        };
+        let mut flows: Vec<Flow> = match &self.flows {
             FlowSchedule::Uniform {
                 n,
                 app,
@@ -763,13 +764,19 @@ impl ScenarioSpec {
                             (SimTime::ZERO + self.duration).saturating_sub(*stagger * lead),
                         );
                     }
-                    f
+                    flow(f)
                 })
                 .collect(),
-            FlowSchedule::Explicit(v) => v.clone(),
+            FlowSchedule::Explicit(v) => v.iter().cloned().map(flow).collect(),
         };
         if let Some(short) = &self.short_flows {
-            let reference = self.nominal_rate();
+            // The first hop's nominal rate is the reference for load
+            // fractions. On Wi-Fi, MCS 7 with full batches is ≈ 65 Mbit/s
+            // PHY; close enough, as only Fig. 12 (single-bottleneck) uses them.
+            let reference = match &hops[0].link {
+                HopLink::Link(link) => link.nominal_rate(),
+                HopLink::WifiAp(_) => Rate::from_mbps(65.0),
+            };
             let mut rng = StdRng::seed_from_u64(self.seed);
             let arrivals_per_s = short.load * reference.bps() / 8.0 / short.bytes as f64;
             let mut t = 0.0;
@@ -781,30 +788,127 @@ impl ScenarioSpec {
                     break;
                 }
                 i += 1;
-                out.push(
+                flows.push(flow(
                     FlowSpec::new(format!("short {i}"))
                         .scheme(short.scheme)
                         .start_at(SimTime::from_secs_f64(t))
                         .app(TrafficSource::Finite { bytes: short.bytes }),
-                );
+                ));
             }
         }
-        out
-    }
-
-    /// The first hop's nominal rate — the reference for offered-load
-    /// fractions.
-    fn nominal_rate(&self) -> Rate {
-        match &self.topology {
-            Topology::SingleBottleneck(l) | Topology::TwoHop { up: l, .. } => l.nominal_rate(),
-            Topology::MixedPath { wireless, .. } => wireless.nominal_rate(),
-            // MCS 7, full batches ≈ 65 Mbit/s PHY; close enough for load
-            // fractions, which only Fig. 12 (single-bottleneck) uses today.
-            Topology::Wifi { .. } => Rate::from_mbps(65.0),
-            Topology::ParkingLot { hops } => hops[0].link.nominal_rate(),
-            Topology::Asymmetric { down, .. } => down.nominal_rate(),
+        for (k, entry) in self.workloads.iter().enumerate() {
+            let app_flow = |label, start, app| {
+                flow(FlowSpec {
+                    label,
+                    scheme: entry.scheme,
+                    start,
+                    stop: None,
+                    app,
+                    entry_hop: entry.entry_hop,
+                    exit_hop: None,
+                })
+            };
+            // Independent, reproducible stream per workload entry.
+            let wseed = self.seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let start = entry.start;
+            match &entry.workload {
+                WorkloadSpec::Web(w) => {
+                    for (j, req) in w.expand(wseed, self.duration).iter().enumerate() {
+                        let flow = FlowId(flows.len() as u32 + 1);
+                        let start = entry.start + req.start.since(SimTime::ZERO);
+                        // The transport ships whole MTU packets, so the
+                        // sink observes the request rounded up to packets.
+                        let expected = req.bytes.div_ceil(MTU_BYTES as u64) * MTU_BYTES as u64;
+                        let source = TrafficSource::Finite { bytes: req.bytes };
+                        flows.push(Flow {
+                            meta: Some(AppFlowMeta {
+                                start,
+                                expected_bytes: Some(expected),
+                                deadline: None,
+                            }),
+                            account: Some(AppAccount::Web {
+                                flow,
+                                start,
+                                expected,
+                            }),
+                            ..app_flow(format!("{} {}", entry.label, j + 1), start, source)
+                        });
+                    }
+                }
+                WorkloadSpec::Rtc(r) => flows.push(Flow {
+                    pkt_size: r.frame_bytes,
+                    driver: Some(Box::new(RtcSource::new(*r, start))),
+                    meta: Some(AppFlowMeta {
+                        start,
+                        expected_bytes: None,
+                        deadline: Some(r.deadline),
+                    }),
+                    account: Some(AppAccount::Rtc {
+                        flow: FlowId(flows.len() as u32 + 1),
+                    }),
+                    ..app_flow(entry.label.clone(), start, TrafficSource::Backlogged)
+                }),
+                WorkloadSpec::AbrVideo(a) => flows.push(Flow {
+                    driver: Some(Box::new(AbrClient::new(a.clone(), start))),
+                    account: Some(AppAccount::Video {
+                        sender_idx: flows.len(),
+                    }),
+                    ..app_flow(entry.label.clone(), start, TrafficSource::Backlogged)
+                }),
+            }
         }
+        flows
     }
+}
+
+/// Metrics tags for parking-lot hops (the `&'static str` tag table the
+/// metrics hub keys on); also the topology's hop-count ceiling.
+const PARKING_TAGS: [&str; 8] = [
+    "hop1", "hop2", "hop3", "hop4", "hop5", "hop6", "hop7", "hop8",
+];
+
+/// One hop of a lowered [`Topology`]: every fact `build` installs and
+/// `finish` folds.
+struct Hop<'a> {
+    /// The metrics tag.
+    tag: &'static str,
+    link: HopLink<'a>,
+    /// `SchemeDefault` goes through the spec's [`QdiscSpec`] override.
+    qdisc: HopQdisc,
+    /// The qdisc's room, in packets.
+    buffer_pkts: usize,
+    /// On the ACK path; every other hop is on the data path.
+    ack_path: bool,
+    /// Runs the PK-ABC oracle when the spec sets `oracle_lookahead`.
+    oracle: bool,
+    /// Reports the headline `qdelay_ms`; its delivery is utilization's
+    /// numerator.
+    primary: bool,
+    /// Its delivery opportunities bound utilization.
+    bounds_utilization: bool,
+    /// Its capacity curve is the report's `capacity_series`.
+    plots_capacity: bool,
+}
+
+/// What carries a [`Hop`]'s packets.
+enum HopLink<'a> {
+    /// A [`LinkQueue`] over this link.
+    Link(Cow<'a, LinkSpec>),
+    /// The 802.11n A-MPDU access point with this MCS process.
+    WifiAp(&'a McsSpec),
+}
+
+/// One flow of the lowered traffic: its sender/sink pair's settings, and
+/// how `finish` accounts for it.
+struct Flow {
+    /// Label, scheme, start/stop, traffic source and entry/exit hops.
+    spec: FlowSpec,
+    pkt_size: u32,
+    /// Replaces `spec.app` as the sender's data source.
+    driver: Option<Box<dyn AppDriver>>,
+    /// Registered with the metrics hub for completion and deadlines.
+    meta: Option<AppFlowMeta>,
+    account: Option<AppAccount>,
 }
 
 /// Executes [`ScenarioSpec`]s: serially via [`run`](Self::run), in
@@ -849,6 +953,12 @@ impl ScenarioEngine {
     /// harness needs to sample mid-run state; otherwise call
     /// [`run`](Self::run).
     pub fn build(&self, spec: &ScenarioSpec) -> BuiltScenario {
+        if spec.fault == Some(InjectedFault::Panic) {
+            panic!("injected fault: panic");
+        }
+        let (hops, fwd_delay, back_delay) = spec.lower_path();
+        let flows = spec.lower_flows(&hops);
+
         let mut sim = match spec.timer_slot_shift {
             Some(shift) => Simulator::with_slot_shift(shift),
             None => Simulator::new(),
@@ -861,12 +971,7 @@ impl ScenarioEngine {
             t
         });
 
-        if spec.fault == Some(InjectedFault::Panic) {
-            panic!("injected fault: panic");
-        }
-
-        let tags = spec.topology.hop_tags();
-        let hop_ids: Vec<NodeId> = tags.iter().map(|_| sim.reserve_node()).collect();
+        let hop_ids: Vec<NodeId> = hops.iter().map(|_| sim.reserve_node()).collect();
 
         // Impairment wires: one shared node per spec entry, reserved
         // immediately after the hop queues and ONLY when configured — an
@@ -903,339 +1008,114 @@ impl ScenarioEngine {
             }
         }
 
-        // Split the propagation RTT: equal legs along the forward path
-        // (sender → hop₁ → … → hopₙ → sink), half the RTT straight back.
-        // An asymmetric topology overrides both directions with its own
-        // one-way delays and threads the ACK path through its up hop;
-        // everything else keeps the symmetric split bit for bit.
-        let fwd_count = spec.topology.forward_hop_count();
-        let legs = (fwd_count + 1) as u64;
-        let (leg, back_d, back_hop) = match &spec.topology {
-            Topology::Asymmetric {
-                down_delay,
-                up_delay,
-                ..
-            } => (
-                *down_delay / legs,
-                *up_delay / 2,
-                Some((hop_ids[1], *up_delay / 2)),
-            ),
-            _ => (spec.rtt / (2 * legs), spec.rtt / 2, None),
-        };
+        // Each direction's one-way delay splits into equal legs: one ahead
+        // of each of its hops, one to its endpoint.
+        let fwd_count = hops.iter().filter(|h| !h.ack_path).count();
+        let ack_ids = &hop_ids[fwd_count..];
+        let fwd_leg = fwd_delay / (fwd_count as u64 + 1);
+        let back_leg = back_delay / (ack_ids.len() as u64 + 1);
 
-        // One sender/sink pair per flow; routes reuse pooled hop buffers.
-        // `wire` reserves sender-then-sink (node-id order is part of the
-        // deterministic contract) and hands the forward route to a
-        // caller-supplied sender builder.
-        let wire = |sim: &mut Simulator,
-                    flow: FlowId,
-                    label: &str,
-                    entry_hop: usize,
-                    exit_hop: Option<usize>,
-                    build: &mut dyn FnMut(Rc<Route>) -> Sender|
-         -> NodeId {
-            let sender_id = sim.reserve_node();
-            let sink_id = sim.reserve_node();
-            // `end` is one past the last forward hop this flow traverses.
-            let end = exit_hop.map_or(fwd_count, |e| e + 1);
-            assert!(
-                entry_hop < fwd_count,
-                "flow {:?} enters hop {} of a {}-forward-hop topology",
-                label,
-                entry_hop,
-                fwd_count
-            );
-            assert!(
-                entry_hop < end && end <= fwd_count,
-                "flow {:?} exits after hop {} but enters at hop {} of {} forward hops",
-                label,
-                end - 1,
-                entry_hop,
-                fwd_count
-            );
-            // Splice data-direction wires ahead of their hop queue: the
-            // wire takes over the leg's propagation delay and hands the
-            // packet on with zero extra delay, so an impaired path keeps
-            // the exact timing of the clean one.
-            let fwd = if spec.impairments.is_empty() {
-                Route::from_hops(
-                    hop_ids[entry_hop..end]
-                        .iter()
-                        .map(|&id| (id, leg))
-                        .chain([(sink_id, leg)]),
-                )
-            } else {
-                let mut fwd_hops: Vec<(NodeId, SimDuration)> = Vec::new();
-                for (h, &hid) in hop_ids.iter().enumerate().take(end).skip(entry_hop) {
-                    let mut d = leg;
-                    for &w in &data_wires[h] {
-                        fwd_hops.push((w, d));
-                        d = SimDuration::ZERO;
-                    }
-                    fwd_hops.push((hid, d));
-                }
-                fwd_hops.push((sink_id, leg));
-                Route::from_hops(fwd_hops)
-            };
-            let back = {
-                // sink → [ack wires] → [up hop, asymmetric only] → sender
-                let mut chain: Vec<(NodeId, SimDuration)> = Vec::new();
-                match back_hop {
-                    Some((up_id, last_d)) => {
-                        chain.push((up_id, back_d));
-                        chain.push((sender_id, last_d));
-                    }
-                    None => chain.push((sender_id, back_d)),
-                }
-                if !ack_wires.is_empty() {
-                    let first_d = chain[0].1;
-                    chain[0].1 = SimDuration::ZERO;
-                    let mut spliced: Vec<(NodeId, SimDuration)> = Vec::new();
-                    let mut d = first_d;
-                    for &w in &ack_wires {
-                        spliced.push((w, d));
-                        d = SimDuration::ZERO;
-                    }
-                    spliced.append(&mut chain);
-                    chain = spliced;
-                }
-                Route::from_hops(chain)
-            };
-            sim.install_node(
-                sink_id,
-                Box::new(Sink::new(flow, back).with_metrics(hub.clone())),
-            );
-            sim.install_node(sender_id, Box::new(build(fwd)));
-            sender_id
-        };
-
-        let flows = spec.expand_flows();
+        // One sender/sink pair per flow, reserved sender-then-sink (node-id
+        // order is part of the deterministic contract); routes reuse
+        // pooled hop buffers.
         let mut sender_ids = Vec::with_capacity(flows.len());
         let mut flow_ids = Vec::with_capacity(flows.len());
-        for (i, f) in flows.iter().enumerate() {
-            let flow = FlowId(i as u32 + 1);
-            let scheme = f.scheme.unwrap_or(spec.scheme);
-            let sender_id = wire(
-                &mut sim,
-                flow,
-                &f.label,
+        let mut app_accounts = Vec::new();
+        for (i, lowered) in flows.into_iter().enumerate() {
+            let (f, flow) = (lowered.spec, FlowId(i as u32 + 1));
+            let sender_id = sim.reserve_node();
+            let sink_id = sim.reserve_node();
+            // `end` is one past the last data-path hop this flow traverses.
+            let end = f.exit_hop.map_or(fwd_count, |e| e + 1);
+            assert!(
+                f.entry_hop < fwd_count,
+                "flow {:?} enters hop {} of a {}-forward-hop topology",
+                f.label,
                 f.entry_hop,
-                f.exit_hop,
-                &mut |fwd| {
-                    let mut sender =
-                        Sender::new(flow, scheme.make_cc(), fwd, f.app).with_start_at(f.start);
-                    if let Some(stop) = f.stop {
-                        sender = sender.with_stop_at(stop);
-                    }
-                    sender
-                },
+                fwd_count
             );
+            assert!(
+                f.entry_hop < end && end <= fwd_count,
+                "flow {:?} exits after hop {} but enters at hop {} of {} forward hops",
+                f.label,
+                end - 1,
+                f.entry_hop,
+                fwd_count
+            );
+            let fwd = (f.entry_hop..end).flat_map(|h| leg(&data_wires[h], hop_ids[h], fwd_leg));
+            let fwd = Route::from_hops(fwd.chain(leg(&[], sink_id, fwd_leg)));
+            // sink → [ack wires] → [ACK-path hops] → sender
+            let back = ack_ids.iter().chain([&sender_id]).enumerate();
+            let back =
+                back.flat_map(|(k, &id)| leg(if k == 0 { &ack_wires } else { &[] }, id, back_leg));
+            sim.install_node(
+                sink_id,
+                Box::new(Sink::new(flow, Route::from_hops(back)).with_metrics(hub.clone())),
+            );
+            let cc = f.scheme.unwrap_or(spec.scheme).make_cc();
+            let mut sender = Sender::new(flow, cc, fwd, f.app)
+                .with_start_at(f.start)
+                .with_pkt_size(lowered.pkt_size);
+            if let Some(stop) = f.stop {
+                sender = sender.with_stop_at(stop);
+            }
+            if let Some(driver) = lowered.driver {
+                sender = sender.with_app_driver(driver);
+            }
+            sim.install_node(sender_id, Box::new(sender));
+            if let Some(meta) = lowered.meta {
+                hub.borrow_mut().register_app_flow(flow, meta);
+            }
+            app_accounts.extend(lowered.account);
             sender_ids.push(sender_id);
-            flow_ids.push((f.label.clone(), flow));
+            flow_ids.push((f.label, flow));
         }
 
-        // Lower each workload entry onto the same transport substrate.
-        let mut app_accounts: Vec<AppAccount> = Vec::new();
-        let mut next_flow = flows.len() as u32 + 1;
-        for (k, entry) in spec.workloads.iter().enumerate() {
-            let scheme = entry.scheme.unwrap_or(spec.scheme);
-            // Independent, reproducible stream per workload entry.
-            let wseed = spec.seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            match &entry.workload {
-                WorkloadSpec::Web(w) => {
-                    for (j, req) in w.expand(wseed, spec.duration).iter().enumerate() {
-                        let flow = FlowId(next_flow);
-                        next_flow += 1;
-                        let start = entry.start + req.start.since(SimTime::ZERO);
-                        let label = format!("{} {}", entry.label, j + 1);
-                        let bytes = req.bytes;
-                        let sender_id =
-                            wire(&mut sim, flow, &label, entry.entry_hop, None, &mut |fwd| {
-                                Sender::new(
-                                    flow,
-                                    scheme.make_cc(),
-                                    fwd,
-                                    TrafficSource::Finite { bytes },
-                                )
-                                .with_start_at(start)
-                            });
-                        // The transport ships whole MTU packets, so the
-                        // sink observes the request rounded up to packets.
-                        let expected = bytes.div_ceil(MTU_BYTES as u64) * MTU_BYTES as u64;
-                        hub.borrow_mut().register_app_flow(
-                            flow,
-                            AppFlowMeta {
-                                start,
-                                expected_bytes: Some(expected),
-                                deadline: None,
-                            },
-                        );
-                        sender_ids.push(sender_id);
-                        flow_ids.push((label, flow));
-                        app_accounts.push(AppAccount::Web {
-                            flow,
-                            start,
-                            expected,
-                        });
-                    }
-                }
-                WorkloadSpec::Rtc(r) => {
-                    let flow = FlowId(next_flow);
-                    next_flow += 1;
-                    let spec_r = *r;
-                    let start = entry.start;
-                    let sender_id = wire(
-                        &mut sim,
-                        flow,
-                        &entry.label,
-                        entry.entry_hop,
-                        None,
-                        &mut |fwd| {
-                            Sender::new(flow, scheme.make_cc(), fwd, TrafficSource::Backlogged)
-                                .with_start_at(start)
-                                .with_pkt_size(spec_r.frame_bytes)
-                                .with_app_driver(Box::new(RtcSource::new(spec_r, start)))
-                        },
-                    );
-                    hub.borrow_mut().register_app_flow(
-                        flow,
-                        AppFlowMeta {
-                            start,
-                            expected_bytes: None,
-                            deadline: Some(spec_r.deadline),
-                        },
-                    );
-                    sender_ids.push(sender_id);
-                    flow_ids.push((entry.label.clone(), flow));
-                    app_accounts.push(AppAccount::Rtc { flow });
-                }
-                WorkloadSpec::AbrVideo(a) => {
-                    let flow = FlowId(next_flow);
-                    next_flow += 1;
-                    let spec_a = a.clone();
-                    let start = entry.start;
-                    let sender_id = wire(
-                        &mut sim,
-                        flow,
-                        &entry.label,
-                        entry.entry_hop,
-                        None,
-                        &mut |fwd| {
-                            Sender::new(flow, scheme.make_cc(), fwd, TrafficSource::Backlogged)
-                                .with_start_at(start)
-                                .with_app_driver(Box::new(AbrClient::new(spec_a.clone(), start)))
-                        },
-                    );
-                    app_accounts.push(AppAccount::Video {
-                        sender_idx: sender_ids.len(),
-                    });
-                    sender_ids.push(sender_id);
-                    flow_ids.push((entry.label.clone(), flow));
-                }
-            }
-        }
-
-        // Install the hop chain.
-        match &spec.topology {
-            Topology::SingleBottleneck(link) => {
-                let mut lq = LinkQueue::new(self.make_qdisc(spec, spec.buffer_pkts), link.build())
-                    .with_metrics("bottleneck", hub.clone());
-                if let Some(look) = spec.oracle_lookahead {
-                    lq = lq.with_oracle_lookahead(look);
-                }
-                sim.install_node(hop_ids[0], Box::new(lq));
-            }
-            Topology::TwoHop { up, down } => {
-                for (idx, (link, tag)) in [(up, "uplink"), (down, "downlink")].iter().enumerate() {
+        for (hop, &id) in hops.iter().zip(&hop_ids) {
+            let qdisc = make_qdisc(spec, &hop.qdisc, hop.buffer_pkts);
+            let node: Box<dyn Node> = match &hop.link {
+                HopLink::Link(link) => {
                     let mut lq =
-                        LinkQueue::new(self.make_qdisc(spec, spec.buffer_pkts), link.build())
-                            .with_metrics(tag, hub.clone());
-                    if idx == 0 {
-                        if let Some(look) = spec.oracle_lookahead {
-                            lq = lq.with_oracle_lookahead(look);
-                        }
+                        LinkQueue::new(qdisc, link.build()).with_metrics(hop.tag, hub.clone());
+                    if let Some(look) = spec.oracle_lookahead.filter(|_| hop.oracle) {
+                        lq = lq.with_oracle_lookahead(look);
                     }
-                    sim.install_node(hop_ids[idx], Box::new(lq));
+                    Box::new(lq)
                 }
-            }
-            Topology::MixedPath { wireless, wired } => {
-                let mut lq =
-                    LinkQueue::new(self.make_qdisc(spec, spec.buffer_pkts), wireless.build())
-                        .with_metrics("wireless", hub.clone());
-                if let Some(look) = spec.oracle_lookahead {
-                    lq = lq.with_oracle_lookahead(look);
-                }
-                sim.install_node(hop_ids[0], Box::new(lq));
-                // The wired hop is definitionally non-ABC: plain droptail.
-                let wired_lq = LinkQueue::new(
-                    Box::new(DropTail::new(spec.buffer_pkts)),
-                    LinkSpec::Constant(*wired).build(),
-                )
-                .with_metrics("wired", hub.clone());
-                sim.install_node(hop_ids[1], Box::new(wired_lq));
-            }
-            Topology::Wifi {
-                mcs,
-                ap_buffer_pkts,
-            } => {
-                let ap = WifiAp::new(
-                    WifiApConfig::default(),
-                    self.make_qdisc(spec, *ap_buffer_pkts),
-                    mcs.build(),
-                )
-                .with_metrics("wifi", hub.clone());
-                sim.install_node(hop_ids[0], Box::new(ap));
-            }
-            Topology::ParkingLot { hops } => {
-                for (idx, hop) in hops.iter().enumerate() {
-                    let qdisc: Box<dyn Qdisc> = match &hop.qdisc {
-                        HopQdisc::SchemeDefault => self.make_qdisc(spec, spec.buffer_pkts),
-                        HopQdisc::DropTail => Box::new(DropTail::new(spec.buffer_pkts)),
-                        HopQdisc::Codel => Box::new(aqm::Codel::new(aqm::CodelConfig {
-                            buffer_pkts: spec.buffer_pkts,
-                            ..Default::default()
-                        })),
-                        HopQdisc::Abc(cfg) => Box::new(AbcQdisc::new(*cfg)),
-                    };
-                    let mut lq = LinkQueue::new(qdisc, hop.link.build())
-                        .with_metrics(tags[idx], hub.clone());
-                    if idx == 0 {
-                        if let Some(look) = spec.oracle_lookahead {
-                            lq = lq.with_oracle_lookahead(look);
-                        }
-                    }
-                    sim.install_node(hop_ids[idx], Box::new(lq));
-                }
-            }
-            Topology::Asymmetric { down, up, .. } => {
-                let mut lq = LinkQueue::new(self.make_qdisc(spec, spec.buffer_pkts), down.build())
-                    .with_metrics("down", hub.clone());
-                if let Some(look) = spec.oracle_lookahead {
-                    lq = lq.with_oracle_lookahead(look);
-                }
-                sim.install_node(hop_ids[0], Box::new(lq));
-                // The return hop carries ACKs: droptail, never the scheme's
-                // qdisc — an AQM rewriting ACK ECN would corrupt the echoes.
-                let up_lq = LinkQueue::new(Box::new(DropTail::new(spec.buffer_pkts)), up.build())
-                    .with_metrics("up", hub.clone());
-                sim.install_node(hop_ids[1], Box::new(up_lq));
-            }
+                HopLink::WifiAp(mcs) => Box::new(
+                    WifiAp::new(WifiApConfig::default(), qdisc, mcs.build())
+                        .with_metrics(hop.tag, hub.clone()),
+                ),
+            };
+            sim.install_node(id, node);
         }
 
         if spec.fault == Some(InjectedFault::Stall) {
             sim.add_node(Box::new(StallNode));
         }
 
+        let tags_where =
+            |role: fn(&Hop) -> bool| hops.iter().filter(move |h| role(h)).map(|h| h.tag);
         BuiltScenario {
             sim,
             hub,
             telemetry,
-            hops: tags.iter().copied().zip(hop_ids).collect(),
+            hops: hops.iter().map(|h| h.tag).zip(hop_ids).collect(),
             sender_ids,
             flows: flow_ids,
             app_accounts,
             scheme_name: spec.scheme.name(),
-            topology: spec.topology.clone(),
+            primary: tags_where(|h| h.primary)
+                .next()
+                .expect("every path has a primary hop"),
+            bounding: tags_where(|h| h.bounds_utilization).collect(),
+            capacity_link: hops
+                .iter()
+                .filter(|h| h.plots_capacity)
+                .find_map(|h| match &h.link {
+                    HopLink::Link(link) => Some(link.clone().into_owned()),
+                    HopLink::WifiAp(_) => None,
+                }),
             duration: spec.duration,
             warmup: spec.warmup,
         }
@@ -1356,21 +1236,42 @@ impl ScenarioEngine {
             }
         });
     }
+}
 
-    /// The qdisc for a scheme-controlled hop with `buffer` packets of
-    /// room (the Wi-Fi AP passes its own, larger buffer). The MixedPath
-    /// wired hop is definitionally droptail and bypasses this.
-    fn make_qdisc(&self, spec: &ScenarioSpec, buffer: usize) -> Box<dyn Qdisc> {
-        match &spec.qdisc {
-            QdiscSpec::SchemeDefault => spec.scheme.make_qdisc(buffer),
-            QdiscSpec::DropTail => Box::new(DropTail::new(buffer)),
-            QdiscSpec::AbcWith(cfg) => Box::new(AbcQdisc::new(*cfg)),
-            QdiscSpec::DualQueue(policy) => Box::new(DualQueue::new(DualQueueConfig {
+/// The qdisc a hop runs: its own capability, or — on a scheme-controlled
+/// hop — the spec's [`QdiscSpec`] override of the scheme's qdisc.
+fn make_qdisc(spec: &ScenarioSpec, hop: &HopQdisc, buffer: usize) -> Box<dyn Qdisc> {
+    match (hop, &spec.qdisc) {
+        (HopQdisc::SchemeDefault, QdiscSpec::SchemeDefault) => spec.scheme.make_qdisc(buffer),
+        (HopQdisc::DropTail, _) | (HopQdisc::SchemeDefault, QdiscSpec::DropTail) => {
+            Box::new(DropTail::new(buffer))
+        }
+        (HopQdisc::Codel, _) => Box::new(aqm::Codel::new(aqm::CodelConfig {
+            buffer_pkts: buffer,
+            ..Default::default()
+        })),
+        (HopQdisc::Abc(cfg), _) | (HopQdisc::SchemeDefault, QdiscSpec::AbcWith(cfg)) => {
+            Box::new(AbcQdisc::new(*cfg))
+        }
+        (HopQdisc::SchemeDefault, QdiscSpec::DualQueue(policy)) => {
+            Box::new(DualQueue::new(DualQueueConfig {
                 policy: *policy,
                 ..Default::default()
-            })),
+            }))
         }
     }
+}
+
+/// One propagation leg of `delay` to `stop`, with `wires` spliced in
+/// ahead of it: the first node on the leg takes the whole delay and the
+/// rest follow at zero, so an impaired path keeps the clean one's timing.
+fn leg(
+    wires: &[NodeId],
+    stop: NodeId,
+    delay: SimDuration,
+) -> impl Iterator<Item = (NodeId, SimDuration)> + '_ {
+    let delays = std::iter::once(delay).chain(std::iter::repeat(SimDuration::ZERO));
+    wires.iter().copied().chain([stop]).zip(delays)
 }
 
 /// Everything one campaign point's execution yields. The report feeds
@@ -1430,7 +1331,12 @@ pub struct BuiltScenario {
     pub flows: Vec<(String, FlowId)>,
     app_accounts: Vec<AppAccount>,
     scheme_name: String,
-    topology: Topology,
+    /// Tag of the hop whose queue the headline `qdelay_ms` reports.
+    primary: &'static str,
+    /// Tags of the hops whose opportunities bound utilization.
+    bounding: Vec<&'static str>,
+    /// The link whose capacity curve the report plots.
+    capacity_link: Option<LinkSpec>,
     duration: SimDuration,
     warmup: SimDuration,
 }
@@ -1605,40 +1511,21 @@ impl BuiltScenario {
         let window = self.duration.saturating_sub(self.warmup);
         let empty = LinkRecord::default();
         let link_of = |tag: &str| -> &LinkRecord { hub.links.get(tag).unwrap_or(&empty) };
-        let primary = link_of(self.topology.primary_tag());
+        let primary = link_of(self.primary);
 
-        let utilization = match &self.topology {
-            Topology::SingleBottleneck(_)
-            | Topology::MixedPath { .. }
-            | Topology::Asymmetric { .. } => primary.utilization(),
-            Topology::ParkingLot { .. } => {
-                // Generalized two-hop rule: the tightest hop bounds what
-                // was achievable; report final-hop delivery against it.
-                let min_opportunity = self
-                    .hops
-                    .iter()
-                    .map(|(tag, _)| link_of(tag).opportunity_bits)
-                    .fold(f64::INFINITY, f64::min);
-                if min_opportunity > 0.0 && min_opportunity.is_finite() {
-                    (primary.delivered_bytes as f64 * 8.0 / min_opportunity).min(1.0)
-                } else {
-                    0.0
-                }
-            }
-            Topology::TwoHop { .. } => {
-                // The tighter hop determines achievable utilization: report
-                // the final hop's delivery against the min-capacity hop.
-                let up = link_of("uplink");
-                let down = link_of("downlink");
-                let min_opportunity = up.opportunity_bits.min(down.opportunity_bits);
-                if min_opportunity > 0.0 {
-                    (down.delivered_bytes as f64 * 8.0 / min_opportunity).min(1.0)
-                } else {
-                    0.0
-                }
-            }
-            // No opportunity accounting on Wi-Fi.
-            Topology::Wifi { .. } => f64::NAN,
+        // The tightest bounding hop bounds what was achievable: report the
+        // primary hop's delivery against it (NaN when no hop bounds it).
+        let min_opportunity = self
+            .bounding
+            .iter()
+            .map(|tag| link_of(tag).opportunity_bits)
+            .fold(f64::INFINITY, f64::min);
+        let utilization = if self.bounding.is_empty() {
+            f64::NAN
+        } else if min_opportunity > 0.0 {
+            (primary.delivered_bytes as f64 * 8.0 / min_opportunity).min(1.0)
+        } else {
+            0.0
         };
 
         let qdelay_series: Vec<(f64, f64)> = primary
@@ -1657,8 +1544,8 @@ impl BuiltScenario {
             .map(|f| f.throughput_over(window) / 1e6)
             .collect();
         let capacity_series = self
-            .topology
-            .capacity_link()
+            .capacity_link
+            .as_ref()
             .map(|l| l.capacity_series(self.duration, SimDuration::from_millis(100)))
             .unwrap_or_default();
         Report {
@@ -1728,17 +1615,18 @@ mod tests {
             bytes: 10_000,
             scheme: Scheme::Cubic,
         });
-        let a = spec.expand_flows();
-        let b = spec.expand_flows();
+        let a = spec.lower_flows(&spec.lower_path().0);
+        let b = spec.lower_flows(&spec.lower_path().0);
         assert!(a.len() > 1, "expected short-flow arrivals, got {}", a.len());
         assert_eq!(a.len(), b.len());
         assert!(a
             .iter()
             .zip(&b)
-            .all(|(x, y)| x.start == y.start && x.label == y.label));
-        let c = spec.clone().seed(99).expand_flows();
+            .all(|(x, y)| x.spec.start == y.spec.start && x.spec.label == y.spec.label));
+        let c = spec.clone().seed(99);
+        let c = c.lower_flows(&c.lower_path().0);
         assert!(
-            a.len() != c.len() || a.iter().zip(&c).any(|(x, y)| x.start != y.start),
+            a.len() != c.len() || a.iter().zip(&c).any(|(x, y)| x.spec.start != y.spec.start),
             "different seeds should reshuffle arrivals"
         );
     }

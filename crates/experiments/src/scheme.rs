@@ -95,6 +95,29 @@ pub const WIFI_LINEUP: [Scheme; 9] = [
 ];
 
 impl Scheme {
+    /// Every variant without a parameter, in declaration order
+    /// (`AbcDt(ms)` is the one parameterized scheme).
+    pub const ALL: [Scheme; 18] = [
+        Scheme::Abc,
+        Scheme::AbcNoAi,
+        Scheme::AbcEnqueue,
+        Scheme::AbcCubic,
+        Scheme::Cubic,
+        Scheme::CubicCodel,
+        Scheme::CubicPie,
+        Scheme::NewReno,
+        Scheme::Vegas,
+        Scheme::Bbr,
+        Scheme::Copa,
+        Scheme::Pcc,
+        Scheme::Sprout,
+        Scheme::Verus,
+        Scheme::Xcp,
+        Scheme::Xcpw,
+        Scheme::Rcp,
+        Scheme::Vcp,
+    ];
+
     /// The display name (as figures, stores, and campaign files write
     /// it): `ABC`, `Cubic+Codel`, `ABC_50`, …
     pub fn name(&self) -> String {
@@ -245,28 +268,7 @@ mod tests {
 
     #[test]
     fn every_scheme_builds() {
-        let all = [
-            Scheme::Abc,
-            Scheme::AbcDt(60),
-            Scheme::AbcNoAi,
-            Scheme::AbcEnqueue,
-            Scheme::AbcCubic,
-            Scheme::Cubic,
-            Scheme::CubicCodel,
-            Scheme::CubicPie,
-            Scheme::NewReno,
-            Scheme::Vegas,
-            Scheme::Bbr,
-            Scheme::Copa,
-            Scheme::Pcc,
-            Scheme::Sprout,
-            Scheme::Verus,
-            Scheme::Xcp,
-            Scheme::Xcpw,
-            Scheme::Rcp,
-            Scheme::Vcp,
-        ];
-        for s in all {
+        for s in Scheme::ALL.into_iter().chain([Scheme::AbcDt(60)]) {
             let cc = s.make_cc();
             assert!(!cc.name().is_empty());
             let q = s.make_qdisc(100);
@@ -277,14 +279,11 @@ mod tests {
 
     #[test]
     fn scheme_names_round_trip() {
-        for s in [
-            Scheme::Abc,
-            Scheme::AbcDt(50),
-            Scheme::CubicCodel,
-            Scheme::Xcpw,
-            Scheme::Vcp,
-        ] {
+        for s in Scheme::ALL.into_iter().chain([Scheme::AbcDt(50)]) {
             assert_eq!(Scheme::from_name(&s.name()), Some(s), "{}", s.name());
+            // `abcsim --list` prints the lowercase names
+            let lower = s.name().to_ascii_lowercase();
+            assert_eq!(Scheme::from_name(&lower), Some(s), "{lower}");
         }
         assert_eq!(Scheme::from_name("abc"), Some(Scheme::Abc));
         // abcsim's historical aliases resolve through the same parser

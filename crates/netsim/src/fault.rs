@@ -250,12 +250,6 @@ impl ImpairmentSpec {
         }
     }
 
-    /// Builder: place the (data-direction) wire ahead of hop `hop`.
-    pub fn at_hop(mut self, hop: usize) -> Self {
-        self.hop = hop;
-        self
-    }
-
     /// Report/metrics label: `"<index>:<kind>:<direction>"`, unique per
     /// configured impairment (`index` is the position in the spec list).
     pub fn label(&self, index: usize) -> String {

@@ -584,11 +584,6 @@ impl Sender {
         self
     }
 
-    /// The attached application driver, for post-run metric extraction.
-    pub fn app_driver(&self) -> Option<&dyn AppDriver> {
-        self.driver.as_deref()
-    }
-
     /// Mutable driver access (end-of-run finalization hooks).
     pub fn app_driver_mut(&mut self) -> Option<&mut (dyn AppDriver + 'static)> {
         self.driver.as_deref_mut()

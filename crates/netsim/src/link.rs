@@ -354,8 +354,14 @@ pub fn next_opportunity(
     }
 }
 
+/// Wire bytes one [`TraceLink`] opportunity may deliver: one MTU.
+const BYTES_PER_OPP: u32 = crate::packet::MTU_BYTES;
+
+/// Smoothing window of a [`TraceLink`]'s [`Transmitter::rate_at`].
+const RATE_WINDOW: SimDuration = SimDuration::from_millis(40);
+
 /// Mahimahi-style trace-driven link: the trace is a sorted list of delivery
-/// opportunities (times at which up to `bytes_per_opp` bytes may leave the
+/// opportunities (times at which up to `BYTES_PER_OPP` bytes may leave the
 /// queue). The trace repeats with period `period`. Opportunities that find
 /// an empty queue are wasted; leftover budget within one opportunity serves
 /// the next packet at the same instant (so several 40-byte ACKs ride one
@@ -365,12 +371,9 @@ pub struct TraceLink {
     /// Shared with whoever built the link: a trace is never copied.
     opportunities: Arc<[SimDuration]>,
     period: SimDuration,
-    bytes_per_opp: u32,
     /// `Some((t, bytes))`: the opportunity at `t` has been claimed and has
     /// `bytes` of budget left (possibly zero, meaning fully consumed).
     credit: Option<(SimTime, u32)>,
-    /// Smoothing window for [`Transmitter::rate_at`].
-    rate_window: SimDuration,
     /// One cursor per monotone query stream: transmissions, and the two
     /// edges of the sliding rate window.
     tx_cursor: TraceCursor,
@@ -396,27 +399,11 @@ impl TraceLink {
         TraceLink {
             opportunities,
             period,
-            bytes_per_opp: crate::packet::MTU_BYTES,
             credit: None,
-            rate_window: SimDuration::from_millis(40),
             tx_cursor: TraceCursor::default(),
             window_start_cursor: TraceCursor::default(),
             window_end_cursor: TraceCursor::default(),
         }
-    }
-
-    /// Width of the sliding window used to report instantaneous capacity.
-    pub fn with_rate_window(mut self, w: SimDuration) -> Self {
-        assert!(!w.is_zero());
-        self.rate_window = w;
-        self
-    }
-
-    /// Wire bytes deliverable per transmission opportunity (MTU default).
-    pub fn with_bytes_per_opportunity(mut self, b: u32) -> Self {
-        assert!(b > 0);
-        self.bytes_per_opp = b;
-        self
     }
 
     /// Length of the trace before it repeats.
@@ -432,7 +419,7 @@ impl TraceLink {
     /// Mean capacity of the trace over one full period.
     pub fn mean_rate(&self) -> Rate {
         Rate::from_bytes_per(
-            self.opportunities.len() as u64 * self.bytes_per_opp as u64,
+            self.opportunities.len() as u64 * BYTES_PER_OPP as u64,
             self.period,
         )
     }
@@ -465,25 +452,25 @@ impl Transmitter for TraceLink {
         let mut t = search_from;
         loop {
             let opp = next_opportunity(&self.opportunities, self.period, t, &self.tx_cursor);
-            if remaining <= self.bytes_per_opp {
-                self.credit = Some((opp, self.bytes_per_opp - remaining));
+            if remaining <= BYTES_PER_OPP {
+                self.credit = Some((opp, BYTES_PER_OPP - remaining));
                 return opp;
             }
-            remaining -= self.bytes_per_opp;
+            remaining -= BYTES_PER_OPP;
             t = opp + SimDuration::from_nanos(1);
         }
     }
 
     fn rate_at(&self, t: SimTime) -> Rate {
-        let from = t.saturating_sub(self.rate_window);
+        let from = t.saturating_sub(RATE_WINDOW);
         let n = self.before(t + SimDuration::from_nanos(1), &self.window_end_cursor)
             - self.before(from, &self.window_start_cursor);
-        Rate::from_bytes_per(n * self.bytes_per_opp as u64, self.rate_window)
+        Rate::from_bytes_per(n * BYTES_PER_OPP as u64, RATE_WINDOW)
     }
 
     fn opportunity_bits(&self, a: SimTime, b: SimTime) -> f64 {
         opportunities_between(&self.opportunities, self.period, a, b) as f64
-            * self.bytes_per_opp as f64
+            * BYTES_PER_OPP as f64
             * 8.0
     }
 }

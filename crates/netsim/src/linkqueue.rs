@@ -67,16 +67,6 @@ impl LinkQueue {
         &*self.qdisc
     }
 
-    /// Mutable access to the qdisc at this link.
-    pub fn qdisc_mut(&mut self) -> &mut dyn Qdisc {
-        &mut *self.qdisc
-    }
-
-    /// Replace the qdisc wholesale (parameter-sweep harnesses).
-    pub fn qdisc_boxed_mut(&mut self) -> &mut Box<dyn Qdisc> {
-        &mut self.qdisc
-    }
-
     /// The transmitter (capacity model) behind the queue.
     pub fn transmitter(&self) -> &dyn Transmitter {
         &*self.tx

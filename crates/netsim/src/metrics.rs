@@ -186,16 +186,6 @@ pub struct FlowRecord {
 }
 
 impl FlowRecord {
-    /// Average goodput over the flow's active period.
-    pub fn throughput_bps(&self) -> f64 {
-        match (self.first_delivery, self.last_delivery) {
-            (Some(a), Some(b)) if b > a => {
-                self.delivered_bytes as f64 * 8.0 / (b - a).as_secs_f64()
-            }
-            _ => 0.0,
-        }
-    }
-
     /// Average goodput over an externally-chosen window (the usual choice:
     /// the whole experiment, so idle flows score zero, matching how the
     /// paper computes aggregate utilization).
@@ -286,6 +276,9 @@ pub struct ImpairmentRecord {
     pub impaired: u64,
 }
 
+/// Width of the [`MetricsHub`] throughput time-series bins.
+const BIN_WIDTH: SimDuration = SimDuration::from_millis(100);
+
 /// The simulation-wide measurement collector (see the module docs).
 #[derive(Debug)]
 pub struct MetricsHub {
@@ -295,7 +288,6 @@ pub struct MetricsHub {
     pub links: BTreeMap<&'static str, LinkRecord>,
     /// Per-impairment-wire counters, in scenario spec order.
     pub impairments: Vec<ImpairmentRecord>,
-    bin_width: SimDuration,
     bins: Vec<ThroughputBin>,
     /// Measurement starts here; earlier samples are warm-up and ignored.
     epoch: SimTime,
@@ -310,7 +302,6 @@ impl Default for MetricsHub {
             flows: FlowTable::default(),
             links: BTreeMap::new(),
             impairments: Vec::new(),
-            bin_width: SimDuration::from_millis(100),
             bins: Vec::new(),
             epoch: SimTime::ZERO,
             delay_cache: Cell::new(None),
@@ -327,12 +318,6 @@ impl MetricsHub {
     /// The configured measurement-start instant.
     pub fn epoch(&self) -> SimTime {
         self.epoch
-    }
-
-    /// Width of the throughput time-series bins (100 ms default).
-    pub fn set_bin_width(&mut self, w: SimDuration) {
-        assert!(!w.is_zero());
-        self.bin_width = w;
     }
 
     /// Register application expectations for `flow` (FCT completion
@@ -431,9 +416,9 @@ impl MetricsHub {
         }
 
         // throughput time series: dense per-slot counters per bin
-        let bin_idx = (now.since(self.epoch).as_nanos() / self.bin_width.as_nanos()) as usize;
+        let bin_idx = (now.since(self.epoch).as_nanos() / BIN_WIDTH.as_nanos()) as usize;
         while self.bins.len() <= bin_idx {
-            let start = self.epoch + self.bin_width * self.bins.len() as u64;
+            let start = self.epoch + BIN_WIDTH * self.bins.len() as u64;
             self.bins.push(ThroughputBin {
                 start,
                 bytes: Vec::new(),
@@ -523,14 +508,9 @@ impl MetricsHub {
         jain_index(&tputs)
     }
 
-    /// Total goodput across flows over `window`, bit/s.
-    pub fn total_throughput_bps(&self, window: SimDuration) -> f64 {
-        self.flows.values().map(|f| f.throughput_over(window)).sum()
-    }
-
     /// Throughput time series for `flow`: (bin start seconds, Mbit/s).
     pub fn throughput_series_mbps(&self, flow: FlowId) -> Vec<(f64, f64)> {
-        let w = self.bin_width.as_secs_f64();
+        let w = BIN_WIDTH.as_secs_f64();
         // Resolve the arena slot once, not once per bin.
         let slot = self.flows.slot_lookup(flow);
         self.bins
@@ -544,7 +524,7 @@ impl MetricsHub {
 
     /// Aggregate throughput time series across all flows.
     pub fn total_throughput_series_mbps(&self) -> Vec<(f64, f64)> {
-        let w = self.bin_width.as_secs_f64();
+        let w = BIN_WIDTH.as_secs_f64();
         self.bins
             .iter()
             .map(|b| {

@@ -24,12 +24,6 @@ impl Rate {
         Rate(bps)
     }
 
-    /// A rate of `kbps` kilobits per second.
-    #[inline]
-    pub fn from_kbps(kbps: f64) -> Self {
-        Self::from_bps(kbps * 1e3)
-    }
-
     /// A rate of `mbps` megabits per second.
     #[inline]
     pub fn from_mbps(mbps: f64) -> Self {

@@ -99,11 +99,6 @@ impl Ewma {
         self.value
     }
 
-    /// The current average, or `default` before any sample.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Forget all samples.
     pub fn reset(&mut self) {
         self.value = None;

@@ -201,25 +201,6 @@ impl Signal {
         Signal::ALL.iter().copied().find(|s| s.name() == name)
     }
 
-    /// Counters accumulate and emit once at end-of-run; gauges are
-    /// sampled (and cadence-decimated) along the way.
-    pub fn is_counter(self) -> bool {
-        matches!(
-            self,
-            Signal::RtoArm
-                | Signal::RtoCancel
-                | Signal::RtoFire
-                | Signal::ImpairPass
-                | Signal::ImpairHit
-                | Signal::PoolHit
-                | Signal::PoolMiss
-                | Signal::WheelNear
-                | Signal::WheelSlots
-                | Signal::WheelOverflow
-                | Signal::WheelSamples
-        )
-    }
-
     /// Gauges whose every observation additionally feeds a
     /// [`LogHistogram`] (distribution shape survives decimation).
     pub fn is_histogrammed(self) -> bool {

@@ -7,7 +7,6 @@
 
 use netsim::flow::AppDriver;
 use netsim::packet::MTU_BYTES;
-use netsim::rate::Rate;
 use netsim::time::{SimDuration, SimTime};
 
 /// Spec of a constant-cadence stream.
@@ -31,11 +30,6 @@ impl RtcWorkload {
             interval,
             deadline: SimDuration::from_millis(100),
         }
-    }
-
-    /// The stream's media rate.
-    pub fn media_rate(&self) -> Rate {
-        Rate::from_bytes_per(self.frame_bytes as u64, self.interval)
     }
 }
 
