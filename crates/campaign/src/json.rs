@@ -1,8 +1,17 @@
-//! A minimal JSON tree, writer, and parser.
+//! A minimal JSON tree, writer, and lexer.
 //!
-//! The workspace builds with zero external dependencies, so the results
-//! store serializes through this module instead of serde. Two properties
-//! matter here and are guaranteed:
+//! The workspace builds with zero external dependencies, so every
+//! artifact serializes through this module instead of serde. There is
+//! one lexer, a pull cursor (`Cursor`: what comes next, then take a
+//! number, string or literal, walk an array's items or an object's
+//! members, or skip a value whole), and it serves two consumers:
+//! [`parse`] builds a [`Value`] tree on it — the run ledger, telemetry
+//! sidecars and the store's header read trees — and the results store
+//! pulls each row from it straight into typed records without building
+//! one (see [`crate::store`]). Both writers, [`Value::render`] and the
+//! store's, append numbers and strings through the same two functions,
+//! so a value's text does not depend on the path that wrote it. Two
+//! properties matter here and are guaranteed:
 //!
 //! * **Deterministic output.** Objects preserve insertion order (they are
 //!   backed by a `Vec`, not a hash map) and numbers are written with
@@ -13,6 +22,7 @@
 //!   floats have no JSON representation; [`Value::num`] maps them to
 //!   `null` (the store reads `null` metrics back as `NaN`).
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON value. Object keys keep insertion order.
@@ -126,14 +136,17 @@ fn write_value(v: &Value, out: &mut String) {
     }
 }
 
-fn write_num(x: f64, out: &mut String) {
+/// Append finite `x` as JSON: the text `format!("{x}")` gives (Rust's
+/// shortest round-trip form, `-0` keeping its sign), which parses back
+/// to the same bits.
+pub(crate) fn write_num(x: f64, out: &mut String) {
     use fmt::Write;
     debug_assert!(
         x.is_finite(),
         "non-finite numbers must go through Value::num"
     );
-    // Integer-valued floats print without the trailing ".0" (JSON style);
-    // -0.0 keeps its sign so the value round-trips bit-exactly.
+    // Integer-valued floats print the same digits as the `i64` (no ".0"),
+    // and the integer formatter is the cheaper one.
     if x.fract() == 0.0 && x.abs() < 9.0e15 && !(x == 0.0 && x.is_sign_negative()) {
         write!(out, "{}", x as i64).unwrap();
     } else {
@@ -141,20 +154,28 @@ fn write_num(x: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else verbatim.
+pub(crate) fn write_str(s: &str, out: &mut String) {
     use fmt::Write;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => write!(out, "\\u{:04x}", c).unwrap(),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -177,33 +198,57 @@ impl std::error::Error for JsonError {}
 
 /// How deep arrays and objects may nest. Every artifact this crate
 /// writes nests a handful of levels; the bound keeps hostile input from
-/// recursing the parser off the end of its stack.
+/// recursing the parser off the end of its stack, and it holds for
+/// values a reader skips as well as for values it keeps.
 pub const MAX_DEPTH: usize = 128;
 
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(s: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut c = Cursor::new(s);
+    let v = c.value()?;
+    c.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// What the next value is, told by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Null,
+    Bool,
+    Num,
+    Str,
+    Arr,
+    Obj,
+}
+
+/// A cursor position [`Cursor::rewind`] returns to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mark {
+    pos: usize,
+    depth: usize,
+}
+
+/// The JSON lexer: a pull cursor over one document. A reader asks what
+/// comes next ([`Cursor::kind`]) and takes it — a number, a string, a
+/// literal, an array's items, an object's members — or skips it whole.
+/// Every error carries the byte offset [`parse`] reports for the same
+/// input, because [`parse`] is built on the same calls.
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(text: &'a str) -> Cursor<'a> {
+        Cursor {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -230,93 +275,183 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, JsonError> {
+    /// Where the cursor is, to come back to.
+    pub(crate) fn mark(&self) -> Mark {
+        Mark {
+            pos: self.pos,
+            depth: self.depth,
+        }
+    }
+
+    /// Go back to `mark`.
+    pub(crate) fn rewind(&mut self, mark: Mark) {
+        (self.pos, self.depth) = (mark.pos, mark.depth);
+    }
+
+    /// Past the document: only whitespace may follow it.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    /// What the next value is; the cursor moves to its first byte.
+    pub(crate) fn kind(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
+        Ok(match self.peek() {
+            Some(b'n') => Kind::Null,
+            Some(b't' | b'f') => Kind::Bool,
+            Some(b'"') => Kind::Str,
+            Some(b'[') => Kind::Arr,
+            Some(b'{') => Kind::Obj,
+            Some(c) if c == b'-' || c.is_ascii_digit() => Kind::Num,
+            _ => return Err(self.err("expected a value")),
+        })
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(format!("expected {lit:?}")))
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// The `null` the cursor is at.
+    pub(crate) fn null(&mut self) -> Result<(), JsonError> {
+        self.literal("null")
+    }
+
+    /// The `true` or `false` the cursor is at.
+    fn bool(&mut self) -> Result<bool, JsonError> {
+        let b = self.peek() == Some(b't');
+        self.literal(if b { "true" } else { "false" })?;
+        Ok(b)
+    }
+
+    /// Step into the array or object the cursor is at; `Ok(false)` if it
+    /// closes at once.
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect(open)?;
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an item or member: `Ok(true)` if another follows, `Ok(false)`
+    /// once the container closes.
+    fn more(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(open @ (b'[' | b'{')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
-                }
-                self.depth += 1;
-                let v = if open == b'[' {
-                    self.array()
-                } else {
-                    self.object()
-                };
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
                 self.depth -= 1;
-                v
+                Ok(false)
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
+            _ => Err(self.err(message)),
         }
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
+    /// Call `item` once per element of the array the cursor is at; each
+    /// call must take (or skip) exactly one value.
+    pub(crate) fn items<E: From<JsonError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.open(b'[', b']')? {
+            loop {
+                item(self)?;
+                if !self.more(b']', "expected ',' or ']'")? {
+                    break;
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            members.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(members));
+    /// Call `member` once per member of the object the cursor is at, with
+    /// the key; each call must take (or skip) exactly the member's value.
+    pub(crate) fn members<E: From<JsonError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.open(b'{', b'}')? {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                member(self, key)?;
+                if !self.more(b'}', "expected ',' or '}'")? {
+                    break;
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
             }
+        }
+        Ok(())
+    }
+
+    /// Skip the next value, checking it as [`parse`] would.
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
+        match self.kind()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Num => self.number().map(drop),
+            Kind::Str => self.string().map(drop),
+            Kind::Arr => self.items(Self::skip),
+            Kind::Obj => self.members(|c, _| c.skip()),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// The next value as a tree.
+    fn value(&mut self) -> Result<Value, JsonError> {
+        Ok(match self.kind()? {
+            Kind::Null => {
+                self.null()?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(self.bool()?),
+            Kind::Num => Value::Num(self.number()?),
+            Kind::Str => Value::Str(self.string()?.into_owned()),
+            Kind::Arr => {
+                let mut items = Vec::new();
+                self.items(|c| {
+                    items.push(c.value()?);
+                    Ok::<_, JsonError>(())
+                })?;
+                Value::Arr(items)
+            }
+            Kind::Obj => {
+                let mut members = Vec::new();
+                self.members(|c, key| {
+                    members.push((key.into_owned(), c.value()?));
+                    Ok::<_, JsonError>(())
+                })?;
+                Value::Obj(members)
+            }
+        })
+    }
+
+    /// The string the cursor is at, borrowed from the input unless it
+    /// holds escapes.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.bytes;
+        let mut out: Option<String> = None;
         loop {
             let start = self.pos;
             while let Some(c) = self.peek() {
@@ -325,18 +460,24 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            let run = std::str::from_utf8(&bytes[start..self.pos])
+                .map_err(|_| self.err("invalid UTF-8 in string"))?;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    out.push(self.escape()?);
+                    let s = out.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    s.push(self.escape()?);
                 }
                 None => return Err(self.err("unterminated string")),
                 _ => unreachable!(),
@@ -392,7 +533,8 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    /// The number the cursor is at.
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -417,7 +559,6 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
-            .map(Value::Num)
             .map_err(|_| self.err(format!("invalid number {text:?}")))
     }
 }
@@ -451,6 +592,59 @@ mod tests {
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} rendered as {text}");
         }
+    }
+
+    /// The number text the store writes is `format!("{x}")` for every
+    /// finite double, and it parses back to the same bits: 200 000 seeded
+    /// doubles of every shape the store holds and then some.
+    #[test]
+    fn number_text_is_std_display_and_round_trips() {
+        let mut state = 0x5EED_0FD0_B1E5_u64;
+        let mut next = move || {
+            // SplitMix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let decimal = |next: &mut dyn FnMut() -> u64| {
+            // a short decimal: up to 6 digits over a power of ten
+            let digits = (next() % 1_000_000) as f64;
+            digits / 10f64.powi((next() % 7) as i32)
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut checked = 0;
+        for i in 0..200_000u64 {
+            let x = match i % 6 {
+                0 => f64::from_bits(next()),
+                1 => decimal(&mut next),
+                2 => decimal(&mut next) * decimal(&mut next),
+                3 => (next() % 9_000_000_000_000_000) as f64 * if i % 4 == 1 { -1.0 } else { 1.0 },
+                4 => (9.0e15 + (next() % (1 << 60)) as f64) * if i % 4 == 2 { -1.0 } else { 1.0 },
+                // subnormals, and the specials
+                _ if i % 5 == 0 => specials[(i / 30) as usize % specials.len()],
+                _ => f64::from_bits(next() % (1 << 52)) * if i % 2 == 0 { -1.0 } else { 1.0 },
+            };
+            if !x.is_finite() {
+                assert_eq!(Value::num(x).render(), "null");
+                continue;
+            }
+            let text = Value::num(x).render();
+            assert_eq!(text, format!("{x}"), "bits {:#x}", x.to_bits());
+            let back = parse(&text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+            checked += 1;
+        }
+        assert!(checked > 190_000, "only {checked} finite doubles");
     }
 
     #[test]

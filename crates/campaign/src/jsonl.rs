@@ -2,11 +2,17 @@
 //! ([`crate::store`]), the run ledger ([`crate::runlog`]) and telemetry
 //! sidecars ([`crate::sidecar`]): a header naming the schema, then one
 //! JSON object per line. [`read`] checks the schema and walks the rows
-//! lazily over the borrowed text, skipping blank lines; [`Fields`] reads
-//! typed members and owns the one `Coords` ⇄ JSON codec; every failure
-//! is an [`Error`] naming its 1-based line. A killed writer tears at
-//! most the final line, so under [`Tail::DropTorn`] a *final* line that
-//! is not valid JSON is dropped; a bad line anywhere else is an error.
+//! lazily over the borrowed text, skipping blank lines; every failure is
+//! an [`Error`] naming its 1-based line. A killed writer tears at most
+//! the final line, so under [`Tail::DropTorn`] a *final* line that is not
+//! valid JSON is dropped; a bad line anywhere else is an error.
+//!
+//! Each row goes to one of two decoders. Iterating [`Rows`] parses it
+//! into a [`json::Value`] read through [`Fields`] (typed members and the
+//! one `Coords` ⇄ JSON codec; the ledger and sidecars read this way).
+//! [`Rows::next_with`] hands the row's text to a decoder of the caller's
+//! — the store's pulls typed records straight off [`json`]'s lexer and
+//! builds no tree — and keeps the same envelope around it.
 
 use crate::json::{self, JsonError, Value};
 use crate::spec::Coords;
@@ -98,17 +104,36 @@ pub struct Rows<'a> {
     tail: Tail,
 }
 
+impl<'a> Rows<'a> {
+    /// The next row, decoded by `decode` from its 1-based line number and
+    /// text. `decode` must answer a line that is not valid JSON with
+    /// [`Error::Json`] — even where a member before the break was already
+    /// wrong — so that [`Tail::DropTorn`] drops exactly a torn final line.
+    pub fn next_with<T>(
+        &mut self,
+        decode: impl FnOnce(usize, &'a str) -> Result<T, Error>,
+    ) -> Option<Result<T, Error>> {
+        let blank = |(_, l): &(usize, &str)| l.trim().is_empty();
+        let (i, text) = self.lines.find(|l| !blank(l))?;
+        match decode(i + 1, text) {
+            Err(Error::Json { .. })
+                if self.tail == Tail::DropTorn && self.lines.clone().all(|l| blank(&l)) =>
+            {
+                None
+            }
+            row => Some(row),
+        }
+    }
+}
+
 impl Iterator for Rows<'_> {
     type Item = Result<Line, Error>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let blank = |(_, l): &(usize, &str)| l.trim().is_empty();
-        let (i, text) = self.lines.find(|l| !blank(l))?;
-        match json::parse(text) {
-            Ok(value) => Some(Ok(Line { no: i + 1, value })),
-            Err(_) if self.tail == Tail::DropTorn && self.lines.clone().all(|l| blank(&l)) => None,
-            Err(error) => Some(Err(Error::Json { line: i + 1, error })),
-        }
+        self.next_with(|no, text| match json::parse(text) {
+            Ok(value) => Ok(Line { no, value }),
+            Err(error) => Err(Error::Json { line: no, error }),
+        })
     }
 }
 
@@ -140,10 +165,16 @@ pub fn read<'a>(
 }
 
 /// `v` as a count, ordinal or nanosecond stamp: a non-negative integer
-/// within `u64`.
+/// below 2^64.
 pub fn uint(v: &Value) -> Option<u64> {
-    let x = v.as_f64()?;
-    (x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64).then_some(x as u64)
+    uint_of(v.as_f64()?)
+}
+
+/// `x` as a `u64`, if it is a non-negative integer below 2^64. (`u64::MAX
+/// as f64` rounds up to 2^64 itself, which `as u64` would saturate.)
+pub(crate) fn uint_of(x: f64) -> Option<u64> {
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+    (x >= 0.0 && x.fract() == 0.0 && x < TWO_POW_64).then_some(x as u64)
 }
 
 /// Typed members of one JSON object on one line; every error names the
@@ -307,7 +338,16 @@ mod tests {
 
     #[test]
     fn integers_must_be_non_negative_and_whole() {
-        for (text, ok) in [("7", true), ("-1", false), ("1.5", false), ("1e300", false)] {
+        for (text, ok) in [
+            ("7", true),
+            ("-1", false),
+            ("1.5", false),
+            ("1e300", false),
+            ("18446744073709549568", true), // the largest double below 2^64
+            ("18446744073709551615", false), // u64::MAX, which rounds to 2^64
+            ("18446744073709551616", false),
+            ("18446744073709552000", false),
+        ] {
             assert_eq!(uint(&json::parse(text).unwrap()).is_some(), ok, "{text}");
         }
         assert_eq!(uint(&Value::Null), None);

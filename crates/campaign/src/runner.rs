@@ -159,9 +159,10 @@ pub struct RunRecord {
 }
 
 /// Why a campaign point failed to produce a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ErrorKind {
     /// The scenario panicked; the panic was caught at the point boundary.
+    #[default]
     Panic,
     /// The per-point wall-clock watchdog cancelled the run.
     Watchdog,
@@ -187,7 +188,7 @@ impl ErrorKind {
 }
 
 /// The structured failure a crashed point leaves behind.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PointError {
     /// What went wrong.
     pub kind: ErrorKind,
@@ -719,14 +720,18 @@ pub fn run_campaign_streaming_sharded<W: std::io::Write>(
     writeln!(w, "{}", store::render_header(&header))?;
     let mut tally = StreamTally::default();
     let mut err: Option<std::io::Error> = None;
+    // one line buffer serves every record
+    let mut line = String::new();
     run_campaign_merged(campaign, points, opts, prior, shard, |o| {
         if err.is_none() {
-            let line = match &o {
-                PointOutcome::Ok(r) => store::render_record(r),
-                PointOutcome::Err(e) => store::render_error_record(e),
-            };
+            line.clear();
+            match &o {
+                PointOutcome::Ok(r) => store::write_record(r, &mut line),
+                PointOutcome::Err(e) => store::write_error_record(e, &mut line),
+            }
+            line.push('\n');
             // flush per record: a kill can tear at most the line in flight
-            match writeln!(w, "{line}").and_then(|()| w.flush()) {
+            match w.write_all(line.as_bytes()).and_then(|()| w.flush()) {
                 Ok(()) => match o {
                     PointOutcome::Ok(_) => tally.records += 1,
                     PointOutcome::Err(_) => tally.errors += 1,

@@ -216,7 +216,7 @@ impl Axis {
 }
 
 /// A point's coordinates: `(axis name, value label)` in axis order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coords(pub Vec<(String, String)>);
 
 impl Coords {

@@ -15,20 +15,33 @@
 //! wall-clock-dependent is ever written. `NaN` metrics (Wi-Fi topologies
 //! report no utilization) serialize as `null` and read back as `NaN`.
 //!
+//! The store builds no [`json::Value`](crate::json::Value) in either
+//! direction. Each struct a row holds is described once, as a table of
+//! fields (a key with its get and set halves); the writer walks the table
+//! appending straight into one `String` (a streaming run reuses one line
+//! buffer), and the reader walks the same table while it pulls the row
+//! off [`crate::json`]'s lexer, straight into a [`RunRecord`] or an
+//! [`ErrorRecord`]. The reader keeps the tree reader's rules: keys in any
+//! order, the first of duplicate keys wins, unknown keys are skipped, a
+//! line that is not valid JSON is a JSON error even where a member before
+//! the break was already wrong, and a member error names the same field
+//! with the same text. Only the header line still reads as a tree.
+//!
 //! Stores read back through [`crate::jsonl`], and a store must agree
 //! with itself: ordinals strictly increase down the file (record and
 //! error lines alike, as every writer emits them), every coordinate
 //! names an axis and label the header lists, and no more lines than the
 //! header's `points` follow it.
 
-use crate::json::Value;
-use crate::jsonl::{self, coords_to_value, Error, Fields, Tail};
+use crate::json::{write_num, write_str, Cursor, JsonError, Kind};
+use crate::jsonl::{self, uint_of, Error, Fields, Tail};
 use crate::runner::{ErrorKind, ErrorRecord, PointError, RunRecord};
 use crate::spec::{Campaign, Coords};
 use experiments::report::{AppReport, Report};
 use netsim::metrics::ImpairmentRecord;
 use netsim::stats::Summary;
 use std::path::Path;
+use workload::{RtcMetrics, VideoMetrics, WebMetrics};
 
 /// The store's schema identifier. Bump on any format change so old
 /// artifacts fail loudly instead of parsing wrong.
@@ -98,20 +111,20 @@ impl ResultsStore {
     /// line interleaved in ordinal order — exactly the bytes a streaming
     /// run writes.
     pub fn to_jsonl(&self) -> String {
-        let mut out = render_header(&self.header);
+        let mut out = String::new();
+        write_header(&self.header, &mut out);
         out.push('\n');
         let mut errs = self.errors.iter().peekable();
         for r in &self.records {
-            while errs.peek().is_some_and(|e| e.ordinal < r.ordinal) {
-                let e = errs.next().expect("peeked error vanished");
-                out.push_str(&render_error_record(e));
+            while let Some(e) = errs.next_if(|e| e.ordinal < r.ordinal) {
+                write_error_record(e, &mut out);
                 out.push('\n');
             }
-            out.push_str(&render_record(r));
+            write_record(r, &mut out);
             out.push('\n');
         }
         for e in errs {
-            out.push_str(&render_error_record(e));
+            write_error_record(e, &mut out);
             out.push('\n');
         }
         out
@@ -139,31 +152,39 @@ impl ResultsStore {
         } else {
             Tail::Strict
         };
-        let (first, rows) = jsonl::read(text, SCHEMA, tail)?;
+        let (first, mut rows) = jsonl::read(text, SCHEMA, tail)?;
         let header = header_from(first.fields())?;
         // Never sized from the header: its `points` is unchecked input.
         let (mut records, mut errors) = (Vec::new(), Vec::new());
         let mut last_ordinal = None;
-        for line in rows {
-            let line = line?;
-            let row = line.fields();
-            let ordinal: usize = row.uint("ordinal")?;
+        while let Some(row) = rows.next_with(decode_row) {
+            let (line, row, walk) = row?;
+            let format = |message| Error::Format { line, message };
+            walk.check(&row, Row::ORDINAL).map_err(format)?;
+            let ordinal = row.ordinal;
             if let Some(last) = last_ordinal.filter(|&last| ordinal <= last) {
-                return Err(row.err(format!(
+                return Err(format(format!(
                     "ordinal {ordinal} does not follow ordinal {last} (ordinals must increase)"
                 )));
             }
             last_ordinal = Some(ordinal);
-            let coords = coords_in(&header, row)?;
+            walk.check(&row, Row::COORDS).map_err(format)?;
+            check_coords(&header, &row.coords).map_err(format)?;
             // A line with an "error" key is a failed point; anything else
             // must be a clean record.
-            if row.get("error").is_some() {
-                errors.push(error_record_from(row, ordinal, coords)?);
+            if walk.has(Row::ERROR) {
+                walk.check(&row, Row::ERROR).map_err(format)?;
+                errors.push(ErrorRecord {
+                    ordinal,
+                    coords: row.coords,
+                    error: row.error.expect("a present, well-formed error member"),
+                });
             } else {
+                walk.check(&row, Row::REPORT).map_err(format)?;
                 records.push(RunRecord {
                     ordinal,
-                    coords,
-                    report: report_from(row.obj("report")?)?,
+                    coords: row.coords,
+                    report: row.report,
                 });
             }
         }
@@ -260,186 +281,617 @@ pub fn header_for(campaign: &Campaign, points: usize) -> StoreHeader {
 /// Render the header line exactly as [`ResultsStore::to_jsonl`] does —
 /// for executors that stream a store to disk incrementally.
 pub fn render_header(h: &StoreHeader) -> String {
-    header_to_value(h).render()
+    let mut out = String::new();
+    write_header(h, &mut out);
+    out
 }
 
 /// Render one record line exactly as [`ResultsStore::to_jsonl`] does.
 pub fn render_record(r: &RunRecord) -> String {
-    record_to_value(r).render()
+    let mut out = String::new();
+    write_record(r, &mut out);
+    out
 }
 
 /// Render one structured error line exactly as [`ResultsStore::to_jsonl`]
 /// does — for executors that stream a store to disk incrementally.
 pub fn render_error_record(e: &ErrorRecord) -> String {
-    error_record_to_value(e).render()
+    let mut out = String::new();
+    write_error_record(e, &mut out);
+    out
 }
 
-fn header_to_value(h: &StoreHeader) -> Value {
-    Value::Obj(vec![
-        ("schema".into(), Value::str(&h.schema)),
-        ("campaign".into(), Value::str(&h.campaign)),
-        (
-            "axes".into(),
-            Value::Arr(
-                h.axes
-                    .iter()
-                    .map(|(name, labels)| {
-                        Value::Obj(vec![
-                            ("name".into(), Value::str(name)),
-                            (
-                                "labels".into(),
-                                Value::Arr(labels.iter().map(Value::str).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "filters".into(),
-            Value::Arr(h.filters.iter().map(Value::str).collect()),
-        ),
-        ("points".into(), Value::num(h.points as f64)),
-    ])
+/// Append a record line (no newline) to `out`.
+pub(crate) fn write_record(r: &RunRecord, out: &mut String) {
+    r.write(out);
 }
 
-fn record_to_value(r: &RunRecord) -> Value {
-    Value::Obj(vec![
-        ("ordinal".into(), Value::num(r.ordinal as f64)),
-        ("coords".into(), coords_to_value(&r.coords)),
-        ("report".into(), report_to_value(&r.report)),
-    ])
+/// Append an error line (no newline) to `out`.
+pub(crate) fn write_error_record(e: &ErrorRecord, out: &mut String) {
+    e.write(out);
 }
 
-fn error_record_to_value(e: &ErrorRecord) -> Value {
-    Value::Obj(vec![
-        ("ordinal".into(), Value::num(e.ordinal as f64)),
-        ("coords".into(), coords_to_value(&e.coords)),
-        (
-            "error".into(),
-            Value::Obj(vec![
-                ("kind".into(), Value::str(e.error.kind.as_str())),
-                ("message".into(), Value::str(&e.error.message)),
-            ]),
-        ),
-    ])
+/// Append `open`, the items separated by commas, then `close`.
+fn write_seq<T>(
+    out: &mut String,
+    [open, close]: [char; 2],
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(T, &mut String),
+) {
+    out.push(open);
+    for (i, t) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(t, out);
+    }
+    out.push(close);
 }
 
-fn report_to_value(r: &Report) -> Value {
-    let mut fields = vec![
-        ("scheme".into(), Value::str(&r.scheme)),
-        ("utilization".into(), Value::num(r.utilization)),
-        ("delay_ms".into(), summary_to_value(&r.delay_ms)),
-        ("qdelay_ms".into(), summary_to_value(&r.qdelay_ms)),
-        (
-            "flow_tputs_mbps".into(),
-            Value::Arr(r.flow_tputs_mbps.iter().map(|&x| Value::num(x)).collect()),
-        ),
-        ("total_tput_mbps".into(), Value::num(r.total_tput_mbps)),
-        ("jain".into(), Value::num(r.jain)),
-        ("drops".into(), Value::num(r.drops as f64)),
-        ("tput_series".into(), series_to_value(&r.tput_series)),
-        ("qdelay_series".into(), series_to_value(&r.qdelay_series)),
-        (
-            "capacity_series".into(),
-            series_to_value(&r.capacity_series),
-        ),
+const ARR: [char; 2] = ['[', ']'];
+const OBJ: [char; 2] = ['{', '}'];
+
+fn write_header(h: &StoreHeader, out: &mut String) {
+    let strings = |items: &[String], out: &mut String| {
+        write_seq(out, ARR, items, |s, out| write_str(s, out));
+    };
+    out.push_str("{\"schema\":");
+    write_str(&h.schema, out);
+    out.push_str(",\"campaign\":");
+    write_str(&h.campaign, out);
+    out.push_str(",\"axes\":");
+    write_seq(out, ARR, &h.axes, |(name, labels), out| {
+        out.push_str("{\"name\":");
+        write_str(name, out);
+        out.push_str(",\"labels\":");
+        strings(labels, out);
+        out.push('}');
+    });
+    out.push_str(",\"filters\":");
+    strings(&h.filters, out);
+    out.push_str(",\"points\":");
+    write_num(h.points as f64, out);
+    out.push('}');
+}
+
+// ---- the row codec ----------------------------------------------------
+//
+// Every member type is a `Member` (its JSON text both ways) and every
+// struct a `Table` of `Field`s. A struct's first problem *in table
+// order* is the one reported, so an error names the same field whatever
+// order the members sit in.
+
+/// Why a member did not read.
+enum Fault {
+    /// The line is not valid JSON.
+    Json(JsonError),
+    /// The value is not the JSON type the field holds.
+    Type,
+    /// The value is malformed in the way the message says.
+    Field(String),
+}
+
+impl From<JsonError> for Fault {
+    fn from(e: JsonError) -> Fault {
+        Fault::Json(e)
+    }
+}
+
+/// One member type of a store row.
+trait Member {
+    /// What the value must be, for "field … is missing or not {kind}".
+    fn kind(&self) -> &'static str;
+    /// Append the value's JSON text.
+    fn write(&self, out: &mut String);
+    /// Read the value the cursor is at into `self`. After a `Type` or
+    /// `Field` fault the cursor may be anywhere inside the value: the
+    /// caller rewinds and skips it.
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault>;
+    /// Whether this is the absent value: it is written by leaving the
+    /// member out, and a missing member reads as it. Members that are
+    /// never absent are required.
+    fn omitted(&self) -> bool {
+        false
+    }
+}
+
+/// `Fault::Type` unless the next value is a `kind`.
+fn want(c: &mut Cursor, kind: Kind) -> Result<(), Fault> {
+    if c.kind()? == kind {
+        Ok(())
+    } else {
+        Err(Fault::Type)
+    }
+}
+
+/// One struct field: its key, and the member behind it.
+struct Field<T> {
+    key: &'static str,
+    get: fn(&T) -> &dyn Member,
+    set: fn(&mut T) -> &mut dyn Member,
+}
+
+/// The table row for field `$f`, whose key is its name.
+macro_rules! field {
+    ($f:ident) => {
+        Field {
+            key: stringify!($f),
+            get: |t| &t.$f,
+            set: |t| &mut t.$f,
+        }
+    };
+}
+
+/// A struct the store writes as an object, its fields in table order.
+trait Table: Sized + 'static {
+    const FIELDS: &'static [Field<Self>];
+    /// Whether a value of this type must be an object. A lenient one reads
+    /// any other value as an object without members, as the tree reader
+    /// read an optional member (`"app"`) or an array element.
+    const STRICT: bool = true;
+}
+
+fn missing(key: &str, kind: &str) -> String {
+    format!("field {key:?} is missing or not {kind}")
+}
+
+/// What walking one object found: the fields present, and the first
+/// failed field in table order with its message.
+struct Walk {
+    seen: u64,
+    failed: Option<(usize, String)>,
+}
+
+impl Walk {
+    /// Whether field `i` is present (read or failed).
+    fn has(&self, i: usize) -> bool {
+        self.seen & 1 << i != 0
+    }
+
+    /// Field `i` of `t`: read, absent where absence is allowed, or the
+    /// message that it failed or is missing.
+    fn check<T: Table>(&self, t: &T, i: usize) -> Result<(), String> {
+        match &self.failed {
+            Some((j, message)) if *j == i => Err(message.clone()),
+            _ => {
+                let (key, member) = (T::FIELDS[i].key, (T::FIELDS[i].get)(t));
+                if self.has(i) || member.omitted() {
+                    Ok(())
+                } else {
+                    Err(missing(key, member.kind()))
+                }
+            }
+        }
+    }
+}
+
+/// Read the value the cursor is at into `t`'s fields; a value that is
+/// not an object is skipped and reads as one without members. Only a
+/// JSON error stops the walk: a failed member is skipped and noted.
+fn walk<T: Table>(c: &mut Cursor, t: &mut T) -> Result<Walk, JsonError> {
+    let fields = T::FIELDS;
+    debug_assert!(fields.len() <= 64);
+    let mut w = Walk {
+        seen: 0,
+        failed: None,
+    };
+    if c.kind()? != Kind::Obj {
+        c.skip()?;
+        return Ok(w);
+    }
+    // where the writer's order puts the next key
+    let mut next = 0;
+    c.members(|c, key| {
+        let i = match fields.get(next) {
+            Some(f) if f.key == key => next,
+            _ => match fields.iter().position(|f| f.key == key) {
+                Some(i) => i,
+                None => return c.skip(),
+            },
+        };
+        if w.has(i) {
+            return c.skip();
+        }
+        w.seen |= 1 << i;
+        next = i + 1;
+        let mark = c.mark();
+        let message = match (fields[i].set)(t).read(c) {
+            Ok(()) => return Ok(()),
+            Err(Fault::Json(e)) => return Err(e),
+            Err(Fault::Type) => missing(fields[i].key, (fields[i].get)(t).kind()),
+            Err(Fault::Field(message)) => message,
+        };
+        c.rewind(mark);
+        c.skip()?;
+        if w.failed.as_ref().is_none_or(|&(j, _)| i < j) {
+            w.failed = Some((i, message));
+        }
+        Ok(())
+    })?;
+    Ok(w)
+}
+
+impl<T: Table> Member for T {
+    fn kind(&self) -> &'static str {
+        "an object"
+    }
+
+    fn write(&self, out: &mut String) {
+        let members = T::FIELDS.iter().map(|f| (f.key, (f.get)(self)));
+        let present = members.filter(|(_, m)| !m.omitted());
+        write_seq(out, OBJ, present, |(key, m), out| {
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+            m.write(out);
+        });
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        if T::STRICT {
+            want(c, Kind::Obj)?;
+        }
+        let w = walk(c, self)?;
+        for i in 0..T::FIELDS.len() {
+            w.check(self, i).map_err(Fault::Field)?;
+        }
+        Ok(())
+    }
+}
+
+/// An optional struct: absent when `None`.
+impl<T: Table + Default> Member for Option<T> {
+    fn kind(&self) -> &'static str {
+        "an object"
+    }
+
+    fn write(&self, out: &mut String) {
+        if let Some(t) = self {
+            t.write(out);
+        }
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        let mut t = T::default();
+        t.read(c)?;
+        *self = Some(t);
+        Ok(())
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_none()
+    }
+}
+
+/// A list of structs: absent when empty.
+impl<T: Table + Default> Member for Vec<T> {
+    fn kind(&self) -> &'static str {
+        "an array"
+    }
+
+    fn write(&self, out: &mut String) {
+        write_seq(out, ARR, self, |t, out| t.write(out));
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        want(c, Kind::Arr)?;
+        c.items(|c| {
+            let mut t = T::default();
+            t.read(c)?;
+            self.push(t);
+            Ok(())
+        })
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// Append `x`, or `null` if it is not finite.
+fn write_f64(x: f64, out: &mut String) {
+    if x.is_finite() {
+        write_num(x, out);
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A number, or `NaN` for any other value (which is skipped).
+fn num_or_nan(c: &mut Cursor) -> Result<f64, JsonError> {
+    if c.kind()? == Kind::Num {
+        c.number()
+    } else {
+        c.skip().map(|()| f64::NAN)
+    }
+}
+
+/// A metric: `null` reads back as the `NaN` it was written for.
+impl Member for f64 {
+    fn kind(&self) -> &'static str {
+        "a number"
+    }
+
+    fn write(&self, out: &mut String) {
+        write_f64(*self, out);
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        *self = match c.kind()? {
+            Kind::Num => c.number()?,
+            Kind::Null => c.null().map(|()| f64::NAN)?,
+            _ => return Err(Fault::Type),
+        };
+        Ok(())
+    }
+}
+
+/// Counts, ordinals and indices: a non-negative integer below 2^64 that
+/// fits the field.
+macro_rules! uint_member {
+    ($($t:ty),*) => {$(
+        impl Member for $t {
+            fn kind(&self) -> &'static str {
+                "a non-negative integer in range"
+            }
+
+            fn write(&self, out: &mut String) {
+                write_num(*self as f64, out);
+            }
+
+            fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+                want(c, Kind::Num)?;
+                let n = uint_of(c.number()?).and_then(|n| n.try_into().ok());
+                *self = n.ok_or(Fault::Type)?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+uint_member!(u64, usize);
+
+impl Member for String {
+    fn kind(&self) -> &'static str {
+        "a string"
+    }
+
+    fn write(&self, out: &mut String) {
+        write_str(self, out);
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        want(c, Kind::Str)?;
+        *self = c.string()?.into_owned();
+        Ok(())
+    }
+}
+
+/// Per-flow goodputs: any element that is not a number reads as `NaN`.
+impl Member for Vec<f64> {
+    fn kind(&self) -> &'static str {
+        "an array"
+    }
+
+    fn write(&self, out: &mut String) {
+        write_seq(out, ARR, self, |&x, out| write_f64(x, out));
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        want(c, Kind::Arr)?;
+        c.items(|c| {
+            self.push(num_or_nan(c)?);
+            Ok(())
+        })
+    }
+}
+
+/// A `(t, v)` series: `[[t,v],…]`, each point exactly two values, any of
+/// which that is not a number reads as `NaN`.
+impl Member for Vec<(f64, f64)> {
+    fn kind(&self) -> &'static str {
+        "an array"
+    }
+
+    fn write(&self, out: &mut String) {
+        write_seq(out, ARR, self, |&(t, v), out| {
+            write_seq(out, ARR, [t, v], write_f64);
+        });
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        want(c, Kind::Arr)?;
+        let not_a_pair = || Fault::Field("series point is not a [t, v] pair".into());
+        c.items(|c| {
+            want(c, Kind::Arr).map_err(|_| not_a_pair())?;
+            let (mut point, mut n) = ([f64::NAN; 2], 0);
+            c.items(|c| {
+                let x = num_or_nan(c)?;
+                if let Some(slot) = point.get_mut(n) {
+                    *slot = x;
+                }
+                n += 1;
+                Ok::<_, JsonError>(())
+            })?;
+            if n != 2 {
+                return Err(not_a_pair());
+            }
+            self.push((point[0], point[1]));
+            Ok(())
+        })
+    }
+}
+
+/// `{"axis":"label",…}`, every axis kept (duplicates too) in file order.
+impl Member for Coords {
+    fn kind(&self) -> &'static str {
+        "an object"
+    }
+
+    fn write(&self, out: &mut String) {
+        write_seq(out, OBJ, &self.0, |(axis, label), out| {
+            write_str(axis, out);
+            out.push(':');
+            write_str(label, out);
+        });
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        want(c, Kind::Obj)?;
+        c.members(|c, axis| {
+            let label = || Fault::Field("non-string coordinate label".into());
+            want(c, Kind::Str).map_err(|_| label())?;
+            let label = c.string()?.into_owned();
+            self.0.push((axis.into_owned(), label));
+            Ok(())
+        })
+    }
+}
+
+impl Member for ErrorKind {
+    fn kind(&self) -> &'static str {
+        "a string"
+    }
+
+    fn write(&self, out: &mut String) {
+        write_str(self.as_str(), out);
+    }
+
+    fn read(&mut self, c: &mut Cursor) -> Result<(), Fault> {
+        want(c, Kind::Str)?;
+        let name = c.string()?;
+        *self = ErrorKind::from_name(&name)
+            .ok_or_else(|| Fault::Field(format!("unknown error kind {name:?}")))?;
+        Ok(())
+    }
+}
+
+impl Table for RunRecord {
+    const FIELDS: &'static [Field<Self>] = &[field!(ordinal), field!(coords), field!(report)];
+}
+
+impl Table for ErrorRecord {
+    const FIELDS: &'static [Field<Self>] = &[field!(ordinal), field!(coords), field!(error)];
+}
+
+impl Table for PointError {
+    const FIELDS: &'static [Field<Self>] = &[field!(kind), field!(message)];
+}
+
+impl Table for Report {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(scheme),
+        field!(utilization),
+        field!(delay_ms),
+        field!(qdelay_ms),
+        field!(flow_tputs_mbps),
+        field!(total_tput_mbps),
+        field!(jain),
+        field!(drops),
+        field!(tput_series),
+        field!(qdelay_series),
+        field!(capacity_series),
+        // optional trailing members, written only when present, so
+        // bulk-only and unimpaired stores (the pinned tiny baseline among
+        // them) keep their bytes
+        field!(app),
+        field!(impairments),
     ];
-    // Emitted only when present, so bulk-only stores (including the
-    // pinned tiny baseline) keep their exact pre-workload bytes.
-    if let Some(app) = &r.app {
-        fields.push(("app".into(), app_to_value(app)));
-    }
-    // Same optional-trailing-field rule: unimpaired reports carry no
-    // impairment counters and keep their exact pre-impairment bytes.
-    if !r.impairments.is_empty() {
-        fields.push((
-            "impairments".into(),
-            Value::Arr(
-                r.impairments
-                    .iter()
-                    .map(|i| {
-                        Value::Obj(vec![
-                            ("label".into(), Value::str(&i.label)),
-                            ("passed".into(), Value::num(i.passed as f64)),
-                            ("impaired".into(), Value::num(i.impaired as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Value::Obj(fields)
 }
 
-fn app_to_value(a: &AppReport) -> Value {
-    let mut fields: Vec<(String, Value)> = Vec::new();
-    if let Some(w) = &a.web {
-        fields.push((
-            "web".into(),
-            Value::Obj(vec![
-                ("flows".into(), Value::num(w.flows as f64)),
-                ("completed".into(), Value::num(w.completed as f64)),
-                ("fct_ms".into(), summary_to_value(&w.fct_ms)),
-            ]),
-        ));
-    }
-    if let Some(r) = &a.rtc {
-        fields.push((
-            "rtc".into(),
-            Value::Obj(vec![
-                ("pkts".into(), Value::num(r.pkts as f64)),
-                ("misses".into(), Value::num(r.misses as f64)),
-                ("miss_rate".into(), Value::num(r.miss_rate)),
-                ("owd_ms".into(), summary_to_value(&r.owd_ms)),
-            ]),
-        ));
-    }
-    if let Some(v) = &a.video {
-        fields.push((
-            "video".into(),
-            Value::Obj(vec![
-                (
-                    "chunks_downloaded".into(),
-                    Value::num(v.chunks_downloaded as f64),
-                ),
-                ("chunks_total".into(), Value::num(v.chunks_total as f64)),
-                ("mean_bitrate_kbps".into(), Value::num(v.mean_bitrate_kbps)),
-                ("play_s".into(), Value::num(v.play_s)),
-                ("rebuffer_s".into(), Value::num(v.rebuffer_s)),
-                ("rebuffer_ratio".into(), Value::num(v.rebuffer_ratio)),
-                ("startup_delay_ms".into(), Value::num(v.startup_delay_ms)),
-                ("switches".into(), Value::num(v.switches as f64)),
-                ("qoe".into(), Value::num(v.qoe)),
-            ]),
-        ));
-    }
-    Value::Obj(fields)
+impl Table for Summary {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(count),
+        field!(mean),
+        field!(std_dev),
+        field!(min),
+        field!(max),
+        field!(p50),
+        field!(p95),
+        field!(p99),
+    ];
 }
 
-fn summary_to_value(s: &Summary) -> Value {
-    Value::Obj(vec![
-        ("count".into(), Value::num(s.count as f64)),
-        ("mean".into(), Value::num(s.mean)),
-        ("std_dev".into(), Value::num(s.std_dev)),
-        ("min".into(), Value::num(s.min)),
-        ("max".into(), Value::num(s.max)),
-        ("p50".into(), Value::num(s.p50)),
-        ("p95".into(), Value::num(s.p95)),
-        ("p99".into(), Value::num(s.p99)),
-    ])
+impl Table for AppReport {
+    const FIELDS: &'static [Field<Self>] = &[field!(web), field!(rtc), field!(video)];
+    const STRICT: bool = false;
 }
 
-fn series_to_value(series: &[(f64, f64)]) -> Value {
-    Value::Arr(
-        series
-            .iter()
-            .map(|&(t, v)| Value::Arr(vec![Value::num(t), Value::num(v)]))
-            .collect(),
-    )
+impl Table for WebMetrics {
+    const FIELDS: &'static [Field<Self>] = &[field!(flows), field!(completed), field!(fct_ms)];
+    const STRICT: bool = false;
 }
 
-// ---- reading ----------------------------------------------------------
+impl Table for RtcMetrics {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(pkts),
+        field!(misses),
+        field!(miss_rate),
+        field!(owd_ms),
+    ];
+    const STRICT: bool = false;
+}
+
+impl Table for VideoMetrics {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(chunks_downloaded),
+        field!(chunks_total),
+        field!(mean_bitrate_kbps),
+        field!(play_s),
+        field!(rebuffer_s),
+        field!(rebuffer_ratio),
+        field!(startup_delay_ms),
+        field!(switches),
+        field!(qoe),
+    ];
+    const STRICT: bool = false;
+}
+
+impl Table for ImpairmentRecord {
+    const FIELDS: &'static [Field<Self>] = &[field!(label), field!(passed), field!(impaired)];
+    const STRICT: bool = false;
+}
+
+/// A row as the reader walks it: a record line's members and an error
+/// line's together, in the order their problems are reported. A row
+/// holding an `"error"` member is an error line, whatever else it holds.
+#[derive(Default)]
+struct Row {
+    ordinal: usize,
+    coords: Coords,
+    error: Option<PointError>,
+    report: Report,
+}
+
+impl Row {
+    const ORDINAL: usize = 0;
+    const COORDS: usize = 1;
+    const ERROR: usize = 2;
+    const REPORT: usize = 3;
+}
+
+impl Table for Row {
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(ordinal),
+        field!(coords),
+        field!(error),
+        field!(report),
+    ];
+}
+
+/// Decode line `line`'s text: the row and what its walk found, or the
+/// line's JSON error — which wins over any member problem, because the
+/// walk reads to the end of the line before anything is judged.
+fn decode_row(line: usize, text: &str) -> Result<(usize, Row, Walk), Error> {
+    let mut c = Cursor::new(text);
+    let mut row = Row::default();
+    let walked = walk(&mut c, &mut row).and_then(|w| c.finish().map(|()| w));
+    walked
+        .map(|w| (line, row, w))
+        .map_err(|error| Error::Json { line, error })
+}
+
+// ---- reading the header -------------------------------------------------
 
 fn header_from(f: Fields) -> Result<StoreHeader, Error> {
     let axes = f.arr("axes")?.iter().map(|a| {
@@ -459,127 +911,15 @@ fn header_from(f: Fields) -> Result<StoreHeader, Error> {
     })
 }
 
-/// A row's coords, which may name only axes and labels `header` lists.
-fn coords_in(header: &StoreHeader, row: Fields) -> Result<Coords, Error> {
-    let coords = row.coords()?;
+/// A row's coords may name only axes and labels `header` lists.
+fn check_coords(header: &StoreHeader, coords: &Coords) -> Result<(), String> {
     for (axis, label) in &coords.0 {
         let known = |(a, labels): &(String, Vec<String>)| a == axis && labels.contains(label);
         if !header.axes.iter().any(known) {
-            return Err(row.err(format!("coords {axis}={label} are not in the header")));
+            return Err(format!("coords {axis}={label} are not in the header"));
         }
     }
-    Ok(coords)
-}
-
-fn error_record_from(row: Fields, ordinal: usize, coords: Coords) -> Result<ErrorRecord, Error> {
-    let e = row.obj("error")?;
-    let kind = e.str("kind")?;
-    Ok(ErrorRecord {
-        ordinal,
-        coords,
-        error: PointError {
-            kind: ErrorKind::from_name(kind)
-                .ok_or_else(|| e.err(format!("unknown error kind {kind:?}")))?,
-            message: e.str("message")?.to_string(),
-        },
-    })
-}
-
-/// A JSON number, or `NaN` for anything else (`null` included).
-fn num_or_nan(v: &Value) -> f64 {
-    v.as_f64().unwrap_or(f64::NAN)
-}
-
-fn report_from(r: Fields) -> Result<Report, Error> {
-    let impairment = |i| {
-        let i = r.at(i);
-        Ok::<_, Error>(ImpairmentRecord {
-            label: i.str("label")?.to_string(),
-            passed: i.uint("passed")?,
-            impaired: i.uint("impaired")?,
-        })
-    };
-    Ok(Report {
-        scheme: r.str("scheme")?.to_string(),
-        utilization: r.num("utilization")?,
-        delay_ms: summary_from(r.obj("delay_ms")?)?,
-        qdelay_ms: summary_from(r.obj("qdelay_ms")?)?,
-        flow_tputs_mbps: r.arr("flow_tputs_mbps")?.iter().map(num_or_nan).collect(),
-        total_tput_mbps: r.num("total_tput_mbps")?,
-        jain: r.num("jain")?,
-        drops: r.uint("drops")?,
-        tput_series: series_from(r, "tput_series")?,
-        qdelay_series: series_from(r, "qdelay_series")?,
-        capacity_series: series_from(r, "capacity_series")?,
-        app: r.opt("app").map(app_from).transpose()?,
-        impairments: match r.get("impairments") {
-            Some(_) => r
-                .arr("impairments")?
-                .iter()
-                .map(impairment)
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        },
-    })
-}
-
-fn app_from(a: Fields) -> Result<AppReport, Error> {
-    let web = |w: Fields| -> Result<_, Error> {
-        Ok(workload::WebMetrics {
-            flows: w.uint("flows")?,
-            completed: w.uint("completed")?,
-            fct_ms: summary_from(w.obj("fct_ms")?)?,
-        })
-    };
-    let rtc = |r: Fields| -> Result<_, Error> {
-        Ok(workload::RtcMetrics {
-            pkts: r.uint("pkts")?,
-            misses: r.uint("misses")?,
-            miss_rate: r.num("miss_rate")?,
-            owd_ms: summary_from(r.obj("owd_ms")?)?,
-        })
-    };
-    let video = |x: Fields| -> Result<_, Error> {
-        Ok(workload::VideoMetrics {
-            chunks_downloaded: x.uint("chunks_downloaded")?,
-            chunks_total: x.uint("chunks_total")?,
-            mean_bitrate_kbps: x.num("mean_bitrate_kbps")?,
-            play_s: x.num("play_s")?,
-            rebuffer_s: x.num("rebuffer_s")?,
-            rebuffer_ratio: x.num("rebuffer_ratio")?,
-            startup_delay_ms: x.num("startup_delay_ms")?,
-            switches: x.uint("switches")?,
-            qoe: x.num("qoe")?,
-        })
-    };
-    Ok(AppReport {
-        web: a.opt("web").map(web).transpose()?,
-        rtc: a.opt("rtc").map(rtc).transpose()?,
-        video: a.opt("video").map(video).transpose()?,
-    })
-}
-
-fn summary_from(s: Fields) -> Result<Summary, Error> {
-    Ok(Summary {
-        count: s.uint("count")?,
-        mean: s.num("mean")?,
-        std_dev: s.num("std_dev")?,
-        min: s.num("min")?,
-        max: s.num("max")?,
-        p50: s.num("p50")?,
-        p95: s.num("p95")?,
-        p99: s.num("p99")?,
-    })
-}
-
-fn series_from(r: Fields, key: &str) -> Result<Vec<(f64, f64)>, Error> {
-    r.arr(key)?
-        .iter()
-        .map(|p| match p.as_arr() {
-            Some([t, v]) => Ok((num_or_nan(t), num_or_nan(v))),
-            _ => Err(r.err("series point is not a [t, v] pair")),
-        })
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -727,6 +1067,35 @@ mod tests {
         // a partial load of a store promising 1e12 points is just partial
         let partial = ResultsStore::from_jsonl_allow_partial(&promising("1e12")).unwrap();
         assert_eq!(partial.records.len(), 8);
+    }
+
+    #[test]
+    fn counts_of_two_to_the_64_are_rejected_with_their_line() {
+        // 2^64 and its shortest spelling parse to a double `as u64` would
+        // saturate to u64::MAX; neither is a count
+        for literal in ["18446744073709551616", "18446744073709552000"] {
+            let text = edited_baseline(|l| {
+                l[3] = l[3].replacen("\"drops\":0", &format!("\"drops\":{literal}"), 1)
+            });
+            assert!(text.contains(literal));
+            let err = ResultsStore::from_jsonl(&text).unwrap_err();
+            assert!(matches!(err, Error::Format { line: 4, .. }), "{err}");
+            assert!(err.to_string().contains("\"drops\""), "{err}");
+        }
+    }
+
+    #[test]
+    fn skipped_members_are_depth_bounded_too() {
+        // an unknown member nested far past MAX_DEPTH is skipped by the
+        // same bounded walk that parses, so it is a JSON error on its
+        // line, not a stack overflow
+        let deep = format!("\"zz\":{},", "[".repeat(200_000));
+        let text = edited_baseline(|l| {
+            l[2] = l[2].replacen("\"coords\"", &format!("{deep}\"coords\""), 1)
+        });
+        let err = ResultsStore::from_jsonl(&text).unwrap_err();
+        assert!(matches!(err, Error::Json { line: 3, .. }), "{err}");
+        assert!(err.to_string().contains("nested deeper than"), "{err}");
     }
 
     #[test]

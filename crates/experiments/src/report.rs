@@ -8,7 +8,7 @@ use workload::{RtcMetrics, VideoMetrics, WebMetrics};
 /// (or instead of) bulk flows. Absent (`Report::app == None`) for
 /// bulk-only scenarios, which keeps their serialized records — and the
 /// pinned tiny campaign baseline — byte-identical.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AppReport {
     /// Web request/response FCTs, aggregated over every web workload.
     pub web: Option<WebMetrics>,
@@ -25,7 +25,7 @@ pub struct AppReport {
 /// are compared by bit pattern, not `==`, so `NaN` fields (Wi-Fi
 /// utilization has no opportunity accounting) still compare equal across
 /// identical runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Display name of the scheme that ran.
     pub scheme: String,

@@ -266,7 +266,7 @@ pub struct ThroughputBin {
 /// [`crate::fault`]). `label` is the spec's stable
 /// `"<index>:<kind>:<direction>"` form, so a report names each wire
 /// unambiguously even when two share a kind.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ImpairmentRecord {
     /// Stable identity: `"<index>:<kind>:<direction>"`.
     pub label: String,

@@ -8,7 +8,7 @@ use netsim::stats::{summarize_in_place, Summary};
 use netsim::time::SimTime;
 
 /// Web request/response outcomes: flow-completion times.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WebMetrics {
     /// Requests the workload issued.
     pub flows: u64,
@@ -19,7 +19,7 @@ pub struct WebMetrics {
 }
 
 /// RTC deadline accounting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RtcMetrics {
     /// Unique packets delivered to the receiver (duplicates from
     /// spurious retransmissions excluded).
@@ -35,7 +35,7 @@ pub struct RtcMetrics {
 }
 
 /// ABR video session outcomes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VideoMetrics {
     /// Chunks fully downloaded by stream end.
     pub chunks_downloaded: u64,
