@@ -1,21 +1,31 @@
 //! The event queue: a hierarchical timer-wheel / calendar queue with a
 //! far-future overflow heap, deterministic `(time, seq)` pop order, and
-//! O(1) lazy cancellation.
+//! O(1) cancellation.
+//!
+//! **Cells and keys.** [`EventQueue::push`] writes each event's payload —
+//! time, sequence number, node, kind — into one cell of a slab, exactly
+//! once. The tiers below never move a payload: they hold or link only a
+//! 24-byte [`Key`] `(time, seq, cell)`, ordered by `(time, seq)`. A pop
+//! takes the payload out of its cell once and puts the cell on the slab's
+//! free list, which the next push reuses first, so the slab stays as large
+//! as the most events ever pending at once.
 //!
 //! Three tiers by distance from the cursor:
 //!
-//! * **near** — a small binary heap holding every event whose slot is at or
-//!   before the cursor slot. Pops come from here, so intra-slot ordering is
-//!   exact `(time, seq)` — bit-identical to a global comparison heap.
+//! * **near** — a small binary heap of keys for every event whose slot is
+//!   at or before the cursor slot. Pops come from here, so intra-slot
+//!   ordering is exact `(time, seq)` — bit-identical to a global
+//!   comparison heap.
 //! * **wheel** — `WHEEL_SLOTS` unsorted buckets of `2^slot_shift` ns
-//!   covering the next ~67 ms. Every bucket is a singly linked list threaded
-//!   through one shared cell arena (drained cells go on a free list), so a
-//!   sparse simulation's whole queue is a few KB, not 1024 separate buffers.
+//!   covering the next ~67 ms. Every bucket is a singly linked list
+//!   threaded through the slab cells' `next` links, so a sparse
+//!   simulation's whole queue is a few KB, not 1024 separate buffers.
 //!   Order inside a bucket is whatever linking produced: a bucket is only
 //!   ever drained whole into `near`, which re-sorts by the strict
 //!   `(time, seq)` order, so intra-slot order costs nothing to ignore.
-//! * **overflow** — a heap for events beyond the wheel horizon (RTO timers,
-//!   long trace gaps); refilled into the wheel as the cursor advances.
+//! * **overflow** — a heap of keys for events beyond the wheel horizon (RTO
+//!   timers, long trace gaps); linked into the wheel as the cursor
+//!   advances.
 //!
 //! An occupancy bitmap (one bit per bucket) lets the cursor jump straight
 //! to the next non-empty bucket with `trailing_zeros`: it never visits an
@@ -23,53 +33,29 @@
 //! every overflow event sits at least a full wheel turn past the cursor and
 //! so can only migrate into buckets beyond the one jumped to.
 //!
-//! Cancellation is lazy: cancelled sequence numbers go into a tombstone set
-//! and are skipped (and forgotten) when their event surfaces. The queue
-//! never reports tombstones in `len()`, so a fully-cancelled queue is empty.
+//! **Cancellation** goes through the slab. [`EventQueue::push`] returns an
+//! [`EventHandle`] `{ seq, cell }`; [`EventQueue::cancel`] clears the
+//! cell's payload only while the cell still holds that `seq`, so a stale
+//! handle — its event fired and its cell reused — is a no-op. A cleared
+//! cell's key stays in its tier and is skipped (its cell freed) when it
+//! surfaces. `len()` counts only cells that still hold a payload, so a
+//! fully-cancelled queue is empty.
 //!
-//! [`EventQueue::new_reference`] builds the same queue over a plain
-//! `BinaryHeap` — the pre-wheel implementation — kept as the ordering
-//! oracle for the golden pop-order and property tests.
+//! [`EventQueue::new_reference`] orders the same keys over the same slab
+//! with one plain `BinaryHeap` — the pre-wheel design — kept as the
+//! ordering oracle for the golden pop-order and property tests.
 
 use crate::packet::{NodeId, Packet};
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-xor hasher for the `u64` tombstone set: the default SipHash
-/// costs more than the queue operation it guards. Determinism is
-/// unaffected — the set is only probed for membership, never iterated.
-#[derive(Default)]
-pub struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let mut h = x.wrapping_mul(0x9E3779B97F4A7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
+use std::collections::BinaryHeap;
 
 /// What a node is asked to do when its event fires.
 #[derive(Debug)]
 pub enum EventKind {
     /// A packet arrives at the node (propagation already elapsed). Boxed so
-    /// queue operations move 8 bytes, not the whole packet; the box itself
-    /// is pooled by the simulator and reused across hops.
+    /// a cell holds 8 bytes, not the whole packet; the box itself is pooled
+    /// by the simulator and reused across hops.
     Deliver(Box<Packet>),
     /// A timer previously set by the node fires; the token is whatever the
     /// node passed to [`crate::node::Context::set_timer`].
@@ -92,26 +78,66 @@ pub struct Event {
 }
 
 impl Event {
-    /// The event's scheduling sequence number (its cancellation handle).
+    /// The event's scheduling sequence number.
     pub fn seq(&self) -> u64 {
         self.seq
     }
 }
 
-impl PartialEq for Event {
+/// Handle to a pushed event: its sequence number and its slab cell.
+/// Returned by [`EventQueue::push`], taken by [`EventQueue::cancel`].
+/// Cancelling through a handle whose event already fired does nothing:
+/// the cell may have been reused, but never under the same `seq`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventHandle {
+    seq: u64,
+    cell: u32,
+}
+
+impl EventHandle {
+    /// The event's scheduling sequence number (the `seq` of the
+    /// [`Event`] that `pop` returns for it).
+    pub fn seq(self) -> u64 {
+        self.seq
+    }
+}
+
+/// One slab cell: a pending event's payload, written once by `push`.
+#[derive(Debug)]
+struct Cell {
+    time: SimTime,
+    seq: u64,
+    node: NodeId,
+    /// The next cell of the same wheel bucket while linked, of the free
+    /// list while vacant; [`NIL`] ends either list.
+    next: u32,
+    /// `None` once the event is cancelled or popped.
+    kind: Option<EventKind>,
+}
+
+/// What the tiers order: an event's `(time, seq)` and where its payload
+/// lives. Compared by `(time, seq)` alone — unique per event.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    time: SimTime,
+    seq: u64,
+    cell: u32,
+}
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl Eq for Event {}
+impl Eq for Key {}
 
-impl PartialOrd for Event {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Event {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so earliest (then first-scheduled)
         // pops first.
@@ -134,25 +160,20 @@ pub const SLOT_SHIFT_RANGE: std::ops::RangeInclusive<u32> = 10..=26;
 /// only RTO-scale timers ever touch the overflow heap.
 const WHEEL_SLOTS: u64 = 1024;
 
-/// End-of-list / empty-list marker in the wheel's cell arena.
+/// End-of-list / empty-list marker for cell links.
 const NIL: u32 = u32::MAX;
 
 /// The timer-wheel backend.
 #[derive(Debug)]
 struct Wheel {
-    near: BinaryHeap<Event>,
-    /// The arena every bucket lives in: `(event, next cell)`. Cells
-    /// holding an event are chained from `heads`, vacant ones from `free`.
-    cells: Vec<(Option<Event>, u32)>,
-    /// Head of the vacant-cell list.
-    free: u32,
-    /// Per-bucket list head into `cells`.
+    near: BinaryHeap<Key>,
+    /// Per-bucket list head into the slab.
     heads: Box<[u32; WHEEL_SLOTS as usize]>,
     /// Bit `b` set ⇔ bucket `b` is non-empty.
     occupied: [u64; WHEEL_SLOTS as usize / 64],
-    /// Events currently held in the buckets.
+    /// Events currently linked into the buckets.
     wheel_len: usize,
-    overflow: BinaryHeap<Event>,
+    overflow: BinaryHeap<Key>,
     /// All events with `slot <= cur_slot` live in `near`; slots in
     /// `(cur_slot, cur_slot + WHEEL_SLOTS)` map to bucket `slot % WHEEL_SLOTS`
     /// (so the cursor's own bucket is always empty); later ones wait in
@@ -171,8 +192,6 @@ impl Wheel {
     fn new(slot_shift: u32) -> Self {
         Wheel {
             near: BinaryHeap::new(),
-            cells: Vec::new(),
-            free: NIL,
             heads: Box::new([NIL; WHEEL_SLOTS as usize]),
             occupied: [0; WHEEL_SLOTS as usize / 64],
             wheel_len: 0,
@@ -187,48 +206,34 @@ impl Wheel {
         t.as_nanos() >> self.slot_shift
     }
 
-    fn push(&mut self, ev: Event) {
-        let s = self.slot_of(ev.time);
+    fn push(&mut self, key: Key, cells: &mut [Cell]) {
+        let s = self.slot_of(key.time);
         if s <= self.cur_slot {
-            self.near.push(ev);
+            self.near.push(key);
         } else if s < self.cur_slot + WHEEL_SLOTS {
-            self.link((s % WHEEL_SLOTS) as usize, ev);
+            // Prepend the cell to its bucket's list.
+            let bucket = (s % WHEEL_SLOTS) as usize;
+            cells[key.cell as usize].next = self.heads[bucket];
+            self.heads[bucket] = key.cell;
+            self.occupied[bucket / 64] |= 1 << (bucket % 64);
+            self.wheel_len += 1;
         } else {
-            self.overflow.push(ev);
+            self.overflow.push(key);
         }
     }
 
-    /// Prepend `ev` to `bucket`'s list, reusing a vacant cell if any.
-    fn link(&mut self, bucket: usize, ev: Event) {
-        let cell = (Some(ev), self.heads[bucket]);
-        if self.free == NIL {
-            assert!(
-                self.cells.len() < NIL as usize,
-                "wheel arena outgrew its u32 links"
-            );
-            self.heads[bucket] = self.cells.len() as u32;
-            self.cells.push(cell);
-        } else {
-            self.heads[bucket] = self.free;
-            let vacant = &mut self.cells[self.free as usize];
-            self.free = vacant.1;
-            *vacant = cell;
-        }
-        self.occupied[bucket / 64] |= 1 << (bucket % 64);
-        self.wheel_len += 1;
-    }
-
-    /// Move every event of `bucket` into `near`, freeing its cells.
-    fn drain(&mut self, bucket: usize) {
+    /// Move the key of every cell linked into `bucket` into `near`.
+    fn drain(&mut self, bucket: usize, cells: &[Cell]) {
         let mut at = std::mem::replace(&mut self.heads[bucket], NIL);
         while at != NIL {
-            let cell = &mut self.cells[at as usize];
-            self.near
-                .push(cell.0.take().expect("linked wheel cell is vacant"));
-            let next = std::mem::replace(&mut cell.1, self.free);
-            self.free = at;
+            let cell = &cells[at as usize];
+            self.near.push(Key {
+                time: cell.time,
+                seq: cell.seq,
+                cell: at,
+            });
             self.wheel_len -= 1;
-            at = next;
+            at = cell.next;
         }
         self.occupied[bucket / 64] &= !(1 << (bucket % 64));
     }
@@ -255,10 +260,10 @@ impl Wheel {
     }
 
     /// With `near` empty, move the cursor so that `near` holds the
-    /// globally earliest event (or everything is empty): one jump to the
+    /// globally earliest key (or everything is empty): one jump to the
     /// next occupied bucket, or to the overflow head's slot when the wheel
     /// is empty.
-    fn advance(&mut self) {
+    fn advance(&mut self, cells: &mut [Cell]) {
         if self.wheel_len == 0 {
             let Some(head) = self.overflow.peek() else {
                 return;
@@ -266,15 +271,15 @@ impl Wheel {
             self.cur_slot = self.slot_of(head.time);
         } else {
             self.cur_slot = self.next_occupied_slot();
-            self.drain((self.cur_slot % WHEEL_SLOTS) as usize);
+            self.drain((self.cur_slot % WHEEL_SLOTS) as usize, cells);
         }
-        // The horizon moved: migrate overflow events that now fit.
-        while let Some(head) = self.overflow.peek() {
+        // The horizon moved: migrate overflow keys that now fit.
+        while let Some(&head) = self.overflow.peek() {
             if self.slot_of(head.time) >= self.cur_slot + WHEEL_SLOTS {
                 break;
             }
-            let ev = self.overflow.pop().expect("peeked overflow vanished");
-            self.push(ev);
+            self.overflow.pop();
+            self.push(head, cells);
         }
         debug_assert!(!self.near.is_empty(), "cursor advanced onto nothing");
     }
@@ -288,42 +293,42 @@ impl Wheel {
 #[derive(Debug)]
 enum Backend {
     Wheel(Wheel),
-    Naive(BinaryHeap<Event>),
+    Naive(BinaryHeap<Key>),
 }
 
 impl Backend {
     #[inline]
-    fn push(&mut self, ev: Event) {
+    fn push(&mut self, key: Key, cells: &mut [Cell]) {
         match self {
-            Backend::Wheel(w) => w.push(ev),
-            Backend::Naive(h) => h.push(ev),
+            Backend::Wheel(w) => w.push(key, cells),
+            Backend::Naive(h) => h.push(key),
         }
     }
 
-    /// The earliest event, tombstones included; the wheel advances its
+    /// The earliest key, cancelled ones included; the wheel advances its
     /// cursor to expose it.
     #[inline]
-    fn peek_min(&mut self) -> Option<&Event> {
+    fn peek_min(&mut self, cells: &mut [Cell]) -> Option<Key> {
         match self {
             Backend::Wheel(w) => {
                 if w.near.is_empty() {
-                    w.advance();
+                    w.advance(cells);
                 }
-                w.near.peek()
+                w.near.peek().copied()
             }
-            Backend::Naive(h) => h.peek(),
+            Backend::Naive(h) => h.peek().copied(),
         }
     }
 
-    /// Pop the event the preceding `peek_min` returned — no second cursor
+    /// Drop the key the preceding `peek_min` returned — no second cursor
     /// advance.
     #[inline]
-    fn pop_peeked(&mut self) -> Event {
+    fn pop_peeked(&mut self) {
         match self {
             Backend::Wheel(w) => w.near.pop(),
             Backend::Naive(h) => h.pop(),
         }
-        .expect("peeked event vanished")
+        .expect("peeked key vanished");
     }
 }
 
@@ -331,8 +336,10 @@ impl Backend {
 #[derive(Debug)]
 pub struct EventQueue {
     backend: Backend,
-    /// Tombstones: sequence numbers cancelled but not yet surfaced.
-    cancelled: SeqSet,
+    /// The slab every pending event's payload lives in.
+    cells: Vec<Cell>,
+    /// Head of the vacant-cell list.
+    free: u32,
     /// Live (non-cancelled) events currently queued.
     live: usize,
     next_seq: u64,
@@ -361,77 +368,96 @@ impl EventQueue {
             SLOT_SHIFT_RANGE.contains(&shift),
             "slot shift {shift} outside supported range {SLOT_SHIFT_RANGE:?}"
         );
-        EventQueue {
-            backend: Backend::Wheel(Wheel::new(shift)),
-            cancelled: SeqSet::default(),
-            live: 0,
-            next_seq: 0,
-        }
+        Self::over(Backend::Wheel(Wheel::new(shift)))
     }
 
     /// The pre-wheel `BinaryHeap` implementation, kept as the ordering
     /// oracle for golden pop-order and property tests.
     pub fn new_reference() -> Self {
+        Self::over(Backend::Naive(BinaryHeap::new()))
+    }
+
+    fn over(backend: Backend) -> Self {
         EventQueue {
-            backend: Backend::Naive(BinaryHeap::new()),
-            cancelled: SeqSet::default(),
+            backend,
+            cells: Vec::new(),
+            free: NIL,
             live: 0,
             next_seq: 0,
         }
     }
 
-    /// Schedule an event; the returned sequence number doubles as the
-    /// handle for [`EventQueue::cancel`].
-    pub fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind) -> u64 {
+    /// Schedule an event; the returned handle cancels it through
+    /// [`EventQueue::cancel`].
+    pub fn push(&mut self, time: SimTime, node: NodeId, kind: EventKind) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        self.backend.push(Event {
+        let payload = Cell {
             time,
+            seq,
+            node,
+            next: NIL,
+            kind: Some(kind),
+        };
+        let cell = if self.free == NIL {
+            assert!(
+                self.cells.len() < NIL as usize,
+                "event slab outgrew its u32 links"
+            );
+            self.cells.push(payload);
+            self.cells.len() as u32 - 1
+        } else {
+            let at = self.free;
+            let vacant = &mut self.cells[at as usize];
+            self.free = vacant.next;
+            *vacant = payload;
+            at
+        };
+        self.backend.push(Key { time, seq, cell }, &mut self.cells);
+        EventHandle { seq, cell }
+    }
+
+    /// Cancel a pending event. O(1): the payload is dropped now, its key
+    /// is skipped when it surfaces. A handle whose event already fired
+    /// (or was already cancelled) cancels nothing.
+    pub fn cancel(&mut self, handle: EventHandle) {
+        debug_assert!(
+            handle.seq < self.next_seq,
+            "cancel of never-issued {handle:?}"
+        );
+        let cell = &mut self.cells[handle.cell as usize];
+        if cell.seq == handle.seq && cell.kind.take().is_some() {
+            self.live -= 1;
+        }
+    }
+
+    /// Put the cell of the key just dropped from its tier on the free
+    /// list, returning its payload — `None` for a cancelled event.
+    #[inline]
+    fn release(&mut self, key: Key) -> Option<Event> {
+        let cell = &mut self.cells[key.cell as usize];
+        let kind = cell.kind.take();
+        let node = cell.node;
+        cell.next = self.free;
+        self.free = key.cell;
+        let kind = kind?;
+        self.live -= 1;
+        Some(Event {
+            time: key.time,
             node,
             kind,
-            seq,
-        });
-        seq
-    }
-
-    /// Cancel a pending event by its sequence number. The caller must only
-    /// cancel events that are still queued (the simulator's timer handles
-    /// enforce this); cancelling is O(1) and the slot is reclaimed lazily.
-    pub fn cancel(&mut self, seq: u64) {
-        debug_assert!(seq < self.next_seq, "cancel of never-issued seq {seq}");
-        if self.cancelled.insert(seq) {
-            debug_assert!(self.live > 0, "cancel on empty queue");
-            self.live = self.live.saturating_sub(1);
-        }
-    }
-
-    /// Whether `seq` is tombstoned. The set is almost always empty (a
-    /// sender keeps one lazily re-armed RTO timer), so the common case is
-    /// a length check, not a hash probe.
-    #[inline]
-    fn is_cancelled(&self, seq: u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.contains(&seq)
-    }
-
-    /// Pop the head the preceding `peek_min` exposed; `None` if it was a
-    /// tombstone, which is thereby skipped and forgotten.
-    #[inline]
-    fn take_peeked(&mut self) -> Option<Event> {
-        let ev = self.backend.pop_peeked();
-        if !self.cancelled.is_empty() && self.cancelled.remove(&ev.seq) {
-            return None;
-        }
-        self.live -= 1;
-        Some(ev)
+            seq: key.seq,
+        })
     }
 
     /// Remove and return the earliest live event (time, then insertion
-    /// order); cancelled tombstones are skipped.
+    /// order); cancelled keys are skipped.
     pub fn pop(&mut self) -> Option<Event> {
         loop {
-            self.backend.peek_min()?;
-            if let Some(ev) = self.take_peeked() {
+            let key = self.backend.peek_min(&mut self.cells)?;
+            self.backend.pop_peeked();
+            if let Some(ev) = self.release(key) {
                 return Some(ev);
             }
         }
@@ -440,10 +466,12 @@ impl EventQueue {
     /// Pop the earliest event only if it fires at or before `deadline`.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event> {
         loop {
-            if self.backend.peek_min()?.time > deadline {
+            let key = self.backend.peek_min(&mut self.cells)?;
+            if key.time > deadline {
                 return None;
             }
-            if let Some(ev) = self.take_peeked() {
+            self.backend.pop_peeked();
+            if let Some(ev) = self.release(key) {
                 return Some(ev);
             }
         }
@@ -455,38 +483,38 @@ impl EventQueue {
     /// The simulator uses this to coalesce an adjacent run of
     /// same-instant deliveries to one node into a single batched handler
     /// call ([`crate::node::Node::handle_batch`]). The check is
-    /// restricted to `Deliver` events because delivers can never be
-    /// tombstoned — only timers hand out cancellation handles — so an
+    /// restricted to `Deliver` events because delivers are never
+    /// cancelled — only timers hand their handles to nodes — so an
     /// earlier handler in the batch cannot invalidate a later batch
     /// member, and batching stays order-equivalent to popping one event
     /// at a time.
     pub fn pop_if_deliver_matching(&mut self, time: SimTime, node: NodeId) -> Option<Event> {
         loop {
-            let head = self.backend.peek_min()?;
-            let wanted = head.time == time
-                && head.node == node
-                && matches!(head.kind, EventKind::Deliver(_));
-            let seq = head.seq;
-            // A tombstoned head is skipped whatever it is.
-            if !wanted && !self.is_cancelled(seq) {
-                return None;
+            let key = self.backend.peek_min(&mut self.cells)?;
+            let cell = &self.cells[key.cell as usize];
+            match cell.kind {
+                // A cancelled head is skipped whatever it was.
+                None => {}
+                Some(EventKind::Deliver(_)) if key.time == time && cell.node == node => {}
+                Some(_) => return None,
             }
-            if let Some(ev) = self.take_peeked() {
+            self.backend.pop_peeked();
+            if let Some(ev) = self.release(key) {
                 return Some(ev);
             }
         }
     }
 
     /// Earliest pending event time. Takes `&mut self`: the wheel advances
-    /// its cursor and discards tombstones to find the head.
+    /// its cursor and discards cancelled keys to find the head.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            let head = self.backend.peek_min()?;
-            let (time, seq) = (head.time, head.seq);
-            if !self.is_cancelled(seq) {
-                return Some(time);
+            let key = self.backend.peek_min(&mut self.cells)?;
+            if self.cells[key.cell as usize].kind.is_some() {
+                return Some(key.time);
             }
-            self.take_peeked();
+            self.backend.pop_peeked();
+            self.release(key);
         }
     }
 
@@ -500,9 +528,9 @@ impl EventQueue {
         self.live == 0
     }
 
-    /// Tier occupancy `(near, wheel slots, overflow)`, tombstones
-    /// included — a raw structural snapshot for the event-loop profiler.
-    /// The reference heap reports everything as `near`.
+    /// Tier occupancy `(near, wheel slots, overflow)` in keys, cancelled
+    /// ones included — a raw structural snapshot for the event-loop
+    /// profiler. The reference heap reports everything as `near`.
     pub fn occupancy(&self) -> (usize, usize, usize) {
         match &self.backend {
             Backend::Wheel(w) => (w.near.len(), w.wheel_len, w.overflow.len()),
@@ -591,11 +619,11 @@ mod tests {
     #[test]
     fn cancel_everything_empties_queue() {
         let mut q = EventQueue::new();
-        let seqs: Vec<u64> = (0..10)
+        let handles: Vec<EventHandle> = (0..10)
             .map(|i| q.push(t(i * 7), NodeId(0), EventKind::Timer(i)))
             .collect();
-        for s in seqs {
-            q.cancel(s);
+        for h in handles {
+            q.cancel(h);
         }
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
@@ -614,54 +642,111 @@ mod tests {
         assert_eq!(q.pop().unwrap().time, t(200));
     }
 
-    impl Wheel {
-        /// The structural invariants behind the bitmap skip and the
-        /// arena: bit set ⇔ bucket list non-empty, `wheel_len` = Σ list
-        /// lengths, lists and free list partition the arena, and every
-        /// event sits in the tier (and bucket) its slot says it should.
+    impl EventQueue {
+        /// The slab's and the tiers' structural invariants: every occupied
+        /// cell is referenced by exactly one key (in `near`, a bucket or
+        /// `overflow`) carrying its `(time, seq)`, the free list is
+        /// disjoint from the referenced cells and together they cover the
+        /// slab, `live` counts the referenced cells still holding a
+        /// payload, and for the wheel: bit set ⇔ bucket list non-empty,
+        /// `wheel_len` = Σ list lengths, and every key sits in the tier
+        /// (and bucket) its slot says it should.
         fn check_invariants(&self) {
             let mut seen = vec![false; self.cells.len()];
-            let mut visit = |at: u32| {
+            let mut live = 0;
+            let mut refer = |at: u32, what: &str| {
                 assert!(
                     !std::mem::replace(&mut seen[at as usize], true),
-                    "cell {at} is on two lists"
+                    "cell {at} referenced twice (second time from {what})"
                 );
+                live += self.cells[at as usize].kind.is_some() as usize;
             };
-            let mut linked = 0;
-            for (b, &head) in self.heads.iter().enumerate() {
-                let (mut at, mut n) = (head, 0);
-                while at != NIL {
-                    visit(at);
-                    let (ev, next) = &self.cells[at as usize];
-                    let s = self.slot_of(ev.as_ref().expect("linked cell is vacant").time);
-                    assert_eq!((s % WHEEL_SLOTS) as usize, b, "event in the wrong bucket");
-                    assert!(self.cur_slot < s && s < self.cur_slot + WHEEL_SLOTS);
-                    n += 1;
-                    at = *next;
+            let mut refer_key = |k: &Key, what: &str| {
+                let cell = &self.cells[k.cell as usize];
+                assert_eq!(
+                    (cell.time, cell.seq),
+                    (k.time, k.seq),
+                    "{what} key ≠ its cell"
+                );
+                refer(k.cell, what);
+            };
+            match &self.backend {
+                Backend::Naive(h) => h.iter().for_each(|k| refer_key(k, "heap")),
+                Backend::Wheel(w) => {
+                    for k in &w.near {
+                        refer_key(k, "near");
+                        assert!(
+                            w.slot_of(k.time) <= w.cur_slot,
+                            "near key beyond the cursor"
+                        );
+                    }
+                    for k in &w.overflow {
+                        refer_key(k, "overflow");
+                        let s = w.slot_of(k.time);
+                        assert!(
+                            s >= w.cur_slot + WHEEL_SLOTS,
+                            "overflow key within the horizon"
+                        );
+                    }
+                    let mut linked = 0;
+                    for (b, &head) in w.heads.iter().enumerate() {
+                        let (mut at, mut n) = (head, 0);
+                        while at != NIL {
+                            refer(at, "bucket");
+                            let cell = &self.cells[at as usize];
+                            let s = w.slot_of(cell.time);
+                            assert_eq!((s % WHEEL_SLOTS) as usize, b, "event in the wrong bucket");
+                            assert!(w.cur_slot < s && s < w.cur_slot + WHEEL_SLOTS);
+                            n += 1;
+                            at = cell.next;
+                        }
+                        let bit = w.occupied[b / 64] >> (b % 64) & 1;
+                        assert_eq!(bit == 1, n > 0, "bitmap bit {b} disagrees with its list");
+                        linked += n;
+                    }
+                    assert_eq!(w.wheel_len, linked);
                 }
-                let bit = self.occupied[b / 64] >> (b % 64) & 1;
-                assert_eq!(bit == 1, n > 0, "bitmap bit {b} disagrees with its list");
-                linked += n;
             }
-            assert_eq!(self.wheel_len, linked);
+            assert_eq!(self.live, live, "live disagrees with the occupied cells");
             let mut at = self.free;
             while at != NIL {
-                visit(at);
                 assert!(
-                    self.cells[at as usize].0.is_none(),
-                    "free cell holds an event"
+                    !std::mem::replace(&mut seen[at as usize], true),
+                    "free cell {at} referenced"
                 );
-                at = self.cells[at as usize].1;
+                let cell = &self.cells[at as usize];
+                assert!(cell.kind.is_none(), "free cell holds an event");
+                at = cell.next;
             }
-            assert!(seen.iter().all(|&v| v), "arena cell on no list");
-            assert!(self
-                .near
-                .iter()
-                .all(|e| self.slot_of(e.time) <= self.cur_slot));
-            assert!(self
-                .overflow
-                .iter()
-                .all(|e| self.slot_of(e.time) >= self.cur_slot + WHEEL_SLOTS));
+            assert!(
+                seen.iter().all(|&v| v),
+                "slab cell neither referenced nor free"
+            );
+        }
+    }
+
+    #[test]
+    fn stale_handle_to_a_reused_cell_cancels_nothing() {
+        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
+            let fired = q.push(t(1), NodeId(0), EventKind::Timer(1));
+            assert_eq!(q.pop().unwrap().seq(), fired.seq());
+            // The fired timer's cell is the only vacant one: reused here.
+            let next = q.push(t(2), NodeId(0), EventKind::Timer(2));
+            assert_eq!((next.cell, q.cells.len()), (fired.cell, 1));
+            q.cancel(fired);
+            assert_eq!(q.len(), 1);
+            q.check_invariants();
+            // Cancelling twice is as harmless as cancelling after firing.
+            q.cancel(next);
+            q.cancel(next);
+            assert!(q.is_empty());
+            q.check_invariants();
+            let last = q.push(t(3), NodeId(0), EventKind::Timer(3));
+            q.cancel(next);
+            assert_eq!(drain_tokens(&mut q), vec![3]);
+            q.cancel(last);
+            assert!(q.is_empty() && q.pop().is_none());
+            q.check_invariants();
         }
     }
 
@@ -669,10 +754,12 @@ mod tests {
     /// issues, interleaved from a seeded generator: pushes at or after the
     /// clock (same slot, in-wheel, 0.1–5 s gaps that send the cursor
     /// through many wheel turns, and the exact horizon-boundary slots),
-    /// `cancel`, `pop_before` with deadlines that often fall before the
-    /// head, the batch probe `pop_if_deliver_matching`, `pop` and
-    /// `peek_time`. The queue is kept sparse so it drains and jumps often.
-    /// Every result, `len()` and the wheel's invariants are checked after
+    /// `cancel` (of pending timers, and of handles whose timer already
+    /// fired or was cancelled, whose cells are often reused by then),
+    /// `pop_before` with deadlines that often fall before the head, the
+    /// batch probe `pop_if_deliver_matching`, `pop` and `peek_time`. The
+    /// queue is kept sparse so it drains and jumps often. Every result,
+    /// every handle, `len()` and both queues' invariants are checked after
     /// every operation, at every slot width.
     #[test]
     fn wheel_matches_reference_under_loop_operations_at_every_shift() {
@@ -688,7 +775,13 @@ mod tests {
                 };
                 let mut wheel = EventQueue::with_slot_shift(shift);
                 let mut naive = EventQueue::new_reference();
-                let mut timers: Vec<u64> = Vec::new();
+                // Handles of pending timers, and of fired or cancelled ones.
+                let (mut timers, mut dead) = (Vec::new(), Vec::new());
+                let retire = |timers: &mut Vec<EventHandle>, dead: &mut Vec<_>, e: &Event| {
+                    if let Some(i) = timers.iter().position(|h| h.seq() == e.seq) {
+                        dead.push(timers.swap_remove(i));
+                    }
+                };
                 let (mut now, mut last_node) = (SimTime::ZERO, NodeId(0));
                 for _ in 0..4_000 {
                     let r = next();
@@ -714,16 +807,22 @@ mod tests {
                                 true => EventKind::Deliver(crate::queue::test_packet(0, 100)),
                                 false => EventKind::Timer(r),
                             };
-                            let seq = wheel.push(time, node, kind());
-                            assert_eq!(seq, naive.push(time, node, kind()));
+                            let handle = wheel.push(time, node, kind());
+                            assert_eq!(handle, naive.push(time, node, kind()));
                             if !deliver {
-                                timers.push(seq);
+                                timers.push(handle);
                             }
+                        }
+                        6 if !dead.is_empty() && next() % 4 == 0 => {
+                            let stale = dead[next() as usize % dead.len()];
+                            wheel.cancel(stale);
+                            naive.cancel(stale);
                         }
                         6 if !timers.is_empty() => {
                             let victim = timers.swap_remove(next() as usize % timers.len());
                             wheel.cancel(victim);
                             naive.cancel(victim);
+                            dead.push(victim);
                         }
                         7..=10 => {
                             let reach = [1_000, 1_000_000, 100_000_000, 10_000_000_000];
@@ -734,7 +833,7 @@ mod tests {
                             if let Some(e) = &got {
                                 assert!(e.time >= now && e.time <= deadline);
                                 (now, last_node) = (e.time, e.node);
-                                timers.retain(|&s| s != e.seq);
+                                retire(&mut timers, &mut dead, e);
                             }
                             assert_eq!(key(got), key(naive.pop_before(deadline)));
                         }
@@ -749,17 +848,15 @@ mod tests {
                             let got = wheel.pop();
                             if let Some(e) = &got {
                                 (now, last_node) = (e.time, e.node);
-                                timers.retain(|&s| s != e.seq);
+                                retire(&mut timers, &mut dead, e);
                             }
                             assert_eq!(key(got), key(naive.pop()));
                         }
                         _ => assert_eq!(wheel.peek_time(), naive.peek_time()),
                     }
                     assert_eq!(wheel.len(), naive.len());
-                    let Backend::Wheel(w) = &wheel.backend else {
-                        unreachable!()
-                    };
-                    w.check_invariants();
+                    wheel.check_invariants();
+                    naive.check_invariants();
                 }
                 while let Some(e) = wheel.pop() {
                     assert_eq!(key(Some(e)), key(naive.pop()));

@@ -1,6 +1,6 @@
 //! The `Node` trait and the `Context` through which nodes act on the world.
 
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventHandle, EventKind, EventQueue};
 use crate::packet::{NodeId, Packet};
 use crate::telemetry::{PoolStats, Scope, Signal, TelemetrySink};
 use crate::time::{SimDuration, SimTime};
@@ -12,10 +12,10 @@ pub(crate) const PACKET_POOL_CAP: usize = 1024;
 
 /// Handle to a pending timer, returned by [`Context::set_timer`] /
 /// [`Context::set_timer_at`] and consumed by [`Context::cancel_timer`].
-/// Cancel only timers that have not fired yet: a handle is dead as soon as
-/// its `Timer` event is delivered.
+/// A handle is dead as soon as its `Timer` event is delivered: cancelling
+/// it then does nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerId(u64);
+pub struct TimerId(EventHandle);
 
 /// The capability handed to a node while it handles an event.
 ///
@@ -146,10 +146,8 @@ impl<'a> Context<'a> {
         TimerId(self.queue.push(at, self.self_id, EventKind::Timer(token)))
     }
 
-    /// Cancel a pending timer. The event is unlinked from the queue (lazily,
-    /// O(1)) and will never fire. Cancelling a timer that already fired is a
-    /// contract violation — callers clear their stored [`TimerId`] when the
-    /// timer's event arrives.
+    /// Cancel a pending timer in O(1): it will never fire. Cancelling a
+    /// timer that already fired (or was already cancelled) does nothing.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.queue.cancel(id.0);
     }

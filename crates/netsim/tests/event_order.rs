@@ -11,7 +11,7 @@
 //! * a **property test** driving the wheel and the reference heap through
 //!   arbitrary push/cancel/pop interleavings.
 
-use netsim::event::{EventKind, EventQueue};
+use netsim::event::{EventHandle, EventKind, EventQueue};
 use netsim::flow::{AckEvent, CongestionControl, Pacing, Sender, Sink, TrafficSource};
 use netsim::link::{SerialLink, SquareWave, TraceLink};
 use netsim::linkqueue::LinkQueue;
@@ -220,7 +220,7 @@ proptest! {
     ) {
         let mut wheel = EventQueue::new();
         let mut naive = EventQueue::new_reference();
-        let mut live: Vec<u64> = Vec::new();
+        let mut live: Vec<EventHandle> = Vec::new();
         let mut tok = 0u64;
         for &(op, arg) in &ops {
             match op {
@@ -230,7 +230,7 @@ proptest! {
                     let t = SimTime::from_nanos(arg);
                     let a = wheel.push(t, NodeId(0), EventKind::Timer(tok));
                     let b = naive.push(t, NodeId(0), EventKind::Timer(tok));
-                    prop_assert_eq!(a, b, "seq assignment diverged");
+                    prop_assert_eq!(a, b, "handle assignment diverged");
                     live.push(a);
                 }
                 // 20%: cancel a pending event
@@ -249,7 +249,7 @@ proptest! {
                         (Some(x), Some(y)) => {
                             prop_assert_eq!(x.time, y.time);
                             prop_assert_eq!(x.seq(), y.seq());
-                            live.retain(|&s| s != x.seq());
+                            live.retain(|h| h.seq() != x.seq());
                         }
                         (None, None) => {}
                         _ => prop_assert!(false, "one queue drained early"),
