@@ -684,8 +684,10 @@ impl Sender {
         }
     }
 
+    /// In flight below `max(⌊cwnd⌋, 1)`: the saturating cast truncates,
+    /// which is the floor for any window that can pass the `max`.
     fn window_allows(&self) -> bool {
-        (self.board.in_flight as f64) < self.cc.cwnd_pkts().floor().max(1.0)
+        (self.board.in_flight as u64) < (self.cc.cwnd_pkts() as u64).max(1)
     }
 
     fn send_one(&mut self, ctx: &mut Context, seq: u64, retransmit: bool) {

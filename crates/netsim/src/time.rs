@@ -23,6 +23,17 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Nanoseconds per microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
 
+/// `x.round() as u64` — nearest integer, ties away from zero, saturating,
+/// NaN and negatives to 0 — without `f64::round`, which on baseline
+/// x86-64 (no SSE4.1) is a call into a software routine. Exact: `x − t`
+/// is the fraction truncation dropped, computed without error, and from
+/// 2⁵² up every double is an integer, so the half-step test never fires.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
 impl SimTime {
     /// The simulation's start instant.
     pub const ZERO: SimTime = SimTime(0);
@@ -46,7 +57,7 @@ impl SimTime {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "negative SimTime");
-        SimTime((s * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// Seconds since simulation start (lossy above 2⁵³ ns).
@@ -112,7 +123,7 @@ impl SimDuration {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite(), "invalid SimDuration: {s}");
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// A span of `ms` (fractional) milliseconds, rounded to the nearest
@@ -157,7 +168,7 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0 && k.is_finite());
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k))
     }
 
     /// The shorter of the two spans.
@@ -310,6 +321,60 @@ mod tests {
             SimDuration::from_secs(1).mul_f64(2.0 / 3.0).as_nanos(),
             666_666_667
         );
+    }
+
+    #[test]
+    fn round_u64_is_round_then_cast() {
+        let check =
+            |x: f64| assert_eq!(round_u64(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.0,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            0.5f64.next_down(),
+            0.5f64.next_up(),
+            two(52),
+            two(52) + 1.0,
+            two(53).next_down(),
+            two(53),
+            two(64).next_down(),
+            two(64),
+            two(64).next_up(),
+            1e300,
+            f64::MAX,
+        ];
+        for k in [0u64, 1, 2, 7, 1_000_000, (1 << 52) - 1] {
+            let k = k as f64;
+            edges.extend([
+                k + 0.5,
+                (k + 0.5).next_down(),
+                (k + 0.5).next_up(),
+                -(k + 0.5),
+            ]);
+        }
+        edges.into_iter().for_each(check);
+        // Seeded doubles: raw bit patterns (every exponent, NaNs, both
+        // signs), then the ranges the simulator converts (ns counts).
+        let mut x: u64 = 0x853C_49E6_748F_EA9B;
+        for i in 0..1_000_000u32 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            check(match i % 2 {
+                0 => f64::from_bits(x),
+                _ => (x >> 11) as f64 / two(53) * two((x % 70) as i32),
+            });
+        }
     }
 
     #[test]
