@@ -558,8 +558,12 @@ impl<'a> Cursor<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map_err(|_| self.err(format!("invalid number {text:?}")))
+        // A literal past f64's range parses to ±∞, which JSON cannot hold
+        // and the store would load as a metric: not a number either.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            _ => Err(self.err(format!("invalid number {text:?}"))),
+        }
     }
 }
 
@@ -658,6 +662,29 @@ mod tests {
     fn non_finite_becomes_null() {
         assert_eq!(Value::num(f64::NAN), Value::Null);
         assert_eq!(Value::num(f64::INFINITY), Value::Null);
+    }
+
+    #[test]
+    fn overflowing_literals_are_invalid_numbers() {
+        for text in ["1e999", "-1e999", "[0,1e999]"] {
+            let err = parse(text).unwrap_err();
+            let literal = text.trim_start_matches("[0,").trim_end_matches(']');
+            assert_eq!(
+                err.offset,
+                text.find(literal).unwrap() + literal.len(),
+                "{err}"
+            );
+            assert!(
+                err.message.contains(&format!("invalid number {literal:?}")),
+                "{err}"
+            );
+        }
+        // the largest finite literals still parse
+        assert_eq!(
+            parse("1.7976931348623157e308").unwrap(),
+            Value::Num(f64::MAX)
+        );
+        assert_eq!(parse("1e-999").unwrap(), Value::Num(0.0));
     }
 
     #[test]

@@ -1085,6 +1085,27 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_metrics_are_rejected_with_their_line() {
+        for literal in ["1e999", "-1e999"] {
+            let text = edited_baseline(|l| {
+                l[3] = l[3].replacen(
+                    "\"utilization\":0.8573333333333333",
+                    &format!("\"utilization\":{literal}"),
+                    1,
+                )
+            });
+            assert!(text.contains(literal));
+            let err = ResultsStore::from_jsonl(&text).unwrap_err();
+            assert!(matches!(err, Error::Json { line: 4, .. }), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("invalid number {literal:?}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn skipped_members_are_depth_bounded_too() {
         // an unknown member nested far past MAX_DEPTH is skipped by the
         // same bounded walk that parses, so it is a JSON error on its
