@@ -40,6 +40,31 @@ fn fail(msg: impl Display) -> ! {
     std::process::exit(2)
 }
 
+/// Every stdout write goes through here. A reader that stops early
+/// (`abc-campaign export … | head`) closes the pipe: that ends the
+/// command quietly with exit 0, as it does for any Unix filter. Any other
+/// write failure exits 2 through [`fail`].
+fn emit(text: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(format!("cannot write to stdout: {e}"));
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn usage() -> ! {
     eprintln!(
         "abc-campaign — declarative sweep orchestration for the ABC reproduction
@@ -172,37 +197,37 @@ fn main() {
             if let Some(path) = &file {
                 let campaign = load_file(path, scale);
                 let points = campaign.expand();
-                println!(
+                outln!(
                     "{}  [{} point(s) at this scale, {} unfiltered]",
                     campaign.name,
                     points.len(),
                     campaign.size_unfiltered()
                 );
                 for axis in &campaign.axes {
-                    println!("  axis {:<12} {}", axis.name, axis.labels().join(", "));
+                    outln!("  axis {:<12} {}", axis.name, axis.labels().join(", "));
                 }
                 for f in &campaign.filters {
-                    println!("  filter {}", f.name);
+                    outln!("  filter {}", f.name);
                 }
             } else {
-                println!("{:<18} DESCRIPTION", "PRESET");
+                outln!("{:<18} DESCRIPTION", "PRESET");
                 for (name, desc, build) in presets::all() {
                     let n = build(Scale::Tiny).expand().len();
-                    println!("{name:<18} {desc}  [{n} points at --scale tiny]");
+                    outln!("{name:<18} {desc}  [{n} points at --scale tiny]");
                 }
             }
         }
         "expand" => {
             let campaign = build_campaign(positional.get(1), &file, scale);
             let points = campaign.expand();
-            println!(
+            outln!(
                 "# campaign {:?}: {} point(s) ({} unfiltered)",
                 campaign.name,
                 points.len(),
                 campaign.size_unfiltered()
             );
             for p in &points {
-                println!("{:>6}  {}", p.ordinal, p.coords.key());
+                outln!("{:>6}  {}", p.ordinal, p.coords.key());
             }
         }
         "run" => {
@@ -328,17 +353,18 @@ fn main() {
         "export" => {
             let store = load(positional.get(1), ResultsStore::from_jsonl);
             if args.iter().any(|a| a == "--csv") {
-                print!("{}", aggregate::render_csv(&store.records));
+                out!("{}", aggregate::render_csv(&store.records));
             } else {
                 let over = get("--over").unwrap_or_else(|| "seed".into());
                 let aggs = aggregate::aggregate(&store.records, &over);
-                println!(
+                outln!(
                     "# campaign {:?} — {} record(s)\n",
-                    store.header.campaign, store.header.points
+                    store.header.campaign,
+                    store.header.points
                 );
-                print!("{}", aggregate::render_table(&aggs, &over));
-                println!();
-                print!("{}", aggregate::render_rollup(&store.records));
+                out!("{}", aggregate::render_table(&aggs, &over));
+                outln!();
+                out!("{}", aggregate::render_rollup(&store.records));
             }
         }
         "merge" => {
@@ -382,7 +408,7 @@ fn main() {
             let baseline = load(positional.get(1), ResultsStore::from_jsonl);
             let candidate = load(positional.get(2), ResultsStore::from_jsonl);
             let report = diff(&baseline, &candidate, &cfg);
-            print!("{}", report.render());
+            out!("{}", report.render());
             if report.has_regressions() {
                 std::process::exit(1);
             }
@@ -406,12 +432,12 @@ fn main() {
             let ledger = load(positional.get(1), RunLedger::from_jsonl);
             let dir = get("--telemetry-dir").map(std::path::PathBuf::from);
             match campaign::report::render_report(&ledger, dir.as_deref()) {
-                Ok(text) => print!("{text}"),
+                Ok(text) => out!("{text}"),
                 Err(e) => fail(e),
             }
         }
         "dynamics" => {
-            print!(
+            out!(
                 "{}",
                 load(positional.get(1), campaign::dynamics::render_dynamics)
             );
