@@ -140,11 +140,10 @@ impl PartialOrd for Key {
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so earliest (then first-scheduled)
-        // pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // pops first. One 128-bit compare of `(time, seq)`, not two
+        // branches.
+        let rank = |k: &Key| (k.time.as_nanos() as u128) << 64 | k.seq as u128;
+        rank(other).cmp(&rank(self))
     }
 }
 
