@@ -5,7 +5,7 @@
 //! **Cells and keys.** [`EventQueue::push`] writes each event's payload —
 //! time, sequence number, node, kind — into one cell of a slab, exactly
 //! once. The tiers below never move a payload: they hold or link only a
-//! 24-byte [`Key`] `(time, seq, cell)`, ordered by `(time, seq)`. A pop
+//! 24-byte key `(time, seq, cell)`, ordered by `(time, seq)`. A pop
 //! takes the payload out of its cell once and puts the cell on the slab's
 //! free list, which the next push reuses first, so the slab stays as large
 //! as the most events ever pending at once.
@@ -116,20 +116,14 @@ struct Cell {
 }
 
 /// What the tiers order: an event's `(time, seq)` and where its payload
-/// lives. Compared by `(time, seq)` alone — unique per event.
-#[derive(Debug, Clone, Copy)]
+/// lives. Ordered by `(time, seq)` alone; that pair is unique per event,
+/// so the derived equality agrees with the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     time: SimTime,
     seq: u64,
     cell: u32,
 }
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Key {}
 
 impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {

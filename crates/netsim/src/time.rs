@@ -26,8 +26,9 @@ pub const NANOS_PER_MICRO: u64 = 1_000;
 /// `x.round() as u64` — nearest integer, ties away from zero, saturating,
 /// NaN and negatives to 0 — without `f64::round`, which on baseline
 /// x86-64 (no SSE4.1) is a call into a software routine. Exact: `x − t`
-/// is the fraction truncation dropped, computed without error, and from
-/// 2⁵² up every double is an integer, so the half-step test never fires.
+/// is the fraction truncation dropped, computed without error; from 2⁵²
+/// up every double is an integer, so the half-step test fires there only
+/// past 2⁶⁴, where the cast already saturated and so does the add.
 #[inline]
 fn round_u64(x: f64) -> u64 {
     let t = x as u64;
