@@ -79,7 +79,7 @@
 //! on its neighbors — `tests/engine_determinism.rs` pins this down.
 
 use crate::report::AppReport;
-use crate::report::{downsample, Report};
+use crate::report::{downsample_by, Report};
 use crate::scenario::LinkSpec;
 use crate::scheme::Scheme;
 use crate::wifi::McsSpec;
@@ -91,12 +91,13 @@ pub use abc_core::router::AbcRouterConfig;
 use netsim::fault::{Direction, ImpairmentSpec, ImpairmentWire};
 use netsim::flow::{AppDriver, Sender, Sink, TrafficSource};
 use netsim::linkqueue::LinkQueue;
-use netsim::metrics::{new_hub, AppFlowMeta, LinkRecord, Metrics};
+use netsim::metrics::{new_hub, qdelay_summary_in_place, AppFlowMeta, LinkRecord, Metrics};
 use netsim::node::Node;
 use netsim::packet::{FlowId, NodeId, Route, MTU_BYTES};
 use netsim::queue::{DropTail, Qdisc};
 use netsim::rate::Rate;
 use netsim::sim::{RunGuards, Simulator};
+use netsim::stats::Summary;
 use netsim::telemetry::{
     new_hub as new_telemetry_hub, ProfileReport, Scope, Shared, Signal, TelemetryConfig,
     TelemetryHub,
@@ -1503,15 +1504,21 @@ impl BuiltScenario {
         })
     }
 
-    /// Fold the run into the paper's [`Report`].
+    /// Fold the run into the paper's [`Report`]. Consumes the hub's
+    /// per-packet samples rather than copying them: the primary hop's
+    /// `qdelay_series` is downsampled in recording order, then sorted and
+    /// summarised in place and freed, and only then are the flows'
+    /// `delays_s` gathered into one buffer (see
+    /// [`MetricsHub::take_delay_summary_ms`](netsim::metrics::MetricsHub::take_delay_summary_ms)).
+    /// A caller holding a clone of [`hub`](Self::hub) still reads every
+    /// counter and bin afterwards, but those two sample vectors are empty.
     pub fn finish(mut self) -> Report {
         let app = self.fold_app_metrics();
         self.finalize_opportunities();
-        let hub = self.hub.borrow();
+        let mut hub = self.hub.borrow_mut();
         let window = self.duration.saturating_sub(self.warmup);
         let empty = LinkRecord::default();
         let link_of = |tag: &str| -> &LinkRecord { hub.links.get(tag).unwrap_or(&empty) };
-        let primary = link_of(self.primary);
 
         // The tightest bounding hop bounds what was achievable: report the
         // primary hop's delivery against it (NaN when no hop bounds it).
@@ -1523,16 +1530,10 @@ impl BuiltScenario {
         let utilization = if self.bounding.is_empty() {
             f64::NAN
         } else if min_opportunity > 0.0 {
-            (primary.delivered_bytes as f64 * 8.0 / min_opportunity).min(1.0)
+            (link_of(self.primary).delivered_bytes as f64 * 8.0 / min_opportunity).min(1.0)
         } else {
             0.0
         };
-
-        let qdelay_series: Vec<(f64, f64)> = primary
-            .qdelay_series
-            .iter()
-            .map(|(t, d)| (t.as_secs_f64(), d.as_millis_f64()))
-            .collect();
         let drops = self
             .hops
             .iter()
@@ -1548,22 +1549,42 @@ impl BuiltScenario {
             .as_ref()
             .map(|l| l.capacity_series(self.duration, SimDuration::from_millis(100)))
             .unwrap_or_default();
+
+        let mut series = hub
+            .links
+            .get_mut(self.primary)
+            .map(|rec| std::mem::take(&mut rec.qdelay_series))
+            .unwrap_or_default();
+        let (qdelay_series, qdelay_ms) = primary_qdelay(&mut series);
+        drop(series);
         Report {
             scheme: self.scheme_name.clone(),
             utilization,
-            delay_ms: hub.delay_summary_ms(),
-            qdelay_ms: primary.qdelay_summary_ms(),
+            delay_ms: hub.take_delay_summary_ms(),
+            qdelay_ms,
             total_tput_mbps: flow_tputs.iter().sum(),
             jain: hub.jain(window),
             drops,
             flow_tputs_mbps: flow_tputs,
             tput_series: hub.total_throughput_series_mbps(),
-            qdelay_series: downsample(&qdelay_series, 600),
+            qdelay_series,
             capacity_series,
             app,
             impairments: hub.impairments.clone(),
         }
     }
+}
+
+/// The primary hop's queuing delay as the report holds it: the plotted
+/// series (read in recording order, at most 600 points) and the summary
+/// (ms), which leaves `series` sorted by delay. Bit-identical to
+/// downsampling and summarising the series mapped to `(seconds, ms)`.
+fn primary_qdelay(series: &mut [(SimTime, SimDuration)]) -> (Vec<(f64, f64)>, Summary) {
+    let plotted = downsample_by(series.len(), 600, |i| {
+        let (t, d) = series[i];
+        (t.as_secs_f64(), d.as_millis_f64())
+    });
+    (plotted, qdelay_summary_in_place(series))
 }
 
 #[cfg(test)]
@@ -1719,6 +1740,87 @@ mod tests {
                 let want: Vec<usize> = (0..=break_at.min(n - 1)).collect();
                 assert_eq!(seen, want, "break at {break_at}, {threads} threads");
             }
+        }
+    }
+
+    /// `finish`'s in-place path for the primary hop's series — read
+    /// through an accessor, sorted by delay — against the pre-change path:
+    /// map the series to `(seconds, ms)`, downsample that, and summarise a
+    /// sorted copy of the ms values. Every field must agree bit for bit,
+    /// on the sizes where downsampling changes shape and on random ones,
+    /// with tied and zero delays.
+    #[test]
+    fn primary_qdelay_is_bit_identical_to_the_mapped_copy() {
+        use crate::report::downsample;
+        use netsim::stats::{percentile, summarize};
+
+        /// `summarize_in_place` as it was before the summary arithmetic
+        /// moved behind an accessor.
+        fn reference(mut v: Vec<f64>) -> Summary {
+            if v.is_empty() {
+                return Summary::default();
+            }
+            v.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+            let n = v.len();
+            let mean = v.iter().sum::<f64>() / n as f64;
+            let var = v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+            Summary {
+                count: n,
+                mean,
+                std_dev: var.sqrt(),
+                min: v[0],
+                max: v[n - 1],
+                p50: percentile(&v, 50.0),
+                p95: percentile(&v, 95.0),
+                p99: percentile(&v, 99.0),
+            }
+        }
+        fn fields(s: &Summary) -> [u64; 8] {
+            [
+                s.count as u64,
+                s.mean.to_bits(),
+                s.std_dev.to_bits(),
+                s.min.to_bits(),
+                s.max.to_bits(),
+                s.p50.to_bits(),
+                s.p95.to_bits(),
+                s.p99.to_bits(),
+            ]
+        }
+        fn bits(v: &[(f64, f64)]) -> Vec<(u64, u64)> {
+            v.iter().map(|(t, d)| (t.to_bits(), d.to_bits())).collect()
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x5eed_0042);
+        let mut sizes = vec![0, 1, 2, 3, 599, 600, 601, 1199, 1200, 1201];
+        sizes.extend((0..24).map(|_| rng.gen_range(0..6000usize)));
+        for n in sizes {
+            // recording order: non-decreasing times (ties included) and
+            // delays drawn from a coarse grid with zeros, so that many
+            // samples tie, plus some fine-grained ones
+            let mut t = SimTime::ZERO;
+            let mut series: Vec<(SimTime, SimDuration)> = (0..n)
+                .map(|_| {
+                    t += SimDuration::from_micros(rng.gen_range(0..3u64) * 250);
+                    let d = match rng.gen_range(0..4u32) {
+                        0 => SimDuration::ZERO,
+                        1 => SimDuration::from_millis(rng.gen_range(0..8u64)),
+                        _ => SimDuration::from_nanos(rng.gen_range(0..400_000_000u64)),
+                    };
+                    (t, d)
+                })
+                .collect();
+            let mapped: Vec<(f64, f64)> = series
+                .iter()
+                .map(|(t, d)| (t.as_secs_f64(), d.as_millis_f64()))
+                .collect();
+            let ms: Vec<f64> = mapped.iter().map(|p| p.1).collect();
+
+            let (plotted, summary) = primary_qdelay(&mut series);
+            assert_eq!(bits(&plotted), bits(&downsample(&mapped, 600)), "n = {n}");
+            assert_eq!(fields(&summary), fields(&summarize(&ms)), "n = {n}");
+            assert_eq!(fields(&summary), fields(&reference(ms)), "n = {n}");
+            assert!(series.windows(2).all(|w| w[0].1 <= w[1].1), "n = {n}");
         }
     }
 }

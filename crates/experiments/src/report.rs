@@ -159,18 +159,26 @@ impl Report {
 /// Series no longer than `n` (including empty ones) come back unchanged;
 /// `n == 0` yields an empty series, honoring the "at most `n`" contract.
 pub fn downsample(series: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
+    downsample_by(series.len(), n, |i| series[i])
+}
+
+/// [`downsample`] of the `len` points `at(0), …, at(len - 1)`: the same
+/// buckets and the same bits, for a caller whose series is stored in
+/// another form and would otherwise map it into a second buffer first.
+pub fn downsample_by(len: usize, n: usize, at: impl Fn(usize) -> (f64, f64)) -> Vec<(f64, f64)> {
     if n == 0 {
         return Vec::new();
     }
-    if series.len() <= n {
-        return series.to_vec();
+    if len <= n {
+        return (0..len).map(at).collect();
     }
-    let bucket = series.len().div_ceil(n);
-    series
-        .chunks(bucket)
-        .map(|c| {
-            let t = c[0].0;
-            let v = c.iter().map(|p| p.1).sum::<f64>() / c.len() as f64;
+    let bucket = len.div_ceil(n);
+    (0..len)
+        .step_by(bucket)
+        .map(|start| {
+            let end = (start + bucket).min(len);
+            let t = at(start).0;
+            let v = (start..end).map(|i| at(i).1).sum::<f64>() / (end - start) as f64;
             (t, v)
         })
         .collect()

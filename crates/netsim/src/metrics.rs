@@ -7,9 +7,9 @@
 //! for the figure plots.
 
 use crate::packet::FlowId;
-use crate::stats::{jain_index, summarize_in_place, Summary};
+use crate::stats::{jain_index, summarize_in_place, summarize_sorted_by, Summary};
 use crate::time::{SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -127,10 +127,11 @@ impl std::ops::Index<&FlowId> for FlowTable {
     }
 }
 
-/// Initial capacity hint for per-packet sample vectors: a few thousand
-/// deliveries is the floor for any measured scenario, so early growth
-/// reallocations are skipped.
-const SAMPLES_HINT: usize = 4096;
+/// First capacity of a link's `qdelay_series`: one 4 KiB page. A point
+/// has a handful of links, so this skips the first six growth steps for
+/// a few KiB; per-flow sample buffers get no such reserve, because a
+/// fleet of short flows would pay it thousands of times.
+const LINK_SERIES_FIRST_CAPACITY: usize = 4096 / std::mem::size_of::<(SimTime, SimDuration)>();
 
 /// Cheap shared handle to the hub.
 pub type Metrics = Rc<RefCell<MetricsHub>>;
@@ -216,9 +217,6 @@ pub struct LinkRecord {
     pub opportunity_bits: f64,
     /// (time, queuing delay) samples taken at each dequeue.
     pub qdelay_series: Vec<(SimTime, SimDuration)>,
-    /// Sort-once cache for [`LinkRecord::qdelay_summary_ms`], keyed by the
-    /// series length at computation time.
-    qdelay_cache: Cell<Option<(usize, Summary)>>,
 }
 
 impl LinkRecord {
@@ -231,25 +229,19 @@ impl LinkRecord {
         (self.delivered_bytes as f64 * 8.0 / self.opportunity_bits).min(1.0)
     }
 
-    /// Queuing-delay summary (ms). Computed once per series state: repeat
-    /// calls between dequeues return the cached summary instead of
-    /// re-collecting and re-sorting the samples.
+    /// Queuing-delay summary (ms) of a copy of the series; a caller that
+    /// owns the series uses [`qdelay_summary_in_place`] instead.
     pub fn qdelay_summary_ms(&self) -> Summary {
-        let n = self.qdelay_series.len();
-        if let Some((k, s)) = self.qdelay_cache.get() {
-            if k == n {
-                return s;
-            }
-        }
-        let mut v: Vec<f64> = self
-            .qdelay_series
-            .iter()
-            .map(|(_, d)| d.as_millis_f64())
-            .collect();
-        let s = summarize_in_place(&mut v);
-        self.qdelay_cache.set(Some((n, s)));
-        s
+        qdelay_summary_in_place(&mut self.qdelay_series.clone())
     }
+}
+
+/// Queuing-delay summary (ms) of a `(time, delay)` series, sorted in
+/// place by delay: bit-identical to summarising the delays mapped to
+/// milliseconds, with no second buffer.
+pub fn qdelay_summary_in_place(series: &mut [(SimTime, SimDuration)]) -> Summary {
+    series.sort_unstable_by_key(|&(_, d)| d);
+    summarize_sorted_by(series.len(), |i| series[i].1.as_millis_f64())
 }
 
 /// One throughput sample bin: delivered bytes per flow in `[start, start+width)`.
@@ -280,7 +272,7 @@ pub struct ImpairmentRecord {
 const BIN_WIDTH: SimDuration = SimDuration::from_millis(100);
 
 /// The simulation-wide measurement collector (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricsHub {
     /// Per-flow delivery accounting.
     pub flows: FlowTable,
@@ -291,22 +283,6 @@ pub struct MetricsHub {
     bins: Vec<ThroughputBin>,
     /// Measurement starts here; earlier samples are warm-up and ignored.
     epoch: SimTime,
-    /// Sort-once cache for [`MetricsHub::delay_summary_ms`], keyed by the
-    /// total delivered-sample count.
-    delay_cache: Cell<Option<(usize, Summary)>>,
-}
-
-impl Default for MetricsHub {
-    fn default() -> Self {
-        MetricsHub {
-            flows: FlowTable::default(),
-            links: BTreeMap::new(),
-            impairments: Vec::new(),
-            bins: Vec::new(),
-            epoch: SimTime::ZERO,
-            delay_cache: Cell::new(None),
-        }
-    }
 }
 
 impl MetricsHub {
@@ -396,9 +372,6 @@ impl MetricsHub {
         }
         rec.first_delivery.get_or_insert(now);
         rec.last_delivery = Some(now);
-        if rec.delays_s.capacity() == 0 {
-            rec.delays_s.reserve(SAMPLES_HINT);
-        }
         rec.delays_s.push(delay.as_secs_f64());
         if let Some(meta) = meta {
             // A retransmitted frame busts the deadline regardless of
@@ -446,7 +419,7 @@ impl MetricsHub {
         rec.delivered_bytes += bytes as u64;
         rec.delivered_pkts += 1;
         if rec.qdelay_series.capacity() == 0 {
-            rec.qdelay_series.reserve(SAMPLES_HINT);
+            rec.qdelay_series.reserve_exact(LINK_SERIES_FIRST_CAPACITY);
         }
         rec.qdelay_series.push((now, qdelay));
     }
@@ -478,24 +451,28 @@ impl MetricsHub {
         self.links.entry(link).or_default().opportunity_bits = bits;
     }
 
-    /// One-way delay summary (ms) across all packets of all flows.
-    /// Sorted once per recorded state and cached for repeat calls.
-    pub fn delay_summary_ms(&self) -> Summary {
-        let n: usize = self.flows.values().map(|f| f.delays_s.len()).sum();
-        if let Some((k, s)) = self.delay_cache.get() {
-            if k == n {
-                return s;
+    /// One-way delay summary (ms) across all packets of all flows,
+    /// consuming the samples: every flow's `delays_s` is left empty. The
+    /// first non-empty buffer becomes the sorted one (grown once to the
+    /// total) and every later one is freed as soon as it is appended, so
+    /// the samples are never held twice.
+    pub fn take_delay_summary_ms(&mut self) -> Summary {
+        let records = &mut self.flows.records;
+        let total: usize = records.iter().map(|r| r.delays_s.len()).sum();
+        let mut all: Vec<f64> = Vec::new();
+        for rec in records.iter_mut() {
+            let delays = std::mem::take(&mut rec.delays_s);
+            if all.is_empty() && !delays.is_empty() {
+                all = delays;
+                all.reserve_exact(total - all.len());
+            } else {
+                all.extend_from_slice(&delays);
             }
         }
-        let mut v: Vec<f64> = Vec::with_capacity(n);
-        v.extend(
-            self.flows
-                .values()
-                .flat_map(|f| f.delays_s.iter().map(|d| d * 1e3)),
-        );
-        let s = summarize_in_place(&mut v);
-        self.delay_cache.set(Some((n, s)));
-        s
+        for d in &mut all {
+            *d *= 1e3;
+        }
+        summarize_in_place(&mut all)
     }
 
     /// Jain fairness index of per-flow throughput over `window`.
@@ -690,5 +667,27 @@ mod tests {
         }
         let j = hub.borrow().jain(SimDuration::from_secs(1));
         assert!((j - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn delay_summary_consumes_every_flows_samples() {
+        let mut h = MetricsHub::default();
+        // a registered flow that never delivers keeps an empty hidden
+        // slot ahead of the flows that do
+        h.register_app_flow(FlowId(7), AppFlowMeta::default());
+        let mut want_ms = Vec::new();
+        for (i, flow) in [FlowId(3), FlowId(1), FlowId(2)].into_iter().enumerate() {
+            for k in 0..(40 * i as u64 + 1) {
+                let d = SimDuration::from_micros((k * 7919 + i as u64 * 13) % 5000);
+                h.on_delivery(flow, at(k), d, 1500, true, false);
+                want_ms.push(d.as_secs_f64() * 1e3);
+            }
+        }
+        let got = h.take_delay_summary_ms();
+        let want = crate::stats::summarize(&want_ms);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(got.count, 123);
+        assert!(h.flows.values().all(|f| f.delays_s.is_empty()));
+        assert_eq!(h.flows[&FlowId(2)].delivered_pkts, 81, "counters stay");
     }
 }

@@ -129,16 +129,21 @@ pub struct Summary {
 /// Percentile by linear interpolation between closest ranks
 /// (the convention NumPy's default uses). `p` in [0, 100].
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    percentile_by(sorted.len(), |i| sorted[i], p)
+}
+
+/// [`percentile`] of the `n` ascending samples `at(0) ≤ … ≤ at(n - 1)`.
+fn percentile_by(n: usize, at: impl Fn(usize) -> f64, p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-    match sorted.len() {
+    match n {
         0 => f64::NAN,
-        1 => sorted[0],
+        1 => at(0),
         n => {
             let rank = p / 100.0 * (n - 1) as f64;
             let lo = rank.floor() as usize;
             let hi = rank.ceil() as usize;
             let frac = rank - lo as f64;
-            sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+            at(lo) + (at(hi) - at(lo)) * frac
         }
     }
 }
@@ -156,22 +161,31 @@ pub fn summarize(samples: &[f64]) -> Summary {
 /// sibling of [`summarize`] for callers that own the buffer. Sorting is
 /// deterministic: `f64` ordering with a panic on NaN, like `summarize`.
 pub fn summarize_in_place(samples: &mut [f64]) -> Summary {
-    if samples.is_empty() {
+    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    summarize_sorted_by(samples.len(), |i| samples[i])
+}
+
+/// The [`Summary`] of `n` samples that `at` yields in ascending order
+/// (`at(0) ≤ … ≤ at(n - 1)`). Every summary in the workspace is computed
+/// here, so a caller that keeps its samples in another form — a sorted
+/// `(time, delay)` series read as milliseconds — gets the same bits as
+/// [`summarize`] over the mapped values: the sums run in ascending
+/// order, which is the same sequence of values however ties were placed.
+pub fn summarize_sorted_by(n: usize, at: impl Fn(usize) -> f64) -> Summary {
+    if n == 0 {
         return Summary::default();
     }
-    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    let n = samples.len();
-    let mean = samples.iter().sum::<f64>() / n as f64;
-    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+    let mean = (0..n).map(&at).sum::<f64>() / n as f64;
+    let var = (0..n).map(|i| (at(i) - mean).powi(2)).sum::<f64>() / n as f64;
     Summary {
         count: n,
         mean,
         std_dev: var.sqrt(),
-        min: samples[0],
-        max: samples[n - 1],
-        p50: percentile(samples, 50.0),
-        p95: percentile(samples, 95.0),
-        p99: percentile(samples, 99.0),
+        min: at(0),
+        max: at(n - 1),
+        p50: percentile_by(n, &at, 50.0),
+        p95: percentile_by(n, &at, 95.0),
+        p99: percentile_by(n, &at, 99.0),
     }
 }
 
