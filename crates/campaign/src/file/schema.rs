@@ -419,16 +419,6 @@ pub static SETTINGS: &[Form<AxisValue>] = &[
     Form { key: "workloads", ty: "array of workload entries",
         build: |v, w| each(v, w, workload).map(AxisValue::Workloads),
         doc: "application-layer traffic (see below)" },
-    Form { key: "timer_slot_shift", ty: "integer 10–26",
-        build: |v, w| {
-            let shift = uint32(v, w)?;
-            let (lo, hi) = netsim::event::SLOT_SHIFT_RANGE.into_inner();
-            let msg =
-                || format!("{w} must be in {lo}..={hi} (log2 ns per wheel slot), found {shift}");
-            ensure((lo..=hi).contains(&shift), v, msg)?;
-            Ok(AxisValue::TimerSlotShift(shift))
-        },
-        doc: "log₂ nanoseconds per timer-wheel slot — a pure performance knob for dense (≥1k-flow) runs; outputs are bit-identical at any setting" },
     Form { key: "impairments", ty: "array of impairment literals",
         build: |v, w| each(v, w, impairment).map(AxisValue::Impairments),
         doc: "adversarial middleboxes spliced into the path (see below); an empty array is the unimpaired scenario, byte for byte" },
@@ -1329,12 +1319,6 @@ mod tests {
     }
 
     #[test]
-    fn timer_slot_shift_setting_applies() {
-        let c = compile_tiny("[campaign]\nname = \"t\"\n[base]\ntimer_slot_shift = 20\n").unwrap();
-        assert_eq!(c.base.timer_slot_shift, Some(20));
-    }
-
-    #[test]
     fn impairments_compile_inline_and_as_array_of_tables() {
         // inline array form
         let c = compile_tiny(
@@ -1476,10 +1460,15 @@ mod tests {
     }
 
     #[test]
-    fn timer_slot_shift_out_of_range_is_rejected() {
-        let (line, _, msg) = error_at("[campaign]\nname = \"t\"\n[base]\ntimer_slot_shift = 30\n");
-        assert_eq!(line, 4);
-        assert!(msg.contains("timer_slot_shift"), "{msg}");
+    fn timer_slot_shift_is_an_unknown_key() {
+        let (line, col, msg) =
+            error_at("[campaign]\nname = \"t\"\n[base]\nseed = 1\ntimer_slot_shift = 20\n");
+        assert_eq!((line, col), (5, 20));
+        assert!(
+            msg.starts_with("unknown key `timer_slot_shift` in [base]"),
+            "{msg}"
+        );
+        assert_eq!(msg.matches("timer_slot_shift").count(), 1, "{msg}");
     }
 
     #[test]

@@ -48,9 +48,6 @@ pub enum AxisValue {
     Seed(u64),
     /// Replace the spec's application-layer workload mix (web/RTC/ABR).
     Workloads(Vec<WorkloadEntry>),
-    /// Set the timer-wheel slot width (`2^shift` ns slots) — a pure
-    /// performance knob; outputs are invariant to it.
-    TimerSlotShift(u32),
     /// Replace the spec's adversarial-impairment list. An empty list is
     /// the unimpaired control: its points build the exact same node graph
     /// as a spec with no impairment axis at all, so stored bytes match.
@@ -82,7 +79,6 @@ impl AxisValue {
             AxisValue::WarmupSecs(s) => spec.warmup = SimDuration::from_secs(*s),
             AxisValue::Seed(s) => spec.seed = *s,
             AxisValue::Workloads(w) => spec.workloads = w.clone(),
-            AxisValue::TimerSlotShift(s) => spec.timer_slot_shift = Some(*s),
             AxisValue::Impairments(i) => spec.impairments = i.clone(),
             AxisValue::Fault(f) => spec.fault = *f,
             AxisValue::OracleLookahead(d) => spec.oracle_lookahead = *d,

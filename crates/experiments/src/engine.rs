@@ -97,7 +97,7 @@ use netsim::packet::{FlowId, NodeId, Route, MTU_BYTES};
 use netsim::queue::{DropTail, Qdisc};
 use netsim::rate::Rate;
 use netsim::sim::{RunGuards, Simulator};
-use netsim::stats::Summary;
+use netsim::stats::{jain_index, Summary};
 use netsim::telemetry::{
     new_hub as new_telemetry_hub, ProfileReport, Scope, Shared, Signal, TelemetryConfig,
     TelemetryHub,
@@ -412,11 +412,6 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// PK-ABC: let the first hop's control law see µ(t + lookahead).
     pub oracle_lookahead: Option<SimDuration>,
-    /// Timer-wheel slot width override, as the exponent of a `2^shift` ns
-    /// slot (`None` keeps netsim's default). A pure performance knob —
-    /// every output is invariant to it — that lets µs-dense many-flow
-    /// scenarios use wider slots with intra-slot batch pops.
-    pub timer_slot_shift: Option<u32>,
     /// Telemetry sidecar recording: `Some(cfg)` installs a
     /// [`netsim::telemetry`] hub behind the simulator so probe sites
     /// sample per-flow/per-link dynamics at `cfg`'s cadence. `None` (the
@@ -487,7 +482,6 @@ impl ScenarioSpec {
             warmup: SimDuration::from_secs(5),
             seed: 7,
             oracle_lookahead: None,
-            timer_slot_shift: None,
             telemetry: None,
             impairments: Vec::new(),
             fault: None,
@@ -960,10 +954,7 @@ impl ScenarioEngine {
         let (hops, fwd_delay, back_delay) = spec.lower_path();
         let flows = spec.lower_flows(&hops);
 
-        let mut sim = match spec.timer_slot_shift {
-            Some(shift) => Simulator::with_slot_shift(shift),
-            None => Simulator::new(),
-        };
+        let mut sim = Simulator::new();
         let hub = new_hub();
         hub.borrow_mut().set_epoch(SimTime::ZERO + spec.warmup);
         let telemetry = spec.telemetry.as_ref().map(|cfg| {
@@ -1539,11 +1530,15 @@ impl BuiltScenario {
             .iter()
             .map(|(tag, _)| link_of(tag).dropped_pkts)
             .sum();
-        let flow_tputs: Vec<f64> = hub
+        // Jain takes the unscaled per-flow throughputs; the report holds
+        // them in Mbit/s.
+        let mut flow_tputs: Vec<f64> = hub
             .flows
             .values()
-            .map(|f| f.throughput_over(window) / 1e6)
+            .map(|f| f.throughput_over(window))
             .collect();
+        let jain = jain_index(&flow_tputs);
+        flow_tputs.iter_mut().for_each(|t| *t /= 1e6);
         let capacity_series = self
             .capacity_link
             .as_ref()
@@ -1563,7 +1558,7 @@ impl BuiltScenario {
             delay_ms: hub.take_delay_summary_ms(),
             qdelay_ms,
             total_tput_mbps: flow_tputs.iter().sum(),
-            jain: hub.jain(window),
+            jain,
             drops,
             flow_tputs_mbps: flow_tputs,
             tput_series: hub.total_throughput_series_mbps(),

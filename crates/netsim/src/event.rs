@@ -16,10 +16,11 @@
 //!   at or before the cursor slot. Pops come from here, so intra-slot
 //!   ordering is exact `(time, seq)` — bit-identical to a global
 //!   comparison heap.
-//! * **wheel** — `WHEEL_SLOTS` unsorted buckets of `2^slot_shift` ns
-//!   covering the next ~67 ms. Every bucket is a singly linked list
-//!   threaded through the slab cells' `next` links, so a sparse
-//!   simulation's whole queue is a few KB, not 1024 separate buffers.
+//! * **wheel** — `WHEEL_SLOTS` unsorted buckets of `2^SLOT_SHIFT` ns
+//!   (≈ 65.5 µs each) covering the next ~67 ms. Every bucket is a singly
+//!   linked list threaded through the slab cells' `next` links, so a
+//!   sparse simulation's whole queue is a few KB, not 1024 separate
+//!   buffers.
 //!   Order inside a bucket is whatever linking produced: a bucket is only
 //!   ever drained whole into `near`, which re-sorts by the strict
 //!   `(time, seq)` order, so intra-slot order costs nothing to ignore.
@@ -41,9 +42,9 @@
 //! surfaces. `len()` counts only cells that still hold a payload, so a
 //! fully-cancelled queue is empty.
 //!
-//! [`EventQueue::new_reference`] orders the same keys over the same slab
-//! with one plain `BinaryHeap` — the pre-wheel design — kept as the
-//! ordering oracle for the golden pop-order and property tests.
+//! The tests hold the queue to an independent oracle: an ordered map from
+//! `(time, seq)` to each event, which shares no slab, cancel or release
+//! code with the wheel.
 
 use crate::packet::{NodeId, Packet};
 use crate::time::SimTime;
@@ -141,22 +142,21 @@ impl Ord for Key {
     }
 }
 
-/// Default slot width exponent: 2^16 ns ≈ 65.5 µs — near the densest
-/// inter-event gap the pacing clocks produce, so a slot rarely holds more
-/// than a handful of events and the near heap stays tiny.
-pub const DEFAULT_SLOT_SHIFT: u32 = 16;
-/// Accepted range for a configured slot-width exponent: 2^10 ns (1 µs,
-/// heap-like precision) up to 2^26 ns (~67 ms slots, ~69 s horizon).
-pub const SLOT_SHIFT_RANGE: std::ops::RangeInclusive<u32> = 10..=26;
-/// Wheel span: 1024 slots (≈ 67 ms at the default shift) — longer than
-/// any propagation or serialization delay in the evaluated scenarios, so
-/// only RTO-scale timers ever touch the overflow heap.
+/// Slot width exponent: 2^16 ns ≈ 65.5 µs — near the densest inter-event
+/// gap the pacing clocks produce, so a slot rarely holds more than a
+/// handful of events and the near heap stays tiny. On a 1000-flow ABC
+/// point (96 Mbit/s, 30 s, 2-vCPU Xeon VM) a run took 0.093 s here, and
+/// 0.133, 0.102 and 0.113 s at 2^12, 2^20 and 2^24 ns slots.
+const SLOT_SHIFT: u32 = 16;
+/// Wheel span: 1024 slots (≈ 67 ms) — longer than any propagation or
+/// serialization delay in the evaluated scenarios, so only RTO-scale
+/// timers ever touch the overflow heap.
 const WHEEL_SLOTS: u64 = 1024;
 
 /// End-of-list / empty-list marker for cell links.
 const NIL: u32 = u32::MAX;
 
-/// The timer-wheel backend.
+/// The timer wheel's three tiers of keys.
 #[derive(Debug)]
 struct Wheel {
     near: BinaryHeap<Key>,
@@ -172,17 +172,16 @@ struct Wheel {
     /// (so the cursor's own bucket is always empty); later ones wait in
     /// `overflow`.
     cur_slot: u64,
-    /// Slot width exponent: a slot spans `2^slot_shift` ns. Wider slots
-    /// trade per-push wheel precision for larger intra-slot batches —
-    /// the right trade once µs-dense event storms (thousands of flows)
-    /// put many events into every slot anyway. Pop order is exact
-    /// `(time, seq)` at every width: the near heap re-sorts whatever a
-    /// slot drains into it, so the shift is a pure performance knob.
-    slot_shift: u32,
+}
+
+/// The slot `t` falls in.
+#[inline]
+fn slot_of(t: SimTime) -> u64 {
+    t.as_nanos() >> SLOT_SHIFT
 }
 
 impl Wheel {
-    fn new(slot_shift: u32) -> Self {
+    fn new() -> Self {
         Wheel {
             near: BinaryHeap::new(),
             heads: Box::new([NIL; WHEEL_SLOTS as usize]),
@@ -190,17 +189,11 @@ impl Wheel {
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             cur_slot: 0,
-            slot_shift,
         }
     }
 
-    #[inline]
-    fn slot_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() >> self.slot_shift
-    }
-
     fn push(&mut self, key: Key, cells: &mut [Cell]) {
-        let s = self.slot_of(key.time);
+        let s = slot_of(key.time);
         if s <= self.cur_slot {
             self.near.push(key);
         } else if s < self.cur_slot + WHEEL_SLOTS {
@@ -261,14 +254,14 @@ impl Wheel {
             let Some(head) = self.overflow.peek() else {
                 return;
             };
-            self.cur_slot = self.slot_of(head.time);
+            self.cur_slot = slot_of(head.time);
         } else {
             self.cur_slot = self.next_occupied_slot();
             self.drain((self.cur_slot % WHEEL_SLOTS) as usize, cells);
         }
         // The horizon moved: migrate overflow keys that now fit.
         while let Some(&head) = self.overflow.peek() {
-            if self.slot_of(head.time) >= self.cur_slot + WHEEL_SLOTS {
+            if slot_of(head.time) >= self.cur_slot + WHEEL_SLOTS {
                 break;
             }
             self.overflow.pop();
@@ -276,59 +269,29 @@ impl Wheel {
         }
         debug_assert!(!self.near.is_empty(), "cursor advanced onto nothing");
     }
-}
 
-/// Queue implementation selector: the production wheel, or the original
-/// comparison heap kept as a reference for ordering tests.
-// One queue per simulator, and the large variant is the production one:
-// boxing it would put a pointer chase on every queue operation.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Backend {
-    Wheel(Wheel),
-    Naive(BinaryHeap<Key>),
-}
-
-impl Backend {
-    #[inline]
-    fn push(&mut self, key: Key, cells: &mut [Cell]) {
-        match self {
-            Backend::Wheel(w) => w.push(key, cells),
-            Backend::Naive(h) => h.push(key),
-        }
-    }
-
-    /// The earliest key, cancelled ones included; the wheel advances its
-    /// cursor to expose it.
+    /// The earliest key, cancelled ones included, advancing the cursor to
+    /// expose it.
     #[inline]
     fn peek_min(&mut self, cells: &mut [Cell]) -> Option<Key> {
-        match self {
-            Backend::Wheel(w) => {
-                if w.near.is_empty() {
-                    w.advance(cells);
-                }
-                w.near.peek().copied()
-            }
-            Backend::Naive(h) => h.peek().copied(),
+        if self.near.is_empty() {
+            self.advance(cells);
         }
+        self.near.peek().copied()
     }
 
     /// Drop the key the preceding `peek_min` returned — no second cursor
     /// advance.
     #[inline]
     fn pop_peeked(&mut self) {
-        match self {
-            Backend::Wheel(w) => w.near.pop(),
-            Backend::Naive(h) => h.pop(),
-        }
-        .expect("peeked key vanished");
+        self.near.pop().expect("peeked key vanished");
     }
 }
 
 /// Time-ordered event queue with cancellation.
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
+    wheel: Wheel,
     /// The slab every pending event's payload lives in.
     cells: Vec<Cell>,
     /// Head of the vacant-cell list.
@@ -345,34 +308,10 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue at the default timer-wheel slot width
-    /// ([`DEFAULT_SLOT_SHIFT`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_slot_shift(DEFAULT_SLOT_SHIFT)
-    }
-
-    /// A wheel-backed queue with a configured slot width of `2^shift` ns.
-    /// Pop order is identical at every width (the near heap restores
-    /// exact `(time, seq)` order within a drained slot); wider slots
-    /// amortize cursor advances when µs-dense event storms put many
-    /// events into every slot. `shift` must lie in [`SLOT_SHIFT_RANGE`].
-    pub fn with_slot_shift(shift: u32) -> Self {
-        assert!(
-            SLOT_SHIFT_RANGE.contains(&shift),
-            "slot shift {shift} outside supported range {SLOT_SHIFT_RANGE:?}"
-        );
-        Self::over(Backend::Wheel(Wheel::new(shift)))
-    }
-
-    /// The pre-wheel `BinaryHeap` implementation, kept as the ordering
-    /// oracle for golden pop-order and property tests.
-    pub fn new_reference() -> Self {
-        Self::over(Backend::Naive(BinaryHeap::new()))
-    }
-
-    fn over(backend: Backend) -> Self {
         EventQueue {
-            backend,
+            wheel: Wheel::new(),
             cells: Vec::new(),
             free: NIL,
             live: 0,
@@ -407,7 +346,7 @@ impl EventQueue {
             *vacant = payload;
             at
         };
-        self.backend.push(Key { time, seq, cell }, &mut self.cells);
+        self.wheel.push(Key { time, seq, cell }, &mut self.cells);
         EventHandle { seq, cell }
     }
 
@@ -448,8 +387,8 @@ impl EventQueue {
     /// order); cancelled keys are skipped.
     pub fn pop(&mut self) -> Option<Event> {
         loop {
-            let key = self.backend.peek_min(&mut self.cells)?;
-            self.backend.pop_peeked();
+            let key = self.wheel.peek_min(&mut self.cells)?;
+            self.wheel.pop_peeked();
             if let Some(ev) = self.release(key) {
                 return Some(ev);
             }
@@ -459,11 +398,11 @@ impl EventQueue {
     /// Pop the earliest event only if it fires at or before `deadline`.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event> {
         loop {
-            let key = self.backend.peek_min(&mut self.cells)?;
+            let key = self.wheel.peek_min(&mut self.cells)?;
             if key.time > deadline {
                 return None;
             }
-            self.backend.pop_peeked();
+            self.wheel.pop_peeked();
             if let Some(ev) = self.release(key) {
                 return Some(ev);
             }
@@ -483,7 +422,7 @@ impl EventQueue {
     /// at a time.
     pub fn pop_if_deliver_matching(&mut self, time: SimTime, node: NodeId) -> Option<Event> {
         loop {
-            let key = self.backend.peek_min(&mut self.cells)?;
+            let key = self.wheel.peek_min(&mut self.cells)?;
             let cell = &self.cells[key.cell as usize];
             match cell.kind {
                 // A cancelled head is skipped whatever it was.
@@ -491,7 +430,7 @@ impl EventQueue {
                 Some(EventKind::Deliver(_)) if key.time == time && cell.node == node => {}
                 Some(_) => return None,
             }
-            self.backend.pop_peeked();
+            self.wheel.pop_peeked();
             if let Some(ev) = self.release(key) {
                 return Some(ev);
             }
@@ -502,11 +441,11 @@ impl EventQueue {
     /// its cursor and discards cancelled keys to find the head.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            let key = self.backend.peek_min(&mut self.cells)?;
+            let key = self.wheel.peek_min(&mut self.cells)?;
             if self.cells[key.cell as usize].kind.is_some() {
                 return Some(key.time);
             }
-            self.backend.pop_peeked();
+            self.wheel.pop_peeked();
             self.release(key);
         }
     }
@@ -523,12 +462,10 @@ impl EventQueue {
 
     /// Tier occupancy `(near, wheel slots, overflow)` in keys, cancelled
     /// ones included — a raw structural snapshot for the event-loop
-    /// profiler. The reference heap reports everything as `near`.
+    /// profiler.
     pub fn occupancy(&self) -> (usize, usize, usize) {
-        match &self.backend {
-            Backend::Wheel(w) => (w.near.len(), w.wheel_len, w.overflow.len()),
-            Backend::Naive(h) => (h.len(), 0, 0),
-        }
+        let w = &self.wheel;
+        (w.near.len(), w.wheel_len, w.overflow.len())
     }
 }
 
@@ -536,6 +473,8 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -635,15 +574,97 @@ mod tests {
         assert_eq!(q.pop().unwrap().time, t(200));
     }
 
+    /// The independent oracle: every pending event in one ordered map.
+    /// It shares no slab, cancel handle or release path with the queue
+    /// under test, so a bug in that code cannot hide by being on both
+    /// sides of the comparison.
+    #[derive(Default)]
+    struct Oracle {
+        /// `(time, seq) → (node, is_deliver)` of every pending event.
+        pending: BTreeMap<(SimTime, u64), (NodeId, bool)>,
+        /// `seq → time` of every pending event, for cancels.
+        times: BTreeMap<u64, SimTime>,
+        next_seq: u64,
+    }
+
+    /// What both sides report of a popped event.
+    type Popped = Option<(SimTime, u64, NodeId, bool)>;
+
+    fn popped(e: Option<Event>) -> Popped {
+        e.map(|e| {
+            let deliver = matches!(e.kind, EventKind::Deliver(_));
+            (e.time, e.seq, e.node, deliver)
+        })
+    }
+
+    impl Oracle {
+        fn push(&mut self, time: SimTime, node: NodeId, deliver: bool) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pending.insert((time, seq), (node, deliver));
+            self.times.insert(seq, time);
+            seq
+        }
+
+        /// Cancelling a fired or cancelled event does nothing.
+        fn cancel(&mut self, seq: u64) {
+            if let Some(time) = self.times.remove(&seq) {
+                self.pending.remove(&(time, seq));
+            }
+        }
+
+        /// Pop the earliest event if `take(time, node, is_deliver)` holds.
+        fn pop_where(&mut self, take: impl FnOnce(SimTime, NodeId, bool) -> bool) -> Popped {
+            let (&(time, seq), &(node, deliver)) = self.pending.first_key_value()?;
+            if !take(time, node, deliver) {
+                return None;
+            }
+            self.pending.pop_first();
+            self.times.remove(&seq);
+            Some((time, seq, node, deliver))
+        }
+
+        fn pop(&mut self) -> Popped {
+            self.pop_where(|_, _, _| true)
+        }
+
+        fn pop_before(&mut self, deadline: SimTime) -> Popped {
+            self.pop_where(|time, _, _| time <= deadline)
+        }
+
+        fn pop_if_deliver_matching(&mut self, at: SimTime, to: NodeId) -> Popped {
+            self.pop_where(|time, node, deliver| deliver && time == at && node == to)
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.pending.first_key_value().map(|(&(time, _), _)| time)
+        }
+
+        fn len(&self) -> usize {
+            self.pending.len()
+        }
+    }
+
+    /// Pop both sides to the end, event for event.
+    fn drain_both(q: &mut EventQueue, oracle: &mut Oracle) {
+        loop {
+            let (got, want) = (popped(q.pop()), oracle.pop());
+            assert_eq!(got, want);
+            if got.is_none() {
+                return;
+            }
+        }
+    }
+
     impl EventQueue {
         /// The slab's and the tiers' structural invariants: every occupied
         /// cell is referenced by exactly one key (in `near`, a bucket or
         /// `overflow`) carrying its `(time, seq)`, the free list is
         /// disjoint from the referenced cells and together they cover the
         /// slab, `live` counts the referenced cells still holding a
-        /// payload, and for the wheel: bit set ⇔ bucket list non-empty,
-        /// `wheel_len` = Σ list lengths, and every key sits in the tier
-        /// (and bucket) its slot says it should.
+        /// payload, bit set ⇔ bucket list non-empty, `wheel_len` = Σ list
+        /// lengths, and every key sits in the tier (and bucket) its slot
+        /// says it should.
         fn check_invariants(&self) {
             let mut seen = vec![false; self.cells.len()];
             let mut live = 0;
@@ -663,43 +684,35 @@ mod tests {
                 );
                 refer(k.cell, what);
             };
-            match &self.backend {
-                Backend::Naive(h) => h.iter().for_each(|k| refer_key(k, "heap")),
-                Backend::Wheel(w) => {
-                    for k in &w.near {
-                        refer_key(k, "near");
-                        assert!(
-                            w.slot_of(k.time) <= w.cur_slot,
-                            "near key beyond the cursor"
-                        );
-                    }
-                    for k in &w.overflow {
-                        refer_key(k, "overflow");
-                        let s = w.slot_of(k.time);
-                        assert!(
-                            s >= w.cur_slot + WHEEL_SLOTS,
-                            "overflow key within the horizon"
-                        );
-                    }
-                    let mut linked = 0;
-                    for (b, &head) in w.heads.iter().enumerate() {
-                        let (mut at, mut n) = (head, 0);
-                        while at != NIL {
-                            refer(at, "bucket");
-                            let cell = &self.cells[at as usize];
-                            let s = w.slot_of(cell.time);
-                            assert_eq!((s % WHEEL_SLOTS) as usize, b, "event in the wrong bucket");
-                            assert!(w.cur_slot < s && s < w.cur_slot + WHEEL_SLOTS);
-                            n += 1;
-                            at = cell.next;
-                        }
-                        let bit = w.occupied[b / 64] >> (b % 64) & 1;
-                        assert_eq!(bit == 1, n > 0, "bitmap bit {b} disagrees with its list");
-                        linked += n;
-                    }
-                    assert_eq!(w.wheel_len, linked);
-                }
+            let w = &self.wheel;
+            for k in &w.near {
+                refer_key(k, "near");
+                assert!(slot_of(k.time) <= w.cur_slot, "near key beyond the cursor");
             }
+            for k in &w.overflow {
+                refer_key(k, "overflow");
+                assert!(
+                    slot_of(k.time) >= w.cur_slot + WHEEL_SLOTS,
+                    "overflow key within the horizon"
+                );
+            }
+            let mut linked = 0;
+            for (b, &head) in w.heads.iter().enumerate() {
+                let (mut at, mut n) = (head, 0);
+                while at != NIL {
+                    refer(at, "bucket");
+                    let cell = &self.cells[at as usize];
+                    let s = slot_of(cell.time);
+                    assert_eq!((s % WHEEL_SLOTS) as usize, b, "event in the wrong bucket");
+                    assert!(w.cur_slot < s && s < w.cur_slot + WHEEL_SLOTS);
+                    n += 1;
+                    at = cell.next;
+                }
+                let bit = w.occupied[b / 64] >> (b % 64) & 1;
+                assert_eq!(bit == 1, n > 0, "bitmap bit {b} disagrees with its list");
+                linked += n;
+            }
+            assert_eq!(w.wheel_len, linked);
             assert_eq!(self.live, live, "live disagrees with the occupied cells");
             let mut at = self.free;
             while at != NIL {
@@ -720,142 +733,129 @@ mod tests {
 
     #[test]
     fn stale_handle_to_a_reused_cell_cancels_nothing() {
-        for mut q in [EventQueue::new(), EventQueue::new_reference()] {
-            let fired = q.push(t(1), NodeId(0), EventKind::Timer(1));
-            assert_eq!(q.pop().unwrap().seq(), fired.seq());
-            // The fired timer's cell is the only vacant one: reused here.
-            let next = q.push(t(2), NodeId(0), EventKind::Timer(2));
-            assert_eq!((next.cell, q.cells.len()), (fired.cell, 1));
-            q.cancel(fired);
-            assert_eq!(q.len(), 1);
-            q.check_invariants();
-            // Cancelling twice is as harmless as cancelling after firing.
-            q.cancel(next);
-            q.cancel(next);
-            assert!(q.is_empty());
-            q.check_invariants();
-            let last = q.push(t(3), NodeId(0), EventKind::Timer(3));
-            q.cancel(next);
-            assert_eq!(drain_tokens(&mut q), vec![3]);
-            q.cancel(last);
-            assert!(q.is_empty() && q.pop().is_none());
-            q.check_invariants();
-        }
+        let mut q = EventQueue::new();
+        let fired = q.push(t(1), NodeId(0), EventKind::Timer(1));
+        assert_eq!(q.pop().unwrap().seq(), fired.seq());
+        // The fired timer's cell is the only vacant one: reused here.
+        let next = q.push(t(2), NodeId(0), EventKind::Timer(2));
+        assert_eq!((next.cell, q.cells.len()), (fired.cell, 1));
+        q.cancel(fired);
+        assert_eq!(q.len(), 1);
+        q.check_invariants();
+        // Cancelling twice is as harmless as cancelling after firing.
+        q.cancel(next);
+        q.cancel(next);
+        assert!(q.is_empty());
+        q.check_invariants();
+        let last = q.push(t(3), NodeId(0), EventKind::Timer(3));
+        q.cancel(next);
+        assert_eq!(drain_tokens(&mut q), vec![3]);
+        q.cancel(last);
+        assert!(q.is_empty() && q.pop().is_none());
+        q.check_invariants();
     }
 
-    /// Wheel ≡ reference heap under the operations the run loop really
-    /// issues, interleaved from a seeded generator: pushes at or after the
-    /// clock (same slot, in-wheel, 0.1–5 s gaps that send the cursor
-    /// through many wheel turns, and the exact horizon-boundary slots),
-    /// `cancel` (of pending timers, and of handles whose timer already
-    /// fired or was cancelled, whose cells are often reused by then),
-    /// `pop_before` with deadlines that often fall before the head, the
-    /// batch probe `pop_if_deliver_matching`, `pop` and `peek_time`. The
-    /// queue is kept sparse so it drains and jumps often. Every result,
-    /// every handle, `len()` and both queues' invariants are checked after
-    /// every operation, at every slot width.
+    /// Queue ≡ oracle under the operations the run loop really issues,
+    /// interleaved from a seeded generator: pushes at or after the clock
+    /// (same slot, in-wheel, 0.1–5 s gaps that send the cursor through
+    /// many wheel turns, and the exact horizon-boundary slots), `cancel`
+    /// (of pending timers, and of handles whose timer already fired or was
+    /// cancelled, whose cells are often reused by then), `pop_before` with
+    /// deadlines that often fall before the head, the batch probe
+    /// `pop_if_deliver_matching`, `pop` and `peek_time`. The queue is kept
+    /// sparse so it drains and jumps often. Every result, every handle's
+    /// `seq`, `len()` and the queue's invariants are checked after every
+    /// operation.
     #[test]
-    fn wheel_matches_reference_under_loop_operations_at_every_shift() {
-        let key = |e: Option<Event>| e.map(|e| (e.time, e.seq));
-        for shift in [10u32, 16, 20, 26] {
-            for seed in 0..8u64 {
-                let mut x = 0x9E37_79B9_7F4A_7C15 ^ (seed << 32 | shift as u64);
-                let mut next = move || {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    x >> 16
-                };
-                let mut wheel = EventQueue::with_slot_shift(shift);
-                let mut naive = EventQueue::new_reference();
-                // Handles of pending timers, and of fired or cancelled ones.
-                let (mut timers, mut dead) = (Vec::new(), Vec::new());
-                let retire = |timers: &mut Vec<EventHandle>, dead: &mut Vec<_>, e: &Event| {
-                    if let Some(i) = timers.iter().position(|h| h.seq() == e.seq) {
-                        dead.push(timers.swap_remove(i));
-                    }
-                };
-                let (mut now, mut last_node) = (SimTime::ZERO, NodeId(0));
-                for _ in 0..4_000 {
-                    let r = next();
-                    // A full-enough queue gets no pushes: it stays sparse.
-                    match if wheel.len() < 6 { r % 16 } else { 6 + r % 10 } {
-                        0..=5 => {
-                            let Backend::Wheel(w) = &wheel.backend else {
-                                unreachable!()
-                            };
-                            let slot_ns = 1u64 << shift;
-                            let ns = match next() % 9 {
-                                0 | 1 => now.as_nanos() + next() % slot_ns,
-                                2 | 3 => now.as_nanos() + next() % (1023 * slot_ns),
-                                4 => now.as_nanos() + 100_000_000 + next() % 4_900_000_000,
-                                5 => now.as_nanos(),
-                                // the last wheel slot and the first two beyond it
-                                k => ((w.cur_slot + 1017 + k) << shift) + next() % slot_ns,
-                            };
-                            let time = SimTime::from_nanos(ns.max(now.as_nanos()));
-                            let node = NodeId((next() % 3) as u32);
-                            let deliver = next() % 2 == 0;
-                            let kind = || match deliver {
-                                true => EventKind::Deliver(crate::queue::test_packet(0, 100)),
-                                false => EventKind::Timer(r),
-                            };
-                            let handle = wheel.push(time, node, kind());
-                            assert_eq!(handle, naive.push(time, node, kind()));
-                            if !deliver {
-                                timers.push(handle);
-                            }
-                        }
-                        6 if !dead.is_empty() && next() % 4 == 0 => {
-                            let stale = dead[next() as usize % dead.len()];
-                            wheel.cancel(stale);
-                            naive.cancel(stale);
-                        }
-                        6 if !timers.is_empty() => {
-                            let victim = timers.swap_remove(next() as usize % timers.len());
-                            wheel.cancel(victim);
-                            naive.cancel(victim);
-                            dead.push(victim);
-                        }
-                        7..=10 => {
-                            let reach = [1_000, 1_000_000, 100_000_000, 10_000_000_000];
-                            let deadline = SimTime::from_nanos(
-                                now.as_nanos() + next() % reach[next() as usize % 4],
-                            );
-                            let got = wheel.pop_before(deadline);
-                            if let Some(e) = &got {
-                                assert!(e.time >= now && e.time <= deadline);
-                                (now, last_node) = (e.time, e.node);
-                                retire(&mut timers, &mut dead, e);
-                            }
-                            assert_eq!(key(got), key(naive.pop_before(deadline)));
-                        }
-                        11..=13 => {
-                            let got = wheel.pop_if_deliver_matching(now, last_node);
-                            assert_eq!(
-                                key(got),
-                                key(naive.pop_if_deliver_matching(now, last_node))
-                            );
-                        }
-                        14 => {
-                            let got = wheel.pop();
-                            if let Some(e) = &got {
-                                (now, last_node) = (e.time, e.node);
-                                retire(&mut timers, &mut dead, e);
-                            }
-                            assert_eq!(key(got), key(naive.pop()));
-                        }
-                        _ => assert_eq!(wheel.peek_time(), naive.peek_time()),
-                    }
-                    assert_eq!(wheel.len(), naive.len());
-                    wheel.check_invariants();
-                    naive.check_invariants();
+    fn wheel_matches_reference_under_loop_operations() {
+        for seed in 0..32u64 {
+            let mut x = 0x9E37_79B9_7F4A_7C15 ^ seed << 32;
+            let mut next = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 16
+            };
+            let mut q = EventQueue::new();
+            let mut oracle = Oracle::default();
+            // Handles of pending timers, and of fired or cancelled ones.
+            let (mut timers, mut dead) = (Vec::new(), Vec::new());
+            let retire = |timers: &mut Vec<EventHandle>, dead: &mut Vec<_>, seq: u64| {
+                if let Some(i) = timers.iter().position(|h| h.seq() == seq) {
+                    dead.push(timers.swap_remove(i));
                 }
-                while let Some(e) = wheel.pop() {
-                    assert_eq!(key(Some(e)), key(naive.pop()));
+            };
+            let (mut now, mut last_node) = (SimTime::ZERO, NodeId(0));
+            for _ in 0..4_000 {
+                let r = next();
+                // A full-enough queue gets no pushes: it stays sparse.
+                match if q.len() < 6 { r % 16 } else { 6 + r % 10 } {
+                    0..=5 => {
+                        let slot_ns = 1u64 << SLOT_SHIFT;
+                        let ns = match next() % 9 {
+                            0 | 1 => now.as_nanos() + next() % slot_ns,
+                            2 | 3 => now.as_nanos() + next() % (1023 * slot_ns),
+                            4 => now.as_nanos() + 100_000_000 + next() % 4_900_000_000,
+                            5 => now.as_nanos(),
+                            // the last wheel slot and the first two beyond it
+                            k => ((q.wheel.cur_slot + 1017 + k) << SLOT_SHIFT) + next() % slot_ns,
+                        };
+                        let time = SimTime::from_nanos(ns.max(now.as_nanos()));
+                        let node = NodeId((next() % 3) as u32);
+                        let deliver = next() % 2 == 0;
+                        let kind = match deliver {
+                            true => EventKind::Deliver(crate::queue::test_packet(0, 100)),
+                            false => EventKind::Timer(r),
+                        };
+                        let handle = q.push(time, node, kind);
+                        assert_eq!(handle.seq(), oracle.push(time, node, deliver));
+                        if !deliver {
+                            timers.push(handle);
+                        }
+                    }
+                    6 if !dead.is_empty() && next() % 4 == 0 => {
+                        let stale = dead[next() as usize % dead.len()];
+                        q.cancel(stale);
+                        oracle.cancel(stale.seq());
+                    }
+                    6 if !timers.is_empty() => {
+                        let victim = timers.swap_remove(next() as usize % timers.len());
+                        q.cancel(victim);
+                        oracle.cancel(victim.seq());
+                        dead.push(victim);
+                    }
+                    7..=10 => {
+                        let reach = [1_000, 1_000_000, 100_000_000, 10_000_000_000];
+                        let deadline = SimTime::from_nanos(
+                            now.as_nanos() + next() % reach[next() as usize % 4],
+                        );
+                        let got = popped(q.pop_before(deadline));
+                        if let Some((time, seq, node, _)) = got {
+                            assert!(time >= now && time <= deadline);
+                            (now, last_node) = (time, node);
+                            retire(&mut timers, &mut dead, seq);
+                        }
+                        assert_eq!(got, oracle.pop_before(deadline));
+                    }
+                    11..=13 => {
+                        let got = popped(q.pop_if_deliver_matching(now, last_node));
+                        assert_eq!(got, oracle.pop_if_deliver_matching(now, last_node));
+                    }
+                    14 => {
+                        let got = popped(q.pop());
+                        if let Some((time, seq, node, _)) = got {
+                            (now, last_node) = (time, node);
+                            retire(&mut timers, &mut dead, seq);
+                        }
+                        assert_eq!(got, oracle.pop());
+                    }
+                    _ => assert_eq!(q.peek_time(), oracle.peek_time()),
                 }
-                assert!(naive.pop().is_none() && wheel.is_empty());
+                assert_eq!(q.len(), oracle.len());
+                q.check_invariants();
             }
+            drain_both(&mut q, &mut oracle);
+            assert!(q.is_empty());
         }
     }
 
@@ -883,7 +883,8 @@ mod tests {
     fn wheel_matches_reference_on_dense_schedule() {
         // deterministic LCG: a mix of near, mid, and far times with ties
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-        let mut times = Vec::new();
+        let mut q = EventQueue::new();
+        let mut oracle = Oracle::default();
         for i in 0..5_000u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
@@ -894,27 +895,55 @@ mod tests {
                 2 => x % 100_000_000,    // in-wheel
                 _ => x % 10_000_000_000, // overflow
             };
-            times.push(ns);
+            let time = SimTime::from_nanos(ns);
+            q.push(time, NodeId(0), EventKind::Timer(i));
+            oracle.push(time, NodeId(0), false);
         }
-        // The slot width is a pure performance knob: every shift must
-        // reproduce the reference heap's exact (time, seq) pop order.
-        for shift in [10u32, 16, 20, 26] {
-            let mut wheel = EventQueue::with_slot_shift(shift);
-            let mut naive = EventQueue::new_reference();
-            for (i, &ns) in times.iter().enumerate() {
-                let tm = SimTime::from_nanos(ns);
-                wheel.push(tm, NodeId(0), EventKind::Timer(i as u64));
-                naive.push(tm, NodeId(0), EventKind::Timer(i as u64));
-            }
-            loop {
-                match (wheel.pop(), naive.pop()) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.time, a.seq), (b.time, b.seq), "shift {shift}")
+        drain_both(&mut q, &mut oracle);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary push/cancel/pop interleavings over near, mid and
+        /// far-future times: the queue must agree with the oracle event
+        /// for event.
+        #[test]
+        fn wheel_matches_reference_under_push_cancel_pop(
+            ops in proptest::collection::vec((0u8..10, 0u64..20_000_000_000), 1..400),
+        ) {
+            let mut q = EventQueue::new();
+            let mut oracle = Oracle::default();
+            let mut pending: Vec<EventHandle> = Vec::new();
+            for &(op, arg) in &ops {
+                match op {
+                    // 60%: push
+                    0..=5 => {
+                        let time = SimTime::from_nanos(arg);
+                        let handle = q.push(time, NodeId(0), EventKind::Timer(arg));
+                        prop_assert_eq!(handle.seq(), oracle.push(time, NodeId(0), false));
+                        pending.push(handle);
                     }
-                    (None, None) => break,
-                    _ => panic!("shift {shift}: queues drained at different lengths"),
+                    // 20%: cancel a pending event
+                    6..=7 => {
+                        if !pending.is_empty() {
+                            let victim = pending.swap_remove(arg as usize % pending.len());
+                            q.cancel(victim);
+                            oracle.cancel(victim.seq());
+                        }
+                    }
+                    // 20%: pop
+                    _ => {
+                        let got = popped(q.pop());
+                        prop_assert_eq!(got, oracle.pop());
+                        if let Some((_, seq, _, _)) = got {
+                            pending.retain(|h| h.seq() != seq);
+                        }
+                    }
                 }
+                prop_assert_eq!(q.len(), oracle.len());
             }
+            drain_both(&mut q, &mut oracle);
         }
     }
 }

@@ -7,94 +7,66 @@
 //! for the figure plots.
 
 use crate::packet::FlowId;
-use crate::stats::{jain_index, summarize_in_place, summarize_sorted_by, Summary};
+use crate::stats::{summarize_in_place, summarize_sorted_by, Summary};
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Dense arena-backed flow table: a sparse `FlowId → slot` index over
-/// struct-of-arrays per-slot storage.
+/// Dense arena-backed flow table: struct-of-arrays per-flow storage
+/// indexed by `FlowId.0`.
 ///
 /// The per-delivery hot path (`MetricsHub::on_delivery`) resolves a flow
-/// to a slot with one bounds-checked vector load and then touches dense,
+/// with one bounds-checked vector index and then touches dense,
 /// cache-adjacent arrays — no tree walk, no per-flow allocation beyond
-/// the slot itself. This is what keeps O(10³–10⁴)-flow scenarios flat
+/// the row itself. This is what keeps O(10³–10⁴)-flow scenarios flat
 /// relative to the sparse regime.
 ///
 /// The read API mirrors the `BTreeMap<FlowId, FlowRecord>` it replaced:
 /// [`get`](FlowTable::get), [`values`](FlowTable::values),
 /// [`iter`](FlowTable::iter), `table[&flow]`, [`len`](FlowTable::len).
-/// Iteration yields flows in ascending `FlowId` order (slots are sorted
-/// on demand — iteration is a cold, report-time path), so aggregate
-/// float reductions downstream remain bit-identical to the map era.
+/// Iteration walks the rows in index order, which is ascending `FlowId`
+/// order, so aggregate float reductions downstream remain bit-identical
+/// to the map era.
 ///
 /// `FlowId`s are expected to be small dense integers (the experiment
-/// engine assigns `1..=n`); the sparse index is a flat vector sized to
-/// the largest id seen.
+/// engine assigns `1..=n`): the table holds a row for every id up to the
+/// largest seen.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    /// `FlowId.0 → slot + 1` (0 = no slot yet).
-    index: Vec<u32>,
-    /// FlowId of each slot (parallel to `records`).
-    ids: Vec<FlowId>,
-    /// Per-slot delivery accounting.
+    /// Per-flow delivery accounting.
     records: Vec<FlowRecord>,
-    /// Per-slot application expectations (see `register_app_flow`).
+    /// Per-flow application expectations (see `register_app_flow`).
     metas: Vec<Option<AppFlowMeta>>,
-    /// Slot visibility. App-flow registration pre-creates a *hidden*
-    /// slot; it becomes a reportable flow only on its first post-epoch
+    /// Row visibility. App-flow registration pre-creates a *hidden*
+    /// row; it becomes a reportable flow only on its first post-epoch
     /// delivery — exactly the old map semantics, where registration
     /// never created a `FlowRecord` (a registered-but-idle flow must not
     /// show up in fairness or throughput aggregates).
     live: Vec<bool>,
-    /// Number of live (visible) slots.
+    /// Number of live (visible) rows.
     live_count: usize,
-    /// Number of slots carrying an `AppFlowMeta`; the per-delivery
+    /// Number of rows carrying an `AppFlowMeta`; the per-delivery
     /// fast path skips all app accounting while this is zero.
     meta_count: usize,
 }
 
 impl FlowTable {
-    /// Slot for `flow`, creating a hidden one on first touch.
-    fn slot_of(&mut self, flow: FlowId) -> usize {
-        let key = flow.0 as usize;
-        if key >= self.index.len() {
-            self.index.resize(key + 1, 0);
+    /// The row of `flow`, growing the table (with hidden rows) to hold it.
+    fn row_of(&mut self, flow: FlowId) -> usize {
+        let row = flow.0 as usize;
+        if row >= self.records.len() {
+            self.records.resize_with(row + 1, FlowRecord::default);
+            self.metas.resize(row + 1, None);
+            self.live.resize(row + 1, false);
         }
-        match self.index[key] {
-            0 => {
-                let slot = self.ids.len();
-                self.index[key] = slot as u32 + 1;
-                self.ids.push(flow);
-                self.records.push(FlowRecord::default());
-                self.metas.push(None);
-                self.live.push(false);
-                slot
-            }
-            s => s as usize - 1,
-        }
-    }
-
-    /// Slot for `flow` if one was ever created (live or hidden).
-    fn slot_lookup(&self, flow: FlowId) -> Option<usize> {
-        match self.index.get(flow.0 as usize) {
-            Some(&s) if s != 0 => Some(s as usize - 1),
-            _ => None,
-        }
-    }
-
-    /// Live slot indices in ascending `FlowId` order.
-    fn ordered(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..self.ids.len()).filter(|&i| self.live[i]).collect();
-        v.sort_unstable_by_key(|&i| self.ids[i]);
-        v
+        row
     }
 
     /// The record for `flow`, if it has delivered anything.
     pub fn get(&self, flow: &FlowId) -> Option<&FlowRecord> {
-        let slot = self.slot_lookup(*flow)?;
-        self.live[slot].then(|| &self.records[slot])
+        let row = flow.0 as usize;
+        (*self.live.get(row)?).then(|| &self.records[row])
     }
 
     /// Number of flows that have delivered at least one packet.
@@ -109,14 +81,17 @@ impl FlowTable {
 
     /// Flow records in ascending `FlowId` order.
     pub fn values(&self) -> impl Iterator<Item = &FlowRecord> + '_ {
-        self.ordered().into_iter().map(move |i| &self.records[i])
+        self.iter().map(|(_, rec)| rec)
     }
 
     /// `(FlowId, record)` pairs in ascending `FlowId` order.
     pub fn iter(&self) -> impl Iterator<Item = (FlowId, &FlowRecord)> + '_ {
-        self.ordered()
-            .into_iter()
-            .map(move |i| (self.ids[i], &self.records[i]))
+        self.records
+            .iter()
+            .zip(&self.live)
+            .enumerate()
+            .filter(|(_, (_, &live))| live)
+            .map(|(row, (rec, _))| (FlowId(row as u32), rec))
     }
 }
 
@@ -228,12 +203,6 @@ impl LinkRecord {
         }
         (self.delivered_bytes as f64 * 8.0 / self.opportunity_bits).min(1.0)
     }
-
-    /// Queuing-delay summary (ms) of a copy of the series; a caller that
-    /// owns the series uses [`qdelay_summary_in_place`] instead.
-    pub fn qdelay_summary_ms(&self) -> Summary {
-        qdelay_summary_in_place(&mut self.qdelay_series.clone())
-    }
 }
 
 /// Queuing-delay summary (ms) of a `(time, delay)` series, sorted in
@@ -249,8 +218,9 @@ pub fn qdelay_summary_in_place(series: &mut [(SimTime, SimDuration)]) -> Summary
 pub struct ThroughputBin {
     /// Bin start time.
     pub start: SimTime,
-    /// Delivered bytes per [`FlowTable`] slot (dense, grown on write;
-    /// slots beyond the vector's length delivered nothing in this bin).
+    /// Delivered bytes per flow, indexed by `FlowId.0` (dense, grown on
+    /// write; flows beyond the vector's length delivered nothing in this
+    /// bin).
     pub bytes: Vec<u64>,
 }
 
@@ -299,14 +269,14 @@ impl MetricsHub {
     /// Register application expectations for `flow` (FCT completion
     /// target and/or a per-packet delay deadline). Call before the run;
     /// bytes delivered during warmup do not count toward completion.
-    /// Registration pre-creates a hidden arena slot; the flow is not
-    /// visible in reports until its first post-epoch delivery.
+    /// Registration pre-creates a hidden row; the flow is not visible in
+    /// reports until its first post-epoch delivery.
     pub fn register_app_flow(&mut self, flow: FlowId, meta: AppFlowMeta) {
-        let slot = self.flows.slot_of(flow);
-        if self.flows.metas[slot].is_none() {
+        let row = self.flows.row_of(flow);
+        if self.flows.metas[row].is_none() {
             self.flows.meta_count += 1;
         }
-        self.flows.metas[slot] = Some(meta);
+        self.flows.metas[row] = Some(meta);
     }
 
     /// Register an impairment wire by label, returning the slot its
@@ -351,19 +321,19 @@ impl MetricsHub {
             return;
         }
         let ft = &mut self.flows;
-        let slot = ft.slot_of(flow);
-        if !ft.live[slot] {
-            ft.live[slot] = true;
+        let row = ft.row_of(flow);
+        if !ft.live[row] {
+            ft.live[row] = true;
             ft.live_count += 1;
         }
-        // Copy the meta out before the record borrow: one slot resolution
+        // Copy the meta out before the record borrow: one row resolution
         // serves both, where the map era paid two tree lookups.
         let meta = if unique && ft.meta_count > 0 {
-            ft.metas[slot]
+            ft.metas[row]
         } else {
             None
         };
-        let rec = &mut ft.records[slot];
+        let rec = &mut ft.records[row];
         rec.delivered_bytes += bytes as u64;
         rec.delivered_pkts += 1;
         if unique {
@@ -388,7 +358,7 @@ impl MetricsHub {
             }
         }
 
-        // throughput time series: dense per-slot counters per bin
+        // throughput time series: dense per-flow counters per bin
         let bin_idx = (now.since(self.epoch).as_nanos() / BIN_WIDTH.as_nanos()) as usize;
         while self.bins.len() <= bin_idx {
             let start = self.epoch + BIN_WIDTH * self.bins.len() as u64;
@@ -398,10 +368,10 @@ impl MetricsHub {
             });
         }
         let bin = &mut self.bins[bin_idx];
-        if bin.bytes.len() <= slot {
-            bin.bytes.resize(slot + 1, 0);
+        if bin.bytes.len() <= row {
+            bin.bytes.resize(row + 1, 0);
         }
-        bin.bytes[slot] += bytes as u64;
+        bin.bytes[row] += bytes as u64;
     }
 
     /// Called by link nodes at each dequeue.
@@ -475,25 +445,13 @@ impl MetricsHub {
         summarize_in_place(&mut all)
     }
 
-    /// Jain fairness index of per-flow throughput over `window`.
-    pub fn jain(&self, window: SimDuration) -> f64 {
-        let tputs: Vec<f64> = self
-            .flows
-            .values()
-            .map(|f| f.throughput_over(window))
-            .collect();
-        jain_index(&tputs)
-    }
-
     /// Throughput time series for `flow`: (bin start seconds, Mbit/s).
     pub fn throughput_series_mbps(&self, flow: FlowId) -> Vec<(f64, f64)> {
         let w = BIN_WIDTH.as_secs_f64();
-        // Resolve the arena slot once, not once per bin.
-        let slot = self.flows.slot_lookup(flow);
         self.bins
             .iter()
             .map(|b| {
-                let bytes = slot.and_then(|s| b.bytes.get(s)).copied().unwrap_or(0);
+                let bytes = b.bytes.get(flow.0 as usize).copied().unwrap_or(0);
                 (b.start.as_secs_f64(), bytes as f64 * 8.0 / w / 1e6)
             })
             .collect()
@@ -665,16 +623,23 @@ mod tests {
             h.on_delivery(FlowId(1), at(10), SimDuration::ZERO, 1000, true, false);
             h.on_delivery(FlowId(2), at(10), SimDuration::ZERO, 1000, true, false);
         }
-        let j = hub.borrow().jain(SimDuration::from_secs(1));
-        assert!((j - 1.0).abs() < 1e-12);
+        let h = hub.borrow();
+        let window = SimDuration::from_secs(1);
+        let tputs: Vec<f64> = h
+            .flows
+            .values()
+            .map(|f| f.throughput_over(window))
+            .collect();
+        assert_eq!(tputs, [8_000.0, 8_000.0]);
+        assert!((crate::stats::jain_index(&tputs) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn delay_summary_consumes_every_flows_samples() {
         let mut h = MetricsHub::default();
         // a registered flow that never delivers keeps an empty hidden
-        // slot ahead of the flows that do
-        h.register_app_flow(FlowId(7), AppFlowMeta::default());
+        // row ahead of the flows that do
+        h.register_app_flow(FlowId(0), AppFlowMeta::default());
         let mut want_ms = Vec::new();
         for (i, flow) in [FlowId(3), FlowId(1), FlowId(2)].into_iter().enumerate() {
             for k in 0..(40 * i as u64 + 1) {

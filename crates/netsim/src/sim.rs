@@ -145,29 +145,11 @@ fn fnv_mix(h: u64, x: u64) -> u64 {
 }
 
 impl Simulator {
-    /// A simulator at time zero with an empty default event queue.
+    /// A simulator at time zero with an empty event queue.
     pub fn new() -> Self {
-        Self::with_queue(EventQueue::new())
-    }
-
-    /// A simulator driven by the pre-wheel reference heap — for golden
-    /// pop-order tests that pin the wheel against the original ordering.
-    pub fn new_with_reference_queue() -> Self {
-        Self::with_queue(EventQueue::new_reference())
-    }
-
-    /// A simulator whose timer wheel uses `2^shift` ns slots (see
-    /// [`EventQueue::with_slot_shift`]). Pop order — and therefore every
-    /// simulation output — is identical at any width; wider slots
-    /// amortize cursor advances under µs-dense event storms.
-    pub fn with_slot_shift(shift: u32) -> Self {
-        Self::with_queue(EventQueue::with_slot_shift(shift))
-    }
-
-    fn with_queue(queue: EventQueue) -> Self {
         Simulator {
             clock: SimTime::ZERO,
-            queue,
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             started: false,
             pool: Vec::new(),

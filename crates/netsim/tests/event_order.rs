@@ -1,17 +1,10 @@
-//! Pop-order pins for the timer-wheel event queue.
-//!
-//! Two layers of protection for the `(time, seq)` ordering contract:
-//!
-//! * a **golden scenario test** that runs a mixed pacing/RTO/trace-link
-//!   workload on both the wheel and the pre-wheel reference heap
-//!   ([`Simulator::new_with_reference_queue`]) and requires the exact
-//!   `(time, node, seq)` event sequences to match — plus a pinned
-//!   fingerprint constant so *any* future reordering (even one that is
-//!   wheel-vs-reference consistent) fails loudly;
-//! * a **property test** driving the wheel and the reference heap through
-//!   arbitrary push/cancel/pop interleavings.
+//! Pop-order pin for the timer-wheel event queue: a **golden scenario
+//! test** runs a mixed pacing/RTO/trace-link workload and pins its
+//! event-order fingerprint, so *any* reordering fails loudly. The
+//! constant was recorded equal to the pre-wheel comparison heap's run.
+//! The queue's own operations are held to an independent oracle by the
+//! unit tests in `netsim::event`.
 
-use netsim::event::{EventHandle, EventKind, EventQueue};
 use netsim::flow::{AckEvent, CongestionControl, Pacing, Sender, Sink, TrafficSource};
 use netsim::link::{SerialLink, SquareWave, TraceLink};
 use netsim::linkqueue::LinkQueue;
@@ -22,7 +15,6 @@ use netsim::rate::Rate;
 use netsim::sim::Simulator;
 use netsim::telemetry::{new_hub as new_telemetry_hub, Shared, Signal, TelemetryConfig};
 use netsim::time::{SimDuration, SimTime};
-use proptest::prelude::*;
 
 /// Rate-paced fixed window: exercises `TOK_PACE` ticks.
 struct PacedWindow {
@@ -62,10 +54,8 @@ impl CongestionControl for GreedyWindow {
 /// A two-flow scenario over a trace link and a square-wave serial link in
 /// series: pacing clocks, RTO arming/cancellation, delayed-ACK flush
 /// timers, and Mahimahi-style delivery opportunities all interleave.
-fn run_mixed_scenario(
-    mut sim: Simulator,
-    full_telemetry: bool,
-) -> (Vec<(SimTime, NodeId, u64)>, u64) {
+fn run_mixed_scenario(full_telemetry: bool) -> (Vec<(SimTime, NodeId, u64)>, u64) {
+    let mut sim = Simulator::new();
     let telemetry = new_telemetry_hub(if full_telemetry {
         // All default signals recording through a live hub: every probe
         // site fires, and the event order must not move by one event.
@@ -174,26 +164,15 @@ const GOLDEN_FINGERPRINT: u64 = 0x971a0f55ff24d3e8;
 
 #[test]
 fn golden_mixed_scenario_pop_order_pinned() {
-    let (wheel_trace, wheel_fp) = run_mixed_scenario(Simulator::new(), false);
-    let (ref_trace, ref_fp) = run_mixed_scenario(Simulator::new_with_reference_queue(), false);
-
+    let (trace, fp) = run_mixed_scenario(false);
     assert!(
-        wheel_trace.len() > 2_000,
+        trace.len() > 2_000,
         "scenario too small to pin anything: {} events",
-        wheel_trace.len()
+        trace.len()
     );
     assert_eq!(
-        wheel_trace.len(),
-        ref_trace.len(),
-        "wheel and reference heap processed different event counts"
-    );
-    for (i, (a, b)) in wheel_trace.iter().zip(&ref_trace).enumerate() {
-        assert_eq!(a, b, "event {i} diverged: wheel {a:?} vs reference {b:?}");
-    }
-    assert_eq!(wheel_fp, ref_fp);
-    assert_eq!(
-        wheel_fp, GOLDEN_FINGERPRINT,
-        "event order changed (fingerprint {wheel_fp:#018x})"
+        fp, GOLDEN_FINGERPRINT,
+        "event order changed (fingerprint {fp:#018x})"
     );
 }
 
@@ -202,73 +181,9 @@ fn golden_mixed_scenario_pop_order_pinned() {
 /// probes observe the simulation, they never reschedule it.
 #[test]
 fn full_telemetry_recording_reproduces_the_pinned_fingerprint() {
-    let (_, fp) = run_mixed_scenario(Simulator::new(), true);
+    let (_, fp) = run_mixed_scenario(true);
     assert_eq!(
         fp, GOLDEN_FINGERPRINT,
         "telemetry recording perturbed event order (fingerprint {fp:#018x})"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Arbitrary push/cancel/pop interleavings: the wheel must agree with
-    /// the naive comparison heap event for event.
-    #[test]
-    fn wheel_matches_naive_heap_under_push_cancel_pop(
-        ops in proptest::collection::vec((0u8..10, 0u64..20_000_000_000), 1..400),
-    ) {
-        let mut wheel = EventQueue::new();
-        let mut naive = EventQueue::new_reference();
-        let mut live: Vec<EventHandle> = Vec::new();
-        let mut tok = 0u64;
-        for &(op, arg) in &ops {
-            match op {
-                // 60%: push (near, mid, and far-future times)
-                0..=5 => {
-                    tok += 1;
-                    let t = SimTime::from_nanos(arg);
-                    let a = wheel.push(t, NodeId(0), EventKind::Timer(tok));
-                    let b = naive.push(t, NodeId(0), EventKind::Timer(tok));
-                    prop_assert_eq!(a, b, "handle assignment diverged");
-                    live.push(a);
-                }
-                // 20%: cancel a pending event
-                6..=7 => {
-                    if !live.is_empty() {
-                        let victim = live.swap_remove(arg as usize % live.len());
-                        wheel.cancel(victim);
-                        naive.cancel(victim);
-                    }
-                }
-                // 20%: pop
-                _ => {
-                    let a = wheel.pop();
-                    let b = naive.pop();
-                    match (&a, &b) {
-                        (Some(x), Some(y)) => {
-                            prop_assert_eq!(x.time, y.time);
-                            prop_assert_eq!(x.seq(), y.seq());
-                            live.retain(|h| h.seq() != x.seq());
-                        }
-                        (None, None) => {}
-                        _ => prop_assert!(false, "one queue drained early"),
-                    }
-                }
-            }
-            prop_assert_eq!(wheel.len(), naive.len());
-        }
-        // drain both fully
-        loop {
-            let (a, b) = (wheel.pop(), naive.pop());
-            match (&a, &b) {
-                (Some(x), Some(y)) => {
-                    prop_assert_eq!(x.time, y.time);
-                    prop_assert_eq!(x.seq(), y.seq());
-                }
-                (None, None) => break,
-                _ => prop_assert!(false, "queues drained at different lengths"),
-            }
-        }
-    }
 }

@@ -6,7 +6,7 @@ use abc_repro::experiments::{LinkSpec, ScenarioEngine, ScenarioSpec, Scheme};
 use abc_repro::netsim::flow::{Sender, Sink, TrafficSource};
 use abc_repro::netsim::link::{ConstantRate, SerialLink};
 use abc_repro::netsim::linkqueue::LinkQueue;
-use abc_repro::netsim::metrics::new_hub;
+use abc_repro::netsim::metrics::{new_hub, qdelay_summary_in_place};
 use abc_repro::netsim::packet::{FlowId, Route};
 use abc_repro::netsim::rate::Rate;
 use abc_repro::netsim::sim::Simulator;
@@ -78,7 +78,7 @@ fn abc_through_legacy_ecn_aqm_behaves_like_cubic() {
         util > 0.7,
         "ABC-under-AQM should stay productive: {util:.3}"
     );
-    let q = h.links["aqm"].qdelay_summary_ms();
+    let q = qdelay_summary_in_place(&mut h.links["aqm"].qdelay_series.clone());
     assert!(
         q.p95 < 100.0,
         "CE feedback must bound the queue: {:.0} ms",
@@ -282,7 +282,7 @@ fn proxied_ce_dialect_works_end_to_end() {
     let h = hub.borrow();
     let util = h.links["bottleneck"].utilization();
     assert!(util > 0.9, "proxied dialect utilization {util:.3}");
-    let q = h.links["bottleneck"].qdelay_summary_ms();
+    let q = qdelay_summary_in_place(&mut h.links["bottleneck"].qdelay_series.clone());
     assert!(
         q.p95 < 60.0,
         "proxied dialect queuing delay {:.0} ms",
@@ -409,7 +409,7 @@ fn abc_robust_to_ack_loss() {
     let h = hub.borrow();
     let util = h.links["bottleneck"].utilization();
     assert!(util > 0.75, "utilization under 10% ACK loss: {util:.3}");
-    let q = h.links["bottleneck"].qdelay_summary_ms();
+    let q = qdelay_summary_in_place(&mut h.links["bottleneck"].qdelay_series.clone());
     assert!(
         q.p95 < 100.0,
         "queuing delay under ACK loss {:.0} ms",
